@@ -26,7 +26,8 @@ itself a jet field and further differentiation (for connection forms and
 curvature) costs one degree per level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,12 @@ from .errors import (
 )
 from .linalg5 import (
     SymMat2T,
+    _const,
     congruence,
     identity,
+    inverse,
     mat_mul,
+    mat_vec,
     null_basis2,
     q_complement,
     q_form,
@@ -97,10 +101,17 @@ class MCField:
             [self.du[2][0], self.dv[2][0]],
         ]
 
+    @cached_property
+    def _coframe_inverse(self):
+        return inverse(transpose(self.coframe()))
+
+    def to_coframe(self, cu, cv):
+        """Coefficients (x1, x2) with cu du + cv dv = x1 omega^1_0 + x2 omega^2_0."""
+        return mat_vec(self._coframe_inverse, [cu, cv])
+
     def in_coframe(self, i, j):
         """Coefficients (x1, x2) with omega^i_j = x1 omega^1_0 + x2 omega^2_0."""
-        C = self.coframe()
-        return solve(transpose(C), [self.du[i][j], self.dv[i][j]])
+        return self.to_coframe(self.du[i][j], self.dv[i][j])
 
 
 @dataclass
@@ -191,14 +202,6 @@ class GaugeTransform:
         return float(np.arctan2(A0[0][1], A0[0][0]))
 
 
-def _const(x):
-    return x.const if isinstance(x, TaylorScalar) else float(x)
-
-
-def _const_matrix(M):
-    return np.array([[_const(x) for x in row] for row in M])
-
-
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
     """New frame F K with bookkeeping tags updated."""
     return Frame5T(
@@ -260,9 +263,9 @@ def frame1(jet5, tol=1e-10):
 def maurer_cartan(frame):
     """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field."""
     F = frame.matrix
-    dFu = [[x.deriv_u() for x in row] for row in F]
-    dFv = [[x.deriv_v() for x in row] for row in F]
-    return MCField(du=solve(F, dFu), dv=solve(F, dFv))
+    n = len(F)
+    X = solve(F, [[x.deriv_u() for x in row] + [x.deriv_v() for x in row] for row in F])
+    return MCField(du=[row[:n] for row in X], dv=[row[n:] for row in X])
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .homogeneous import (
     search_constant_solutions,
     structure_residual,
 )
-from .invariants import analyze_point
+from .invariants import analyze_point, effective_degree
 from .surfaces import eval_surface, resolve_surface
 
 __all__ = ["RunConfig", "main", "cmd_analyze", "cmd_example", "cmd_verify", "cmd_search"]
@@ -266,7 +266,7 @@ def _add_common(sp, fmt_default="json", out_default=None):
     sp.add_argument("--surface", default="", help="built-in name, file path, or inline text with 5 ';'-separated components")
     sp.add_argument("--model", default="", help="built-in model name (%s)" % ", ".join(MODEL_NAMES))
     sp.add_argument("--grid", nargs="+", type=_grid_spec, default=None, metavar="LO:HI:N", help="parameter grid, one spec for both axes or u-spec v-spec (default -1:1:5)")
-    sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 internally for the curvature-by-connection route)")
+    sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 for the curvature-by-connection route; the output records the degree used)")
     sp.add_argument("--tol", type=float, default=None, help="tolerance override (per-command default otherwise)")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt_default, help="output format (default %s)" % fmt_default)
     sp.add_argument("--out", default=out_default, help="output directory (default: print to stdout)" if out_default is None else "output directory (default %r)" % out_default)
@@ -388,7 +388,7 @@ def cmd_analyze(cfg):
         "schema": SCHEMA,
         "command": "analyze",
         "surface": cfg.surface,
-        "degree": cfg.degree,
+        "degree": effective_degree(cfg.degree),
         "tolerance": tol,
         "grid": {"u": list(cfg.grid[0]), "v": list(cfg.grid[1])},
         "records": records,
@@ -557,7 +557,7 @@ def _check_quadrics(tol, seed):
     }
 
 
-def _sample_points(name, rng, count):
+def _sample_points(rng, count):
     return [tuple(rng.uniform(-1.0, 1.0, 2)) for _ in range(count)]
 
 
@@ -566,7 +566,7 @@ def _check_metrics(tol, seed):
     worst = 0.0
     for name in MODEL_NAMES:
         spec = resolve_surface(name)
-        for (u, v) in _sample_points(name, rng, 8):
+        for (u, v) in _sample_points(rng, 8):
             res = analyze_point(spec, u, v, degree=5)
             got = np.array([x.const for x in res.metric.first])
             want = np.array(model_metric(name, u, v))
@@ -585,7 +585,7 @@ def _check_relations(tol, seed):
     worst = 0.0
     for name in MODEL_NAMES:
         spec = resolve_surface(name)
-        for (u, v) in _sample_points(name, rng, 8):
+        for (u, v) in _sample_points(rng, 8):
             res = analyze_point(spec, u, v, degree=5)
             worst = max(worst, res.residual_max)
     return {
@@ -603,7 +603,7 @@ def _check_gauss(tol, seed):
     for name in MODEL_NAMES:
         spec = resolve_surface(name)
         expected = builtin_model(name).gauss
-        for (u, v) in _sample_points(name, rng, 8):
+        for (u, v) in _sample_points(rng, 8):
             res = analyze_point(spec, u, v, degree=5)
             worst = max(
                 worst,

@@ -30,7 +30,7 @@ from .adaptation import (
     maurer_cartan,
 )
 from .errors import NullTypeUnsupported
-from .linalg5 import solve, transpose
+from .linalg5 import solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
 from .surfaces import eval_surface
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "fiber_invariant_scalars",
     "AnalysisResult",
     "analyze_point",
+    "effective_degree",
 ]
 
 
@@ -86,9 +87,7 @@ def _pair(mc, i, j):
 
 def _pair_minus_alpha(mc, i, j, alpha, factor):
     """Coframe coefficients of omega^i_j - factor*alpha."""
-    C = mc.coframe()
-    rhs = [mc.du[i][j] - alpha[0] * factor, mc.dv[i][j] - alpha[1] * factor]
-    return tuple(solve(transpose(C), rhs))
+    return tuple(mc.to_coframe(mc.du[i][j] - alpha[0] * factor, mc.dv[i][j] - alpha[1] * factor))
 
 
 def extract_invariants(mc, surface_type, epsilon=0):
@@ -136,12 +135,10 @@ def extract_invariants(mc, surface_type, epsilon=0):
         h["h111"], h["h112"] = _pair(mc, 1, 1)
         h["h221"], h["h222"] = _pair(mc, 2, 2)
         # omega^1_2 and omega^2_1 share one semi-basic part around +-alpha
-        C = mc.coframe()
-        sym = [
+        h["h121"], h["h122"] = mc.to_coframe(
             (mc.du[1][2] + mc.du[2][1]) * 0.5,
             (mc.dv[1][2] + mc.dv[2][1]) * 0.5,
-        ]
-        h["h121"], h["h122"] = solve(transpose(C), sym)
+        )
         h["h331"], h["h332"] = _pair(mc, 3, 3)
         h["h441"], h["h442"] = _pair(mc, 4, 4)
         h["h341"], h["h342"] = _pair_minus_alpha(mc, 3, 4, alpha, 2.0)
@@ -165,12 +162,10 @@ def extract_invariants(mc, surface_type, epsilon=0):
             (mc.du[1][1] - mc.du[2][2]) * 0.5,
             (mc.dv[1][1] - mc.dv[2][2]) * 0.5,
         )
-        C = mc.coframe()
-        sym = [
+        h["h111"], h["h222"] = mc.to_coframe(
             (mc.du[1][1] + mc.du[2][2]) * 0.5,
             (mc.dv[1][1] + mc.dv[2][2]) * 0.5,
-        ]
-        h["h111"], h["h222"] = solve(transpose(C), sym)
+        )
         h["h121"], h["h122"] = _pair(mc, 1, 2)
         h["h211"], h["h212"] = _pair(mc, 2, 1)
         h["h331"], h["h332"] = _pair_minus_alpha(mc, 3, 3, alpha, 2.0)
@@ -266,7 +261,7 @@ def gauss_from_connection(inv):
     if a_du.degree < 1:
         raise ValueError(
             "connection-route curvature needs jets of degree >= 1 at the "
-            "connection level; evaluate the surface at degree >= 5"
+            "connection level; evaluate the surface at degree >= 4"
         )
     C = inv.coframe
     area = C[0][0] * C[1][1] - C[0][1] * C[1][0]
@@ -350,6 +345,15 @@ class AnalysisResult:
     residual_max: float
 
 
+def effective_degree(degree, want_connection=True):
+    """Jet degree at which `analyze_point` evaluates the surface.
+
+    The connection-route curvature needs degree >= 4; requests below 5 are
+    raised to 5 when that route is wanted, which keeps one order of margin.
+    """
+    return max(degree, 5) if want_connection else degree
+
+
 def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=True):
     """Run the full adaptation chain on a surface at one parameter point.
 
@@ -360,9 +364,8 @@ def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=Tru
     u0, v0 : float
         Parameter point.
     degree : int
-        Jet degree for the surface evaluation; values below 5 are raised
-        to 5 when the connection-route curvature is requested (that route
-        needs degree >= 4, plus one order of margin).
+        Requested jet degree for the surface evaluation; the degree used is
+        `effective_degree(degree, want_connection)`.
     classify_tol : float
         Relative tolerance for the null-type decision.
     want_connection : bool
@@ -377,8 +380,7 @@ def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=Tru
     NullTypeUnsupported
         If the point classifies as Null.
     """
-    eff_degree = max(degree, 5) if want_connection else degree
-    jets = eval_surface(spec, u0, v0, eff_degree)
+    jets = eval_surface(spec, u0, v0, effective_degree(degree, want_connection))
     fr1 = frame1(jets)
     mc1 = maurer_cartan(fr1)
     fund1 = fundamental_matrices(mc1)

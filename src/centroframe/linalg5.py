@@ -1,11 +1,26 @@
 """Small dense linear algebra over floats *or* Taylor jets.
 
 Matrices are plain nested lists.  Entries may be floats, TaylorScalar jets,
-or a mixture; the same elimination code runs on both because the jet class
-implements the arithmetic operators (a degree-0 jet behaves exactly like a
-float).  Pivoting and all singularity decisions look only at constant terms,
-which is the right notion over the jet ring: an element is invertible there
-iff its constant term is nonzero.
+or a mixture.  `mat_mul` and `solve` pack a matrix once into an
+(rows, cols, n_terms) coefficient array, with a float x packed as the
+constant jet x, and do all arithmetic on those arrays:
+
+* a truncated jet-matrix product is one dense matmul with the left factor
+  gathered, through the `_mul_table` coefficient pairs, into the matrix of
+  left multiplication on stacked coefficients;
+* `solve` factors the constant part A0 once (LU with partial pivoting) and
+  handles the nilpotent rest by a Neumann series, exact after `degree`
+  steps.  Pivoting and singularity decisions look only at constant terms,
+  which is the right notion over the jet ring: an element is invertible
+  there iff its constant term is nonzero.
+
+Output degrees follow each entry, as scalar jet arithmetic would give them,
+with floats counting as constants of unbounded degree: entry (i, j) of A B
+has degree min over t of min(deg A[i][t], deg B[t][j]), and column j of the
+solution of A X = B has degree min(deg A, deg B[:, j]), deg A being the
+lowest entry degree of A.  An entry whose inputs are all floats stays a
+float.  Degrees are never lowered to one global minimum: a frame's
+position column keeps the extra order it carries.
 
 The module also carries the symmetric-2x2 toolbox used by the frame
 adaptation: the quadratic form Q(h) = -det(h) on symmetric matrices, its
@@ -22,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import taylor
 from .errors import NotIndefinite, NotPositiveDefinite, SingularMatrix
@@ -65,19 +81,101 @@ def transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def mat_mul(A, B):
-    """Matrix product of nested-list matrices (entries float or jet)."""
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+def _degrees(M):
+    """Per-entry degrees of a nested-list matrix; floats count as inf."""
+    return np.array(
+        [[x.degree if isinstance(x, TaylorScalar) else math.inf for x in row] for row in M]
+    )
+
+
+def _working_degree(degrees):
+    """Highest finite entry degree (0 when every entry is a float)."""
+    finite = degrees[np.isfinite(degrees)]
+    return int(finite.max()) if finite.size else 0
+
+
+def _pack(M, degree):
+    """Coefficient array (rows, cols, n_terms(degree)) of a nested-list matrix.
+
+    Jets above `degree` are truncated and jets below it are zero-padded; a
+    float x becomes the constant jet x.
+    """
+    n = taylor.n_terms(degree)
+    out = np.zeros((len(M), len(M[0]), n))
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if isinstance(x, TaylorScalar):
+                c = x.coeffs[:n]
+                out[i, j, : c.size] = c
+            else:
+                out[i, j, 0] = x
     return out
+
+
+def _unpack(C, degrees):
+    """Nested-list matrix from a coefficient array and per-entry degrees."""
+    return [
+        [
+            float(c[0]) if math.isinf(d) else TaylorScalar(c[: taylor.n_terms(int(d))])
+            for c, d in zip(crow, drow)
+        ]
+        for crow, drow in zip(C, degrees)
+    ]
+
+
+# degree -> (n, n) table `shift` with shift[o, b] = a for the multi-indices
+# a + b = o of `_mul_table`, and n (a zero slot) where no such a exists.
+_SHIFT_CACHE = {}
+
+
+def _shift_index(degree):
+    shift = _SHIFT_CACHE.get(degree)
+    if shift is None:
+        ia, ib, iout = taylor._mul_table(degree)
+        n = taylor.n_terms(degree)
+        shift = np.full((n, n), n, dtype=np.intp)
+        shift[iout, ib] = ia
+        _SHIFT_CACHE[degree] = shift
+    return shift
+
+
+def _operator(A, degree):
+    """Left multiplication by a coefficient array A of shape (r, k, n) at `degree`.
+
+    Returns T of shape (r n, k n) with _flat(A B) = T @ _flat(B): entry
+    ((i, o), (t, b)) is the coefficient a = o - b of A[i][t], gathered
+    through the `_mul_table` pairs, so a truncated jet-matrix product is one
+    dense matmul.
+    """
+    r, k, n = A.shape
+    padded = np.zeros((r, k, n + 1))
+    padded[:, :, :n] = A
+    T = padded[:, :, _shift_index(degree)]
+    return T.transpose(0, 2, 1, 3).reshape(r * n, k * n)
+
+
+def _flat(B):
+    """(k, m, n) coefficient array as a (k n, m) matrix, coefficients inner."""
+    k, m, n = B.shape
+    return B.transpose(0, 2, 1).reshape(k * n, m)
+
+
+def _unflat(X, rows):
+    """Inverse of `_flat` (contiguous, so each entry's coefficients are too)."""
+    return np.ascontiguousarray(X.reshape(rows, -1, X.shape[1]).transpose(0, 2, 1))
+
+
+def mat_mul(A, B):
+    """Matrix product of nested-list matrices (entries float or jet).
+
+    Entry (i, j) has degree min over t of min(deg A[i][t], deg B[t][j]),
+    and is a float when every one of those entries is a float.
+    """
+    dA, dB = _degrees(A), _degrees(B)
+    degrees = np.minimum(dA[:, :, None], dB[None, :, :]).min(axis=1)
+    degree = _working_degree(degrees)
+    C = _operator(_pack(A, degree), degree) @ _flat(_pack(B, degree))
+    return _unpack(_unflat(C, len(A)), degrees)
 
 
 def mat_vec(A, x):
@@ -92,7 +190,13 @@ def mat_vec(A, x):
 
 
 def solve(A, B):
-    """Solve A X = B by Gaussian elimination with constant-term pivoting.
+    """Solve A X = B over the jet ring.
+
+    The constant part A0 is factored once (LU with partial pivoting).  With
+    A = A0 (I + M), where M = A0^-1 (A - A0) has no constant term, the
+    solution X = (I + M)^-1 A0^-1 B is the Neumann fixed point X = Y - M X
+    with Y = A0^-1 B; each step fixes one more order, so `degree` steps are
+    exact.
 
     Parameters
     ----------
@@ -104,43 +208,39 @@ def solve(A, B):
     Returns
     -------
     list
-        Solution with the same shape as B.
+        Solution with the same shape as B.  Column j has degree
+        min(deg A, deg B[:, j]), where deg A is the lowest entry degree of A,
+        and is a float column when all of those entries are floats.
 
     Raises
     ------
     SingularMatrix
-        If no available pivot has a numerically nonzero constant term.
+        If a pivot of the constant part is NaN or at most _PIVOT_TOL times
+        the largest constant entry (or 1).
     """
-    n = len(A)
     vector_rhs = not isinstance(B[0], (list, tuple))
-    M = [list(row) for row in A]
-    R = [[b] for b in B] if vector_rhs else [list(row) for row in B]
-    m = len(R[0])
-    scale = max(1.0, max(abs(_const(M[i][j])) for i in range(n) for j in range(n)))
-    tol = _PIVOT_TOL * scale
-
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(_const(M[r][col])))
-        if abs(_const(M[pivot_row][col])) <= tol:
-            raise SingularMatrix("no usable pivot in column %d" % col)
-        if pivot_row != col:
-            M[col], M[pivot_row] = M[pivot_row], M[col]
-            R[col], R[pivot_row] = R[pivot_row], R[col]
-        pivot = M[col][col]
-        for r in range(col + 1, n):
-            factor = M[r][col] / pivot
-            for c in range(col + 1, n):
-                M[r][c] = M[r][c] - factor * M[col][c]
-            for c in range(m):
-                R[r][c] = R[r][c] - factor * R[col][c]
-            M[r][col] = 0.0
-    X = [[0.0] * m for _ in range(n)]
-    for row in range(n - 1, -1, -1):
-        for c in range(m):
-            acc = R[row][c]
-            for k in range(row + 1, n):
-                acc = acc - M[row][k] * X[k][c]
-            X[row][c] = acc / M[row][row]
+    if vector_rhs:
+        B = [[b] for b in B]
+    dB = _degrees(B)
+    degrees = np.broadcast_to(np.minimum(_degrees(A).min(), dB.min(axis=0)), dB.shape)
+    degree = _working_degree(degrees)
+    Ac, Bc = _pack(A, degree), _pack(B, degree)
+    n = len(A)
+    A0 = Ac[:, :, 0].copy()
+    lu, piv, _ = dgetrf(A0)
+    tol = _PIVOT_TOL * max(1.0, float(np.abs(A0).max()))
+    small = np.flatnonzero(~(np.abs(np.diag(lu)) > tol))  # a NaN pivot is unusable too
+    if small.size:
+        raise SingularMatrix("no usable pivot in column %d" % small[0])
+    Ac[:, :, 0] = 0.0
+    rhs = np.concatenate([Ac.reshape(n, -1), Bc.reshape(n, -1)], axis=1)
+    sol = dgetrs(lu, piv, rhs)[0]
+    T = _operator(sol[:, : Ac[0].size].reshape(Ac.shape), degree)
+    Y = _flat(sol[:, Ac[0].size :].reshape(Bc.shape))
+    X = Y
+    for _ in range(degree):
+        X = Y - T @ X
+    X = _unpack(_unflat(X, n), degrees)
     return [x[0] for x in X] if vector_rhs else X
 
 

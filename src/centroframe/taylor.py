@@ -85,6 +85,30 @@ def _mul_table(degree):
     return tab
 
 
+# Cached derivative tables: (degree, axis) -> (src, factor) such that the
+# derivative along u (axis 0) or v (axis 1) of a degree-d jet is
+# coeffs[src] * factor, a jet of degree d - 1.
+_DERIV_CACHE = {}
+
+
+def _deriv_table(degree, axis):
+    key = (degree, axis)
+    tab = _DERIV_CACHE.get(key)
+    if tab is None:
+        src, factor = [], []
+        for s in range(degree):
+            for b in range(s + 1):
+                a = s - b
+                if axis == 0:
+                    src.append(index_of(a + 1, b))
+                    factor.append(a + 1.0)
+                else:
+                    src.append(index_of(a, b + 1))
+                    factor.append(b + 1.0)
+        tab = _DERIV_CACHE[key] = (np.asarray(src, dtype=np.intp), np.asarray(factor))
+    return tab
+
+
 class TaylorScalar:
     """A bivariate polynomial in (du, dv), truncated at a total degree.
 
@@ -216,29 +240,19 @@ class TaylorScalar:
 
     # -- calculus ------------------------------------------------------------
 
+    def _derivative(self, axis):
+        if self.degree == 0:
+            return TaylorScalar.constant(0.0, 0)
+        src, factor = _deriv_table(self.degree, axis)
+        return TaylorScalar(self.coeffs[src] * factor)
+
     def deriv_u(self):
         """Partial derivative with respect to u; degree drops by one."""
-        d = self.degree - 1
-        if d < 0:
-            return TaylorScalar.constant(0.0, 0)
-        out = np.zeros(n_terms(d))
-        for s in range(d + 1):
-            for b in range(s + 1):
-                a = s - b
-                out[index_of(a, b)] = (a + 1) * self.coeffs[index_of(a + 1, b)]
-        return TaylorScalar(out)
+        return self._derivative(0)
 
     def deriv_v(self):
         """Partial derivative with respect to v; degree drops by one."""
-        d = self.degree - 1
-        if d < 0:
-            return TaylorScalar.constant(0.0, 0)
-        out = np.zeros(n_terms(d))
-        for s in range(d + 1):
-            for b in range(s + 1):
-                a = s - b
-                out[index_of(a, b)] = (b + 1) * self.coeffs[index_of(a, b + 1)]
-        return TaylorScalar(out)
+        return self._derivative(1)
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at offsets (du, dv)."""

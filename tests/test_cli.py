@@ -115,6 +115,17 @@ def test_analyze_rejects_low_degree(capsys):
     assert "degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("requested, used", [(4, 5), (5, 5), (6, 6)])
+def test_analyze_reports_degree_used(tmp_path, requested, used):
+    out = tmp_path / "a"
+    rc = _run(["analyze", "--surface", "h2", "--grid", "0:0:1",
+               "--degree", str(requested), "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "analyze.json").read_text())
+    assert doc["degree"] == used
+    assert doc["records"][0]["ok"] is True
+
+
 def test_analyze_requires_surface(capsys):
     rc = _run(["analyze"])
     assert rc == 2

@@ -217,6 +217,60 @@ def test_fiber_scalars_constant_across_points_on_models():
             assert s1[key] == pytest.approx(s2[key], abs=1e-8)
 
 
+def _gl5_image_text(components, A):
+    """Surface text of A.f for the component texts of f."""
+    return "; ".join(
+        " + ".join("%r*(%s)" % (float(A[i, j]), components[j]) for j in range(5))
+        for i in range(5)
+    )
+
+
+def _random_gl5(rng):
+    """s U diag(sigma) V^T with sigma in [0.25, 4] and s in [0.1, 10].
+
+    The range covers the scales known to work; ROADMAP item 3 widens it
+    (pure scalings down to 1e-6 and up to 1e6) and never narrows it.
+    """
+    def orthogonal():
+        q, r = np.linalg.qr(rng.standard_normal((5, 5)))
+        return q * np.sign(np.diag(r))
+
+    sigma = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 5))
+    s = np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
+    return s * orthogonal() @ np.diag(sigma) @ orthogonal().T
+
+
+def _invariant_summary(res):
+    fiber = fiber_invariant_scalars(res.invariants)
+    values = dict(fiber, K_invariants=res.gauss_invariants, K_connection=res.gauss_connection)
+    return res.surface_type, res.epsilon, values
+
+
+@pytest.mark.parametrize("name, bump, point", [
+    ("h2", None, (0.3, -0.2)),
+    ("sphere", None, (-0.25, 0.4)),
+    ("s21", None, (0.35, 0.15)),
+    ("h2", "0.04*u^2*v^2", (0.2, 0.3)),
+])
+def test_invariants_are_gl5_invariant(name, bump, point):
+    components = [c.strip() for c in builtin_surface(name).source.split(";")]
+    if bump is not None:
+        components[0] = "(%s) + %s" % (components[0], bump)
+    base = analyze_point(parse_surface("; ".join(components)), *point, degree=5)
+    tag, eps, want = _invariant_summary(base)
+    # relative to the largest of the point's invariants, so exact zeros pass
+    scale = max(abs(x) for x in want.values())
+    rng = np.random.default_rng(2026)
+    for _ in range(5):
+        A = _random_gl5(rng)
+        res = analyze_point(parse_surface(_gl5_image_text(components, A)), *point, degree=5)
+        got_tag, got_eps, got = _invariant_summary(res)
+        assert (got_tag, got_eps) == (tag, eps)
+        assert set(got) == set(want)
+        for key, x in want.items():
+            assert abs(got[key] - x) <= 1e-9 * scale, (name, bump, key)
+
+
 def test_connection_route_needs_degree():
     spec = builtin_surface("h2")
     res = analyze_point(spec, 0.1, 0.1, degree=3, want_connection=False)

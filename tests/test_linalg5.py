@@ -1,7 +1,8 @@
 """Tests for the float/jet linear-algebra layer.
 
-Oracles: numpy.linalg.solve for elimination, scipy.linalg.expm for the
-matrix exponential, eigendecompositions for the symmetric square root, and
+Oracles: numpy.linalg.solve for float systems, A (A^-1 B) = B up to each
+entry's degree for jet systems, scipy.linalg.expm for the matrix
+exponential, eigendecompositions for the symmetric square root, and
 closed-form identities (Cayley-Hamilton, polarization) for the rest.
 """
 
@@ -46,7 +47,84 @@ def test_float_solve_matches_numpy():
         A = rng.uniform(-2, 2, size=(n, n)) + 3 * np.eye(n)
         b = rng.uniform(-1, 1, size=n)
         x = solve([list(r) for r in A], list(b))
+        assert all(type(xi) is float for xi in x)
         assert np.allclose(x, np.linalg.solve(A, b), atol=1e-12)
+        B = rng.uniform(-1, 1, size=(n, 3))
+        X = solve([list(r) for r in A], [list(r) for r in B])
+        assert all(type(xi) is float for row in X for xi in row)
+        assert np.allclose(X, np.linalg.solve(A, B), atol=1e-12)
+
+
+def _mixed_matrix(rng, rows, cols, lo, float_share=0.25):
+    """Jets of random degree in [lo, 7], with about `float_share` floats."""
+    return [
+        [
+            float(rng.uniform(-1, 1))
+            if rng.random() < float_share
+            else _random_jet(rng, int(rng.integers(lo, 8)))
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def _degree(x):
+    return x.degree if isinstance(x, TaylorScalar) else np.inf
+
+
+def _const(x):
+    return x.const if isinstance(x, TaylorScalar) else x
+
+
+def _coeffs(x, degree):
+    """Coefficients of x up to `degree` (a float is a constant jet)."""
+    if isinstance(x, TaylorScalar):
+        return x.coeffs[: taylor.n_terms(degree)]
+    out = np.zeros(taylor.n_terms(degree))
+    out[0] = x
+    return out
+
+
+def _check_degrees(M, want):
+    for row, want_row in zip(M, want):
+        for x, d in zip(row, want_row):
+            if np.isinf(d):
+                assert type(x) is float
+            else:
+                assert isinstance(x, TaylorScalar) and x.degree == d
+
+
+def test_mixed_degree_solve_and_product():
+    # per-entry degrees: deg X[:, j] = min(deg A, deg B[:, j]) and
+    # deg (A X)[i][j] = min over t of min(deg A[i][t], deg X[t][j]);
+    # A X reproduces B up to each product entry's degree
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 4))
+        A = _mixed_matrix(rng, n, n, int(rng.integers(0, 8)), 0.6 if trial % 5 == 0 else 0.25)
+        if trial % 7 == 0:
+            # all-float A: float columns of B give float columns of X
+            A = [[_const(x) for x in row] for row in A]
+        for i in range(n):
+            A[i][i] = A[i][i] + 2.0 * n
+        B = _mixed_matrix(rng, n, m, int(rng.integers(0, 8)))
+        deg_a = min(_degree(x) for row in A for x in row)
+        dX = [[min(deg_a, min(_degree(B[t][j]) for t in range(n))) for j in range(m)]] * n
+        dP = [
+            [min(min(_degree(A[i][t]), dX[t][j]) for t in range(n)) for j in range(m)]
+            for i in range(n)
+        ]
+        X = solve(A, B)
+        _check_degrees(X, dX)
+        P = mat_mul(A, X)
+        _check_degrees(P, dP)
+        for i in range(n):
+            for j in range(m):
+                d = 0 if np.isinf(dP[i][j]) else int(dP[i][j])
+                assert np.allclose(_coeffs(P[i][j], d), _coeffs(B[i][j], d), atol=1e-10)
+        x = solve(A, [row[0] for row in B])
+        _check_degrees([x], [[row[0] for row in dX]])
 
 
 def test_matrix_rhs_and_inverse():
@@ -82,6 +160,17 @@ def test_singular_matrix_raises():
     A = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(SingularMatrix):
         solve(A, [1.0, 0.0])
+    with pytest.raises(SingularMatrix):
+        solve([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 0.0])
+
+
+def test_singular_constant_part_raises():
+    # the jet matrix is invertible as a polynomial matrix but not over the
+    # jet ring: its constant part [[1, 2], [2, 4]] is singular
+    du, dv = coordinate_jets(0.0, 0.0, 3)
+    A = [[du + 1.0, dv + 2.0], [du * 3.0 + 2.0, 4.0]]
+    with pytest.raises(SingularMatrix):
+        solve(A, [[1.0], [dv]])
 
 
 def test_expm_matches_scipy():

@@ -86,6 +86,19 @@ def test_derivative_of_monomial():
     assert mv.coefficient(2, 0) == 1.0
 
 
+def test_derivatives_match_coefficient_loop():
+    rng = np.random.default_rng(5)
+    for degree in range(8):
+        x = TaylorScalar(rng.uniform(-1.0, 1.0, taylor.n_terms(degree)))
+        du, dv = x.deriv_u(), x.deriv_v()
+        assert du.degree == dv.degree == max(degree - 1, 0)
+        for s in range(degree):
+            for b in range(s + 1):
+                a = s - b
+                assert du.coefficient(a, b) == (a + 1) * x.coefficient(a + 1, b)
+                assert dv.coefficient(a, b) == (b + 1) * x.coefficient(a, b + 1)
+
+
 def _sample(u, v):
     """Scalar reference function exercising every elementary operation."""
     return (
