@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CentroframeError
+from .errors import ArithmeticFailure, CentroframeError
 from .homogeneous import (
     MODEL_NAMES,
     builtin_model,
@@ -339,19 +339,26 @@ def _config_from(ns):
 # ---------------------------------------------------------------------------
 
 
+def _error_record(u, v, exc):
+    return {
+        "u": u,
+        "v": v,
+        "ok": False,
+        "error": type(exc).__name__,
+        "message": str(exc),
+    }
+
+
 def _analyze_record(task):
     """One grid point -> plain-dict record; errors recorded, not raised."""
     spec, u, v, degree, tol = task
     try:
         res = analyze_point(spec, u, v, degree=degree)
+    except (OverflowError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        failure = ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
+        return _error_record(u, v, failure)
     except CentroframeError as exc:
-        return {
-            "u": u,
-            "v": v,
-            "ok": False,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
+        return _error_record(u, v, exc)
     alpha_du, alpha_dv = (x.const for x in res.invariants.alpha)
     E, F, G = (x.const for x in res.metric.first)
     return {

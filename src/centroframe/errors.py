@@ -24,6 +24,12 @@ class DomainError(CentroframeError):
     jet with non-positive constant term)."""
 
 
+class ArithmeticFailure(CentroframeError):
+    """Floating-point arithmetic failed at a point: an overflow (e.g. cosh of
+    a large argument), a division by an exact zero, or a numpy linear-algebra
+    error.  Raised at the per-point boundary of a sweep."""
+
+
 # ---------------------------------------------------------------------------
 # Surface DSL
 # ---------------------------------------------------------------------------

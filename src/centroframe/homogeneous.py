@@ -20,6 +20,15 @@ parametrize it.  This module builds the matrices, evaluates the reduced
 residual system, searches for all constant solutions from random starts,
 and exposes the built-in solutions together with their exponential-product
 parametrizations, quadric equations, and closed-form induced metrics.
+
+The matrices are affine in the fourteen constants x (M0 does not depend on
+them) and K is quadratic, so each of the 75 entries of the three identities
+is an exact quadratic r(x) = c + L.x + x.Q.x.  The coefficients (c, L, Q)
+are built once per case from the affine parts of `model_omega` and the
+quadratic form of `invariants.gauss_formula`.  The independent equations
+are chosen exactly from the coefficient rows: all-zero rows are dropped,
+and so is any row that equals or negates an earlier kept row.  The search
+runs Levenberg-Marquardt with the analytic Jacobian L + 2 Q x.
 """
 
 import math
@@ -30,6 +39,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
+from .invariants import gauss_formula
 from .linalg5 import expm5
 from .surfaces import builtin_surface
 
@@ -44,6 +54,7 @@ __all__ = [
     "gauss_constant",
     "bracket_check",
     "structure_residual",
+    "structure_jacobian",
     "residual_dimension",
     "SearchCluster",
     "search_constant_solutions",
@@ -61,9 +72,6 @@ TIMELIKE_NAMES = (
     "h131", "h132", "h141", "h142", "h231", "h241",
     "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
 )
-
-_PROBE_SEED = 961748927  # fixed; only used to detect structural zeros/duplicates
-
 
 def invariant_names(surface_type):
     """Component order of the constant-invariant vector for a case."""
@@ -188,78 +196,129 @@ def model_omega(vector):
 
 def gauss_constant(vector):
     """Gauss curvature of a constant-invariant vector (algebraic formula)."""
-    d = vector.as_dict()
-    if vector.surface_type == "SpaceLike":
-        quad = (
-            -d["h332"] * d["h431"]
-            - d["h441"] * d["h342"]
-            + d["h341"] * d["h442"]
-            - d["h332"] * d["h442"]
-            + d["h432"] * d["h331"]
-            + d["h432"] * d["h342"]
-            - d["h441"] * d["h331"]
-            + d["h341"] * d["h431"]
-        )
-        return 0.5 * (quad + d["h131"] - d["h232"] + 2.0 * d["h142"]) - float(
-            vector.epsilon
-        )
-    return (
-        d["h341"] * d["h432"]
-        - d["h332"] * d["h441"]
-        + 0.5 * (d["h132"] + d["h241"])
-        - 1.0
-    )
+    return gauss_formula(vector.as_dict(), vector.surface_type, vector.epsilon)
 
 
 def _comm(A, B):
     return A @ B - B @ A
 
 
+def _affine_parts(surface_type, epsilon):
+    """Affine parts of `model_omega`: M_i(x) = A_i + sum_k x_k B_ik.
+
+    Returns N of shape (3, 15, 5, 5) with N[i, 0] = A_i and N[i, k] = B_ik
+    for k = 1..14, read off at x = 0 and at the unit vectors.  This is exact
+    because every entry of M_i is affine in x with dyadic coefficients.
+    """
+    def omega(x):
+        return np.array(model_omega(ConstantInvariantVector(surface_type, epsilon, x)))
+
+    A = omega((0.0,) * 14)
+    N = np.empty((3, 15, 5, 5))
+    N[:, 0] = A
+    for k, e in enumerate(np.eye(14), 1):
+        N[:, k] = omega(tuple(e)) - A
+    return N
+
+
+def _gauss_form(surface_type, epsilon):
+    """Symmetric G of shape (15, 15) with K(x) = (1, x) G (1, x)^T.
+
+    K is a quadratic polynomial in x, so its coefficients follow exactly
+    from `gauss_formula` at 0, at the unit vectors e_k and at e_k + e_l:
+    Q_kl = (K(e_k + e_l) - K(e_k) - K(e_l) + K(0)) / 2, diagonal included.
+    """
+    names = invariant_names(surface_type)
+
+    def K(x):
+        return gauss_formula(dict(zip(names, x)), surface_type, epsilon)
+
+    E = np.eye(14)
+    k0 = K(np.zeros(14))
+    unit = np.array([K(e) for e in E])
+    pair = np.array([[K(a + b) for b in E] for a in E])
+    Q = (pair - unit[:, None] - unit[None, :] + k0) / 2.0
+    g = unit - k0 - np.diag(Q)
+    G = np.empty((15, 15))
+    G[0, 0] = k0
+    G[0, 1:] = G[1:, 0] = g / 2.0
+    G[1:, 1:] = Q
+    return G
+
+
+@lru_cache(maxsize=8)
+def _residual_tensors(surface_type, epsilon):
+    """Exact coefficients (c, L, Q) of the 75 raw structure residuals.
+
+    Entry i is r_i(x) = c[i] + L[i] . x + x . Q[i] . x with Q[i] symmetric.
+    The tensors are built in homogeneous coordinates y = (1, x): a product
+    of affine matrices M_a M_b has the form sum_pq y_p y_q N_ap N_bq, a
+    linear term M_a is sum_q y_0 y_q N_aq, and K*M0 is the quadratic form
+    of K times the constant M0.
+    """
+    N = _affine_parts(surface_type, epsilon)
+
+    def comm(a, b):
+        return np.einsum("pij,qjk->pqik", N[a], N[b]) - np.einsum(
+            "pij,qjk->pqik", N[b], N[a]
+        )
+
+    def linear(a):
+        T = np.zeros((15, 15, 5, 5))
+        T[0] = N[a]  # y_0 y_q N_aq, split over [0, q] and [q, 0] below
+        return T
+
+    if surface_type == "SpaceLike":
+        E1 = comm(0, 1) + linear(2)
+        E2 = comm(2, 0) + linear(1)
+    else:
+        E1 = comm(0, 1) - linear(1)
+        E2 = comm(2, 0) - linear(2)
+    # M0 is constant in both cases (N[0, 1:] = 0), so K*M0 stays quadratic.
+    E3 = comm(1, 2) + _gauss_form(surface_type, epsilon)[:, :, None, None] * N[0, 0]
+    T = np.concatenate(
+        [E.transpose(2, 3, 0, 1).reshape(25, 15, 15) for E in (E1, E2, E3)]
+    )
+    T = (T + T.transpose(0, 2, 1)) / 2.0
+    return T[:, 0, 0], 2.0 * T[:, 0, 1:], T[:, 1:, 1:]
+
+
 def _raw_residual(vector):
     """All 75 entries of the three reduced structure identities."""
-    M0, M1, M2 = model_omega(vector)
-    K = gauss_constant(vector)
-    if vector.surface_type == "SpaceLike":
-        E1 = _comm(M0, M1) + M2
-        E2 = _comm(M2, M0) + M1
-    else:
-        E1 = _comm(M0, M1) - M1
-        E2 = _comm(M2, M0) - M2
-    E3 = _comm(M1, M2) + K * M0
-    return np.concatenate([E1.ravel(), E2.ravel(), E3.ravel()])
+    c, L, Q = _residual_tensors(vector.surface_type, vector.epsilon)
+    x = vector.as_array()
+    return c + (L + Q @ x) @ x
 
 
 @lru_cache(maxsize=8)
 def _residual_support(surface_type, epsilon):
     """Indices of one representative per independent residual entry.
 
-    Many of the 75 raw entries are identically zero or duplicates (equal or
-    negated) of each other as polynomials in the fourteen constants; probing
-    at a few fixed random vectors identifies them.
+    Many of the 75 raw entries are identically zero or equal or negated
+    copies of each other as polynomials in the fourteen constants.  The
+    rule is exact on the coefficient rows (c, L, Q): drop all-zero rows,
+    and drop a row that equals or negates an earlier kept row, so the
+    first of each family in index order is kept.
     """
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = rng.uniform(-1.0, 1.0, size=(6, 14))
-    R = np.array(
-        [
-            _raw_residual(ConstantInvariantVector(surface_type, epsilon, tuple(p)))
-            for p in probes
-        ]
-    )
+    c, L, Q = _residual_tensors(surface_type, epsilon)
+    rows = np.concatenate([c[:, None], L, Q.reshape(len(c), -1)], axis=1)
     keep = []
-    signatures = []
-    for j in range(R.shape[1]):
-        col = R[:, j]
-        if np.max(np.abs(col)) < 1e-11:
+    for j, row in enumerate(rows):
+        if not row.any():
             continue
         if any(
-            np.allclose(col, s, rtol=1e-9, atol=1e-12)
-            or np.allclose(col, -s, rtol=1e-9, atol=1e-12)
-            for s in signatures
+            np.array_equal(row, rows[k]) or np.array_equal(row, -rows[k]) for k in keep
         ):
             continue
-        signatures.append(col)
         keep.append(j)
     return tuple(keep)
+
+
+@lru_cache(maxsize=8)
+def _support_tensors(surface_type, epsilon):
+    """The (c, L, Q) rows of the independent residual entries."""
+    rows = list(_residual_support(surface_type, epsilon))
+    return tuple(t[rows] for t in _residual_tensors(surface_type, epsilon))
 
 
 def structure_residual(vector):
@@ -268,9 +327,17 @@ def structure_residual(vector):
     Zero exactly on constant-invariant solutions.  Duplicate and
     identically-zero entries of the three matrix identities are removed,
     so the result has one component per independent polynomial equation.
+    Each component is the quadratic c + L.x + x.Q.x in the constants.
     """
-    support = _residual_support(vector.surface_type, vector.epsilon)
-    return _raw_residual(vector)[list(support)]
+    c, L, Q = _support_tensors(vector.surface_type, vector.epsilon)
+    x = vector.as_array()
+    return c + (L + Q @ x) @ x
+
+
+def structure_jacobian(vector):
+    """Exact Jacobian of `structure_residual`, L + 2 Q x, of shape (m, 14)."""
+    _, L, Q = _support_tensors(vector.surface_type, vector.epsilon)
+    return L + 2.0 * (Q @ vector.as_array())
 
 
 def residual_dimension(surface_type, epsilon=0):
@@ -379,10 +446,10 @@ def search_constant_solutions(
 ):
     """Find all constant-invariant solutions from random starts.
 
-    Runs Levenberg-Marquardt least squares on the reduced residual system
-    from `restarts` uniform random starts in [-box, box]^14 (alternating
-    epsilon for the umbrella case "spacelike") and greedily clusters the
-    converged solutions by max-norm distance.
+    Runs Levenberg-Marquardt least squares on the reduced residual system,
+    with its exact Jacobian, from `restarts` uniform random starts in
+    [-box, box]^14 (alternating epsilon for the umbrella case "spacelike")
+    and greedily clusters the converged solutions by max-norm distance.
 
     Parameters
     ----------
@@ -413,9 +480,13 @@ def search_constant_solutions(
         def fun(x, _st=surface_type, _eps=epsilon):
             return structure_residual(ConstantInvariantVector(_st, _eps, tuple(x)))
 
+        def jac(x, _st=surface_type, _eps=epsilon):
+            return structure_jacobian(ConstantInvariantVector(_st, _eps, tuple(x)))
+
         x0 = rng.uniform(-box, box, size=14)
         sol = least_squares(
-            fun, x0, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-13, max_nfev=4000
+            fun, x0, jac=jac, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-13,
+            max_nfev=4000,
         )
         resid = float(np.max(np.abs(fun(sol.x))))
         if resid >= tol:

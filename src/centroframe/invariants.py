@@ -38,6 +38,7 @@ __all__ = [
     "MetricData",
     "extract_invariants",
     "relation_residuals",
+    "gauss_formula",
     "gauss_from_invariants",
     "gauss_from_connection",
     "metric_at",
@@ -227,10 +228,15 @@ def relation_residuals(inv):
     }
 
 
-def gauss_from_invariants(inv):
-    """Gauss curvature from the algebraic curvature formula (a jet)."""
-    h = inv.h
-    if inv.surface_type == "SpaceLike":
+def gauss_formula(h, surface_type, epsilon):
+    """Algebraic curvature formula over a name -> value mapping.
+
+    The values may be floats or jets; the result has the same kind.  Both
+    the point pipeline (`gauss_from_invariants`) and the homogeneous models
+    (`homogeneous.gauss_constant`, and the quadratic form of K in their
+    structure residual) evaluate K through this one function.
+    """
+    if surface_type == "SpaceLike":
         quad = (
             h["h332"] * h["h431"] * -1.0
             - h["h441"] * h["h342"]
@@ -241,13 +247,18 @@ def gauss_from_invariants(inv):
             - h["h441"] * h["h331"]
             + h["h341"] * h["h431"]
         )
-        return (quad + h["h131"] - h["h232"] + h["h142"] * 2.0) * 0.5 - float(inv.epsilon)
+        return (quad + h["h131"] - h["h232"] + h["h142"] * 2.0) * 0.5 - float(epsilon)
     return (
         h["h341"] * h["h432"]
         - h["h332"] * h["h441"]
         + (h["h132"] + h["h241"]) * 0.5
         - 1.0
     )
+
+
+def gauss_from_invariants(inv):
+    """Gauss curvature from the algebraic curvature formula (a jet)."""
+    return gauss_formula(inv.h, inv.surface_type, inv.epsilon)
 
 
 def gauss_from_connection(inv):

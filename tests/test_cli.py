@@ -109,6 +109,22 @@ def test_analyze_error_records_inline(tmp_path, capsys):
         assert r["surface_type"] in ("SpaceLike", "TimeLike")
 
 
+def test_analyze_overflow_recorded_inline(tmp_path):
+    # cosh(800) overflows a float: the point is recorded, the sweep finishes
+    out = tmp_path / "o"
+    rc = _run(
+        ["analyze", "--surface", "h2", "--grid", "700:800:2", "0:0:1",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    doc = json.loads((out / "analyze.json").read_text())
+    assert [r["u"] for r in doc["records"]] == [700, 800]
+    last = doc["records"][-1]
+    assert last["ok"] is False
+    assert last["error"] == "ArithmeticFailure"
+    assert last["message"].startswith("OverflowError")
+
+
 def test_analyze_rejects_low_degree(capsys):
     rc = _run(["analyze", "--surface", "h2", "--degree", "3"])
     assert rc == 2
@@ -226,7 +242,7 @@ def test_verify_single_check(capsys):
 
 
 def test_verify_tolerance_override_fails(capsys):
-    rc = _run(["verify", "--check", "structure", "--tol", "1e-17"])
+    rc = _run(["verify", "--check", "structure", "--tol", "0"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL structure" in out

@@ -14,7 +14,9 @@ from centroframe.homogeneous import (
     SPACELIKE_NAMES,
     TIMELIKE_NAMES,
     ConstantInvariantVector,
+    _comm,
     _raw_residual,
+    _residual_support,
     bracket_check,
     builtin_model,
     exp_product_point,
@@ -25,6 +27,7 @@ from centroframe.homogeneous import (
     quadric_residual,
     residual_dimension,
     search_constant_solutions,
+    structure_jacobian,
     structure_residual,
 )
 from centroframe.invariants import analyze_point, metric_at
@@ -127,16 +130,74 @@ def test_structure_residual_at_models_and_nearby():
         assert np.max(np.abs(structure_residual(off))) > 1e-3
 
 
+CASES = (("SpaceLike", 1), ("SpaceLike", -1), ("TimeLike", 0))
+
+
 def test_residual_dimensions():
     assert residual_dimension("SpaceLike", 1) == 29
     assert residual_dimension("SpaceLike", -1) == 29
     assert residual_dimension("TimeLike", 0) == 23
+    # the index tuples that random probing of the raw residual gave
+    spacelike = (
+        6, 7, 8, 9, 12, 13, 14, 18, 19, 23, 24, 37, 38, 39, 43,
+        44, 48, 49, 56, 57, 58, 59, 62, 63, 64, 68, 69, 73, 74,
+    )
+    timelike = (
+        6, 7, 8, 9, 11, 13, 18, 19, 23, 34, 44, 49,
+        56, 57, 58, 59, 61, 63, 64, 68, 69, 73, 74,
+    )
+    assert _residual_support("SpaceLike", 1) == spacelike
+    assert _residual_support("SpaceLike", -1) == spacelike
+    assert _residual_support("TimeLike", 0) == timelike
+
+
+def _matrix_route_residual(vector):
+    # reference: the three identities built from the model_omega matrices
+    M0, M1, M2 = model_omega(vector)
+    K = gauss_constant(vector)
+    if vector.surface_type == "SpaceLike":
+        E1 = _comm(M0, M1) + M2
+        E2 = _comm(M2, M0) + M1
+    else:
+        E1 = _comm(M0, M1) - M1
+        E2 = _comm(M2, M0) - M2
+    E3 = _comm(M1, M2) + K * M0
+    return np.concatenate([E1.ravel(), E2.ravel(), E3.ravel()])
+
+
+def test_raw_residual_matches_matrix_route():
+    rng = np.random.default_rng(31)
+    for st, eps in CASES:
+        for _ in range(20):
+            vec = ConstantInvariantVector(st, eps, tuple(rng.uniform(-3, 3, 14)))
+            want = _matrix_route_residual(vec)
+            got = _raw_residual(vec)
+            assert got.shape == (75,)
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_structure_jacobian_matches_central_differences():
+    rng = np.random.default_rng(32)
+    h = 1e-4
+    for st, eps in CASES:
+
+        def residual(x):
+            return structure_residual(ConstantInvariantVector(st, eps, tuple(x)))
+
+        for _ in range(5):
+            x = rng.uniform(-2, 2, 14)
+            J = structure_jacobian(ConstantInvariantVector(st, eps, tuple(x)))
+            assert J.shape == (residual_dimension(st, eps), 14)
+            fd = np.empty_like(J)
+            for k, step in enumerate(h * np.eye(14)):
+                fd[:, k] = (residual(x + step) - residual(x - step)) / (2 * h)
+            assert np.max(np.abs(J - fd)) < 1e-8 * np.max(np.abs(fd))
 
 
 def test_residual_dedup_covers_all_entries():
     # every nonzero raw entry equals +- some kept component
     rng = np.random.default_rng(123)
-    for st, eps in (("SpaceLike", 1), ("SpaceLike", -1), ("TimeLike", 0)):
+    for st, eps in CASES:
         vec = ConstantInvariantVector(st, eps, tuple(rng.uniform(-1, 1, 14)))
         raw = _raw_residual(vec)
         kept = structure_residual(vec)
