@@ -21,9 +21,14 @@ already-adapted frame returns the identity gauge; cross-point comparisons
 of non-invariant quantities are still only meaningful through the
 fiber-invariant scalars in :mod:`centroframe.invariants`.
 
-All computations run over truncated Taylor jets, so the output frame is
-itself a jet field and further differentiation (for connection forms and
-curvature) costs one degree per level.
+All computations run over truncated Taylor jets held as coefficient arrays
+(see :mod:`centroframe.linalg5`) from `frame1` to the invariants, so the
+output frame is itself a jet field and further differentiation (for
+connection forms and curvature) costs one degree per level.  A frame has
+one degree per column (the rules are in `apply_gauge`, `maurer_cartan` and
+`MCField`); the position column e0 keeps one order more than the others
+from level 2 on, since no gauge changes it.  Nested lists of TaylorScalar
+entries are built on demand only.
 """
 
 from dataclasses import dataclass
@@ -39,23 +44,28 @@ from .errors import (
     NotImmersed,
     NotTransversal,
 )
-from .linalg5 import (
+from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solve)
     SymMat2T,
     _const,
+    _working_degree,
     congruence,
+    degrees_of,
     identity,
-    inverse,
+    jet_matmul,
+    jet_mul,
+    jet_solve,
     mat_mul,
-    mat_vec,
     null_basis2,
+    pack,
     q_complement,
     q_form,
     q_polar,
+    resize,
     solve,
     spd2_sqrt,
-    transpose,
+    unpack,
 )
-from .taylor import TaylorScalar, rsqrt
+from .taylor import TaylorScalar, derivative, n_terms, rsqrt
 
 __all__ = [
     "Frame5T",
@@ -73,45 +83,81 @@ __all__ = [
     "apply_gauge",
 ]
 
-_T1 = SymMat2T(1.0, 0.0, -1.0)  # diag(1, -1)
-_T2 = SymMat2T(0.0, 1.0, 0.0)  # offdiag(1)
+
+def _jet(c, degree):
+    """TaylorScalar of the first n_terms(degree) coefficients of c."""
+    return TaylorScalar(c[: n_terms(degree)])
 
 
-@dataclass
+def _nested(C, degrees):
+    """Nested list of jets from a (5, 5, n) array with one degree per column."""
+    return unpack(C, np.broadcast_to(degrees, (5, 5)))
+
+
+@dataclass(eq=False)
 class Frame5T:
-    """Jet-valued frame field: columns of `matrix` are (e0, ..., e4)."""
+    """Jet-valued frame field with columns (e0, ..., e4).
 
-    matrix: list
+    `coeffs` is the (5, 5, n) coefficient array of the frame matrix and
+    `degrees[j]` the degree of column j; coefficients above a column's
+    degree carry no meaning.  `matrix` is the nested list of TaylorScalar
+    entries, built on first use.
+    """
+
+    coeffs: np.ndarray
+    degrees: tuple
     level: int
     surface_type: str = ""
     epsilon: int = 0
 
+    @cached_property
+    def matrix(self):
+        return _nested(self.coeffs, self.degrees)
 
-@dataclass
+
+@dataclass(eq=False)
 class MCField:
-    """Maurer-Cartan coefficients: omega^i_j = du[i][j] du + dv[i][j] dv."""
+    """Maurer-Cartan coefficients: omega^i_j = du[i][j] du + dv[i][j] dv.
 
-    du: list
-    dv: list
+    `omega` is a (2, 5, 5, n) coefficient array, omega[0] the du parts and
+    omega[1] the dv parts; `degrees[j]` is the degree of column j.  `du` and
+    `dv` are nested lists of TaylorScalar entries, built on first use.
+
+    `projection` expresses all 25 entries in the coframe (omega^1_0,
+    omega^2_0) by one 2x2 jet solve: omega^i_j = x1 omega^1_0 + x2 omega^2_0
+    with x1 = projection[0, i, j] and x2 = projection[1, i, j]; column j has
+    degree `projection_degrees[j]` = min(degrees[0], degrees[j]).  A linear
+    combination of entries projects to the same combination of projections.
+    """
+
+    omega: np.ndarray
+    degrees: tuple
+
+    du = cached_property(lambda self: _nested(self.omega[0], self.degrees))
+    dv = cached_property(lambda self: _nested(self.omega[1], self.degrees))
 
     def coframe(self):
         """Rows are the (du, dv) coefficients of omega^1_0 and omega^2_0."""
-        return [
-            [self.du[1][0], self.dv[1][0]],
-            [self.du[2][0], self.dv[2][0]],
-        ]
+        d = self.degrees[0]
+        return [[_jet(self.omega[a, k, 0], d) for a in (0, 1)] for k in (1, 2)]
+
+    @property
+    def projection_degrees(self):
+        return tuple(min(self.degrees[0], d) for d in self.degrees)
 
     @cached_property
-    def _coframe_inverse(self):
-        return inverse(transpose(self.coframe()))
-
-    def to_coframe(self, cu, cv):
-        """Coefficients (x1, x2) with cu du + cv dv = x1 omega^1_0 + x2 omega^2_0."""
-        return mat_vec(self._coframe_inverse, [cu, cv])
+    def projection(self):
+        # cu du + cv dv = x1 omega^1_0 + x2 omega^2_0 means C^T (x1, x2) = (cu, cv)
+        degree = max(self.projection_degrees)
+        n = n_terms(degree)
+        Ct = resize(self.omega[:, 1:3, 0], n)
+        rhs = resize(self.omega, n).reshape(2, 25, n)
+        return jet_solve(Ct, rhs, degree).reshape(2, 5, 5, n)
 
     def in_coframe(self, i, j):
         """Coefficients (x1, x2) with omega^i_j = x1 omega^1_0 + x2 omega^2_0."""
-        return self.to_coframe(self.du[i][j], self.dv[i][j])
+        d = self.projection_degrees[j]
+        return _jet(self.projection[0, i, j], d), _jet(self.projection[1, i, j], d)
 
 
 @dataclass
@@ -141,50 +187,51 @@ class SurfaceType:
     trace: float
 
 
-@dataclass
 class GaugeTransform:
-    """A tangent-preserving frame change, stored as its full 5x5 matrix K.
+    """A frame change F -> F K, tangent-preserving for K = [[1, 0, r0], [0, A, r], [0, 0, B]].
 
-    K has the block pattern [[1, 0, r0], [0, A, r], [0, 0, B]] mapping a
-    frame F to F K; entries may be jets.  Block accessors return nested
-    lists; `lam` and `theta` describe the constant part of A as a scaled
-    rotation (meaningful for space-like stabilizer elements).
+    Built from a nested-list K of floats and jets, or from its (5, 5, n)
+    coefficient array and per-entry `degrees` (inf for a float entry).
+    `K`, `A`, `B` and `r` give nested lists, built on first use; `lam` and
+    `theta` describe the constant part of A as a scaled rotation
+    (meaningful for space-like stabilizer elements).
     """
 
-    K: list
+    def __init__(self, K, degrees=None):
+        if degrees is None:
+            degrees = degrees_of(K)
+            K = pack(K, _working_degree(degrees))
+        self.coeffs = K
+        self.degrees = degrees
+
+    @cached_property
+    def K(self):
+        return unpack(self.coeffs, self.degrees)
 
     @classmethod
     def from_blocks(cls, A=None, B=None, r03=0.0, r04=0.0, r13=0.0, r14=0.0, r23=0.0, r24=0.0):
-        K = identity(5)
-        if A is not None:
-            for i in range(2):
-                for j in range(2):
-                    K[1 + i][1 + j] = A[i][j]
-        if B is not None:
-            for i in range(2):
-                for j in range(2):
-                    K[3 + i][3 + j] = B[i][j]
-        K[0][3], K[0][4] = r03, r04
-        K[1][3], K[1][4] = r13, r14
-        K[2][3], K[2][4] = r23, r24
-        return cls(K)
+        (a11, a12), (a21, a22) = identity(2) if A is None else A
+        (b11, b12), (b21, b22) = identity(2) if B is None else B
+        return cls([
+            [1.0, 0.0, 0.0, r03, r04],
+            [0.0, a11, a12, r13, r14],
+            [0.0, a21, a22, r23, r24],
+            [0.0, 0.0, 0.0, b11, b12],
+            [0.0, 0.0, 0.0, b21, b22],
+        ])
 
     @property
     def A(self):
-        return [[self.K[1][1], self.K[1][2]], [self.K[2][1], self.K[2][2]]]
+        return [row[1:3] for row in self.K[1:3]]
 
     @property
     def B(self):
-        return [[self.K[3][3], self.K[3][4]], [self.K[4][3], self.K[4][4]]]
+        return [row[3:5] for row in self.K[3:5]]
 
     @property
     def r(self):
         """((r03, r04), (r13, r14), (r23, r24))."""
-        return (
-            (self.K[0][3], self.K[0][4]),
-            (self.K[1][3], self.K[1][4]),
-            (self.K[2][3], self.K[2][4]),
-        )
+        return tuple(tuple(row[3:5]) for row in self.K[0:3])
 
     def compose(self, other):
         """Gauge acting first by self, then by other (K_total = K1 K2)."""
@@ -192,20 +239,43 @@ class GaugeTransform:
 
     @property
     def lam(self):
-        A0 = [[_const(self.A[i][j]) for j in range(2)] for i in range(2)]
-        det = A0[0][0] * A0[1][1] - A0[0][1] * A0[1][0]
-        return abs(det) ** 0.5
+        (a, b), (c, d) = ([_const(x) for x in row] for row in self.A)
+        return abs(a * d - b * c) ** 0.5
 
     @property
     def theta(self):
-        A0 = [[_const(self.A[i][j]) for j in range(2)] for i in range(2)]
-        return float(np.arctan2(A0[0][1], A0[0][0]))
+        a, b = (_const(x) for x in self.A[0])
+        return float(np.arctan2(b, a))
 
 
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
-    """New frame F K with bookkeeping tags updated."""
+    """New frame F K with bookkeeping tags updated.
+
+    A column of K that is the float unit vector e_j keeps column j of F.
+    The other columns come from one product of F and K over the rows t that
+    they use (K[t][j] not the float 0), so a block gauge
+    [[1, 0, r0], [0, A, r], [0, 0, B]] keeps e0 and maps (e1, e2) to F12 A
+    and (e3, e4) to F0 r0 + F12 r + F34 B.  Column j then has degree
+    min over those rows of min(deg F[:, t], deg K[t][j]).
+    """
+    K, dK = gauge.coeffs, gauge.degrees
+    is_float = np.isinf(dK)
+    used = ~(is_float & (K[:, :, 0] == 0.0))
+    kept = (is_float & (K[:, :, 0] == np.eye(5))).all(axis=0)
+    bound = np.where(used, np.minimum(np.array(frame.degrees)[:, None], dK), np.inf)
+    degrees = np.where(kept, frame.degrees, bound.min(axis=0)).astype(int)
+    n = n_terms(degrees.max())
+    coeffs = resize(frame.coeffs, n).copy()
+    cols = np.flatnonzero(~kept)
+    if cols.size:
+        rows = np.flatnonzero(used[:, cols].any(axis=1))
+        w = int(degrees[cols].max())
+        m = n_terms(w)
+        product = jet_matmul(resize(frame.coeffs[:, rows], m), resize(K[np.ix_(rows, cols)], m), w)
+        coeffs[:, cols] = resize(product, n)
     return Frame5T(
-        matrix=mat_mul(frame.matrix, gauge.K),
+        coeffs=coeffs,
+        degrees=tuple(int(d) for d in degrees),
         level=frame.level if level is None else level,
         surface_type=frame.surface_type if surface_type is None else surface_type,
         epsilon=frame.epsilon if epsilon is None else epsilon,
@@ -222,7 +292,8 @@ def frame1(jet5, tol=1e-10):
 
     Columns are e0 = f, e1 = f_u, e2 = f_v, and two standard basis vectors
     chosen by largest Euclidean rejection from span(e0, e1, e2) (ties go to
-    the lower index), which keeps the completion deterministic.
+    the lower index), which keeps the completion deterministic.  Every
+    column has degree d - 1 for surface jets of lowest degree d.
 
     Raises
     ------
@@ -232,11 +303,13 @@ def frame1(jet5, tol=1e-10):
         If the position vector lies in the tangent plane at the base point.
     """
     degree = min(j.degree for j in jet5) - 1
-    e0 = [j.truncate(degree) for j in jet5]
-    e1 = [j.deriv_u().truncate(degree) for j in jet5]
-    e2 = [j.deriv_v().truncate(degree) for j in jet5]
+    f = np.array([j.coeffs[: n_terms(degree + 1)] for j in jet5])
+    coeffs = np.zeros((5, 5, n_terms(degree)))
+    coeffs[:, 0] = f[:, : n_terms(degree)]
+    coeffs[:, 1] = derivative(f, degree + 1, 0)
+    coeffs[:, 2] = derivative(f, degree + 1, 1)
 
-    P = np.array([[c.const for c in e0], [c.const for c in e1], [c.const for c in e2]]).T
+    P = coeffs[:, :3, 0]
     scale = max(np.linalg.norm(P[:, 1]), np.linalg.norm(P[:, 2]), 1e-300)
     gram12 = P[:, 1:].T @ P[:, 1:]
     if np.linalg.det(gram12) <= (tol * scale * scale) ** 2:
@@ -251,21 +324,29 @@ def frame1(jet5, tol=1e-10):
     Q, _ = np.linalg.qr(P)
     rejections = 1.0 - np.sum(Q * Q, axis=1)  # |e_i - proj e_i|^2 for unit e_i
     picks = sorted(np.argsort(-rejections, kind="stable")[:2])
-    cols = [e0, e1, e2]
-    for p in picks:
-        cols.append(
-            [TaylorScalar.constant(1.0 if i == p else 0.0, degree) for i in range(5)]
-        )
-    matrix = [[cols[j][i] for j in range(5)] for i in range(5)]
-    return Frame5T(matrix=matrix, level=1)
+    coeffs[picks, [3, 4], 0] = 1.0
+    return Frame5T(coeffs=coeffs, degrees=(degree,) * 5, level=1)
 
 
 def maurer_cartan(frame):
-    """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field."""
-    F = frame.matrix
-    n = len(F)
-    X = solve(F, [[x.deriv_u() for x in row] + [x.deriv_v() for x in row] for row in F])
-    return MCField(du=[row[:n] for row in X], dv=[row[n:] for row in X])
+    """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field.
+
+    One solve of F against [dF/du | dF/dv] on coefficient arrays.  Column j
+    of Omega has degree min(min deg F, deg F[:, j] - 1); a frame column of
+    degree 0 has no known derivative and raises ValueError.
+    """
+    d = np.array(frame.degrees)
+    if d.min() < 1:
+        raise ValueError("the Maurer-Cartan form needs frame columns of degree >= 1")
+    degrees = np.minimum(d.min(), d - 1)
+    w = int(degrees.max())
+    F = resize(frame.coeffs, n_terms(w + 1))
+    dF = np.concatenate([derivative(F, w + 1, 0), derivative(F, w + 1, 1)], axis=1)
+    X = jet_solve(resize(F, n_terms(w)), dF, w)
+    return MCField(
+        omega=X.reshape(5, 2, 5, -1).transpose(1, 0, 2, 3),
+        degrees=tuple(int(x) for x in degrees),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +367,14 @@ def fundamental_matrices(mc, tol=1e-10):
         If the triple (h0, h3, h4) fails the 3x3 independence test at the
         base point.
     """
+    P, d = mc.projection, mc.projection_degrees
     rows = {}
-    asym = 0.0
     for k in (0, 3, 4):
-        x11, x12 = mc.in_coframe(k, 1)
-        x21, x22 = mc.in_coframe(k, 2)
-        asym = max(asym, abs(_const(x12) - _const(x21)))
-        rows[k] = SymMat2T(x11, (x12 + x21) * 0.5, x22)
+        (x11, x21), (x12, x22) = P[:, k, 1:3]
+        rows[k] = SymMat2T(
+            _jet(x11, d[1]), _jet((x12 + x21) * 0.5, min(d[1], d[2])), _jet(x22, d[2])
+        )
+    asym = float(np.abs(P[1, [0, 3, 4], 1, 0] - P[0, [0, 3, 4], 2, 0]).max())
     triples = np.array([rows[k].const() for k in (0, 3, 4)])
     det = float(np.linalg.det(triples))
     scale = max(1.0, float(np.abs(triples).max()))
@@ -343,6 +425,21 @@ def _sym2_inverse(s):
     return [[s.c * inv, s.b * -1.0 * inv], [s.b * -1.0 * inv, s.a * inv]]
 
 
+def _level2_gauge(A1, B, r0, s):
+    """Closed form of the level-2 gauge K(A1) K(B) K(r0) K(diag s, diag s^2).
+
+    The four block gauges compose to [[1, 0, r0], [0, A1, 0], [0, 0, B]]
+    with its columns scaled by (1, s1, s2, s1^2, s2^2): A = A1 diag(s),
+    B diag(s^2) and r0 diag(s^2).  A1, B, r0 and s are jets.
+    """
+    K0 = GaugeTransform.from_blocks(A=A1, B=B, r03=r0[0], r04=r0[1])
+    degree = int(min(K0.degrees.min(), s[0].degree, s[1].degree))
+    c = pack([[1.0, *s]], degree)[0]
+    scale = np.concatenate([c, jet_mul(c[1:], c[1:], degree)])
+    K = jet_mul(resize(K0.coeffs, n_terms(degree)), scale, degree)
+    return GaugeTransform(K, np.where(np.isinf(K0.degrees), np.inf, degree))
+
+
 def adapt2_spacelike(frame, fund, tol=1e-10):
     """Reduce a 1-adapted frame over a space-like point to level 2.
 
@@ -373,25 +470,16 @@ def adapt2_spacelike(frame, fund, tol=1e-10):
         raise IndependenceFailure("normalized pair does not span the trace-free plane")
 
     # 3) subtract the trace-free part of h0 via the translational gauge
-    r03 = (p0.a - p0.c) * 0.5
-    r04 = p0.b
+    r0 = ((p0.a - p0.c) * 0.5, p0.b)
     s = (p0.a + p0.c) * 0.5
     s0 = _const(s)
     if abs(s0) <= tol:
         raise DegenerateTraceComponent("pure-trace part of h0 vanishes")
     epsilon = 1 if s0 > 0 else -1
 
-    # 4) scale to make h0 = epsilon * I
-    lam = rsqrt(s * float(epsilon)) if isinstance(s, TaylorScalar) else (s * epsilon) ** -0.5
-    lam2 = lam * lam
-    gauge = GaugeTransform.from_blocks(A=A1)
-    gauge = gauge.compose(GaugeTransform.from_blocks(B=B))
-    gauge = gauge.compose(GaugeTransform.from_blocks(r03=r03, r04=r04))
-    gauge = gauge.compose(
-        GaugeTransform.from_blocks(
-            A=[[lam, 0.0], [0.0, lam]], B=[[lam2, 0.0], [0.0, lam2]]
-        )
-    )
+    # 4) scale by lam = |s|^-1/2 to make h0 = epsilon * I
+    lam = rsqrt(s * float(epsilon))
+    gauge = _level2_gauge(A1, B, r0, (lam, lam))
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="SpaceLike", epsilon=epsilon)
     return frame2, gauge, epsilon
 
@@ -427,28 +515,17 @@ def adapt2_timelike(frame, fund, tol=1e-10):
         raise IndependenceFailure("normalized pair does not span the diagonal plane")
 
     # 3) subtract the diagonal part of h0
-    r03, r04 = p0.a, p0.c
+    r0 = (p0.a, p0.c)
     s = p0.b
     s0 = _const(s)
     if abs(s0) <= tol:
         raise DegenerateOffdiagComponent("off-diagonal part of h0 vanishes")
 
-    # 4) scale to make h0 = offdiag(1); a11 > 0, sign(a22) = sign(s)
-    if isinstance(s, TaylorScalar):
-        root = rsqrt(s * (1.0 if s0 > 0 else -1.0))
-    else:
-        root = abs(s) ** -0.5
-    a11 = root
-    a22 = root * (1.0 if s0 > 0 else -1.0)
-    gauge = GaugeTransform.from_blocks(A=A1)
-    gauge = gauge.compose(GaugeTransform.from_blocks(B=B))
-    gauge = gauge.compose(GaugeTransform.from_blocks(r03=r03, r04=r04))
-    gauge = gauge.compose(
-        GaugeTransform.from_blocks(
-            A=[[a11, 0.0], [0.0, a22]],
-            B=[[a11 * a11, 0.0], [0.0, a22 * a22]],
-        )
-    )
+    # 4) scale by diag(a11, a22) to make h0 = offdiag(1); a11 > 0,
+    #    sign(a22) = sign(s)
+    sign = 1.0 if s0 > 0 else -1.0
+    a11 = rsqrt(s * sign)
+    gauge = _level2_gauge(A1, B, r0, (a11, a11 * sign))
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="TimeLike")
     return frame2, gauge
 
@@ -460,6 +537,10 @@ def adapt2_timelike(frame, fund, tol=1e-10):
 
 def adapt3(frame, mc, surface_type, epsilon=0):
     """Remove the semi-basic parts of omega^0_3 and omega^0_4.
+
+    The gauge is [[1, 0, 0], [0, I, r], [0, 0, I]] with r read off the
+    coframe projection of omega^0_3 and omega^0_4, so only columns 3-4 of
+    the frame change.
 
     Parameters
     ----------
@@ -476,18 +557,19 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     -------
     (Frame5T, GaugeTransform)
     """
-    h031, h032 = mc.in_coframe(0, 3)
-    h041, h042 = mc.in_coframe(0, 4)
+    # h[k, c] is the omega^(k+1)_0 coefficient of omega^0_(3+c)
+    h = mc.projection[:, 0, 3:5]
     if surface_type == "SpaceLike":
-        e = float(epsilon)
-        gauge = GaugeTransform.from_blocks(
-            r13=h031 * -e, r14=h041 * -e, r23=h032 * -e, r24=h042 * -e
-        )
+        r = h * -float(epsilon)
     elif surface_type == "TimeLike":
-        gauge = GaugeTransform.from_blocks(
-            r13=h032 * -1.0, r14=h042 * -1.0, r23=h031 * -1.0, r24=h041 * -1.0
-        )
+        r = -h[::-1]
     else:
         raise ValueError("surface_type must be SpaceLike or TimeLike")
-    frame3 = apply_gauge(frame, gauge, level=3)
-    return frame3, gauge
+    d = mc.projection_degrees[3:5]
+    K = np.zeros((5, 5, n_terms(max(d))))
+    K[range(5), range(5), 0] = 1.0
+    K[1:3, 3:5] = resize(r, K.shape[-1])
+    degrees = np.full((5, 5), np.inf)
+    degrees[1:3, 3:5] = d
+    gauge = GaugeTransform(K, degrees)
+    return apply_gauge(frame, gauge, level=3), gauge

@@ -361,6 +361,14 @@ def _analyze_record(task):
         return _error_record(u, v, exc)
     alpha_du, alpha_dv = (x.const for x in res.invariants.alpha)
     E, F, G = (x.const for x in res.metric.first)
+    h = {k: res.invariants.h[k].const for k in sorted(res.invariants.h)}
+    results = dict(
+        gauss_invariants=res.gauss_invariants, gauss_connection=res.gauss_connection,
+        E=E, F=F, G=G, **h,
+    )
+    bad = [k for k, x in results.items() if not math.isfinite(x)]
+    if bad:
+        return _error_record(u, v, ArithmeticFailure("non-finite result: " + ", ".join(bad)))
     return {
         "u": u,
         "v": v,
@@ -373,7 +381,7 @@ def _analyze_record(task):
         "alpha": {"du": alpha_du, "dv": alpha_dv},
         "residual_max": res.residual_max,
         "residual_ok": bool(res.residual_max <= tol),
-        "h": {k: res.invariants.h[k].const for k in sorted(res.invariants.h)},
+        "h": h,
     }
 
 

@@ -32,6 +32,7 @@ from .adaptation import (
 from .errors import NullTypeUnsupported
 from .linalg5 import solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
 from .surfaces import eval_surface
+from .taylor import TaylorScalar, n_terms
 
 __all__ = [
     "InvariantSet",
@@ -82,17 +83,24 @@ class MetricData:
     signature: str
 
 
-def _pair(mc, i, j):
-    return tuple(mc.in_coframe(i, j))
+def _combination(P, degrees, terms, offset=(0.0, 0.0)):
+    """Jets (x1, x2) of sum c P[:, i, j] over terms (c, i, j), minus `offset`.
 
-
-def _pair_minus_alpha(mc, i, j, alpha, factor):
-    """Coframe coefficients of omega^i_j - factor*alpha."""
-    return tuple(mc.to_coframe(mc.du[i][j] - alpha[0] * factor, mc.dv[i][j] - alpha[1] * factor))
+    P is a coefficient array whose column j has degree degrees[j]; the
+    result has the lowest degree among the columns it reads.
+    """
+    d = min(degrees[j] for _, _, j in terms)
+    n = n_terms(d)
+    c = sum(coef * P[:, i, j, :n] for coef, i, j in terms)
+    c[:, 0] -= offset
+    return TaylorScalar(c[0]), TaylorScalar(c[1])
 
 
 def extract_invariants(mc, surface_type, epsilon=0):
     """Name the invariant coefficients of a 3-adapted Maurer-Cartan field.
+
+    Every name is a linear combination of Maurer-Cartan entries, read off
+    the coframe projection (`MCField.projection`) after combining there.
 
     Parameters
     ----------
@@ -107,94 +115,75 @@ def extract_invariants(mc, surface_type, epsilon=0):
     -------
     InvariantSet
     """
+    P, dP = mc.projection, mc.projection_degrees
+
+    def combo(*terms):
+        return _combination(P, dP, terms)
+
+    def pair(i, j, offset=(0.0, 0.0)):
+        return _combination(P, dP, ((1.0, i, j),), offset)
+
     h = {}
     vanish = {}
 
     # entries that adaptation kills outright
     for (i, j), label in (((0, 0), "w00"), ((3, 0), "w30"), ((4, 0), "w40")):
-        vanish[label + "_du"] = mc.du[i][j]
-        vanish[label + "_dv"] = mc.dv[i][j]
-    for (i, j), label in (((0, 3), "w03"), ((0, 4), "w04")):
-        c1, c2 = _pair(mc, i, j)
-        vanish[label + "_1"] = c1
-        vanish[label + "_2"] = c2
+        vanish[label + "_du"], vanish[label + "_dv"] = _combination(
+            mc.omega, mc.degrees, ((1.0, i, j),)
+        )
+    vanish["w03_1"], vanish["w03_2"] = pair(0, 3)
+    vanish["w04_1"], vanish["w04_2"] = pair(0, 4)
 
     if surface_type == "SpaceLike":
         e = float(epsilon)
-        fixed = [
-            ("fix_w31", (3, 1), (1.0, 0.0)),
-            ("fix_w32", (3, 2), (0.0, -1.0)),
-            ("fix_w41", (4, 1), (0.0, 1.0)),
-            ("fix_w42", (4, 2), (1.0, 0.0)),
-            ("fix_w01", (0, 1), (e, 0.0)),
-            ("fix_w02", (0, 2), (0.0, e)),
-        ]
-        alpha = (
-            (mc.du[1][2] - mc.du[2][1]) * 0.5,
-            (mc.dv[1][2] - mc.dv[2][1]) * 0.5,
-        )
-        h["h111"], h["h112"] = _pair(mc, 1, 1)
-        h["h221"], h["h222"] = _pair(mc, 2, 2)
+        fixed = {(3, 1): (1.0, 0.0), (3, 2): (0.0, -1.0), (4, 1): (0.0, 1.0),
+                 (4, 2): (1.0, 0.0), (0, 1): (e, 0.0), (0, 2): (0.0, e)}
+        alpha = ((0.5, 1, 2), (-0.5, 2, 1))  # (omega^1_2 - omega^2_1)/2
+        h["h111"], h["h112"] = pair(1, 1)
+        h["h221"], h["h222"] = pair(2, 2)
         # omega^1_2 and omega^2_1 share one semi-basic part around +-alpha
-        h["h121"], h["h122"] = mc.to_coframe(
-            (mc.du[1][2] + mc.du[2][1]) * 0.5,
-            (mc.dv[1][2] + mc.dv[2][1]) * 0.5,
-        )
-        h["h331"], h["h332"] = _pair(mc, 3, 3)
-        h["h441"], h["h442"] = _pair(mc, 4, 4)
-        h["h341"], h["h342"] = _pair_minus_alpha(mc, 3, 4, alpha, 2.0)
-        h["h431"], h["h432"] = _pair_minus_alpha(mc, 4, 3, alpha, -2.0)
-        h["h131"], h["h132"] = _pair(mc, 1, 3)
-        h["h141"], h["h142"] = _pair(mc, 1, 4)
-        h["h231"], h["h232"] = _pair(mc, 2, 3)
-        h["h241"], h["h242"] = _pair(mc, 2, 4)
+        h["h121"], h["h122"] = combo((0.5, 1, 2), (0.5, 2, 1))
+        h["h331"], h["h332"] = pair(3, 3)
+        h["h441"], h["h442"] = pair(4, 4)
+        # omega^3_4 - 2 alpha and omega^4_3 + 2 alpha
+        h["h341"], h["h342"] = combo((1.0, 3, 4), (-1.0, 1, 2), (1.0, 2, 1))
+        h["h431"], h["h432"] = combo((1.0, 4, 3), (1.0, 1, 2), (-1.0, 2, 1))
+        h["h131"], h["h132"] = pair(1, 3)
+        h["h141"], h["h142"] = pair(1, 4)
+        h["h231"], h["h232"] = pair(2, 3)
+        h["h241"], h["h242"] = pair(2, 4)
         vanish["sym_w23"] = h["h231"] - h["h132"]
         vanish["sym_w24"] = h["h241"] - h["h142"]
     elif surface_type == "TimeLike":
-        fixed = [
-            ("fix_w31", (3, 1), (1.0, 0.0)),
-            ("fix_w32", (3, 2), (0.0, 0.0)),
-            ("fix_w41", (4, 1), (0.0, 0.0)),
-            ("fix_w42", (4, 2), (0.0, 1.0)),
-            ("fix_w01", (0, 1), (0.0, 1.0)),
-            ("fix_w02", (0, 2), (1.0, 0.0)),
-        ]
-        alpha = (
-            (mc.du[1][1] - mc.du[2][2]) * 0.5,
-            (mc.dv[1][1] - mc.dv[2][2]) * 0.5,
-        )
-        h["h111"], h["h222"] = mc.to_coframe(
-            (mc.du[1][1] + mc.du[2][2]) * 0.5,
-            (mc.dv[1][1] + mc.dv[2][2]) * 0.5,
-        )
-        h["h121"], h["h122"] = _pair(mc, 1, 2)
-        h["h211"], h["h212"] = _pair(mc, 2, 1)
-        h["h331"], h["h332"] = _pair_minus_alpha(mc, 3, 3, alpha, 2.0)
-        h["h441"], h["h442"] = _pair_minus_alpha(mc, 4, 4, alpha, -2.0)
-        h["h341"], h["h342"] = _pair(mc, 3, 4)
-        h["h431"], h["h432"] = _pair(mc, 4, 3)
-        h["h131"], h["h132"] = _pair(mc, 1, 3)
-        h["h141"], h["h142"] = _pair(mc, 1, 4)
-        c1, c2 = _pair(mc, 2, 3)
-        h["h231"] = c1
+        fixed = {(3, 1): (1.0, 0.0), (3, 2): (0.0, 0.0), (4, 1): (0.0, 0.0),
+                 (4, 2): (0.0, 1.0), (0, 1): (0.0, 1.0), (0, 2): (1.0, 0.0)}
+        alpha = ((0.5, 1, 1), (-0.5, 2, 2))  # (omega^1_1 - omega^2_2)/2
+        h["h111"], h["h222"] = combo((0.5, 1, 1), (0.5, 2, 2))
+        h["h121"], h["h122"] = pair(1, 2)
+        h["h211"], h["h212"] = pair(2, 1)
+        # omega^3_3 - 2 alpha and omega^4_4 + 2 alpha
+        h["h331"], h["h332"] = combo((1.0, 3, 3), (-1.0, 1, 1), (1.0, 2, 2))
+        h["h441"], h["h442"] = combo((1.0, 4, 4), (1.0, 1, 1), (-1.0, 2, 2))
+        h["h341"], h["h342"] = pair(3, 4)
+        h["h431"], h["h432"] = pair(4, 3)
+        h["h131"], h["h132"] = pair(1, 3)
+        h["h141"], h["h142"] = pair(1, 4)
+        h["h231"], c2 = pair(2, 3)
         vanish["sym_w23"] = c2 - h["h131"]
-        c1, c2 = _pair(mc, 2, 4)
-        h["h241"] = c1
+        h["h241"], c2 = pair(2, 4)
         vanish["sym_w24"] = c2 - h["h141"]
     else:
         raise ValueError("surface_type must be SpaceLike or TimeLike")
 
     # residuals of the pinned coframe multiples (2-adaptedness witnesses)
-    for label, (i, j), (c1, c2) in fixed:
-        x1, x2 = _pair(mc, i, j)
-        vanish[label + "_1"] = x1 - c1
-        vanish[label + "_2"] = x2 - c2
+    for (i, j), target in fixed.items():
+        vanish["fix_w%d%d_1" % (i, j)], vanish["fix_w%d%d_2" % (i, j)] = pair(i, j, offset=target)
 
     return InvariantSet(
         surface_type=surface_type,
         epsilon=int(epsilon),
         h=h,
-        alpha=alpha,
+        alpha=_combination(mc.omega, mc.degrees, alpha),
         coframe=mc.coframe(),
         vanishing=vanish,
     )
@@ -302,8 +291,7 @@ def metric_at(frame, mc):
         G = (C[0][1] * C[1][1]) * 2.0
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
         signature = "Lorentzian"
-    F0 = np.array([[x.const for x in row] for row in frame.matrix])
-    N = np.linalg.inv(F0)[3:5, :]
+    N = np.linalg.inv(frame.coeffs[:, :, 0])[3:5, :]
     return MetricData(first=(E, F, G), normal_gram=N.T @ S @ N, signature=signature)
 
 
@@ -361,8 +349,12 @@ def effective_degree(degree, want_connection=True):
 
     The connection-route curvature needs degree >= 4; requests below 5 are
     raised to 5 when that route is wanted, which keeps one order of margin.
+    Without it, requests below 4 are raised to 4: each frame level costs one
+    order, and at degree 3 columns 3-4 of the level-3 frame are constants,
+    so their derivatives in omega (and the invariants read off them) would
+    be lost.
     """
-    return max(degree, 5) if want_connection else degree
+    return max(degree, 5 if want_connection else 4)
 
 
 def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=True):

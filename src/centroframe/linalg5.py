@@ -1,26 +1,27 @@
 """Small dense linear algebra over floats *or* Taylor jets.
 
-Matrices are plain nested lists.  Entries may be floats, TaylorScalar jets,
-or a mixture.  `mat_mul` and `solve` pack a matrix once into an
-(rows, cols, n_terms) coefficient array, with a float x packed as the
-constant jet x, and do all arithmetic on those arrays:
+A matrix of jets is a coefficient array C of shape (rows, cols, n), C[i, j]
+the coefficients of entry (i, j) and n = n_terms(degree) for a working
+degree that the array functions take explicitly:
 
-* a truncated jet-matrix product is one dense matmul with the left factor
-  gathered, through the `_mul_table` coefficient pairs, into the matrix of
-  left multiplication on stacked coefficients;
-* `solve` factors the constant part A0 once (LU with partial pivoting) and
-  handles the nilpotent rest by a Neumann series, exact after `degree`
+* `jet_matmul` is a truncated jet-matrix product: one dense matmul with the
+  left factor gathered, through the `_mul_table` coefficient pairs, into
+  the matrix of left multiplication on stacked coefficients;
+* `jet_mul` is the elementwise product of two arrays of jets;
+* `jet_solve` factors the constant part A0 once (LU with partial pivoting)
+  and handles the nilpotent rest by a Neumann series, exact after `degree`
   steps.  Pivoting and singularity decisions look only at constant terms,
   which is the right notion over the jet ring: an element is invertible
   there iff its constant term is nonzero.
 
-Output degrees follow each entry, as scalar jet arithmetic would give them,
-with floats counting as constants of unbounded degree: entry (i, j) of A B
-has degree min over t of min(deg A[i][t], deg B[t][j]), and column j of the
-solution of A X = B has degree min(deg A, deg B[:, j]), deg A being the
-lowest entry degree of A.  An entry whose inputs are all floats stays a
-float.  Degrees are never lowered to one global minimum: a frame's
-position column keeps the extra order it carries.
+The frame pipeline tracks its own degrees (see :mod:`centroframe.adaptation`).
+`mat_mul`, `mat_vec`, `solve` and `inverse` are nested-list entry points:
+they `pack` floats and jets (a float is a constant of unbounded degree), run
+the array functions and `unpack` with the per-entry degrees that scalar jet
+arithmetic gives: entry (i, j) of A B has degree min over t of
+min(deg A[i][t], deg B[t][j]); column j of the solution of A X = B has
+degree min(deg A, deg B[:, j]), deg A the lowest entry degree of A; an entry
+whose inputs are all floats stays a float.
 
 The module also carries the symmetric-2x2 toolbox used by the frame
 adaptation: the quadratic form Q(h) = -det(h) on symmetric matrices, its
@@ -50,6 +51,9 @@ __all__ = [
     "mat_vec",
     "solve",
     "inverse",
+    "jet_matmul",
+    "jet_mul",
+    "jet_solve",
     "expm5",
     "SymMat2T",
     "congruence",
@@ -81,7 +85,7 @@ def transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def _degrees(M):
+def degrees_of(M):
     """Per-entry degrees of a nested-list matrix; floats count as inf."""
     return np.array(
         [[x.degree if isinstance(x, TaylorScalar) else math.inf for x in row] for row in M]
@@ -94,7 +98,7 @@ def _working_degree(degrees):
     return int(finite.max()) if finite.size else 0
 
 
-def _pack(M, degree):
+def pack(M, degree):
     """Coefficient array (rows, cols, n_terms(degree)) of a nested-list matrix.
 
     Jets above `degree` are truncated and jets below it are zero-padded; a
@@ -112,8 +116,12 @@ def _pack(M, degree):
     return out
 
 
-def _unpack(C, degrees):
-    """Nested-list matrix from a coefficient array and per-entry degrees."""
+def unpack(C, degrees):
+    """Nested-list matrix from a coefficient array and per-entry degrees.
+
+    An entry of degree inf becomes the float C[i, j, 0]; any other entry the
+    jet of its first n_terms(degree) coefficients.
+    """
     return [
         [
             float(c[0]) if math.isinf(d) else TaylorScalar(c[: taylor.n_terms(int(d))])
@@ -121,6 +129,15 @@ def _unpack(C, degrees):
         ]
         for crow, drow in zip(C, degrees)
     ]
+
+
+def resize(C, n):
+    """Coefficient array C (..., m) truncated or zero-padded to n coefficients."""
+    if C.shape[-1] >= n:
+        return C[..., :n]
+    out = np.zeros(C.shape[:-1] + (n,))
+    out[..., : C.shape[-1]] = C
+    return out
 
 
 # degree -> (n, n) table `shift` with shift[o, b] = a for the multi-indices
@@ -139,19 +156,23 @@ def _shift_index(degree):
     return shift
 
 
-def _operator(A, degree):
-    """Left multiplication by a coefficient array A of shape (r, k, n) at `degree`.
+def _mul_matrices(A, degree):
+    """Left-multiplication matrices of the jets in A (..., n) at `degree`.
 
-    Returns T of shape (r n, k n) with _flat(A B) = T @ _flat(B): entry
-    ((i, o), (t, b)) is the coefficient a = o - b of A[i][t], gathered
-    through the `_mul_table` pairs, so a truncated jet-matrix product is one
-    dense matmul.
+    M[..., o, b] is the coefficient a = o - b of the jet (zero where no
+    such a exists), so the coefficients of a jet product are a b = M @ b.
+    """
+    return resize(A, A.shape[-1] + 1)[..., _shift_index(degree)]
+
+
+def _operator(A, degree):
+    """Left multiplication by a coefficient array A of shape (r, k, n).
+
+    Returns T of shape (r n, k n) with _flat(A B) = T @ _flat(B), so a
+    truncated jet-matrix product is one dense matmul.
     """
     r, k, n = A.shape
-    padded = np.zeros((r, k, n + 1))
-    padded[:, :, :n] = A
-    T = padded[:, :, _shift_index(degree)]
-    return T.transpose(0, 2, 1, 3).reshape(r * n, k * n)
+    return _mul_matrices(A, degree).transpose(0, 2, 1, 3).reshape(r * n, k * n)
 
 
 def _flat(B):
@@ -165,32 +186,18 @@ def _unflat(X, rows):
     return np.ascontiguousarray(X.reshape(rows, -1, X.shape[1]).transpose(0, 2, 1))
 
 
-def mat_mul(A, B):
-    """Matrix product of nested-list matrices (entries float or jet).
-
-    Entry (i, j) has degree min over t of min(deg A[i][t], deg B[t][j]),
-    and is a float when every one of those entries is a float.
-    """
-    dA, dB = _degrees(A), _degrees(B)
-    degrees = np.minimum(dA[:, :, None], dB[None, :, :]).min(axis=1)
-    degree = _working_degree(degrees)
-    C = _operator(_pack(A, degree), degree) @ _flat(_pack(B, degree))
-    return _unpack(_unflat(C, len(A)), degrees)
+def jet_matmul(A, B, degree):
+    """Truncated product of coefficient arrays A (r, k, n) and B (k, m, n)."""
+    return _unflat(_operator(A, degree) @ _flat(B), A.shape[0])
 
 
-def mat_vec(A, x):
-    """Matrix times column vector (vector as a flat list)."""
-    out = []
-    for row in A:
-        acc = row[0] * x[0]
-        for j in range(1, len(x)):
-            acc = acc + row[j] * x[j]
-        out.append(acc)
-    return out
+def jet_mul(a, b, degree):
+    """Elementwise truncated product of coefficient arrays (leading axes broadcast)."""
+    return (_mul_matrices(a, degree) @ b[..., None])[..., 0]
 
 
-def solve(A, B):
-    """Solve A X = B over the jet ring.
+def jet_solve(A, B, degree):
+    """Solve A X = B for coefficient arrays A (k, k, n) and B (k, m, n).
 
     The constant part A0 is factored once (LU with partial pivoting).  With
     A = A0 (I + M), where M = A0^-1 (A - A0) has no constant term, the
@@ -198,49 +205,64 @@ def solve(A, B):
     with Y = A0^-1 B; each step fixes one more order, so `degree` steps are
     exact.
 
-    Parameters
-    ----------
-    A : list of list
-        Square matrix (float and/or TaylorScalar entries), size 2..5.
-    B : list
-        Either a flat right-hand-side vector or a matrix of columns.
-
-    Returns
-    -------
-    list
-        Solution with the same shape as B.  Column j has degree
-        min(deg A, deg B[:, j]), where deg A is the lowest entry degree of A,
-        and is a float column when all of those entries are floats.
-
     Raises
     ------
     SingularMatrix
         If a pivot of the constant part is NaN or at most _PIVOT_TOL times
         the largest constant entry (or 1).
     """
-    vector_rhs = not isinstance(B[0], (list, tuple))
-    if vector_rhs:
-        B = [[b] for b in B]
-    dB = _degrees(B)
-    degrees = np.broadcast_to(np.minimum(_degrees(A).min(), dB.min(axis=0)), dB.shape)
-    degree = _working_degree(degrees)
-    Ac, Bc = _pack(A, degree), _pack(B, degree)
-    n = len(A)
-    A0 = Ac[:, :, 0].copy()
+    k = A.shape[0]
+    A0 = A[:, :, 0]
     lu, piv, _ = dgetrf(A0)
     tol = _PIVOT_TOL * max(1.0, float(np.abs(A0).max()))
     small = np.flatnonzero(~(np.abs(np.diag(lu)) > tol))  # a NaN pivot is unusable too
     if small.size:
         raise SingularMatrix("no usable pivot in column %d" % small[0])
-    Ac[:, :, 0] = 0.0
-    rhs = np.concatenate([Ac.reshape(n, -1), Bc.reshape(n, -1)], axis=1)
+    N = A.copy()
+    N[:, :, 0] = 0.0
+    rhs = np.concatenate([N.reshape(k, -1), B.reshape(k, -1)], axis=1)
     sol = dgetrs(lu, piv, rhs)[0]
-    T = _operator(sol[:, : Ac[0].size].reshape(Ac.shape), degree)
-    Y = _flat(sol[:, Ac[0].size :].reshape(Bc.shape))
+    T = _operator(sol[:, : N[0].size].reshape(N.shape), degree)
+    Y = _flat(sol[:, N[0].size :].reshape(B.shape))
     X = Y
     for _ in range(degree):
         X = Y - T @ X
-    X = _unpack(_unflat(X, n), degrees)
+    return _unflat(X, k)
+
+
+def mat_mul(A, B):
+    """Matrix product of nested-list matrices (entries float or jet).
+
+    Entry (i, j) has degree min over t of min(deg A[i][t], deg B[t][j]),
+    and is a float when every one of those entries is a float.
+    """
+    dA, dB = degrees_of(A), degrees_of(B)
+    degrees = np.minimum(dA[:, :, None], dB[None, :, :]).min(axis=1)
+    degree = _working_degree(degrees)
+    return unpack(jet_matmul(pack(A, degree), pack(B, degree), degree), degrees)
+
+
+def mat_vec(A, x):
+    """Matrix times column vector (vector as a flat list)."""
+    return [row[0] for row in mat_mul(A, [[xi] for xi in x])]
+
+
+def solve(A, B):
+    """Solve A X = B over the jet ring (nested-list entry point of `jet_solve`).
+
+    A is a square matrix of floats and jets (size 2..5) and B a flat vector
+    or a matrix of columns; X has the shape of B.  Column j of X has degree
+    min(deg A, deg B[:, j]), deg A the lowest entry degree of A, and is a
+    float column when all of those entries are floats.  Raises
+    SingularMatrix as `jet_solve` does.
+    """
+    vector_rhs = not isinstance(B[0], (list, tuple))
+    if vector_rhs:
+        B = [[b] for b in B]
+    dB = degrees_of(B)
+    degrees = np.broadcast_to(np.minimum(degrees_of(A).min(), dB.min(axis=0)), dB.shape)
+    degree = _working_degree(degrees)
+    X = unpack(jet_solve(pack(A, degree), pack(B, degree), degree), degrees)
     return [x[0] for x in X] if vector_rhs else X
 
 

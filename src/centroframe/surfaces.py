@@ -22,8 +22,12 @@ import os
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import taylor
-from .errors import ArityError, SurfaceSyntaxError, UnknownIdentifier, UnknownModel
+from .errors import (
+    ArithmeticFailure, ArityError, SurfaceSyntaxError, UnknownIdentifier, UnknownModel,
+)
 from .taylor import TaylorScalar, coordinate_jets
 
 __all__ = [
@@ -283,17 +287,28 @@ def eval_surface(spec, u0, v0, degree):
     -------
     list of TaylorScalar
         The five coordinate jets, each of the requested degree.
+
+    Raises
+    ------
+    ArithmeticFailure
+        If a component jet is not finite (an overflow or a division by zero
+        in floating point, which numpy is not left to warn about).
     """
     u, v = coordinate_jets(u0, v0, degree)
     env = {"u": u, "v": v}
     for k, val in spec.params.items():
         env[k] = TaylorScalar.constant(float(val), degree)
     out = []
-    for node in spec.components:
-        value = _eval_node(node, env)
-        if not isinstance(value, TaylorScalar):
-            value = TaylorScalar.constant(float(value), degree)
-        out.append(value)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, node in enumerate(spec.components):
+            value = _eval_node(node, env)
+            if not isinstance(value, TaylorScalar):
+                value = TaylorScalar.constant(float(value), degree)
+            if not np.isfinite(value.coeffs).all():
+                raise ArithmeticFailure(
+                    "surface component x%d is not finite at (u, v) = (%g, %g)" % (i, u0, v0)
+                )
+            out.append(value)
     return out
 
 

@@ -27,6 +27,7 @@ from .errors import DomainError, ZeroConstantTerm
 __all__ = [
     "TaylorScalar",
     "coordinate_jets",
+    "derivative",
     "constant_jet",
     "sin",
     "cos",
@@ -107,6 +108,16 @@ def _deriv_table(degree, axis):
                     factor.append(b + 1.0)
         tab = _DERIV_CACHE[key] = (np.asarray(src, dtype=np.intp), np.asarray(factor))
     return tab
+
+
+def derivative(coeffs, degree, axis):
+    """Partial derivative along u (axis 0) or v (axis 1) of coefficient arrays.
+
+    `coeffs` has shape (..., n_terms(degree)) with degree >= 1; the result
+    has shape (..., n_terms(degree - 1)).
+    """
+    src, factor = _deriv_table(degree, axis)
+    return coeffs[..., src] * factor
 
 
 class TaylorScalar:
@@ -243,8 +254,7 @@ class TaylorScalar:
     def _derivative(self, axis):
         if self.degree == 0:
             return TaylorScalar.constant(0.0, 0)
-        src, factor = _deriv_table(self.degree, axis)
-        return TaylorScalar(self.coeffs[src] * factor)
+        return TaylorScalar(derivative(self.coeffs, self.degree, axis))
 
     def deriv_u(self):
         """Partial derivative with respect to u; degree drops by one."""

@@ -9,6 +9,7 @@ must produce.
 import numpy as np
 import pytest
 
+from centroframe import adaptation
 from centroframe.adaptation import (
     GaugeTransform,
     adapt2_spacelike,
@@ -26,7 +27,7 @@ from centroframe.errors import (
     NotImmersed,
     NotTransversal,
 )
-from centroframe.linalg5 import SymMat2T, identity, mat_mul
+from centroframe.linalg5 import SymMat2T, identity, mat_mul, solve, transpose
 from centroframe.surfaces import builtin_surface, eval_surface, parse_surface
 from centroframe.taylor import TaylorScalar
 
@@ -328,3 +329,96 @@ def test_gauge_transform_blocks_round_trip():
     assert g.theta == pytest.approx(np.pi / 2)
     composed = g.compose(GaugeTransform(identity(5)))
     assert np.allclose(composed.K, g.K)
+
+
+# ---------------------------------------------------------------------------
+# The array paths against the nested-list routes they replace
+# ---------------------------------------------------------------------------
+
+
+def _assert_jets_close(got, want, rtol=1e-12):
+    """Same per-entry degrees, coefficients within rtol of the largest one."""
+    got, want = np.array(got, dtype=object), np.array(want, dtype=object)
+    assert [x.degree for x in got.flat] == [x.degree for x in want.flat]
+    scale = max(float(np.abs(x.coeffs).max()) for x in want.flat)
+    for g, w in zip(got.flat, want.flat):
+        assert np.abs(g.coeffs - w.coeffs).max() <= rtol * scale
+
+
+def _at_degrees(M, like):
+    """Entries of M as jets truncated to the degrees of the entries of `like`."""
+
+    def jet(x, d):
+        return x.truncate(d) if isinstance(x, TaylorScalar) else TaylorScalar.constant(x, d)
+
+    return [[jet(x, w.degree) for x, w in zip(row, wrow)] for row, wrow in zip(M, like)]
+
+
+def _random_frames(seed):
+    """Frames at random points of h2 and s21: level 1, gauged, and level 2.
+
+    The level-2 frame keeps e0 one order above its other columns.
+    """
+    rng = np.random.default_rng(seed)
+    for name in ("h2", "s21"):
+        for degree in (4, 5, 6):
+            u, v = rng.uniform(-0.8, 0.8, 2)
+            fr = frame1(_jets(name, u, v, degree))
+            yield name, fr
+            yield name, apply_gauge(fr, _random_g1_gauge(rng, degree - 1, jet_valued=True))
+            adapt2 = adapt2_spacelike if name == "h2" else adapt2_timelike
+            yield name, adapt2(fr, _normal_forms(fr))[0]
+
+
+def test_maurer_cartan_matches_nested_solve():
+    for _, fr in _random_frames(11):
+        F = fr.matrix
+        dF = [[x.deriv_u() for x in row] + [x.deriv_v() for x in row] for row in F]
+        X = solve(F, dF)
+        mc = maurer_cartan(fr)
+        _assert_jets_close(mc.du, [row[:5] for row in X])
+        _assert_jets_close(mc.dv, [row[5:] for row in X])
+
+
+def test_coframe_projection_matches_per_entry_solve():
+    for _, fr in _random_frames(12):
+        mc = maurer_cartan(fr)
+        Ct = transpose(mc.coframe())
+        for i in range(5):
+            for j in range(5):
+                want = solve(Ct, [mc.du[i][j], mc.dv[i][j]])
+                _assert_jets_close(mc.in_coframe(i, j), want)
+
+
+def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
+    # the closed-form gauge and its block-wise action against the 5x5
+    # products of the four block gauges adapt2 composes
+    blocks = []
+
+    def recording(A1, B, r0, s):
+        blocks.append((A1, B, r0, s))
+        return real(A1, B, r0, s)
+
+    real = adaptation._level2_gauge
+    monkeypatch.setattr(adaptation, "_level2_gauge", recording)
+    for name, fr in _random_frames(13):
+        fund = _normal_forms(fr)
+        if name == "h2":
+            fr2, gauge, _ = adapt2_spacelike(fr, fund)
+        else:
+            fr2, gauge = adapt2_timelike(fr, fund)
+        A1, B, (r03, r04), (s1, s2) = blocks[-1]
+        want = (
+            GaugeTransform.from_blocks(A=A1)
+            .compose(GaugeTransform.from_blocks(B=B))
+            .compose(GaugeTransform.from_blocks(r03=r03, r04=r04))
+            .compose(GaugeTransform.from_blocks(
+                A=[[s1, 0.0], [0.0, s2]], B=[[s1 * s1, 0.0], [0.0, s2 * s2]]
+            ))
+        )
+        _assert_jets_close(_at_degrees(gauge.K, want.K), want.K)
+        # block-wise F K: e0 is kept exactly, the other columns lose an order
+        ref = mat_mul(fr.matrix, want.K)
+        assert fr2.degrees == (fr.degrees[0],) + (ref[0][1].degree,) * 4
+        assert np.array_equal(fr2.coeffs[:, 0], fr.coeffs[:, 0])
+        _assert_jets_close(_at_degrees(fr2.matrix, ref), ref)

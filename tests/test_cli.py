@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
+from centroframe import cli
 from centroframe.cli import main
 from centroframe.homogeneous import quadric_residual
+from centroframe.invariants import analyze_point
+from centroframe.surfaces import builtin_surface
 
 NULL_FIXTURE = "1 + u^2/2 + v^2/2; u; v; u^2/2; u*v"
 
@@ -123,6 +128,38 @@ def test_analyze_overflow_recorded_inline(tmp_path):
     assert last["ok"] is False
     assert last["error"] == "ArithmeticFailure"
     assert last["message"].startswith("OverflowError")
+
+
+@pytest.mark.parametrize("surface, grid, failed", [
+    ("u/0; u; v; 1; u*v", ["-1:1:2"], [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+    ("h2", ["700:800:2", "0:0:1"], [(700, 0), (800, 0)]),
+])
+def test_analyze_non_finite_is_arithmetic_failure(tmp_path, capsys, surface, grid, failed):
+    # a blow-up inside the surface jets is typed as such, not as a
+    # singular pivot, and no numpy warning reaches the user
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run(["analyze", "--surface", surface, "--grid", *grid, "--out", str(out)])
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    doc = json.loads((out / "analyze.json").read_text())
+    assert [(r["u"], r["v"]) for r in doc["records"]] == failed
+    assert {r["error"] for r in doc["records"]} == {"ArithmeticFailure"}
+    assert doc["records"][0]["message"].startswith("surface component x0 is not finite")
+
+
+def test_analyze_non_finite_result_is_not_ok(monkeypatch):
+    # a record is "ok" only with finite curvatures, metric and invariants
+    def nan_curvature(*args, **kwargs):
+        return dataclasses.replace(analyze_point(*args, **kwargs), gauss_connection=math.nan)
+
+    monkeypatch.setattr(cli, "analyze_point", nan_curvature)
+    rec = cli._analyze_record((builtin_surface("h2"), 0.1, 0.2, 5, 1e-7))
+    assert rec["ok"] is False
+    assert rec["error"] == "ArithmeticFailure"
+    assert rec["message"] == "non-finite result: gauss_connection"
 
 
 def test_analyze_rejects_low_degree(capsys):

@@ -6,6 +6,8 @@ curvature routes, and invariance of the fiber scalars under random
 tangent-preserving gauges.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from centroframe.adaptation import (
 from centroframe.errors import NullTypeUnsupported
 from centroframe.invariants import (
     analyze_point,
+    effective_degree,
     extract_invariants,
     fiber_invariant_scalars,
     gauss_from_connection,
@@ -275,8 +278,71 @@ def test_connection_route_needs_degree():
     spec = builtin_surface("h2")
     res = analyze_point(spec, 0.1, 0.1, degree=3, want_connection=False)
     assert np.isnan(res.gauss_connection)
+    # the guard: alpha without a derivative order gives no connection route
+    flat = tuple(a.truncate(0) for a in res.invariants.alpha)
     with pytest.raises(ValueError):
-        gauss_from_connection(res.invariants)
+        gauss_from_connection(dataclasses.replace(res.invariants, alpha=flat))
+
+
+@pytest.mark.parametrize("name, K", [("h2", -1 / 3), ("sphere", 1 / 3), ("s21", -1 / 3)])
+def test_low_degree_without_connection_is_exact(name, K):
+    # degree 3 is raised to 4, the lowest degree whose level-3 frame still
+    # carries the derivative that omega's columns 3-4 need
+    res = analyze_point(builtin_surface(name), 0.3, -0.2, degree=3, want_connection=False)
+    assert res.gauss_invariants == pytest.approx(K, abs=1e-12)
+    assert res.residual_max < 1e-12
+    assert effective_degree(3, want_connection=False) == 4
+
+
+# Names read off columns 3-4 of the level-3 Maurer-Cartan form: one degree
+# below alpha, because adapt3 differentiates the frame once more there.
+_LOWER_DEGREE = {
+    "SpaceLike": {
+        "h131", "h132", "h141", "h142", "h231", "h232", "h241", "h242",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    },
+    "TimeLike": {
+        "h131", "h132", "h141", "h142", "h231", "h241",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    },
+}
+_LOWER_DEGREE_VANISHING = {"sym_w23", "sym_w24", "w03_1", "w03_2", "w04_1", "w04_2"}
+_VANISHING = (
+    {"w00_du", "w00_dv", "w30_du", "w30_dv", "w40_du", "w40_dv"}
+    | {"fix_w%s_%d" % (ij, k) for ij in ("01", "02", "31", "32", "41", "42") for k in (1, 2)}
+    | _LOWER_DEGREE_VANISHING
+)
+
+# (surface, requested degree, want_connection) -> degree of alpha
+_ALPHA_DEGREE = {
+    ("h2", 4, True): 2,
+    ("h2", 5, True): 2,
+    ("h2", 7, True): 4,
+    ("h2", 4, False): 1,
+    ("s21", 4, True): 2,
+    ("s21", 5, True): 2,
+    ("s21", 7, True): 4,
+    ("s21", 4, False): 1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALPHA_DEGREE))
+def test_reported_jet_degrees_are_pinned(case):
+    name, degree, want_connection = case
+    res = analyze_point(builtin_surface(name), 0.3, -0.2, degree=degree,
+                        want_connection=want_connection)
+    top = _ALPHA_DEGREE[case]
+    lower = _LOWER_DEGREE[res.surface_type]
+    assert {k: x.degree for k, x in res.invariants.h.items()} == {
+        k: top - (k in lower) for k in res.invariants.h
+    }
+    assert len(res.invariants.h) == (22 if res.surface_type == "SpaceLike" else 20)
+    assert set(res.invariants.vanishing) == _VANISHING
+    assert {k: x.degree for k, x in res.invariants.vanishing.items()} == {
+        k: top - (k in _LOWER_DEGREE_VANISHING) for k in _VANISHING
+    }
+    assert [a.degree for a in res.invariants.alpha] == [top, top]
+    assert [x.degree for x in res.metric.first] == [top, top, top]
 
 
 def test_analyze_point_bumps_degree_for_connection():
