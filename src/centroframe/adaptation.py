@@ -403,9 +403,10 @@ def classify_plane(fund, tol=1e-8):
     scale = max(np.linalg.norm(v3) * np.linalg.norm(v4), 1e-300)
     if cross <= 1e-10 * scale:
         raise IndependenceFailure("h3 and h4 are linearly dependent")
-    q33 = _const(q_form(fund.h3))
-    q44 = _const(q_form(fund.h4))
-    q34 = _const(q_polar(fund.h3, fund.h4))
+    h3, h4 = SymMat2T(*v3), SymMat2T(*v4)
+    q33 = q_form(h3)
+    q44 = q_form(h4)
+    q34 = q_polar(h3, h4)
     gram = np.array([[q33, q34], [q34, q44]])
     det = float(np.linalg.det(gram))
     trace = float(q33 + q44)

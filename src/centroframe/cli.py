@@ -1,27 +1,38 @@
 """Command-line front end.
 
-Four subcommands:
+Four subcommands, each accepting only the options it reads:
 
 * ``analyze``  — run the adaptation pipeline over a parameter grid and emit
   one record per point (type tag, invariants, curvature by both routes,
   metric coefficients, residual diagnostics).
-* ``example``  — sample a built-in model surface and emit its mesh plus the
-  planar projection files used for figures.
+  Options: ``--surface --grid --degree --tol --jobs --format --out``.
+* ``example MODEL`` — sample a built-in model surface and emit its mesh plus
+  the planar projection files used for figures.
+  Options: ``--grid --format --out``.
 * ``verify``   — run the named verification checks (brackets, structure,
   quadrics, metrics, relations, gauss) and report pass/fail per check; the
   exit code reflects the overall status.
-* ``search``   — random-restart search for constant-invariant solutions of
-  the reduced structure equations, with clustering and comparison against
-  the built-in models.
+  Options: ``--check --tol --seed --format --out``.
+* ``search CASE`` — random-restart search for constant-invariant solutions
+  of the reduced structure equations, with clustering and comparison
+  against the built-in models.
+  Options: ``--restarts --seed --tol --format --out``.
 
 Output conventions
 ------------------
+* Every document goes through one path: ``--format`` picks JSON or CSV and
+  ``--out DIR`` writes ``DIR/<name>.<format>`` and prints ``wrote PATH``.
+  Without ``--out``, ``analyze`` prints its document to stdout, ``verify``
+  and ``search`` print only their summary lines, and ``example`` writes to
+  the working directory.
 * JSON documents carry a top-level ``"schema": "centroframe/1"`` key.
   Floats are written with 17 significant digits, so identical
   configurations produce byte-identical files; non-finite values become
   ``null``.  Keys appear in a fixed order.
 * CSV files use UTF-8, LF line endings, and the same float formatting;
-  column orders are fixed (see README).
+  column orders are fixed (see README).  An ``analyze`` CSV row is its
+  JSON record flattened: ``metric.E`` becomes ``metric_E``, ``h`` entries
+  keep their names, and absent fields are empty.
 * Grid syntax is ``lo:hi:count``, inclusive at both ends.  ``--grid`` takes
   one spec (used for both axes) or two (u then v).  Records are emitted in
   row-major order (u outer, v inner) regardless of ``--jobs``.
@@ -32,12 +43,12 @@ Output conventions
 
 import argparse
 import csv
+import io
 import math
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +63,14 @@ from .homogeneous import (
     search_constant_solutions,
     structure_residual,
 )
-from .invariants import analyze_point, effective_degree
+from .invariants import H_NAMES, analyze_point, effective_degree
 from .surfaces import eval_surface, resolve_surface
 
-__all__ = ["RunConfig", "main", "cmd_analyze", "cmd_example", "cmd_verify", "cmd_search"]
+__all__ = ["main", "cmd_analyze", "cmd_example", "cmd_verify", "cmd_search"]
 
 SCHEMA = "centroframe/1"
 
-_SPACELIKE_H = (
-    "h111", "h112", "h121", "h122", "h131", "h132", "h141", "h142",
-    "h221", "h222", "h231", "h232", "h241", "h242",
-    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-)
-_TIMELIKE_H = (
-    "h111", "h121", "h122", "h131", "h132", "h141", "h142",
-    "h211", "h212", "h222", "h231", "h241",
-    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-)
-H_COLUMNS = tuple(sorted(set(_SPACELIKE_H) | set(_TIMELIKE_H)))
+H_COLUMNS = tuple(sorted(set().union(*H_NAMES.values())))
 
 ANALYZE_COLUMNS = (
     "u", "v", "ok", "error", "message", "surface_type", "epsilon",
@@ -79,16 +80,6 @@ ANALYZE_COLUMNS = (
 ) + H_COLUMNS
 
 VERIFY_COLUMNS = ("name", "passed", "residual", "tolerance", "detail")
-
-_CHECK_NAMES = ("brackets", "structure", "quadrics", "metrics", "relations", "gauss")
-_DEFAULT_CHECK_TOLS = {
-    "brackets": 1e-13,
-    "structure": 1e-12,
-    "quadrics": 1e-8,
-    "metrics": 1e-6,
-    "relations": 1e-7,
-    "gauss": 1e-5,
-}
 
 _SEARCH_CASES = ("spacelike", "spacelike+", "spacelike-", "timelike")
 
@@ -185,41 +176,36 @@ def _cell(x):
     return str(x)
 
 
-def _write_text(path, text):
+def dumps_csv(header, rows):
+    """CSV text with LF line endings and the fixed float format."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_cell(x) for x in row])
+    return buf.getvalue()
+
+
+def _emit(ns, stem, doc, header, rows):
+    """Write `doc` (JSON) or `header` and `rows` (CSV) as `ns.format` asks.
+
+    With `ns.out` the text goes to `DIR/<stem>.<format>`; otherwise to
+    stdout.  `rows` is iterated only for CSV, so it may be a generator.
+    """
+    text = dumps_json(doc) if ns.format == "json" else dumps_csv(header, rows)
+    if not ns.out:
+        sys.stdout.write(text)
+        return
+    os.makedirs(ns.out, exist_ok=True)
+    path = os.path.join(ns.out, "%s.%s" % (stem, ns.format))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(x) for x in row])
+    print("wrote %s" % path)
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Options
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """Validated settings of one CLI invocation."""
-
-    command: str
-    surface: str = ""
-    model: str = ""
-    case: str = ""
-    grid: tuple = ((-1.0, 1.0, 5), (-1.0, 1.0, 5))
-    degree: int = 4
-    tol: float = None
-    fmt: str = "json"
-    out: str = None
-    seed: int = 0
-    jobs: int = 1
-    restarts: int = 200
-    check: str = None
 
 
 _GRID_DASH_TOKEN = re.compile(r"^-(?!-)[^\s:]*:[^\s:]*:[^\s:]+$")
@@ -248,13 +234,9 @@ def _grid_spec(text):
 
 
 def _grid_axes(specs):
-    if specs is None:
-        specs = [(-1.0, 1.0, 5)]
-    if len(specs) == 1:
-        return (specs[0], specs[0])
-    if len(specs) == 2:
-        return (specs[0], specs[1])
-    raise CentroframeError("--grid takes one or two lo:hi:count specs")
+    if len(specs) > 2:
+        raise CentroframeError("--grid takes one or two lo:hi:count specs")
+    return (specs[0], specs[-1])
 
 
 def _grid_values(axis):
@@ -262,16 +244,13 @@ def _grid_values(axis):
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
-def _add_common(sp, fmt_default="json", out_default=None):
-    sp.add_argument("--surface", default="", help="built-in name, file path, or inline text with 5 ';'-separated components")
-    sp.add_argument("--model", default="", help="built-in model name (%s)" % ", ".join(MODEL_NAMES))
-    sp.add_argument("--grid", nargs="+", type=_grid_spec, default=None, metavar="LO:HI:N", help="parameter grid, one spec for both axes or u-spec v-spec (default -1:1:5)")
-    sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 for the curvature-by-connection route; the output records the degree used)")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance override (per-command default otherwise)")
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt_default, help="output format (default %s)" % fmt_default)
-    sp.add_argument("--out", default=out_default, help="output directory (default: print to stdout)" if out_default is None else "output directory (default %r)" % out_default)
-    sp.add_argument("--seed", type=int, default=0, help="random seed for sampled checks/searches (default 0)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps (default 1; ordering is unaffected)")
+def _add_grid(sp):
+    sp.add_argument("--grid", nargs="+", type=_grid_spec, default=[(-1.0, 1.0, 5)], metavar="LO:HI:N", help="parameter grid, one spec for both axes or u-spec v-spec (default -1:1:5)")
+
+
+def _add_output(sp, fmt_default, out_help, out_default=None):
+    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default, help="output format (default %s)" % fmt_default)
+    sp.add_argument("--out", default=out_default, metavar="DIR", help=out_help)
 
 
 def build_parser():
@@ -282,56 +261,36 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="run the adaptation pipeline over a grid")
-    _add_common(sp)
+    sp.add_argument("--surface", default="", help="built-in name, file path, or inline text with 5 ';'-separated components")
+    _add_grid(sp)
+    sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 for the curvature-by-connection route; the output records the degree used)")
+    sp.add_argument("--tol", type=float, default=1e-7, help="relation-residual tolerance for residual_ok (default 1e-7)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps (default 1; ordering is unaffected)")
+    _add_output(sp, "json", "output directory (default: print to stdout)")
+    sp.set_defaults(run=cmd_analyze)
 
     sp = sub.add_parser("example", help="emit a built-in model mesh and figure projections")
-    sp.add_argument("model_arg", nargs="?", default="", metavar="MODEL", help="built-in model name")
-    _add_common(sp, fmt_default="csv", out_default=".")
+    sp.add_argument("model", metavar="MODEL", help="built-in model name (%s)" % ", ".join(MODEL_NAMES))
+    _add_grid(sp)
+    _add_output(sp, "csv", "output directory (default: the working directory)", ".")
+    sp.set_defaults(run=cmd_example)
 
     sp = sub.add_parser("verify", help="run verification checks")
-    sp.add_argument("--check", choices=_CHECK_NAMES, default=None, help="run only this check")
-    _add_common(sp)
+    sp.add_argument("--check", choices=tuple(_CHECKS), default=None, help="run only this check")
+    sp.add_argument("--tol", type=float, default=None, help="tolerance for every check (per-check default otherwise)")
+    sp.add_argument("--seed", type=int, default=0, help="random seed for the sampled checks (default 0)")
+    _add_output(sp, "json", "write the report to this directory (default: none)")
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("search", help="search for constant-invariant solutions")
-    sp.add_argument("case_arg", nargs="?", default="", metavar="CASE", help="one of: %s" % ", ".join(_SEARCH_CASES))
-    sp.add_argument("--case", default="", help="alternative to the positional CASE")
+    sp.add_argument("case", metavar="CASE", help="one of: %s" % ", ".join(_SEARCH_CASES))
     sp.add_argument("--restarts", type=int, default=200, help="number of random starts (default 200)")
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="random seed for the starts (default 0)")
+    sp.add_argument("--tol", type=float, default=1e-10, help="max residual of a converged start (default 1e-10)")
+    _add_output(sp, "json", "write the report to this directory (default: none)")
+    sp.set_defaults(run=cmd_search)
 
     return p
-
-
-def _config_from(ns):
-    cfg = RunConfig(command=ns.command)
-    cfg.surface = getattr(ns, "surface", "") or ""
-    cfg.model = getattr(ns, "model", "") or ""
-    cfg.grid = _grid_axes(getattr(ns, "grid", None))
-    cfg.degree = getattr(ns, "degree", 4)
-    cfg.tol = getattr(ns, "tol", None)
-    cfg.fmt = getattr(ns, "fmt", "json")
-    cfg.out = getattr(ns, "out", None)
-    cfg.seed = getattr(ns, "seed", 0)
-    cfg.jobs = max(1, getattr(ns, "jobs", 1))
-    cfg.restarts = getattr(ns, "restarts", 200)
-    cfg.check = getattr(ns, "check", None)
-    if ns.command == "analyze":
-        if not cfg.surface and cfg.model:
-            cfg.surface = cfg.model
-        if not cfg.surface:
-            raise CentroframeError("analyze needs --surface (or --model)")
-        if cfg.degree < 4:
-            raise CentroframeError("analyze needs --degree >= 4")
-    if ns.command == "example":
-        cfg.model = getattr(ns, "model_arg", "") or cfg.model or cfg.surface
-        if not cfg.model:
-            raise CentroframeError("example needs a model name")
-    if ns.command == "search":
-        cfg.case = getattr(ns, "case_arg", "") or getattr(ns, "case", "")
-        if not cfg.case:
-            raise CentroframeError(
-                "search needs a case: %s" % ", ".join(_SEARCH_CASES)
-            )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +344,19 @@ def _analyze_record(task):
     }
 
 
+def _analyze_row(record):
+    """CSV row of one record: nested fields take their own name when that is
+    a column (`signature`, `h...`), else `<parent>_<name>` (`metric_E`)."""
+    flat = {}
+    for k, x in record.items():
+        if isinstance(x, dict):
+            for kk, xx in x.items():
+                flat[kk if kk in ANALYZE_COLUMNS else "%s_%s" % (k, kk)] = xx
+        else:
+            flat[k] = x
+    return [flat.get(c) for c in ANALYZE_COLUMNS]
+
+
 def _run_grid(tasks, jobs):
     if jobs <= 1:
         return [_analyze_record(t) for t in tasks]
@@ -392,67 +364,29 @@ def _run_grid(tasks, jobs):
         return list(pool.map(_analyze_record, tasks, chunksize=4))
 
 
-def cmd_analyze(cfg):
-    spec = resolve_surface(cfg.surface)
-    tol = 1e-7 if cfg.tol is None else cfg.tol
-    us = _grid_values(cfg.grid[0])
-    vs = _grid_values(cfg.grid[1])
-    tasks = [(spec, u, v, cfg.degree, tol) for u in us for v in vs]
-    records = _run_grid(tasks, cfg.jobs)
+def cmd_analyze(ns):
+    grid = _grid_axes(ns.grid)
+    if not ns.surface:
+        raise CentroframeError("analyze needs --surface")
+    if ns.degree < 4:
+        raise CentroframeError("analyze needs --degree >= 4")
+    spec = resolve_surface(ns.surface)
+    tasks = [
+        (spec, u, v, ns.degree, ns.tol)
+        for u in _grid_values(grid[0])
+        for v in _grid_values(grid[1])
+    ]
+    records = _run_grid(tasks, ns.jobs)
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
-        "surface": cfg.surface,
-        "degree": effective_degree(cfg.degree),
-        "tolerance": tol,
-        "grid": {"u": list(cfg.grid[0]), "v": list(cfg.grid[1])},
+        "surface": ns.surface,
+        "degree": effective_degree(ns.degree),
+        "tolerance": ns.tol,
+        "grid": {"u": list(grid[0]), "v": list(grid[1])},
         "records": records,
     }
-    if cfg.fmt == "json":
-        text = dumps_json(doc)
-        if cfg.out:
-            os.makedirs(cfg.out, exist_ok=True)
-            path = os.path.join(cfg.out, "analyze.json")
-            _write_text(path, text)
-            print("wrote %s" % path)
-        else:
-            sys.stdout.write(text)
-        return 0
-    rows = []
-    for r in records:
-        row = dict.fromkeys(ANALYZE_COLUMNS)
-        row.update(
-            u=r["u"], v=r["v"], ok=r["ok"], error=r.get("error"),
-            message=r.get("message"),
-        )
-        if r["ok"]:
-            row.update(
-                surface_type=r["surface_type"],
-                epsilon=r["epsilon"],
-                gauss_invariants=r["gauss_invariants"],
-                gauss_connection=r["gauss_connection"],
-                metric_E=r["metric"]["E"],
-                metric_F=r["metric"]["F"],
-                metric_G=r["metric"]["G"],
-                signature=r["metric"]["signature"],
-                alpha_du=r["alpha"]["du"],
-                alpha_dv=r["alpha"]["dv"],
-                residual_max=r["residual_max"],
-                residual_ok=r["residual_ok"],
-            )
-            for k, x in r["h"].items():
-                row[k] = x
-        rows.append([row[c] for c in ANALYZE_COLUMNS])
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, "analyze.csv")
-        _write_csv(path, ANALYZE_COLUMNS, rows)
-        print("wrote %s" % path)
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(ANALYZE_COLUMNS)
-        for row in rows:
-            w.writerow([_cell(x) for x in row])
+    _emit(ns, "analyze", doc, ANALYZE_COLUMNS, (_analyze_row(r) for r in records))
     return 0
 
 
@@ -460,18 +394,18 @@ def cmd_analyze(cfg):
 # example
 # ---------------------------------------------------------------------------
 
+_MESH_COLUMNS = ("u", "v", "x0", "x1", "x2", "x3", "x4")
 _PROJECTIONS_SPACELIKE = (("x1", "x2", "x0"), ("x1", "x2", "x3"), ("x1", "x2", "x4"))
 _PROJECTIONS_TIMELIKE = _PROJECTIONS_SPACELIKE + (("x1", "x3", "x0"), ("x1", "x4", "x0"))
 
 
-def cmd_example(cfg):
-    model = builtin_model(cfg.model)  # validates the name
-    spec = resolve_surface(cfg.model)
-    us = _grid_values(cfg.grid[0])
-    vs = _grid_values(cfg.grid[1])
+def cmd_example(ns):
+    grid = _grid_axes(ns.grid)
+    model = builtin_model(ns.model)  # validates the name
+    spec = resolve_surface(ns.model)
     mesh = []
-    for u in us:
-        for v in vs:
+    for u in _grid_values(grid[0]):
+        for v in _grid_values(grid[1]):
             pt = [j.const for j in eval_surface(spec, u, v, 1)]
             mesh.append([u, v] + pt)
     projections = (
@@ -479,78 +413,65 @@ def cmd_example(cfg):
         if model.surface_type == "TimeLike"
         else _PROJECTIONS_SPACELIKE
     )
-    col_index = {"u": 0, "v": 1, "x0": 2, "x1": 3, "x2": 4, "x3": 5, "x4": 6}
-    out_dir = cfg.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if cfg.fmt == "csv":
-        path = os.path.join(out_dir, "%s_mesh.csv" % cfg.model)
-        _write_csv(path, ("u", "v", "x0", "x1", "x2", "x3", "x4"), mesh)
-        written.append(path)
+
+    def project(axes):
+        return [[row[_MESH_COLUMNS.index(a)] for a in axes] for row in mesh]
+
+    if ns.format == "csv":
+        _emit(ns, "%s_mesh" % ns.model, None, _MESH_COLUMNS, mesh)
         for axes in projections:
-            rows = [[row[col_index[a]] for a in axes] for row in mesh]
-            path = os.path.join(
-                out_dir, "%s_proj_%s.csv" % (cfg.model, "_".join(axes))
-            )
-            _write_csv(path, axes, rows)
-            written.append(path)
-    else:
-        doc = {
-            "schema": SCHEMA,
-            "command": "example",
-            "model": cfg.model,
-            "grid": {"u": list(cfg.grid[0]), "v": list(cfg.grid[1])},
-            "columns": ["u", "v", "x0", "x1", "x2", "x3", "x4"],
-            "mesh": mesh,
-            "projections": {
-                "_".join(axes): {
-                    "columns": list(axes),
-                    "points": [[row[col_index[a]] for a in axes] for row in mesh],
-                }
-                for axes in projections
-            },
-        }
-        path = os.path.join(out_dir, "%s_example.json" % cfg.model)
-        _write_text(path, dumps_json(doc))
-        written.append(path)
-    for path in written:
-        print("wrote %s" % path)
+            _emit(ns, "%s_proj_%s" % (ns.model, "_".join(axes)), None, axes, project(axes))
+        return 0
+    doc = {
+        "schema": SCHEMA,
+        "command": "example",
+        "model": ns.model,
+        "grid": {"u": list(grid[0]), "v": list(grid[1])},
+        "columns": list(_MESH_COLUMNS),
+        "mesh": mesh,
+        "projections": {
+            "_".join(axes): {"columns": list(axes), "points": project(axes)}
+            for axes in projections
+        },
+    }
+    _emit(ns, "%s_example" % ns.model, doc, None, None)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+#
+# Each check takes the seed and returns (residual, detail, extra_ok); it
+# passes when residual < tolerance and extra_ok holds.
 
 
-def _check_brackets(tol, seed):
+def _model_points(seed):
+    """(name, u, v, analyze_point result) at 8 random points of each model."""
+    rng = np.random.default_rng(seed)
+    for name in MODEL_NAMES:
+        spec = resolve_surface(name)
+        for _ in range(8):
+            u, v = rng.uniform(-1.0, 1.0, 2)
+            yield name, u, v, analyze_point(spec, u, v, degree=5)
+
+
+def _check_brackets(seed):
     worst = 0.0
     for name in MODEL_NAMES:
         worst = max(worst, max(bracket_check(builtin_model(name)).values()))
-    return {
-        "name": "brackets",
-        "passed": bool(worst < tol),
-        "residual": worst,
-        "tolerance": tol,
-        "detail": "bracket identities of the built-in models",
-    }
+    return worst, "bracket identities of the built-in models", True
 
 
-def _check_structure(tol, seed):
+def _check_structure(seed):
     worst = 0.0
     for name in MODEL_NAMES:
         model = builtin_model(name)
         worst = max(worst, float(np.max(np.abs(structure_residual(model.constants)))))
-    return {
-        "name": "structure",
-        "passed": bool(worst < tol),
-        "residual": worst,
-        "tolerance": tol,
-        "detail": "reduced structure equations at the built-in constants",
-    }
+    return worst, "reduced structure equations at the built-in constants", True
 
 
-def _check_quadrics(tol, seed):
+def _check_quadrics(seed):
     rng = np.random.default_rng(seed + 101)
     on_worst = 0.0
     off_min = math.inf
@@ -562,126 +483,83 @@ def _check_quadrics(tol, seed):
             on_worst = max(on_worst, float(np.max(np.abs(quadric_residual(name, pt)))))
             off = float(np.max(np.abs(quadric_residual(name, 1.05 * pt))))
             off_min = min(off_min, off)
-    return {
-        "name": "quadrics",
-        "passed": bool(on_worst < tol and off_min > 1e-2),
-        "residual": on_worst,
-        "tolerance": tol,
-        "detail": "on-surface quadric residual; scaled probe min violation %s"
-        % format_float(off_min),
-    }
+    detail = "on-surface quadric residual; scaled probe min violation %s" % format_float(off_min)
+    return on_worst, detail, off_min > 1e-2
 
 
-def _sample_points(rng, count):
-    return [tuple(rng.uniform(-1.0, 1.0, 2)) for _ in range(count)]
-
-
-def _check_metrics(tol, seed):
-    rng = np.random.default_rng(seed + 202)
+def _check_metrics(seed):
     worst = 0.0
-    for name in MODEL_NAMES:
-        spec = resolve_surface(name)
-        for (u, v) in _sample_points(rng, 8):
-            res = analyze_point(spec, u, v, degree=5)
-            got = np.array([x.const for x in res.metric.first])
-            want = np.array(model_metric(name, u, v))
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return {
-        "name": "metrics",
-        "passed": bool(worst < tol),
-        "residual": worst,
-        "tolerance": tol,
-        "detail": "pipeline metric vs closed-form model metric",
-    }
+    for name, u, v, res in _model_points(seed + 202):
+        got = np.array([x.const for x in res.metric.first])
+        want = np.array(model_metric(name, u, v))
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst, "pipeline metric vs closed-form model metric", True
 
 
-def _check_relations(tol, seed):
-    rng = np.random.default_rng(seed + 303)
+def _check_relations(seed):
     worst = 0.0
-    for name in MODEL_NAMES:
-        spec = resolve_surface(name)
-        for (u, v) in _sample_points(rng, 8):
-            res = analyze_point(spec, u, v, degree=5)
-            worst = max(worst, res.residual_max)
-    return {
-        "name": "relations",
-        "passed": bool(worst < tol),
-        "residual": worst,
-        "tolerance": tol,
-        "detail": "linear invariant relations and forced-zero entries",
-    }
+    for _, _, _, res in _model_points(seed + 303):
+        worst = max(worst, res.residual_max)
+    return worst, "linear invariant relations and forced-zero entries", True
 
 
-def _check_gauss(tol, seed):
-    rng = np.random.default_rng(seed + 404)
+def _check_gauss(seed):
     worst = 0.0
-    for name in MODEL_NAMES:
-        spec = resolve_surface(name)
+    for name, _, _, res in _model_points(seed + 404):
         expected = builtin_model(name).gauss
-        for (u, v) in _sample_points(rng, 8):
-            res = analyze_point(spec, u, v, degree=5)
-            worst = max(
-                worst,
-                abs(res.gauss_invariants - expected),
-                abs(res.gauss_connection - expected),
-            )
-    return {
-        "name": "gauss",
-        "passed": bool(worst < tol),
-        "residual": worst,
-        "tolerance": tol,
-        "detail": "curvature by both routes vs the model values",
-    }
+        worst = max(
+            worst,
+            abs(res.gauss_invariants - expected),
+            abs(res.gauss_connection - expected),
+        )
+    return worst, "curvature by both routes vs the model values", True
 
 
-_CHECK_FUNCS = {
-    "brackets": _check_brackets,
-    "structure": _check_structure,
-    "quadrics": _check_quadrics,
-    "metrics": _check_metrics,
-    "relations": _check_relations,
-    "gauss": _check_gauss,
+# name -> (check, default tolerance), in report order
+_CHECKS = {
+    "brackets": (_check_brackets, 1e-13),
+    "structure": (_check_structure, 1e-12),
+    "quadrics": (_check_quadrics, 1e-8),
+    "metrics": (_check_metrics, 1e-6),
+    "relations": (_check_relations, 1e-7),
+    "gauss": (_check_gauss, 1e-5),
 }
 
 
-def cmd_verify(cfg):
-    names = (cfg.check,) if cfg.check else _CHECK_NAMES
+def cmd_verify(ns):
     checks = []
-    for name in names:
-        tol = cfg.tol if cfg.tol is not None else _DEFAULT_CHECK_TOLS[name]
-        checks.append(_CHECK_FUNCS[name](tol, cfg.seed))
-    overall = all(c["passed"] for c in checks)
-    for c in checks:
+    for name in (ns.check,) if ns.check else _CHECKS:
+        check, default_tol = _CHECKS[name]
+        tol = default_tol if ns.tol is None else ns.tol
+        residual, detail, extra_ok = check(ns.seed)
+        c = {
+            "name": name,
+            "passed": bool(residual < tol and extra_ok),
+            "residual": residual,
+            "tolerance": tol,
+            "detail": detail,
+        }
+        checks.append(c)
         print(
             "%s %s: residual=%s tol=%s (%s)"
             % (
                 "PASS" if c["passed"] else "FAIL",
-                c["name"],
-                format_float(c["residual"]),
-                format_float(c["tolerance"]),
-                c["detail"],
+                name,
+                format_float(residual),
+                format_float(tol),
+                detail,
             )
         )
+    overall = all(c["passed"] for c in checks)
     doc = {
         "schema": SCHEMA,
         "command": "verify",
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "checks": checks,
         "passed": overall,
     }
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        if cfg.fmt == "json":
-            path = os.path.join(cfg.out, "verify.json")
-            _write_text(path, dumps_json(doc))
-        else:
-            path = os.path.join(cfg.out, "verify.csv")
-            _write_csv(
-                path,
-                VERIFY_COLUMNS,
-                [[c[k] for k in VERIFY_COLUMNS] for c in checks],
-            )
-        print("wrote %s" % path)
+    if ns.out:
+        _emit(ns, "verify", doc, VERIFY_COLUMNS, ([c[k] for k in VERIFY_COLUMNS] for c in checks))
     return 0 if overall else 1
 
 
@@ -689,11 +567,15 @@ def cmd_verify(cfg):
 # search
 # ---------------------------------------------------------------------------
 
+_SEARCH_COLUMNS = (
+    "surface_type", "epsilon", "hits", "residual", "gauss",
+    "matches_model", "match_distance",
+)
 
-def cmd_search(cfg):
-    tol = 1e-10 if cfg.tol is None else cfg.tol
+
+def cmd_search(ns):
     clusters = search_constant_solutions(
-        cfg.case, restarts=cfg.restarts, seed=cfg.seed, tol=tol
+        ns.case, restarts=ns.restarts, seed=ns.seed, tol=ns.tol
     )
     reference = {
         name: builtin_model(name) for name in MODEL_NAMES
@@ -727,7 +609,7 @@ def cmd_search(cfg):
     converged = sum(c.hits for c in clusters)
     print(
         "case=%s restarts=%d seed=%d converged=%d clusters=%d"
-        % (cfg.case, cfg.restarts, cfg.seed, converged, len(records))
+        % (ns.case, ns.restarts, ns.seed, converged, len(records))
     )
     for i, r in enumerate(records, 1):
         match = (
@@ -751,37 +633,20 @@ def cmd_search(cfg):
     doc = {
         "schema": SCHEMA,
         "command": "search",
-        "case": cfg.case,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "tolerance": tol,
+        "case": ns.case,
+        "restarts": ns.restarts,
+        "seed": ns.seed,
+        "tolerance": ns.tol,
         "converged": converged,
         "clusters": records,
     }
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        if cfg.fmt == "json":
-            path = os.path.join(cfg.out, "search.json")
-            _write_text(path, dumps_json(doc))
-        else:
-            names = invariant_names(
-                "TimeLike" if cfg.case == "timelike" else "SpaceLike"
-            )
-            header = (
-                "surface_type", "epsilon", "hits", "residual", "gauss",
-                "matches_model", "match_distance",
-            ) + names
-            rows = [
-                [
-                    r["surface_type"], r["epsilon"], r["hits"], r["residual"],
-                    r["gauss"], r["matches_model"], r["match_distance"],
-                ]
-                + [r["values"][n] for n in names]
-                for r in records
-            ]
-            path = os.path.join(cfg.out, "search.csv")
-            _write_csv(path, header, rows)
-        print("wrote %s" % path)
+    if ns.out:
+        names = invariant_names("TimeLike" if ns.case == "timelike" else "SpaceLike")
+        rows = (
+            [r[k] for k in _SEARCH_COLUMNS] + [r["values"][n] for n in names]
+            for r in records
+        )
+        _emit(ns, "search", doc, _SEARCH_COLUMNS + names, rows)
     return 0
 
 
@@ -790,17 +655,9 @@ def cmd_search(cfg):
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    ns = parser.parse_args(_protect_grid_tokens(argv))
+    ns = build_parser().parse_args(_protect_grid_tokens(argv))
     try:
-        cfg = _config_from(ns)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "example":
-            return cmd_example(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_search(cfg)
+        return ns.run(ns)
     except CentroframeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -436,20 +436,20 @@ def _search_plan(case):
     )
 
 
-def search_constant_solutions(
-    case="spacelike",
-    restarts=200,
-    seed=0,
-    tol=1e-10,
-    cluster_tol=1e-6,
-    box=3.0,
-):
+# Half-width of the uniform start box of the constant-solution search.
+SEARCH_BOX = 3.0
+# Max-norm distance below which two converged solutions share a cluster.
+CLUSTER_TOL = 1e-6
+
+
+def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10):
     """Find all constant-invariant solutions from random starts.
 
     Runs Levenberg-Marquardt least squares on the reduced residual system,
     with its exact Jacobian, from `restarts` uniform random starts in
-    [-box, box]^14 (alternating epsilon for the umbrella case "spacelike")
-    and greedily clusters the converged solutions by max-norm distance.
+    [-SEARCH_BOX, SEARCH_BOX]^14 (alternating epsilon for the umbrella case
+    "spacelike") and greedily clusters converged solutions closer than
+    `CLUSTER_TOL` in max norm.
 
     Parameters
     ----------
@@ -461,10 +461,6 @@ def search_constant_solutions(
         Seed for the start-point generator; results are deterministic.
     tol : float
         Max-norm residual below which a run counts as converged.
-    cluster_tol : float
-        Max-norm distance for two solutions to be the same cluster.
-    box : float
-        Half-width of the uniform start box.
 
     Returns
     -------
@@ -483,7 +479,7 @@ def search_constant_solutions(
         def jac(x, _st=surface_type, _eps=epsilon):
             return structure_jacobian(ConstantInvariantVector(_st, _eps, tuple(x)))
 
-        x0 = rng.uniform(-box, box, size=14)
+        x0 = rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=14)
         sol = least_squares(
             fun, x0, jac=jac, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-13,
             max_nfev=4000,
@@ -496,7 +492,7 @@ def search_constant_solutions(
             if (
                 c.surface_type == surface_type
                 and c.epsilon == epsilon
-                and np.max(np.abs(c.values - sol.x)) < cluster_tol
+                and np.max(np.abs(c.values - sol.x)) < CLUSTER_TOL
             ):
                 c.hits += 1
                 if resid < c.residual:

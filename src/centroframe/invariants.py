@@ -37,6 +37,7 @@ from .taylor import TaylorScalar, n_terms
 __all__ = [
     "InvariantSet",
     "MetricData",
+    "H_NAMES",
     "extract_invariants",
     "relation_residuals",
     "gauss_formula",
@@ -94,6 +95,21 @@ def _combination(P, degrees, terms, offset=(0.0, 0.0)):
     c = sum(coef * P[:, i, j, :n] for coef, i, j in terms)
     c[:, 0] -= offset
     return TaylorScalar(c[0]), TaylorScalar(c[1])
+
+
+# Names of the invariants `extract_invariants` returns, sorted, per type.
+H_NAMES = {
+    "SpaceLike": (
+        "h111", "h112", "h121", "h122", "h131", "h132", "h141", "h142",
+        "h221", "h222", "h231", "h232", "h241", "h242",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    ),
+    "TimeLike": (
+        "h111", "h121", "h122", "h131", "h132", "h141", "h142",
+        "h211", "h212", "h222", "h231", "h241",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    ),
+}
 
 
 def extract_invariants(mc, surface_type, epsilon=0):
@@ -357,7 +373,7 @@ def effective_degree(degree, want_connection=True):
     return max(degree, 5 if want_connection else 4)
 
 
-def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=True):
+def analyze_point(spec, u0, v0, degree=4, want_connection=True):
     """Run the full adaptation chain on a surface at one parameter point.
 
     Parameters
@@ -369,8 +385,6 @@ def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=Tru
     degree : int
         Requested jet degree for the surface evaluation; the degree used is
         `effective_degree(degree, want_connection)`.
-    classify_tol : float
-        Relative tolerance for the null-type decision.
     want_connection : bool
         Compute the d(alpha) curvature route (needs degree >= 5).
 
@@ -387,7 +401,7 @@ def analyze_point(spec, u0, v0, degree=4, classify_tol=1e-8, want_connection=Tru
     fr1 = frame1(jets)
     mc1 = maurer_cartan(fr1)
     fund1 = fundamental_matrices(mc1)
-    stype = classify_plane(fund1, tol=classify_tol)
+    stype = classify_plane(fund1)
     if stype.tag == "Null":
         raise NullTypeUnsupported(
             "normal plane is null at (u, v) = (%g, %g)" % (u0, v0)

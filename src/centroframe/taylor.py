@@ -28,7 +28,6 @@ __all__ = [
     "TaylorScalar",
     "coordinate_jets",
     "derivative",
-    "constant_jet",
     "sin",
     "cos",
     "sinh",
@@ -275,11 +274,6 @@ class TaylorScalar:
 
     def __repr__(self):
         return "TaylorScalar(degree=%d, const=%.6g)" % (self.degree, self.const)
-
-
-def constant_jet(value, degree):
-    """Jet of the constant function `value` at the given degree."""
-    return TaylorScalar.constant(value, degree)
 
 
 def coordinate_jets(u0, v0, degree):

@@ -50,7 +50,7 @@ def test_analyze_json_deterministic(tmp_path):
     for out in (out1, out2):
         rc = _run(
             ["analyze", "--surface", "sphere", "--grid", "-0.4:0.4:3",
-             "--seed", "5", "--out", str(out)]
+             "--out", str(out)]
         )
         assert rc == 0
     b1 = (out1 / "analyze.json").read_bytes()
@@ -112,6 +112,61 @@ def test_analyze_error_records_inline(tmp_path, capsys):
     assert "message" in origin[0]
     for r in good:
         assert r["surface_type"] in ("SpaceLike", "TimeLike")
+
+
+def test_analyze_csv_rows_flatten_json_records(tmp_path):
+    # ok and error records alike: each CSV row is its JSON record flattened
+    out = tmp_path / "f"
+    base = ["analyze", "--surface", NULL_FIXTURE, "--grid", "-0.5:0.5:3", "--out", str(out)]
+    assert _run(base) == 0
+    assert _run(base + ["--format", "csv"]) == 0
+    records = json.loads((out / "analyze.json").read_text())["records"]
+    with open(out / "analyze.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["ok"] for r in records} == {True, False}
+    assert len(rows) == len(records)
+
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return str(x).lower()
+        if isinstance(x, float):
+            return "%.17g" % x
+        return str(x)
+
+    for rec, row in zip(records, rows):
+        flat = {k: x for k, x in rec.items() if not isinstance(x, dict)}
+        metric = dict(rec.get("metric", {}))
+        if metric:
+            flat["signature"] = metric.pop("signature")
+        flat.update({"metric_" + k: x for k, x in metric.items()})
+        flat.update({"alpha_" + k: x for k, x in rec.get("alpha", {}).items()})
+        flat.update(rec.get("h", {}))
+        assert set(flat) <= set(row)
+        assert row == {c: cell(flat.get(c)) for c in row}
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "timelike", "--degree", "5"],
+    ["search", "--case", "timelike"],
+    ["search", "timelike", "--jobs", "2"],
+    ["verify", "--grid", "-1:1:3"],
+    ["verify", "--surface", "h2"],
+    ["example", "h2", "--jobs", "2"],
+    ["example", "h2", "--seed", "1"],
+    ["example", "--model", "h2"],
+    ["example", "--surface", "h2"],
+    ["analyze", "--surface", "h2", "--model", "h2"],
+    ["analyze", "--surface", "h2", "--seed", "5"],
+    ["analyze", "--surface", "h2", "--restarts", "5"],
+])
+def test_unread_or_alias_option_is_rejected(argv, capsys):
+    # each subcommand accepts only the options it reads, with one spelling
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_analyze_overflow_recorded_inline(tmp_path):

@@ -23,6 +23,7 @@ from centroframe.adaptation import (
 )
 from centroframe.errors import NullTypeUnsupported
 from centroframe.invariants import (
+    H_NAMES,
     analyze_point,
     effective_degree,
     extract_invariants,
@@ -83,6 +84,13 @@ def test_s21_invariants_and_curvature():
         assert res.gauss_invariants == pytest.approx(-1 / 3, abs=1e-9)
         assert res.gauss_connection == pytest.approx(-1 / 3, abs=1e-9)
         assert res.residual_max < 1e-11
+
+
+@pytest.mark.parametrize("name, surface_type", [("h2", "SpaceLike"), ("s21", "TimeLike")])
+def test_invariant_names_table_matches_extraction(name, surface_type):
+    res = _analyze(name, 0.3, -0.2)
+    assert res.surface_type == surface_type
+    assert sorted(res.invariants.h) == list(H_NAMES[surface_type])
 
 
 def test_metric_closed_forms():
