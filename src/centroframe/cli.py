@@ -269,7 +269,14 @@ def build_parser():
     _add_output(sp, "json", "output directory (default: print to stdout)")
     sp.set_defaults(run=cmd_analyze)
 
-    sp = sub.add_parser("example", help="emit a built-in model mesh and figure projections")
+    # --grid takes one or more values, so MODEL cannot follow it; the usage
+    # line argparse would build lists MODEL last
+    indent = " " * len("usage: centroframe example ")
+    sp = sub.add_parser(
+        "example",
+        help="emit a built-in model mesh and figure projections",
+        usage="%(prog)s [-h] MODEL [--grid LO:HI:N [LO:HI:N ...]]\n" + indent + "[--format {json,csv}] [--out DIR]",
+    )
     sp.add_argument("model", metavar="MODEL", help="built-in model name (%s)" % ", ".join(MODEL_NAMES))
     _add_grid(sp)
     _add_output(sp, "csv", "output directory (default: the working directory)", ".")

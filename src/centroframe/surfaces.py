@@ -12,14 +12,21 @@ minus above ``* /`` above ``+ -``; binary operators associate left)::
 
 Identifiers are the coordinates ``u`` and ``v``, the unary functions
 ``sin cos sinh cosh exp sqrt neg``, or named numeric parameters supplied at
-parse time.  Expressions evaluate over :class:`~centroframe.taylor.TaylorScalar`
-jets, so every surface is automatically differentiable to the chosen degree.
+parse time.
+
+A surface is compiled once: the parser hash-conses equal subtrees into one
+node, so the five components form a DAG, and each :class:`SurfaceSpec`
+turns that DAG into a straight-line program of shared subexpressions.
+:func:`eval_surface` runs the program on the coefficient vectors of Taylor
+jets (:mod:`centroframe.taylor`), computing each subexpression once, so
+every surface is automatically differentiable to the chosen degree.
 """
 
 import math
 import operator
 import os
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,21 +48,22 @@ __all__ = [
     "BUILTIN_SURFACES",
 ]
 
-# (plain-float implementation, jet implementation) for each unary function.
+# Plain-float implementation of each unary function; on jets the same name
+# goes to taylor.apply, except neg, which is negation.
 _FUNCTIONS = {
-    "sin": (math.sin, taylor.sin),
-    "cos": (math.cos, taylor.cos),
-    "sinh": (math.sinh, taylor.sinh),
-    "cosh": (math.cosh, taylor.cosh),
-    "exp": (math.exp, taylor.exp),
-    "sqrt": (math.sqrt, taylor.sqrt),
-    "neg": (operator.neg, operator.neg),
+    "sin": math.sin,
+    "cos": math.cos,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+    "exp": math.exp,
+    "sqrt": math.sqrt,
+    "neg": operator.neg,
 }
 
 
 @dataclass(frozen=True)
 class ExprNode:
-    """Node of a parsed expression tree.
+    """Node of a parsed expression; a parse makes equal subtrees one node.
 
     kind is one of "num", "var", "param", "call", "binary", "neg", "pow";
     ``name`` carries the identifier or operator symbol, ``value`` the numeric
@@ -70,58 +78,78 @@ class ExprNode:
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """Five parsed coordinate expressions plus parameter bindings."""
+    """Five parsed coordinate expressions plus parameter bindings.
+
+    ``program`` is the straight-line form of the components that
+    :func:`eval_surface` runs, compiled once here.
+    """
 
     components: tuple
     name: str = ""
     params: dict = field(default_factory=dict)
     source: str = ""
+    program: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", _compile(self.components, list(self.params)))
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One alternation, tried in order at each position: a number, a name, an
+# operator symbol, a newline, other whitespace, and anything else (an error).
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<sym>[-+*/^();,])"
+    r"|(?P<newline>\n)"
+    r"|[ \t\r]+"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text):
     tokens = []
-    pos, n = 0, len(text)
-    while pos < n:
-        if text[pos] in " \t\r\n":
-            pos += 1
-            continue
-        line = text.count("\n", 0, pos) + 1
-        col = pos - text.rfind("\n", 0, pos)
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(("num", m.group(), line, col))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(("ident", m.group(), line, col))
-            pos = m.end()
-            continue
-        ch = text[pos]
-        if ch in "-+*/^();,":
-            tokens.append(("sym", ch, line, col))
-            pos += 1
-            continue
-        raise SurfaceSyntaxError("unexpected character %r" % ch, line, col)
-    tokens.append(("eof", "", text.count("\n") + 1, n - text.rfind("\n", 0, n)))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise SurfaceSyntaxError(
+                "unexpected character %r" % m.group(), line, m.start() - line_start + 1
+            )
+        elif kind is not None:
+            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser for the surface grammar."""
+    """Recursive-descent parser for the surface grammar.
+
+    Nodes are hash-consed: equal subtrees of one surface are one ExprNode
+    object, so the five components form a DAG.
+    """
 
     def __init__(self, text, param_names):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.param_names = param_names
+        self.nodes = {}
+
+    def node(self, kind, name="", value=0.0, children=()):
+        # children are already unique, so their ids identify them; a number
+        # is keyed on its bit pattern because 0.0 == -0.0 but 1/0.0 != 1/-0.0
+        key = (kind, name, struct.pack("<d", value) if kind == "num" else value)
+        key += tuple(id(c) for c in children)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = ExprNode(kind, name, value, children)
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -162,7 +190,7 @@ class _Parser:
         while self.at_sym("+", "-"):
             op = self.next()[1]
             rhs = self.parse_term()
-            node = ExprNode("binary", name=op, children=(node, rhs))
+            node = self.node("binary", op, children=(node, rhs))
         return node
 
     def parse_term(self):
@@ -170,17 +198,17 @@ class _Parser:
         while self.at_sym("*", "/"):
             op = self.next()[1]
             rhs = self.parse_factor()
-            node = ExprNode("binary", name=op, children=(node, rhs))
+            node = self.node("binary", op, children=(node, rhs))
         return node
 
     def parse_factor(self):
         if self.at_sym("-"):
             self.next()
-            return ExprNode("neg", children=(self.parse_factor(),))
+            return self.node("neg", children=(self.parse_factor(),))
         node = self.parse_base()
         if self.at_sym("^"):
             self.next()
-            node = ExprNode("pow", value=self.parse_integer(), children=(node,))
+            node = self.node("pow", value=self.parse_integer(), children=(node,))
         return node
 
     def parse_integer(self):
@@ -196,7 +224,7 @@ class _Parser:
     def parse_base(self):
         kind, value, line, col = self.next()
         if kind == "num":
-            return ExprNode("num", value=float(value))
+            return self.node("num", value=float(value))
         if kind == "ident":
             if self.at_sym("("):
                 self.next()
@@ -211,11 +239,11 @@ class _Parser:
                     raise ArityError(
                         "%s takes 1 argument, got %d" % (value, len(args))
                     )
-                return ExprNode("call", name=value, children=tuple(args))
+                return self.node("call", value, children=tuple(args))
             if value in ("u", "v"):
-                return ExprNode("var", name=value)
+                return self.node("var", value)
             if value in self.param_names:
-                return ExprNode("param", name=value)
+                return self.node("param", value)
             raise UnknownIdentifier("unknown identifier %r" % value)
         if kind == "sym" and value == "(":
             node = self.parse_expr()
@@ -256,32 +284,138 @@ def parse_surface(text, name="", params=None):
     return SurfaceSpec(components=comps, name=name, params=params, source=text)
 
 
-def _eval_node(node, env):
-    if node.kind == "num":
-        return node.value
-    if node.kind == "var":
-        return env[node.name]
-    if node.kind == "param":
-        return env[node.name]
-    if node.kind == "neg":
-        return -_eval_node(node.children[0], env)
-    if node.kind == "pow":
-        return _eval_node(node.children[0], env) ** int(node.value)
-    if node.kind == "binary":
-        a = _eval_node(node.children[0], env)
-        b = _eval_node(node.children[1], env)
-        return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[
-            node.name
-        ](a, b)
-    if node.kind == "call":
-        arg = _eval_node(node.children[0], env)
-        plain, jet = _FUNCTIONS[node.name]
-        return jet(arg) if isinstance(arg, TaylorScalar) else plain(arg)
-    raise ValueError("bad node kind %r" % node.kind)
+# ---------------------------------------------------------------------------
+# Compilation to a straight-line program, and evaluation
+#
+# A program is one (instructions, output slot) pair per component.  The
+# instructions of component i are the nodes it reaches first, in depth-first
+# post-order; each is (op, a, b) and appends op(values, a, b, degree) to the
+# value list, which starts as [u, v, *params].  A value is a Python float
+# where the subexpression has no u, v or parameter, and a coefficient vector
+# otherwise, so each op does what the jet or float operator would.
+# ---------------------------------------------------------------------------
+
+
+def _literal(vals, a, b, degree):
+    return a
+
+
+def _constant_jet(vals, a, b, degree):
+    return TaylorScalar.constant(float(vals[a]), degree).coeffs
+
+
+def _neg(vals, a, b, degree):
+    return -vals[a]
+
+
+def _pow(vals, a, b, degree):
+    return vals[a] ** b
+
+
+def _jet_pow(vals, a, b, degree):
+    return taylor.power(vals[a], b, degree)
+
+
+def _call(vals, a, b, degree):
+    return _FUNCTIONS[b](vals[a])
+
+
+def _jet_call(vals, a, b, degree):
+    return taylor.apply(b, vals[a], degree)
+
+
+def _add(vals, a, b, degree):
+    return vals[a] + vals[b]
+
+
+def _sub(vals, a, b, degree):
+    return vals[a] - vals[b]
+
+
+def _mul(vals, a, b, degree):  # numbers, or a jet (a) by a number (b)
+    return vals[a] * vals[b]
+
+
+def _div(vals, a, b, degree):  # numbers, or a jet (a) by a number (b)
+    return vals[a] / vals[b]
+
+
+def _jet_mul(vals, a, b, degree):
+    return taylor.product(vals[a], vals[b], degree)
+
+
+def _compile(components, param_names):
+    """Straight-line program of a surface DAG; each node is computed once.
+
+    Constant subexpressions are not folded: they run at evaluation time, so
+    a bad one fails there as it would in a tree walk.
+    """
+    inputs = ["u", "v", *param_names]
+    index = {name: k for k, name in enumerate(inputs)}  # a later name wins
+    jet = [True] * len(inputs)  # per value: coefficient vector or number
+    slots = {}  # id(node) -> value index
+    promoted = {}  # index of a number -> index of its constant jet
+    code = []
+
+    def emit(op, a, b, is_jet):
+        code.append((op, a, b))
+        jet.append(is_jet)
+        return len(jet) - 1
+
+    def as_jet(k):
+        if not jet[k] and k not in promoted:
+            promoted[k] = emit(_constant_jet, k, None, True)
+        return promoted.get(k, k)
+
+    def visit(node):
+        k = slots.get(id(node))
+        if k is None:
+            k = slots[id(node)] = visit_new(node)
+        return k
+
+    def visit_new(node):
+        if node.kind == "num":
+            return emit(_literal, node.value, None, False)
+        if node.kind in ("var", "param"):
+            return index[node.name]
+        args = [visit(c) for c in node.children]
+        a = args[0]
+        if node.kind == "neg" or (node.kind == "call" and node.name == "neg"):
+            return emit(_neg, a, None, jet[a])
+        if node.kind == "pow":
+            return emit(_jet_pow if jet[a] else _pow, a, int(node.value), jet[a])
+        if node.kind == "call":
+            return emit(_jet_call if jet[a] else _call, a, node.name, jet[a])
+        if node.kind != "binary":
+            raise ValueError("bad node kind %r" % node.kind)
+        b = args[1]
+        if not (jet[a] or jet[b]):
+            op = {"+": _add, "-": _sub, "*": _mul, "/": _div}[node.name]
+            return emit(op, a, b, False)
+        if node.name in "+-":  # a number operand becomes a constant jet
+            return emit(_add if node.name == "+" else _sub, as_jet(a), as_jet(b), True)
+        if node.name == "/":
+            if not jet[b]:
+                return emit(_div, a, b, True)
+            b = emit(_jet_call, b, "reciprocal", True)  # jets divide as a * (1/b)
+        if jet[a] and jet[b]:
+            return emit(_jet_mul, a, b, True)
+        return emit(_mul, a, b, True) if jet[a] else emit(_mul, b, a, True)
+
+    program = []
+    for node in components:
+        out = as_jet(visit(node))
+        program.append((tuple(code), out))
+        code.clear()
+    return tuple(program)
 
 
 def eval_surface(spec, u0, v0, degree):
     """Evaluate a surface spec to five jets about the base point (u0, v0).
+
+    Runs the spec's compiled program: each shared subexpression is computed
+    once, on coefficient vectors, and component i is checked as soon as its
+    instructions have run.
 
     Returns
     -------
@@ -295,20 +429,18 @@ def eval_surface(spec, u0, v0, degree):
         in floating point, which numpy is not left to warn about).
     """
     u, v = coordinate_jets(u0, v0, degree)
-    env = {"u": u, "v": v}
-    for k, val in spec.params.items():
-        env[k] = TaylorScalar.constant(float(val), degree)
+    vals = [u.coeffs, v.coeffs]
+    vals += [TaylorScalar.constant(float(x), degree).coeffs for x in spec.params.values()]
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, node in enumerate(spec.components):
-            value = _eval_node(node, env)
-            if not isinstance(value, TaylorScalar):
-                value = TaylorScalar.constant(float(value), degree)
-            if not np.isfinite(value.coeffs).all():
+        for i, (code, k) in enumerate(spec.program):
+            for op, a, b in code:
+                vals.append(op(vals, a, b, degree))
+            if not np.isfinite(vals[k]).all():
                 raise ArithmeticFailure(
                     "surface component x%d is not finite at (u, v) = (%g, %g)" % (i, u0, v0)
                 )
-            out.append(value)
+            out.append(TaylorScalar(vals[k]))
     return out
 
 

@@ -28,6 +28,9 @@ __all__ = [
     "TaylorScalar",
     "coordinate_jets",
     "derivative",
+    "product",
+    "power",
+    "apply",
     "sin",
     "cos",
     "sinh",
@@ -214,10 +217,7 @@ class TaylorScalar:
         if not isinstance(other, TaylorScalar):
             return NotImplemented
         d = min(self.degree, other.degree)
-        a = self.truncate(d).coeffs
-        b = other.truncate(d).coeffs
-        ia, ib, iout = _mul_table(d)
-        return TaylorScalar(np.bincount(iout, weights=a[ia] * b[ib], minlength=n_terms(d)))
+        return TaylorScalar(product(self.truncate(d).coeffs, other.truncate(d).coeffs, d))
 
     __rmul__ = __mul__
 
@@ -236,17 +236,7 @@ class TaylorScalar:
     def __pow__(self, n):
         if not isinstance(n, numbers.Integral):
             return NotImplemented
-        n = int(n)
-        if n < 0:
-            return reciprocal(self ** (-n))
-        out = TaylorScalar.constant(1.0, self.degree)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return TaylorScalar(power(self.coeffs, int(n), self.degree))
 
     # -- calculus ------------------------------------------------------------
 
@@ -303,52 +293,60 @@ def coordinate_jets(u0, v0, degree):
 
 
 # ---------------------------------------------------------------------------
-# Elementary functions via Taylor recentering + Horner composition
+# Coefficient-array kernels
+#
+# Each takes and returns dense coefficient vectors of one degree; the jet
+# operators and functions above and below are thin wrappers, and compiled
+# surfaces call the kernels directly.  None of them writes to its inputs.
 # ---------------------------------------------------------------------------
 
 
-def _compose(series, x):
-    """Evaluate sum_k series[k] * (x - x.const)^k by Horner's rule."""
-    p = TaylorScalar(x.coeffs.copy())
-    p.coeffs[0] = 0.0
-    out = TaylorScalar.constant(series[-1], x.degree)
-    for c in reversed(series[:-1]):
-        out = out * p + c
+def product(a, b, degree):
+    """Truncated product of two coefficient vectors of degree `degree`."""
+    ia, ib, iout = _mul_table(degree)
+    return np.bincount(iout, weights=a[ia] * b[ib], minlength=n_terms(degree))
+
+
+def power(a, n, degree):
+    """Integer power of a coefficient vector by binary exponentiation.
+
+    Raises
+    ------
+    ZeroConstantTerm
+        For n < 0 when the constant term of a**-n is (near) zero.
+    """
+    if n < 0:
+        return apply("reciprocal", power(a, -n, degree), degree)
+    out = np.zeros(n_terms(degree))
+    out[0] = 1.0
+    base = a
+    while n:
+        if n & 1:
+            out = product(out, base, degree)
+        base = product(base, base, degree) if n > 1 else base
+        n >>= 1
     return out
 
 
-def _cyclic_series(x, f0, f1, signs):
+def _compose(series, c, degree):
+    """Evaluate sum_k series[k] * (x - x(0))^k by Horner's rule, where x has
+    the coefficient vector `c` of degree `degree`."""
+    p = c.copy()
+    p[0] = 0.0
+    out = np.zeros(n_terms(degree))
+    out[0] = series[-1]
+    for s in reversed(series[:-1]):
+        # a product's coefficients are sums from +0.0, never -0.0, so adding
+        # s to the constant term alone equals adding the constant jet s
+        out = product(out, p, degree)
+        out[0] += s
+    return out
+
+
+def _cyclic_series(a0, degree, f0, f1, signs):
     """Series for functions whose derivative cycle is (f0, f1, s0*f0, s1*f1)."""
-    a0 = x.const
     vals = [f0(a0), f1(a0), signs[0] * f0(a0), signs[1] * f1(a0)]
-    return [vals[k % 4] / math.factorial(k) for k in range(x.degree + 1)]
-
-
-def sin(x):
-    """Sine of a jet."""
-    return _compose(_cyclic_series(x, math.sin, math.cos, (-1.0, -1.0)), x)
-
-
-def cos(x):
-    """Cosine of a jet."""
-    return _compose(_cyclic_series(x, math.cos, lambda t: -math.sin(t), (-1.0, -1.0)), x)
-
-
-def sinh(x):
-    """Hyperbolic sine of a jet."""
-    return _compose(_cyclic_series(x, math.sinh, math.cosh, (1.0, 1.0)), x)
-
-
-def cosh(x):
-    """Hyperbolic cosine of a jet."""
-    return _compose(_cyclic_series(x, math.cosh, math.sinh, (1.0, 1.0)), x)
-
-
-def exp(x):
-    """Exponential of a jet."""
-    e = math.exp(x.const)
-    series = [e / math.factorial(k) for k in range(x.degree + 1)]
-    return _compose(series, x)
+    return [vals[k % 4] / math.factorial(k) for k in range(degree + 1)]
 
 
 def _power_series(a0, alpha, degree):
@@ -359,18 +357,81 @@ def _power_series(a0, alpha, degree):
     return series
 
 
+def _exp_series(a0, degree):
+    e = math.exp(a0)
+    return [e / math.factorial(k) for k in range(degree + 1)]
+
+
+# name -> series builder (constant term, degree) -> Taylor coefficients
+_SERIES = {
+    "sin": lambda a0, d: _cyclic_series(a0, d, math.sin, math.cos, (-1.0, -1.0)),
+    "cos": lambda a0, d: _cyclic_series(a0, d, math.cos, lambda t: -math.sin(t), (-1.0, -1.0)),
+    "sinh": lambda a0, d: _cyclic_series(a0, d, math.sinh, math.cosh, (1.0, 1.0)),
+    "cosh": lambda a0, d: _cyclic_series(a0, d, math.cosh, math.sinh, (1.0, 1.0)),
+    "exp": _exp_series,
+    "sqrt": lambda a0, d: _power_series(a0, 0.5, d),
+    "rsqrt": lambda a0, d: _power_series(a0, -0.5, d),
+    "reciprocal": lambda a0, d: _power_series(a0, -1.0, d),
+}
+
+
+def apply(name, c, degree):
+    """The elementary function `name` (a key of the table above: sin, cos,
+    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of a coefficient vector.
+
+    Raises
+    ------
+    DomainError
+        For sqrt and rsqrt when the constant term is at most ZERO_TOL.
+    ZeroConstantTerm
+        For reciprocal when |constant term| is at most ZERO_TOL.
+    """
+    a0 = float(c[0])
+    if name in ("sqrt", "rsqrt") and a0 <= ZERO_TOL:
+        raise DomainError("%s of a jet with non-positive constant term %g" % (name, a0))
+    if name == "reciprocal" and abs(a0) <= ZERO_TOL:
+        raise ZeroConstantTerm("division by a jet with constant term %g" % a0)
+    return _compose(_SERIES[name](a0, degree), c, degree)
+
+
+# ---------------------------------------------------------------------------
+# Elementary functions of jets
+# ---------------------------------------------------------------------------
+
+
+def sin(x):
+    """Sine of a jet."""
+    return TaylorScalar(apply("sin", x.coeffs, x.degree))
+
+
+def cos(x):
+    """Cosine of a jet."""
+    return TaylorScalar(apply("cos", x.coeffs, x.degree))
+
+
+def sinh(x):
+    """Hyperbolic sine of a jet."""
+    return TaylorScalar(apply("sinh", x.coeffs, x.degree))
+
+
+def cosh(x):
+    """Hyperbolic cosine of a jet."""
+    return TaylorScalar(apply("cosh", x.coeffs, x.degree))
+
+
+def exp(x):
+    """Exponential of a jet."""
+    return TaylorScalar(apply("exp", x.coeffs, x.degree))
+
+
 def sqrt(x):
     """Square root of a jet; the constant term must be strictly positive."""
-    if x.const <= ZERO_TOL:
-        raise DomainError("sqrt of a jet with non-positive constant term %g" % x.const)
-    return _compose(_power_series(x.const, 0.5, x.degree), x)
+    return TaylorScalar(apply("sqrt", x.coeffs, x.degree))
 
 
 def rsqrt(x):
     """Reciprocal square root of a jet (constant term must be positive)."""
-    if x.const <= ZERO_TOL:
-        raise DomainError("rsqrt of a jet with non-positive constant term %g" % x.const)
-    return _compose(_power_series(x.const, -0.5, x.degree), x)
+    return TaylorScalar(apply("rsqrt", x.coeffs, x.degree))
 
 
 def reciprocal(x):
@@ -381,6 +442,4 @@ def reciprocal(x):
     ZeroConstantTerm
         If the constant term is smaller than ZERO_TOL in absolute value.
     """
-    if abs(x.const) <= ZERO_TOL:
-        raise ZeroConstantTerm("division by a jet with constant term %g" % x.const)
-    return _compose(_power_series(x.const, -1.0, x.degree), x)
+    return TaylorScalar(apply("reciprocal", x.coeffs, x.degree))

@@ -302,6 +302,19 @@ def test_example_json_document(tmp_path):
     assert set(doc["projections"]) == {"x1_x2_x0", "x1_x2_x3", "x1_x2_x4"}
 
 
+def test_example_model_precedes_grid(tmp_path, capsys):
+    """--grid takes every value after it, so MODEL goes first, as the usage
+    line shows."""
+    assert _run(["example", "h2", "--grid", "0:1:3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "h2_mesh.csv").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _run(["example", "--grid", "0:1:3", "h2"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err.splitlines()[0]
+    assert usage.index("MODEL") < usage.index("--grid")
+
+
 def test_example_unknown_model(tmp_path, capsys):
     rc = _run(["example", "nosuch", "--out", str(tmp_path)])
     assert rc == 2

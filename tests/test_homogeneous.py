@@ -30,7 +30,7 @@ from centroframe.homogeneous import (
     structure_jacobian,
     structure_residual,
 )
-from centroframe.invariants import analyze_point, metric_at
+from centroframe.invariants import H_NAMES, analyze_point
 from centroframe.surfaces import builtin_surface, eval_surface
 
 
@@ -74,6 +74,18 @@ def test_constant_vector_validation():
     assert civ.as_dict()["h241"] == 0.0
     assert civ.names == TIMELIKE_NAMES
     assert len(SPACELIKE_NAMES) == len(TIMELIKE_NAMES) == 14
+
+
+@pytest.mark.parametrize(
+    "names, surface_type",
+    [(SPACELIKE_NAMES, "SpaceLike"), (TIMELIKE_NAMES, "TimeLike")],
+)
+def test_constant_names_follow_h_names(names, surface_type):
+    """The 14 constant-invariant names are a sorted subset of the h-names."""
+    assert len(names) == 14
+    assert set(names) <= set(H_NAMES[surface_type])
+    assert names == tuple(n for n in H_NAMES[surface_type] if n in names)
+    assert names == tuple(sorted(names))
 
 
 def test_model_omega_templates():

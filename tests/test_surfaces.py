@@ -1,15 +1,20 @@
 """Tests for the surface expression language and built-in models."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from centroframe import taylor
 from centroframe.errors import (
+    ArithmeticFailure,
     ArityError,
+    DomainError,
     SurfaceSyntaxError,
     UnknownIdentifier,
     UnknownModel,
+    ZeroConstantTerm,
 )
 from centroframe.surfaces import (
     BUILTIN_SURFACES,
@@ -20,6 +25,10 @@ from centroframe.surfaces import (
     resolve_surface,
     unparse,
 )
+from centroframe.taylor import TaylorScalar, coordinate_jets
+
+MODELS = ("h2", "sphere", "s21")
+NULL_FIXTURE = "1 + u^2/2 + v^2/2; u; v; u^2/2; u*v"
 
 
 def _eval_at(text, u0, v0, degree=2, params=None):
@@ -68,6 +77,11 @@ def test_syntax_error_carries_position():
     with pytest.raises(SurfaceSyntaxError) as err:
         parse_surface("u; v;\n (u; u; v")
     assert err.value.line == 2
+    with pytest.raises(SurfaceSyntaxError, match=r"^unexpected character '\$' \(line 3, column 3\)$"):
+        parse_surface("u;\nv;\n1 $ 2;u;v")
+    with pytest.raises(SurfaceSyntaxError) as err:
+        parse_surface("u;\nv;\n1 + 2;u")
+    assert (err.value.line, err.value.column) == (3, 8)  # end of input
 
 
 def test_component_count_enforced():
@@ -168,3 +182,118 @@ def test_file_loading(tmp_path):
         empty = tmp_path / "empty.surf"
         empty.write_text("# nothing here\n")
         load_surface_file(str(empty))
+
+
+# ---------------------------------------------------------------------------
+# The compiled program against a tree walk
+# ---------------------------------------------------------------------------
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_PLAIN = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
+          "exp": math.exp, "sqrt": math.sqrt, "neg": operator.neg}
+_JET = {"sin": taylor.sin, "cos": taylor.cos, "sinh": taylor.sinh, "cosh": taylor.cosh,
+        "exp": taylor.exp, "sqrt": taylor.sqrt, "neg": operator.neg}
+
+
+def _tree_walk(node, env):
+    """Reference evaluator: recurse on every subtree, repeated or not."""
+    if node.kind == "num":
+        return node.value
+    if node.kind in ("var", "param"):
+        return env[node.name]
+    args = [_tree_walk(c, env) for c in node.children]
+    if node.kind == "neg":
+        return -args[0]
+    if node.kind == "pow":
+        return args[0] ** int(node.value)
+    if node.kind == "binary":
+        return _BINARY[node.name](*args)
+    table = _JET if isinstance(args[0], TaylorScalar) else _PLAIN
+    return table[node.name](args[0])
+
+
+def _reference_jets(spec, u0, v0, degree):
+    u, v = coordinate_jets(u0, v0, degree)
+    env = {"u": u, "v": v}
+    for name, value in spec.params.items():
+        env[name] = TaylorScalar.constant(float(value), degree)
+    out = []
+    for node in spec.components:
+        x = _tree_walk(node, env)
+        out.append(x if isinstance(x, TaylorScalar) else TaylorScalar.constant(float(x), degree))
+    return out
+
+
+def _gl5_images(count, bump=True, seed=11):
+    """(text, u, v) of images A.f built like the point_queries benchmark's:
+    f a built-in, A = s U diag(sigma) V^T with orthogonal U, V, sigma in
+    [0.25, 4] and s in [0.1, 10], every other one with c*u^2*v^2 added to x0."""
+    rng = np.random.default_rng(seed)
+    comps = {m: [c.strip() for c in BUILTIN_SURFACES[m].split(";")] for m in MODELS}
+    for k in range(count):
+        f = comps[MODELS[k % 3]]
+        U, V = (np.linalg.qr(rng.standard_normal((5, 5)))[0] for _ in range(2))
+        sigma = np.exp(rng.uniform(math.log(0.25), math.log(4.0), 5))
+        A = math.exp(rng.uniform(math.log(0.1), math.log(10.0))) * U @ np.diag(sigma) @ V.T
+        rows = [" + ".join("%r*(%s)" % (float(A[i, j]), f[j]) for j in range(5)) for i in range(5)]
+        if bump and k % 2:
+            rows[0] += " + %r*u^2*v^2" % float(rng.uniform(-0.05, 0.05))
+        u, v = rng.uniform(-1.0, 1.0, 2)
+        yield "; ".join(rows), float(u), float(v)
+
+
+_CASES = (
+    [(BUILTIN_SURFACES[m], None, 0.4, -0.3) for m in MODELS]
+    + [(text, None, u, v) for text, u, v in _gl5_images(20)]
+    + [
+        (NULL_FIXTURE, None, 0.3, 0.2),
+        ("a*u + b; a/(1 + u^2) - b; 2 - a*v; (u - b)^-2 + 1/a; -u + 3*b*sinh(a*v)",
+         {"a": 1.5, "b": -0.25}, 0.6, -0.1),
+    ]
+)
+
+
+_CASE_IDS = list(MODELS) + ["gl5-%d" % k for k in range(20)] + ["null", "params"]
+
+
+@pytest.mark.parametrize("text, params, u0, v0", _CASES, ids=_CASE_IDS)
+def test_program_matches_tree_walk_bitwise(text, params, u0, v0):
+    spec = parse_surface(text, params=params)
+    for degree in (1, 3, 5, 7):
+        got = eval_surface(spec, u0, v0, degree)
+        ref = _reference_jets(spec, u0, v0, degree)
+        assert [j.degree for j in got] == [degree] * 5
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()  # signs of zeros too
+
+
+def test_gl5_image_shares_source_components():
+    text = next(_gl5_images(1, bump=False))[0]
+    spec = parse_surface(text)
+    rows = []
+    for node in spec.components:
+        summands = []
+        while node.kind == "binary" and node.name == "+":
+            summands.append(node.children[1])
+            node = node.children[0]
+        rows.append([node] + summands[::-1])
+    sources = builtin_surface(MODELS[0]).components
+    for j in range(5):
+        shared = rows[0][j].children[1]
+        assert shared == sources[j]
+        assert all(row[j].kind == "binary" and row[j].children[1] is shared for row in rows)
+
+
+def test_errors_are_raised_in_component_order():
+    x0_overflows = "u/0; v; sqrt(u - 2); u; v"
+    with pytest.raises(ArithmeticFailure, match="x0"):
+        eval_surface(parse_surface(x0_overflows), 0.4, -0.3, 3)
+    with pytest.raises(DomainError):
+        eval_surface(parse_surface("sqrt(u - 2); v; u/0; u; v"), 0.4, -0.3, 3)
+    with pytest.raises(ZeroConstantTerm):
+        eval_surface(parse_surface("u; 1/(u - u); u/0; u; v"), 0.4, -0.3, 3)
+    # constant subexpressions are not folded: a bad one fails when evaluated
+    spec = parse_surface("u; v; 1/(2 - 2) + u; u; v")
+    with pytest.raises(ZeroDivisionError):
+        eval_surface(spec, 0.4, -0.3, 3)
