@@ -27,12 +27,17 @@ output frame is itself a jet field and further differentiation (for
 connection forms and curvature) costs one degree per level.  A frame has
 one degree per column (the rules are in `apply_gauge`, `maurer_cartan` and
 `MCField`); the position column e0 keeps one order more than the others
-from level 2 on, since no gauge changes it.  Nested lists of TaylorScalar
-entries are built on demand only.
+from level 2 on, since no gauge changes it.  The level-2 data are arrays
+too: `FundamentalData` holds (h0, h3, h4) as one (3, 3, n) array of their
+(a, b, c) entries, and the reduction works on symmetric forms as (3, n)
+arrays and on 2x2 jet matrices as (2, 2, n) arrays.  Nested lists of
+TaylorScalar entries are built on demand only.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,30 +47,25 @@ from .errors import (
     DegenerateTraceComponent,
     IndependenceFailure,
     NotImmersed,
+    NotIndefinite,
+    NotPositiveDefinite,
     NotTransversal,
 )
 from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solve)
-    SymMat2T,
-    _const,
+    _PIVOT_TOL,
     _working_degree,
-    congruence,
     degrees_of,
     identity,
     jet_matmul,
     jet_mul,
     jet_solve,
     mat_mul,
-    null_basis2,
     pack,
-    q_complement,
-    q_form,
-    q_polar,
     resize,
     solve,
-    spd2_sqrt,
     unpack,
 )
-from .taylor import TaylorScalar, derivative, n_terms, rsqrt
+from .taylor import TaylorScalar, apply, derivative, n_terms
 
 __all__ = [
     "Frame5T",
@@ -160,21 +160,42 @@ class MCField:
         return _jet(self.projection[0, i, j], d), _jet(self.projection[1, i, j], d)
 
 
-@dataclass
+class SymMat2T(NamedTuple):
+    """Entries of a symmetric 2x2 jet matrix [[a, b], [b, c]]."""
+
+    a: TaylorScalar
+    b: TaylorScalar
+    c: TaylorScalar
+
+    def const(self):
+        """Constant-term triple (a0, b0, c0) as floats."""
+        return (self.a.const, self.b.const, self.c.const)
+
+
+@dataclass(eq=False)
 class FundamentalData:
     """Cartan-lemma matrices of a 1-adapted frame.
 
-    h0, h3, h4 are the symmetric 2x2 coefficient matrices of omega^k_1,2
-    against the coframe (k = 0, 3, 4); `nondeg_det` is the 3x3 determinant
-    of their coefficient triples at the base point and `asymmetry` the
-    largest violation of Cartan-lemma symmetry (a numerical diagnostic).
+    `coeffs` is a (3, 3, n) coefficient array: rows h0, h3, h4, the
+    symmetric 2x2 coefficient matrices of omega^k_1,2 against the coframe
+    (k = 0, 3, 4), and columns their (a, b, c) entries [[a, b], [b, c]], all
+    of degree `degree`.  `h0`, `h3` and `h4` are read-only views with
+    TaylorScalar entries, built on each access.  `nondeg_det` is the 3x3
+    determinant of the constant triples and `asymmetry` the largest
+    violation of Cartan-lemma symmetry (a numerical diagnostic).
     """
 
-    h0: SymMat2T
-    h3: SymMat2T
-    h4: SymMat2T
+    coeffs: np.ndarray
+    degree: int
     nondeg_det: float
     asymmetry: float
+
+    def _form(self, k):
+        return SymMat2T(*(_jet(c, self.degree) for c in self.coeffs[k]))
+
+    h0 = property(lambda self: self._form(0))
+    h3 = property(lambda self: self._form(1))
+    h4 = property(lambda self: self._form(2))
 
 
 @dataclass
@@ -192,9 +213,7 @@ class GaugeTransform:
 
     Built from a nested-list K of floats and jets, or from its (5, 5, n)
     coefficient array and per-entry `degrees` (inf for a float entry).
-    `K`, `A`, `B` and `r` give nested lists, built on first use; `lam` and
-    `theta` describe the constant part of A as a scaled rotation
-    (meaningful for space-like stabilizer elements).
+    `K`, `A`, `B` and `r` give nested lists, built on first use.
     """
 
     def __init__(self, K, degrees=None):
@@ -236,16 +255,6 @@ class GaugeTransform:
     def compose(self, other):
         """Gauge acting first by self, then by other (K_total = K1 K2)."""
         return GaugeTransform(mat_mul(self.K, other.K))
-
-    @property
-    def lam(self):
-        (a, b), (c, d) = ([_const(x) for x in row] for row in self.A)
-        return abs(a * d - b * c) ** 0.5
-
-    @property
-    def theta(self):
-        a, b = (_const(x) for x in self.A[0])
-        return float(np.arctan2(b, a))
 
 
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
@@ -359,7 +368,8 @@ def fundamental_matrices(mc, tol=1e-10):
 
     For k in {0, 3, 4} solves omega^k_j = h^k_j1 omega^1_0 + h^k_j2 omega^2_0
     against the coframe and symmetrizes the result (the off-diagonal entries
-    agree up to roundoff; the observed gap is reported as `asymmetry`).
+    agree up to roundoff; the observed gap is reported as `asymmetry`).  The
+    matrices get the lower of the degrees of projection columns 1 and 2.
 
     Raises
     ------
@@ -367,49 +377,46 @@ def fundamental_matrices(mc, tol=1e-10):
         If the triple (h0, h3, h4) fails the 3x3 independence test at the
         base point.
     """
-    P, d = mc.projection, mc.projection_degrees
-    rows = {}
-    for k in (0, 3, 4):
-        (x11, x21), (x12, x22) = P[:, k, 1:3]
-        rows[k] = SymMat2T(
-            _jet(x11, d[1]), _jet((x12 + x21) * 0.5, min(d[1], d[2])), _jet(x22, d[2])
-        )
-    asym = float(np.abs(P[1, [0, 3, 4], 1, 0] - P[0, [0, 3, 4], 2, 0]).max())
-    triples = np.array([rows[k].const() for k in (0, 3, 4)])
+    d = mc.projection_degrees
+    degree = min(d[1], d[2])
+    # X[i, k, j] is the omega^(i+1)_0 coefficient of omega^(0, 3, 4)[k]_(j+1)
+    X = mc.projection[:, [0, 3, 4], 1:3, : n_terms(degree)]
+    H = np.stack([X[0, :, 0], (X[1, :, 0] + X[0, :, 1]) * 0.5, X[1, :, 1]], axis=1)
+    asym = float(np.abs(X[1, :, 0, 0] - X[0, :, 1, 0]).max())
+    triples = H[:, :, 0]
     det = float(np.linalg.det(triples))
     scale = max(1.0, float(np.abs(triples).max()))
     if abs(det) <= tol * scale**3:
         raise Degenerate("second-order data span less than three dimensions")
-    return FundamentalData(
-        h0=rows[0], h3=rows[3], h4=rows[4], nondeg_det=det, asymmetry=asym
-    )
+    return FundamentalData(coeffs=H, degree=degree, nondeg_det=det, asymmetry=asym)
+
+
+# Polarization of Q(h) = -det(h) = b^2 - a c on (a, b, c) triples:
+# B(h1, h2) = h1 . _Q_POLAR h2, so Q(h) = B(h, h).  Q has signature (2, 1).
+_Q_POLAR = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
 
 
 def classify_plane(fund, tol=1e-8):
     """Type of the plane spanned by (h3, h4) under Q = -det.
 
-    The Gram matrix of the restriction of Q decides: positive determinant
-    means space-like, negative means time-like, and a determinant within
-    `tol` times the squared Gram norm is null.
+    The Gram matrix V G V^T of the restriction of Q (V the constant triples
+    of h3 and h4, G the polarization matrix of Q) decides: positive
+    determinant means space-like, negative means time-like, and a
+    determinant within `tol` times the squared Gram norm is null.
 
     Raises
     ------
     IndependenceFailure
         If h3 and h4 are linearly dependent at the base point.
     """
-    v3 = np.array(fund.h3.const())
-    v4 = np.array(fund.h4.const())
-    cross = np.linalg.norm(np.cross(v3, v4))
-    scale = max(np.linalg.norm(v3) * np.linalg.norm(v4), 1e-300)
+    V = fund.coeffs[1:, :, 0]
+    cross = np.linalg.norm(np.cross(V[0], V[1]))
+    scale = max(np.linalg.norm(V[0]) * np.linalg.norm(V[1]), 1e-300)
     if cross <= 1e-10 * scale:
         raise IndependenceFailure("h3 and h4 are linearly dependent")
-    h3, h4 = SymMat2T(*v3), SymMat2T(*v4)
-    q33 = q_form(h3)
-    q44 = q_form(h4)
-    q34 = q_polar(h3, h4)
-    gram = np.array([[q33, q34], [q34, q44]])
+    gram = V @ _Q_POLAR @ V.T
     det = float(np.linalg.det(gram))
-    trace = float(q33 + q44)
+    trace = float(np.trace(gram))
     norm2 = float(np.sum(gram * gram))
     if abs(det) <= tol * max(norm2, 1e-300):
         tag = "Null"
@@ -420,25 +427,156 @@ def classify_plane(fund, tol=1e-8):
     return SurfaceType(tag=tag, gram=gram, det=det, trace=trace)
 
 
-def _sym2_inverse(s):
-    det = s.a * s.c - s.b * s.b
-    inv = 1.0 / det
-    return [[s.c * inv, s.b * -1.0 * inv], [s.b * -1.0 * inv, s.a * inv]]
+# ---------------------------------------------------------------------------
+# Symmetric 2x2 jet forms for level 2
+#
+# A form [[a, b], [b, c]] is a coefficient array (3, n) of its (a, b, c)
+# entries, and a 2x2 jet matrix is a coefficient array (2, 2, n); `degree`
+# is the working degree, n = n_terms(degree).
+# ---------------------------------------------------------------------------
 
 
-def _level2_gauge(A1, B, r0, s):
+def _q_polar(h1, h2, degree):
+    """Polarization B(h1, h2) of two forms as a jet; Q(h) = B(h, h)."""
+    return jet_mul(h1, _Q_POLAR @ h2, degree).sum(axis=0)
+
+
+def _q_complement(h3, h4, degree):
+    """A Q-orthogonal complement of span(h3, h4) inside Sym^2.
+
+    The cross product of G h3 and G h4 (G = _Q_POLAR) is B-orthogonal to
+    both.  It is unnormalized and smooth in the inputs, and vanishes iff
+    h3, h4 are linearly dependent.
+    """
+    g3, g4 = _Q_POLAR @ h3, _Q_POLAR @ h4
+    i, j = [1, 2, 0], [2, 0, 1]
+    return jet_mul(g3[i], g4[j], degree) - jet_mul(g3[j], g4[i], degree)
+
+
+def _congruence(H, A, degree):
+    """Congruences A^T h A of the forms h in H (k, 3, n), as (k, 3, n).
+
+    (a, b, c) -> A^T h A is linear with the symmetric square S of A as its
+    matrix, so the k forms take one jet product by S^T.
+    """
+    (p, q), (r, s) = A
+    x = np.stack([p, p, r, p, p, q, r, q, q, s])
+    y = np.stack([p, r, r, q, s, r, s, q, s, s])
+    pp, pr, rr, pq, ps, qr, rs, qq, qs, ss = jet_mul(x, y, degree)
+    S = np.stack([[pp, 2.0 * pr, rr], [pq, ps + qr, rs], [qq, 2.0 * qs, ss]])
+    return jet_matmul(H, S.transpose(1, 0, 2), degree)
+
+
+def _spd_inverse_sqrt(h, degree):
+    """Inverse of the positive square root of a positive-definite form.
+
+    The root is S = (h + sqrt(det) I) / sqrt(tr + 2 sqrt(det)) by
+    Cayley-Hamilton, so S^-1 = (adj h + sqrt(det) I) / (sqrt(det)
+    sqrt(tr + 2 sqrt(det))).  The two factors of the denominator are kept
+    apart so that each series sees a constant term bounded away from zero.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the constant part of h is not positive definite.
+    """
+    a0, b0, c0 = h[:, 0]
+    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
+    if a0 <= 0 or a0 * c0 - b0 * b0 <= _PIVOT_TOL * scale:
+        raise NotPositiveDefinite(
+            "constant part [[%g, %g], [%g, %g]] is not positive definite"
+            % (a0, b0, b0, c0)
+        )
+    a, b, c = h
+    root_det = apply("sqrt", -_q_polar(h, h, degree), degree)
+    k = jet_mul(
+        apply("reciprocal", root_det, degree),
+        apply("rsqrt", a + c + 2.0 * root_det, degree),
+        degree,
+    )
+    return jet_mul(np.stack([[c + root_det, -b], [-b, a + root_det]]), k, degree)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _null_basis(h, degree):
+    """Deterministic null basis of an indefinite form, as the columns (w1, w2)
+    of a 2x2 jet matrix A.
+
+    Both vectors satisfy w^T h w = 0 and the cross pairing w1^T h w2 = 1,
+    so A^T h A = offdiag(1).  The basis is canonical: each direction is
+    scaled so its leading nonzero component at the constant level is 1,
+    vectors are ordered by the position of that component (ties broken by
+    the second component, descending), and the pairing normalization is
+    split evenly between the two vectors so that re-running downstream
+    gauge chains on already-normalized data reproduces the identity.
+
+    Raises
+    ------
+    NotIndefinite
+        If the constant part of h is not indefinite.
+    """
+    a0, b0, c0 = h[:, 0]
+    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
+    if b0 * b0 - a0 * c0 <= _PIVOT_TOL * scale:
+        raise NotIndefinite(
+            "constant part [[%g, %g], [%g, %g]] is not indefinite" % (a0, b0, b0, c0)
+        )
+
+    rotated = max(abs(a0), abs(c0)) < 1e-8 * abs(b0)
+    work = h
+    if rotated:
+        # rotate coordinates by 45 degrees so a diagonal coefficient is large
+        a, b, c = h
+        work = np.stack([(a + c) * 0.5 + b, (c - a) * 0.5, (a + c) * 0.5 - b])
+    disc_root = apply("sqrt", _q_polar(work, work, degree), degree)
+    a, b, c = work
+    # the roots s of c s^2 + 2 b s + a = 0, for w = (1, s), when |c| >= |a|;
+    # else of a s^2 + 2 b s + c = 0, for w = (s, 1)
+    free = 1 if abs(c[0]) >= abs(a[0]) else 0
+    roots = np.stack([disc_root - b, -(disc_root + b)])
+    W = np.zeros((2, 2, roots.shape[-1]))
+    W[:, free] = jet_mul(roots, apply("reciprocal", c if free else a, degree), degree)
+    W[:, 1 - free, 0] = 1.0
+    if rotated:
+        W = np.stack([W[:, 0] - W[:, 1], W[:, 0] + W[:, 1]], axis=1) * _SQRT_HALF
+
+    canon = []
+    for w in W:
+        m0, m1 = abs(w[0, 0]), abs(w[1, 0])
+        lead = 0 if m0 > 1e-10 * max(m1, 1.0) else 1
+        w = jet_mul(w, apply("reciprocal", w[lead], degree), degree)
+        canon.append(((lead, -w[1, 0]), w))
+    canon.sort(key=lambda item: item[0])
+    A = np.stack([w for _, w in canon], axis=1)
+
+    pairing = _congruence(h[None], A, degree)[0, 1]
+    p0 = pairing[0]
+    if abs(p0) <= _PIVOT_TOL:
+        raise NotIndefinite("null directions are numerically degenerate")
+    sign = 1.0 if p0 > 0 else -1.0
+    inv_root = apply("rsqrt", pairing * sign, degree)
+    return jet_mul(A, np.stack([inv_root, inv_root * sign]), degree)
+
+
+def _level2_gauge(A1, B, r0, s, degree):
     """Closed form of the level-2 gauge K(A1) K(B) K(r0) K(diag s, diag s^2).
 
     The four block gauges compose to [[1, 0, r0], [0, A1, 0], [0, 0, B]]
     with its columns scaled by (1, s1, s2, s1^2, s2^2): A = A1 diag(s),
-    B diag(s^2) and r0 diag(s^2).  A1, B, r0 and s are jets.
+    B diag(s^2) and r0 diag(s^2).  A1 and B are (2, 2, n) coefficient
+    arrays, r0 and s are (2, n), all of degree `degree`.
     """
-    K0 = GaugeTransform.from_blocks(A=A1, B=B, r03=r0[0], r04=r0[1])
-    degree = int(min(K0.degrees.min(), s[0].degree, s[1].degree))
-    c = pack([[1.0, *s]], degree)[0]
-    scale = np.concatenate([c, jet_mul(c[1:], c[1:], degree)])
-    K = jet_mul(resize(K0.coeffs, n_terms(degree)), scale, degree)
-    return GaugeTransform(K, np.where(np.isinf(K0.degrees), np.inf, degree))
+    K = np.zeros((5, 5, n_terms(degree)))
+    K[0, 0, 0] = 1.0
+    K[1:3, 1:3] = jet_mul(A1, s, degree)
+    s2 = jet_mul(s, s, degree)
+    K[3:5, 3:5] = jet_mul(B, s2, degree)
+    K[0, 3:5] = jet_mul(r0, s2, degree)
+    degrees = np.full((5, 5), np.inf)
+    degrees[1:3, 1:3] = degrees[3:5, 3:5] = degrees[0, 3:5] = degree
+    return GaugeTransform(K, degrees)
 
 
 def adapt2_spacelike(frame, fund, tol=1e-10):
@@ -453,34 +591,31 @@ def adapt2_spacelike(frame, fund, tol=1e-10):
         If the pure-trace part of h0 vanishes after the plane is normalized
         (the scaling gauge is then undetermined).
     """
+    d = fund.degree
     # 1) rotate/scale tangent directions so the Q-complement becomes the
     #    identity matrix; the (h3, h4)-plane is then trace-free
-    n = q_complement(fund.h3, fund.h4)
-    if _const(n.a) + _const(n.c) < 0:
-        n = n.scaled(-1.0)
-    A1 = _sym2_inverse(spd2_sqrt(n))
-    p3 = congruence(fund.h3, A1)
-    p4 = congruence(fund.h4, A1)
-    p0 = congruence(fund.h0, A1)
+    n = _q_complement(fund.coeffs[1], fund.coeffs[2], d)
+    if n[0, 0] + n[2, 0] < 0:
+        n = -n
+    A1 = _spd_inverse_sqrt(n, d)
+    p0, p3, p4 = _congruence(fund.coeffs, A1, d)
 
     # 2) move (p3, p4) to the reference basis (T1, T2) of the trace-free
     #    plane by the normal-space gauge B
-    B = [[(p3.a - p3.c) * 0.5, p3.b], [(p4.a - p4.c) * 0.5, p4.b]]
-    detB = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-    if abs(_const(detB)) <= tol:
+    B = np.stack([[(p3[0] - p3[2]) * 0.5, p3[1]], [(p4[0] - p4[2]) * 0.5, p4[1]]])
+    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= tol:
         raise IndependenceFailure("normalized pair does not span the trace-free plane")
 
     # 3) subtract the trace-free part of h0 via the translational gauge
-    r0 = ((p0.a - p0.c) * 0.5, p0.b)
-    s = (p0.a + p0.c) * 0.5
-    s0 = _const(s)
-    if abs(s0) <= tol:
+    r0 = np.stack([(p0[0] - p0[2]) * 0.5, p0[1]])
+    s = (p0[0] + p0[2]) * 0.5
+    if abs(s[0]) <= tol:
         raise DegenerateTraceComponent("pure-trace part of h0 vanishes")
-    epsilon = 1 if s0 > 0 else -1
+    epsilon = 1 if s[0] > 0 else -1
 
     # 4) scale by lam = |s|^-1/2 to make h0 = epsilon * I
-    lam = rsqrt(s * float(epsilon))
-    gauge = _level2_gauge(A1, B, r0, (lam, lam))
+    lam = apply("rsqrt", s * float(epsilon), d)
+    gauge = _level2_gauge(A1, B, r0, np.stack([lam, lam]), d)
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="SpaceLike", epsilon=epsilon)
     return frame2, gauge, epsilon
 
@@ -497,36 +632,31 @@ def adapt2_timelike(frame, fund, tol=1e-10):
         If the off-diagonal part of h0 vanishes after the plane is
         normalized (the scaling gauge is then undetermined).
     """
+    d = fund.degree
     # 1) null directions of the Q-complement diagonalize the plane
-    n = q_complement(fund.h3, fund.h4)
-    triple = [abs(x) for x in n.const()]
-    lead = int(np.argmax(triple))
-    if n.const()[lead] < 0:
-        n = n.scaled(-1.0)
-    w1, w2 = null_basis2(n)
-    A1 = [[w1[0], w2[0]], [w1[1], w2[1]]]
-    p3 = congruence(fund.h3, A1)
-    p4 = congruence(fund.h4, A1)
-    p0 = congruence(fund.h0, A1)
+    n = _q_complement(fund.coeffs[1], fund.coeffs[2], d)
+    lead = int(np.argmax(np.abs(n[:, 0])))
+    if n[lead, 0] < 0:
+        n = -n
+    A1 = _null_basis(n, d)
+    p0, p3, p4 = _congruence(fund.coeffs, A1, d)
 
     # 2) map (p3, p4) (now diagonal) to (E11, E22)
-    B = [[p3.a, p3.c], [p4.a, p4.c]]
-    detB = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-    if abs(_const(detB)) <= tol:
+    B = np.stack([[p3[0], p3[2]], [p4[0], p4[2]]])
+    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= tol:
         raise IndependenceFailure("normalized pair does not span the diagonal plane")
 
     # 3) subtract the diagonal part of h0
-    r0 = (p0.a, p0.c)
-    s = p0.b
-    s0 = _const(s)
-    if abs(s0) <= tol:
+    r0 = np.stack([p0[0], p0[2]])
+    s = p0[1]
+    if abs(s[0]) <= tol:
         raise DegenerateOffdiagComponent("off-diagonal part of h0 vanishes")
 
     # 4) scale by diag(a11, a22) to make h0 = offdiag(1); a11 > 0,
     #    sign(a22) = sign(s)
-    sign = 1.0 if s0 > 0 else -1.0
-    a11 = rsqrt(s * sign)
-    gauge = _level2_gauge(A1, B, r0, (a11, a11 * sign))
+    sign = 1.0 if s[0] > 0 else -1.0
+    a11 = apply("rsqrt", s * sign, d)
+    gauge = _level2_gauge(A1, B, r0, np.stack([a11, a11 * sign]), d)
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="TimeLike")
     return frame2, gauge
 

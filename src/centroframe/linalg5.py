@@ -23,11 +23,6 @@ min(deg A[i][t], deg B[t][j]); column j of the solution of A X = B has
 degree min(deg A, deg B[:, j]), deg A the lowest entry degree of A; an entry
 whose inputs are all floats stays a float.
 
-The module also carries the symmetric-2x2 toolbox used by the frame
-adaptation: the quadratic form Q(h) = -det(h) on symmetric matrices, its
-polarization, Q-orthogonal complements of 2-planes, a closed-form positive
-square root, and a deterministic null basis for indefinite forms.
-
 ``expm5`` is a scaling-and-squaring matrix exponential for plain float
 matrices (series kernel after scaling the 1-norm below 0.5); it is
 deliberately hand-rolled so the homogeneous-model layer has no runtime
@@ -35,13 +30,12 @@ dependency on an external implementation.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import taylor
-from .errors import NotIndefinite, NotPositiveDefinite, SingularMatrix
+from .errors import SingularMatrix
 from .taylor import TaylorScalar
 
 __all__ = [
@@ -55,25 +49,9 @@ __all__ = [
     "jet_mul",
     "jet_solve",
     "expm5",
-    "SymMat2T",
-    "congruence",
-    "q_form",
-    "q_polar",
-    "q_complement",
-    "spd2_sqrt",
-    "null_basis2",
 ]
 
 _PIVOT_TOL = 1e-12
-
-
-def _const(x):
-    """Constant term of a jet, or the float itself."""
-    return x.const if isinstance(x, TaylorScalar) else float(x)
-
-
-def _sqrt(x):
-    return taylor.sqrt(x) if isinstance(x, TaylorScalar) else math.sqrt(x)
 
 
 def identity(n):
@@ -293,188 +271,3 @@ def expm5(M, t=1.0):
     for _ in range(squarings):
         X = X @ X
     return X
-
-
-# ---------------------------------------------------------------------------
-# Symmetric 2x2 matrices and the quadratic form Q = -det
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SymMat2T:
-    """Symmetric 2x2 matrix [[a, b], [b, c]] with float or jet entries."""
-
-    a: object
-    b: object
-    c: object
-
-    def as_matrix(self):
-        return [[self.a, self.b], [self.b, self.c]]
-
-    def const(self):
-        """Constant-term triple (a0, b0, c0) as floats."""
-        return (_const(self.a), _const(self.b), _const(self.c))
-
-    def __add__(self, other):
-        return SymMat2T(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other):
-        return SymMat2T(self.a - other.a, self.b - other.b, self.c - other.c)
-
-    def scaled(self, s):
-        return SymMat2T(self.a * s, self.b * s, self.c * s)
-
-
-def congruence(h, A):
-    """Congruence transform A^T h A of a symmetric 2x2 form."""
-    a, b, c = h.a, h.b, h.c
-    p, q = A[0][0], A[0][1]
-    r, s = A[1][0], A[1][1]
-    # columns of A are (p, r) and (q, s)
-    new_a = a * p * p + 2.0 * (b * p * r) + c * r * r
-    new_b = a * p * q + b * (p * s + q * r) + c * r * s
-    new_c = a * q * q + 2.0 * (b * q * s) + c * s * s
-    return SymMat2T(new_a, new_b, new_c)
-
-
-def q_form(h):
-    """Quadratic form Q(h) = -det(h) = b^2 - a c (signature (2,1))."""
-    return h.b * h.b - h.a * h.c
-
-
-def q_polar(h1, h2):
-    """Polarization of Q: B(h1, h2) = b1 b2 - (a1 c2 + a2 c1)/2."""
-    return h1.b * h2.b - (h1.a * h2.c + h2.a * h1.c) * 0.5
-
-
-def q_complement(h3, h4):
-    """A Q-orthogonal complement of span(h3, h4) inside Sym^2.
-
-    In the coordinates (a, b, c) the polarization is v1^T G v2 with
-    G = [[0, 0, -1/2], [0, 1, 0], [-1/2, 0, 0]], so the cross product of
-    G h3 and G h4 is B-orthogonal to both.  The result is unnormalized and
-    smooth in the inputs; it vanishes iff h3, h4 are linearly dependent.
-    """
-
-    def g_apply(h):
-        return (h.c * -0.5, h.b, h.a * -0.5)
-
-    x1, y1, z1 = g_apply(h3)
-    x2, y2, z2 = g_apply(h4)
-    return SymMat2T(
-        y1 * z2 - z1 * y2,
-        z1 * x2 - x1 * z2,
-        x1 * y2 - y1 * x2,
-    )
-
-
-def spd2_sqrt(h):
-    """Positive square root of a positive-definite symmetric 2x2 form.
-
-    Uses the closed form S = (h + sqrt(det) I) / sqrt(tr + 2 sqrt(det)),
-    which is exact by Cayley-Hamilton and stays within jet arithmetic.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the constant part of h is not positive definite.
-    """
-    a0, b0, c0 = h.const()
-    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
-    if a0 <= 0 or a0 * c0 - b0 * b0 <= _PIVOT_TOL * scale:
-        raise NotPositiveDefinite(
-            "constant part [[%g, %g], [%g, %g]] is not positive definite"
-            % (a0, b0, b0, c0)
-        )
-    root_det = _sqrt(h.a * h.c - h.b * h.b)
-    denom = _sqrt(h.a + h.c + 2.0 * root_det)
-    inv = 1.0 / denom
-    return SymMat2T((h.a + root_det) * inv, h.b * inv, (h.c + root_det) * inv)
-
-
-def _apply_form(h, w1, w2):
-    """Bilinear value w1^T [[a,b],[b,c]] w2."""
-    return (
-        h.a * w1[0] * w2[0]
-        + h.b * (w1[0] * w2[1] + w1[1] * w2[0])
-        + h.c * w1[1] * w2[1]
-    )
-
-
-_SQRT_HALF = math.sqrt(0.5)
-
-
-def null_basis2(h):
-    """Deterministic null basis (w1, w2) of an indefinite symmetric 2x2 form.
-
-    Both vectors satisfy w^T h w = 0 and the cross pairing w1^T h w2 = 1.
-    The basis is canonical: each direction is scaled so its leading nonzero
-    component at the constant level is the pivot, vectors are ordered by
-    pivot position (ties broken by the second component, descending), and
-    the pairing normalization is split evenly between the two vectors so
-    that re-running downstream gauge chains on already-normalized data
-    reproduces the identity.
-
-    Raises
-    ------
-    NotIndefinite
-        If the constant part of h is not indefinite.
-    """
-    a0, b0, c0 = h.const()
-    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
-    if b0 * b0 - a0 * c0 <= _PIVOT_TOL * scale:
-        raise NotIndefinite(
-            "constant part [[%g, %g], [%g, %g]] is not indefinite" % (a0, b0, b0, c0)
-        )
-
-    rotated = max(abs(a0), abs(c0)) < 1e-8 * abs(b0)
-    work = h
-    if rotated:
-        # rotate coordinates by 45 degrees so a diagonal coefficient is large
-        work = SymMat2T(
-            (h.a + h.c) * 0.5 + h.b, (h.c - h.a) * 0.5, (h.a + h.c) * 0.5 - h.b
-        )
-
-    wa, wb, wc = work.a, work.b, work.c
-    disc_root = _sqrt(wb * wb - wa * wc)
-    ca = abs(_const(wa))
-    cc = abs(_const(wc))
-    if cc >= ca:
-        # parametrize w = (1, s): c s^2 + 2 b s + a = 0
-        pair = [
-            (1.0, (disc_root - wb) / wc),
-            (1.0, ((disc_root + wb) / wc) * -1.0),
-        ]
-    else:
-        # parametrize w = (s, 1): a s^2 + 2 b s + c = 0
-        pair = [
-            ((disc_root - wb) / wa, 1.0),
-            (((disc_root + wb) / wa) * -1.0, 1.0),
-        ]
-    if rotated:
-        pair = [
-            (
-                (w[0] - w[1]) * _SQRT_HALF,
-                (w[0] + w[1]) * _SQRT_HALF,
-            )
-            for w in pair
-        ]
-
-    canon = []
-    for w in pair:
-        mags = [abs(_const(w[0])), abs(_const(w[1]))]
-        lead = 0 if mags[0] > 1e-10 * max(mags[1], 1.0) else 1
-        inv = 1.0 / w[lead]
-        canon.append(((w[0] * inv, w[1] * inv), lead))
-    canon.sort(key=lambda item: (item[1], -_const(item[0][1])))
-    w1, w2 = canon[0][0], canon[1][0]
-
-    pairing = _apply_form(h, w1, w2)
-    p0 = _const(pairing)
-    if abs(p0) <= _PIVOT_TOL:
-        raise NotIndefinite("null directions are numerically degenerate")
-    sign = 1.0 if p0 > 0 else -1.0
-    inv_root = 1.0 / _sqrt(pairing * sign)
-    w1 = (w1[0] * inv_root, w1[1] * inv_root)
-    w2 = (w2[0] * (inv_root * sign), w2[1] * (inv_root * sign))
-    return w1, w2

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import taylor
 from .errors import (
-    ArithmeticFailure, ArityError, SurfaceSyntaxError, UnknownIdentifier, UnknownModel,
+    ArithmeticFailure, ArityError, DomainError, SurfaceSyntaxError, UnknownIdentifier,
+    UnknownModel,
 )
 from .taylor import TaylorScalar, coordinate_jets
 
@@ -317,7 +318,10 @@ def _jet_pow(vals, a, b, degree):
 
 
 def _call(vals, a, b, degree):
-    return _FUNCTIONS[b](vals[a])
+    try:
+        return _FUNCTIONS[b](vals[a])
+    except ValueError:  # math's domain error, e.g. sqrt(-1) or sin(inf)
+        raise DomainError("%s of %g is outside its real domain" % (b, vals[a])) from None
 
 
 def _jet_call(vals, a, b, degree):
@@ -427,6 +431,9 @@ def eval_surface(spec, u0, v0, degree):
     ArithmeticFailure
         If a component jet is not finite (an overflow or a division by zero
         in floating point, which numpy is not left to warn about).
+    DomainError
+        If a function is taken outside its real domain, of a jet or of a
+        constant subexpression (sqrt(0 - 1), sin(1e308*10)).
     """
     u, v = coordinate_jets(u0, v0, degree)
     vals = [u.coeffs, v.coeffs]

@@ -11,6 +11,7 @@ import pytest
 
 from centroframe import adaptation
 from centroframe.adaptation import (
+    FundamentalData,
     GaugeTransform,
     adapt2_spacelike,
     adapt2_timelike,
@@ -27,7 +28,7 @@ from centroframe.errors import (
     NotImmersed,
     NotTransversal,
 )
-from centroframe.linalg5 import SymMat2T, identity, mat_mul, solve, transpose
+from centroframe.linalg5 import identity, mat_mul, solve, transpose
 from centroframe.surfaces import builtin_surface, eval_surface, parse_surface
 from centroframe.taylor import TaylorScalar
 
@@ -143,11 +144,11 @@ def test_fundamental_matrices_degenerate():
 
 
 def test_classify_independence_failure():
-    fund_like = type("F", (), {})()
-    fund_like.h3 = SymMat2T(1.0, 0.0, -1.0)
-    fund_like.h4 = SymMat2T(2.0, 0.0, -2.0)
+    # rows h0, h3, h4 of (a, b, c) triples, degree 0; h4 = 2 h3
+    H = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
+    fund = FundamentalData(coeffs=H[:, :, None], degree=0, nondeg_det=0.0, asymmetry=0.0)
     with pytest.raises(IndependenceFailure):
-        classify_plane(fund_like)
+        classify_plane(fund)
 
 
 def test_classification_of_builtin_models():
@@ -324,9 +325,6 @@ def test_gauge_transform_blocks_round_trip():
     assert g.A == [[0.0, 2.0], [-2.0, 0.0]]
     assert g.B == [[1.0, 0.5], [0.0, 1.0]]
     assert g.r == ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
-    # A = 2 R(pi/2) in the row convention [[cos, sin], [-sin, cos]]
-    assert g.lam == pytest.approx(2.0)
-    assert g.theta == pytest.approx(np.pi / 2)
     composed = g.compose(GaugeTransform(identity(5)))
     assert np.allclose(composed.K, g.K)
 
@@ -395,9 +393,9 @@ def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
     # products of the four block gauges adapt2 composes
     blocks = []
 
-    def recording(A1, B, r0, s):
+    def recording(A1, B, r0, s, degree):
         blocks.append((A1, B, r0, s))
-        return real(A1, B, r0, s)
+        return real(A1, B, r0, s, degree)
 
     real = adaptation._level2_gauge
     monkeypatch.setattr(adaptation, "_level2_gauge", recording)
@@ -407,7 +405,9 @@ def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
             fr2, gauge, _ = adapt2_spacelike(fr, fund)
         else:
             fr2, gauge = adapt2_timelike(fr, fund)
-        A1, B, (r03, r04), (s1, s2) = blocks[-1]
+        A1, B, r0, s = blocks[-1]
+        A1, B = ([[TaylorScalar(x) for x in row] for row in M] for M in (A1, B))
+        (r03, r04), (s1, s2) = ([TaylorScalar(x) for x in v] for v in (r0, s))
         want = (
             GaugeTransform.from_blocks(A=A1)
             .compose(GaugeTransform.from_blocks(B=B))
@@ -422,3 +422,25 @@ def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
         assert fr2.degrees == (fr.degrees[0],) + (ref[0][1].degree,) * 4
         assert np.array_equal(fr2.coeffs[:, 0], fr.coeffs[:, 0])
         _assert_jets_close(_at_degrees(fr2.matrix, ref), ref)
+
+
+def test_adapt2_allocates_no_taylor_scalars(monkeypatch):
+    # level 2 runs on coefficient arrays only, also on already-adapted frames
+    cases = []
+    for name, adapt2 in (("h2", adapt2_spacelike), ("s21", adapt2_timelike)):
+        fr = frame1(_jets(name, 0.4, -0.3, 5))
+        fr2 = adapt2(fr, _normal_forms(fr))[0]
+        cases += [(adapt2, fr, _normal_forms(fr)), (adapt2, fr2, _normal_forms(fr2))]
+    calls = []
+    real_init = TaylorScalar.__init__
+
+    def counting(self, coeffs):
+        calls.append(len(coeffs))
+        real_init(self, coeffs)
+
+    monkeypatch.setattr(TaylorScalar, "__init__", counting)
+    for adapt2, fr, fund in cases:
+        adapt2(fr, fund)
+    assert calls == []
+    TaylorScalar.constant(1.0, 1)  # the counter is live
+    assert calls == [3]

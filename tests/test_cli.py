@@ -205,6 +205,26 @@ def test_analyze_non_finite_is_arithmetic_failure(tmp_path, capsys, surface, gri
     assert doc["records"][0]["message"].startswith("surface component x0 is not finite")
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("sqrt(0-1)", "sqrt of -1 is outside its real domain"),
+    ("sin(1e308*10)", "sin of inf is outside its real domain"),
+])
+def test_analyze_constant_domain_error_recorded_inline(tmp_path, bad, message):
+    # a constant subexpression outside a function's domain fails its point,
+    # not the sweep
+    out = tmp_path / "o"
+    surface = "u; v; %s + u; u*v; v^2" % bad
+    rc = _run(["analyze", "--surface", surface, "--grid", "0.5:0.5:1", "0:1:2",
+               "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "analyze.json").read_text())
+    assert [(r["u"], r["v"]) for r in doc["records"]] == [(0.5, 0), (0.5, 1)]
+    for rec in doc["records"]:
+        assert rec["ok"] is False
+        assert rec["error"] == "DomainError"
+        assert rec["message"] == message
+
+
 def test_analyze_non_finite_result_is_not_ok(monkeypatch):
     # a record is "ok" only with finite curvatures, metric and invariants
     def nan_curvature(*args, **kwargs):

@@ -2,29 +2,34 @@
 
 Oracles: numpy.linalg.solve for float systems, A (A^-1 B) = B up to each
 entry's degree for jet systems, scipy.linalg.expm for the matrix
-exponential, eigendecompositions for the symmetric square root, and
-closed-form identities (Cayley-Hamilton, polarization) for the rest.
+exponential, eigendecompositions for the inverse square root of the
+level-2 forms in :mod:`centroframe.adaptation`, and closed-form identities
+(Cayley-Hamilton, polarization, null pairing) for the rest of that algebra.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from centroframe import linalg5, taylor
+from centroframe import taylor
+from centroframe.adaptation import (
+    _Q_POLAR,
+    FundamentalData,
+    _congruence,
+    _null_basis,
+    _q_complement,
+    _q_polar,
+    _spd_inverse_sqrt,
+    classify_plane,
+)
 from centroframe.errors import NotIndefinite, NotPositiveDefinite, SingularMatrix
 from centroframe.linalg5 import (
-    SymMat2T,
-    congruence,
     expm5,
     inverse,
+    jet_matmul,
     mat_mul,
     mat_vec,
-    null_basis2,
-    q_complement,
-    q_form,
-    q_polar,
     solve,
-    spd2_sqrt,
 )
 from centroframe.taylor import TaylorScalar, coordinate_jets
 
@@ -190,110 +195,128 @@ def test_expm_basic_identities():
     assert np.allclose(expm5(A, 1.0) @ expm5(A, -1.0), np.eye(5), atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# The level-2 algebra of symmetric 2x2 jet forms (private to adaptation).
+# A form is a (3, n) coefficient array of its (a, b, c) entries.
+# ---------------------------------------------------------------------------
+
+
+def _form(rng, shift=(0.0, 0.0, 0.0), scale=1.0, degree=3):
+    """Random jet form; entry k is shift[k] + scale[k] * a random jet."""
+    h = np.array([_random_jet(rng, degree).coeffs for _ in range(3)])
+    h *= np.reshape(scale, (-1, 1))
+    h[:, 0] += shift
+    return h
+
+
+def _q(h1, h2):
+    """Polarization of Q = -det on constant triples."""
+    return float(np.asarray(h1) @ _Q_POLAR @ np.asarray(h2))
+
+
 def test_spd2_sqrt_float_matches_eigh():
+    # the closed-form inverse square root against V diag(w^-1/2) V^T
     rng = np.random.default_rng(17)
     for _ in range(20):
         L = rng.uniform(-1, 1, size=(2, 2)) + 2 * np.eye(2)
         M = L @ L.T
-        h = SymMat2T(M[0, 0], M[0, 1], M[1, 1])
-        s = spd2_sqrt(h)
+        X = _spd_inverse_sqrt(np.array([[M[0, 0]], [M[0, 1]], [M[1, 1]]]), 0)[:, :, 0]
         w, V = np.linalg.eigh(M)
-        oracle = V @ np.diag(np.sqrt(w)) @ V.T
-        S = np.array([[s.a, s.b], [s.b, s.c]])
-        assert np.allclose(S, oracle, atol=1e-12)
+        oracle = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+        assert np.allclose(X, oracle, atol=1e-12)
 
 
 def test_spd2_sqrt_jets_square_back():
+    # X = h^-1/2 is symmetric and X X h = I on the whole jet
     rng = np.random.default_rng(18)
     for _ in range(10):
-        a = 2.0 + _random_jet(rng)
-        b = _random_jet(rng) * 0.3
-        c = 2.0 + _random_jet(rng)
-        h = SymMat2T(a, b, c)
-        s = spd2_sqrt(h)
-        square = congruence(s, [[1.0, 0.0], [0.0, 1.0]])  # identity: s == s^T
-        SS = mat_mul(s.as_matrix(), s.as_matrix())
-        assert np.allclose(SS[0][0].coeffs, h.a.coeffs, atol=1e-11)
-        assert np.allclose(SS[0][1].coeffs, h.b.coeffs, atol=1e-11)
-        assert np.allclose(SS[1][1].coeffs, h.c.coeffs, atol=1e-11)
-        assert square.const() == s.const()
+        h = _form(rng, shift=(2.0, 0.0, 2.0), scale=(1.0, 0.3, 1.0))
+        X = _spd_inverse_sqrt(h, 3)
+        assert np.array_equal(X[0, 1], X[1, 0])
+        H = np.stack([[h[0], h[1]], [h[1], h[2]]])
+        one = jet_matmul(jet_matmul(X, X, 3), H, 3)
+        assert np.allclose(one, np.eye(2)[:, :, None] * (np.arange(h.shape[1]) == 0), atol=1e-11)
 
 
 def test_spd2_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        spd2_sqrt(SymMat2T(1.0, 0.0, -1.0))
+        _spd_inverse_sqrt(np.array([[1.0], [0.0], [-1.0]]), 0)
     with pytest.raises(NotPositiveDefinite):
-        spd2_sqrt(SymMat2T(-2.0, 0.0, -1.0))
+        _spd_inverse_sqrt(np.array([[-2.0], [0.0], [-1.0]]), 0)
 
 
 def test_q_form_is_minus_det_and_polarization():
+    # Q(h) = -det h, and classify_plane's Gram matrix holds Q and its
+    # polarization (Q(h3 + h4) - Q(h3) - Q(h4)) / 2 on the (h3, h4) plane
     rng = np.random.default_rng(19)
     for _ in range(10):
         t1 = rng.uniform(-2, 2, size=3)
         t2 = rng.uniform(-2, 2, size=3)
-        h1 = SymMat2T(*t1)
-        h2 = SymMat2T(*t2)
         det1 = t1[0] * t1[2] - t1[1] ** 2
-        assert q_form(h1) == pytest.approx(-det1)
-        lhs = q_form(h1 + h2)
-        rhs = q_form(h1) + 2.0 * q_polar(h1, h2) + q_form(h2)
-        assert lhs == pytest.approx(rhs)
+        assert _q(t1, t1) == pytest.approx(-det1)
+        polar = (_q(t1 + t2, t1 + t2) - _q(t1, t1) - _q(t2, t2)) / 2
+        H = np.stack([np.ones(3), t1, t2])[:, :, None]
+        fund = FundamentalData(coeffs=H, degree=0, nondeg_det=0.0, asymmetry=0.0)
+        gram = classify_plane(fund).gram
+        want = [[_q(t1, t1), polar], [polar, _q(t2, t2)]]
+        assert np.allclose(gram, want, rtol=1e-12, atol=1e-12)
 
 
 def test_q_form_congruence_equivariance():
+    # Q(A^T h A) = det(A)^2 Q(h)
     rng = np.random.default_rng(20)
     for _ in range(10):
-        h = SymMat2T(*rng.uniform(-2, 2, size=3))
+        h = rng.uniform(-2, 2, size=3)
         A = rng.uniform(-2, 2, size=(2, 2))
-        transformed = congruence(h, [list(r) for r in A])
-        assert q_form(transformed) == pytest.approx(np.linalg.det(A) ** 2 * q_form(h))
+        transformed = _congruence(h[None, :, None], A[:, :, None], 0)[0, :, 0]
+        assert _q(transformed, transformed) == pytest.approx(np.linalg.det(A) ** 2 * _q(h, h))
 
 
 def test_q_complement_is_orthogonal_to_span():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        h3 = SymMat2T(2.0 + _random_jet(rng), _random_jet(rng), _random_jet(rng))
-        h4 = SymMat2T(_random_jet(rng), 1.0 + _random_jet(rng), _random_jet(rng))
-        n = q_complement(h3, h4)
+        h3 = _form(rng, shift=(2.0, 0.0, 0.0))
+        h4 = _form(rng, shift=(0.0, 1.0, 0.0))
+        n = _q_complement(h3, h4, 3)
         for h in (h3, h4):
-            resid = q_polar(n, h)
-            assert np.allclose(resid.coeffs, 0.0, atol=1e-12)
+            resid = _q_polar(n, h, 3)
+            assert np.allclose(resid, 0.0, atol=1e-12)
+
+
+def _null_basis_columns(t):
+    A = _null_basis(np.array(t, dtype=float)[:, None], 0)[:, :, 0]
+    return A[:, 0], A[:, 1]
 
 
 def test_null_basis_reference_cases():
-    w1, w2 = null_basis2(SymMat2T(0.0, 1.0, 0.0))
+    w1, w2 = _null_basis_columns((0.0, 1.0, 0.0))
     assert np.allclose(w1, (1.0, 0.0)) and np.allclose(w2, (0.0, 1.0))
-    w1, w2 = null_basis2(SymMat2T(1.0, 0.0, -1.0))
+    w1, w2 = _null_basis_columns((1.0, 0.0, -1.0))
     r = np.sqrt(0.5)
     assert np.allclose(w1, (r, r)) and np.allclose(w2, (r, -r))
 
 
 def test_null_basis_properties_on_jets():
+    # w1, w2 are null and paired to 1: A^T h A = offdiag(1) on the whole jet
     rng = np.random.default_rng(22)
     count = 0
     while count < 12:
-        h = SymMat2T(_random_jet(rng), _random_jet(rng), _random_jet(rng))
-        a0, b0, c0 = h.const()
+        h = _form(rng)
+        a0, b0, c0 = h[:, 0]
         if b0 * b0 - a0 * c0 < 0.05:
             continue
         count += 1
-        w1, w2 = null_basis2(h)
-
-        def val(expr):
-            return expr.coeffs if isinstance(expr, TaylorScalar) else np.array([expr])
-
-        q1 = linalg5._apply_form(h, w1, w1)
-        q2 = linalg5._apply_form(h, w2, w2)
-        cross = linalg5._apply_form(h, w1, w2)
-        assert np.allclose(val(q1), 0.0, atol=1e-9)
-        assert np.allclose(val(q2), 0.0, atol=1e-9)
-        one = np.zeros_like(val(cross))
+        A = _null_basis(h, 3)
+        q1, cross, q2 = _congruence(h[None], A, 3)[0]
+        assert np.allclose(q1, 0.0, atol=1e-9)
+        assert np.allclose(q2, 0.0, atol=1e-9)
+        one = np.zeros_like(cross)
         one[0] = 1.0
-        assert np.allclose(val(cross), one, atol=1e-9)
+        assert np.allclose(cross, one, atol=1e-9)
 
 
 def test_null_basis_rejects_definite_forms():
     with pytest.raises(NotIndefinite):
-        null_basis2(SymMat2T(1.0, 0.0, 2.0))
+        _null_basis(np.array([[1.0], [0.0], [2.0]]), 0)
     with pytest.raises(NotIndefinite):
-        null_basis2(SymMat2T(-1.0, 0.2, -2.0))
+        _null_basis(np.array([[-1.0], [0.2], [-2.0]]), 0)

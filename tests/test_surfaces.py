@@ -297,3 +297,11 @@ def test_errors_are_raised_in_component_order():
     spec = parse_surface("u; v; 1/(2 - 2) + u; u; v")
     with pytest.raises(ZeroDivisionError):
         eval_surface(spec, 0.4, -0.3, 3)
+
+
+@pytest.mark.parametrize("bad", ["sqrt(0-1)", "sin(1e308*10)"])
+def test_constant_outside_domain_is_domain_error(bad):
+    # math raises ValueError on these constants; eval reports DomainError
+    spec = parse_surface("u; v; %s + u; u*v; v^2" % bad)
+    with pytest.raises(DomainError, match="outside its real domain"):
+        eval_surface(spec, 0.5, 0.5, 5)
