@@ -299,10 +299,12 @@ def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
 def frame1(jet5, tol=1e-10):
     """Initial adapted frame from the 1-jet of the position vector.
 
-    Columns are e0 = f, e1 = f_u, e2 = f_v, and two standard basis vectors
-    chosen by largest Euclidean rejection from span(e0, e1, e2) (ties go to
-    the lower index), which keeps the completion deterministic.  Every
-    column has degree d - 1 for surface jets of lowest degree d.
+    Columns are e0 = f, e1 = f_u, e2 = f_v, and two constant columns: the
+    last two columns of the complete QR factor of [e0 e1 e2] at the base
+    point, an orthonormal basis of the complement of their span, scaled by
+    |f(p)|.  So frame1(c f) = c frame1(f) for any scalar c, and the frame
+    stays as well conditioned as its first three columns.  Every column has
+    degree d - 1 for surface jets of lowest degree d.
 
     Raises
     ------
@@ -329,11 +331,9 @@ def frame1(jet5, tol=1e-10):
     if np.linalg.norm(resid) <= tol * max(np.linalg.norm(P[:, 0]), 1e-300):
         raise NotTransversal("position vector lies in the tangent plane")
 
-    # complete with the two standard basis vectors farthest from the span
-    Q, _ = np.linalg.qr(P)
-    rejections = 1.0 - np.sum(Q * Q, axis=1)  # |e_i - proj e_i|^2 for unit e_i
-    picks = sorted(np.argsort(-rejections, kind="stable")[:2])
-    coeffs[picks, [3, 4], 0] = 1.0
+    # complete with an orthonormal basis of the complement, scaled by |f(p)|
+    Q, _ = np.linalg.qr(P, mode="complete")
+    coeffs[:, 3:, 0] = Q[:, 3:] * np.linalg.norm(P[:, 0])
     return Frame5T(coeffs=coeffs, degrees=(degree,) * 5, level=1)
 
 
