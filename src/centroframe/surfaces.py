@@ -14,7 +14,10 @@ Identifiers are the coordinates ``u`` and ``v``, the unary functions
 ``sin cos sinh cosh exp sqrt neg``, or named numeric parameters supplied at
 parse time.
 
-A surface is compiled once: the parser hash-conses equal subtrees into one
+Parsing is one regular-expression pass that splits the text into a flat
+list of token strings, then one precedence-climbing loop over that list.
+Line and column are worked out only when there is an error to report.  A
+surface is compiled once: the parser hash-conses equal subtrees into one
 node, so the five components form a DAG, and each :class:`SurfaceSpec`
 turns that DAG into a straight-line program of shared subexpressions.
 :func:`eval_surface` runs the program on the coefficient vectors of Taylor
@@ -96,12 +99,21 @@ class SurfaceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-# One alternation, tried in order at each position: a number, a name, an
-# operator symbol, a newline, other whitespace, and anything else (an error).
+# The tokens of a surface: a number, a name, or any other character that is
+# not blank (an operator symbol, or a bad character that the parse trips on).
 _TOKEN_RE = re.compile(
+    r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[^ \t\r\n]"
+)
+
+# The positional scan: the same tokens with their kind, line and column, and
+# an error at the first bad character.  \d admits every Unicode decimal digit,
+# which float() reads, so a non-ASCII text is tokenized by this scan.
+_SCAN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<sym>[-+*/^();,])"
@@ -112,10 +124,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text):
+def _scan(text):
     tokens = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in _SCAN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "newline":
             line, line_start = line + 1, m.end()
@@ -129,132 +141,127 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser for the surface grammar.
+def _error(text, at, message, cls=SurfaceSyntaxError):
+    """The error to raise at token `at`: a bad character anywhere in the text
+    is reported first, and a syntax error carries the token's position."""
+    _, _, line, column = _scan(text)[at]
+    return cls(message, line, column) if cls is SurfaceSyntaxError else cls(message)
 
-    Nodes are hash-consed: equal subtrees of one surface are one ExprNode
-    object, so the five components form a DAG.
+
+# Binding strength of the token after an operand: + - and * / are binary
+# operators, and anything else closes the expression, so it is weaker than
+# both.  Unary minus binds tighter still, and open groups and calls are
+# weakest.
+_STRENGTH = {"+": 2, "-": 2, "*": 3, "/": 3}
+_NEG = (4, "neg", None)
+_GROUP = (0, "(", None)
+
+
+def _parse(text, param_names):
+    """The five component nodes of a surface text.
+
+    One precedence-climbing loop over the flat token list.  `pending` holds
+    binary operators with their left operand, unary minus, and the open
+    groups and calls (with their arguments so far).  Nodes are hash-consed:
+    equal subtrees are one ExprNode, keyed on (kind, name, value, ids of the
+    children), with a number keyed on its bit pattern because 0.0 == -0.0
+    but 1/0.0 != 1/-0.0.  So the five components form a DAG.
     """
-
-    def __init__(self, text, param_names):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.param_names = param_names
-        self.nodes = {}
-
-    def node(self, kind, name="", value=0.0, children=()):
-        # children are already unique, so their ids identify them; a number
-        # is keyed on its bit pattern because 0.0 == -0.0 but 1/0.0 != 1/-0.0
-        key = (kind, name, struct.pack("<d", value) if kind == "num" else value)
-        key += tuple(id(c) for c in children)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = ExprNode(kind, name, value, children)
-        return node
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, value, line, col = self.peek()
-        if kind != "sym" or value != sym:
-            raise SurfaceSyntaxError(
-                "expected %r, found %r" % (sym, value or "end of input"), line, col
-            )
-        return self.next()
-
-    def at_sym(self, *syms):
-        kind, value, _, _ = self.peek()
-        return kind == "sym" and value in syms
-
-    def parse_surface(self):
-        comps = [self.parse_expr()]
-        while self.at_sym(";"):
-            self.next()
-            comps.append(self.parse_expr())
-        kind, value, line, col = self.peek()
-        if kind != "eof":
-            raise SurfaceSyntaxError("unexpected %r after expression" % value, line, col)
-        if len(comps) != 5:
-            raise SurfaceSyntaxError(
-                "surface needs exactly 5 components, found %d" % len(comps), line, col
-            )
-        return tuple(comps)
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.at_sym("+", "-"):
-            op = self.next()[1]
-            rhs = self.parse_term()
-            node = self.node("binary", op, children=(node, rhs))
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.at_sym("*", "/"):
-            op = self.next()[1]
-            rhs = self.parse_factor()
-            node = self.node("binary", op, children=(node, rhs))
-        return node
-
-    def parse_factor(self):
-        if self.at_sym("-"):
-            self.next()
-            return self.node("neg", children=(self.parse_factor(),))
-        node = self.parse_base()
-        if self.at_sym("^"):
-            self.next()
-            node = self.node("pow", value=self.parse_integer(), children=(node,))
-        return node
-
-    def parse_integer(self):
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
-        kind, value, line, col = self.next()
-        if kind != "num" or not re.fullmatch(r"\d+", value):
-            raise SurfaceSyntaxError("exponent must be an integer", line, col)
-        return sign * int(value)
-
-    def parse_base(self):
-        kind, value, line, col = self.next()
-        if kind == "num":
-            return self.node("num", value=float(value))
-        if kind == "ident":
-            if self.at_sym("("):
-                self.next()
-                args = [self.parse_expr()]
-                while self.at_sym(","):
-                    self.next()
-                    args.append(self.parse_expr())
-                self.expect_sym(")")
-                if value not in _FUNCTIONS:
-                    raise UnknownIdentifier("unknown function %r" % value)
+    if text.isascii():
+        tokens = _TOKEN_RE.findall(text) + [""]
+    else:
+        tokens = [tok[1] for tok in _scan(text)]
+    nodes = {}
+    leaves = {}  # token -> its number, coordinate or parameter node
+    pending = []
+    comps = []
+    i = 0
+    while True:
+        # an operand: prefixes, then a number, a name or an open group
+        tok = tokens[i]
+        i += 1
+        node = leaves.get(tok)
+        if node is None or tokens[i] == "(":
+            if tok == "-" or tok == "(":
+                pending.append(_NEG if tok == "-" else _GROUP)
+                continue
+            if tok.isidentifier():
+                if tokens[i] == "(":
+                    i += 1
+                    pending.append((0, tok, []))
+                    continue
+                if tok != "u" and tok != "v" and tok not in param_names:
+                    raise _error(text, 0, "unknown identifier %r" % tok, UnknownIdentifier)
+                node = ExprNode("var" if tok == "u" or tok == "v" else "param", tok)
+                key = (node.kind, tok, 0.0)
+            else:
+                try:
+                    node = ExprNode("num", value=float(tok))
+                except ValueError:
+                    found = tok or "end of input"
+                    message = "expected a number, name or '(', found %r" % found
+                    raise _error(text, i - 1, message) from None
+                key = ("num", "", struct.pack("<d", node.value))
+            node = leaves[tok] = nodes.setdefault(key, node)
+        # after an operand: "^" integer, then operators and closers
+        while True:
+            tok = tokens[i]
+            if tok == "^":
+                sign = -1 if tokens[i + 1] == "-" else 1
+                i += 3 if sign < 0 else 2  # past "^", the sign and the digits
+                tok = tokens[i - 1]
+                if not tok.isdecimal():
+                    raise _error(text, i - 1, "exponent must be an integer")
+                key = ("pow", "", sign * int(tok), id(node))
+                node = nodes.get(key) or nodes.setdefault(
+                    key, ExprNode("pow", "", key[2], (node,))
+                )
+                tok = tokens[i]
+            while pending and pending[-1] is _NEG:
+                pending.pop()
+                key = ("neg", "", 0.0, id(node))
+                node = nodes.get(key) or nodes.setdefault(key, ExprNode("neg", "", 0.0, (node,)))
+            strength = _STRENGTH.get(tok, 1)
+            while pending and pending[-1][0] >= strength:
+                _, op, lhs = pending.pop()
+                key = ("binary", op, 0.0, id(lhs), id(node))
+                node = nodes.get(key) or nodes.setdefault(
+                    key, ExprNode("binary", op, 0.0, (lhs, node))
+                )
+            i += 1
+            if strength > 1:
+                pending.append((strength, tok, node))
+                break
+            if pending:  # an open group or call
+                _, name, args = pending[-1]
+                if tok == "," and args is not None:
+                    args.append(node)
+                    break
+                if tok != ")":
+                    raise _error(text, i - 1, "expected ')', found %r" % (tok or "end of input"))
+                pending.pop()
+                if args is None:
+                    continue
+                args.append(node)
+                if name not in _FUNCTIONS:
+                    raise _error(text, 0, "unknown function %r" % name, UnknownIdentifier)
                 if len(args) != 1:
-                    raise ArityError(
-                        "%s takes 1 argument, got %d" % (value, len(args))
-                    )
-                return self.node("call", value, children=tuple(args))
-            if value in ("u", "v"):
-                return self.node("var", value)
-            if value in self.param_names:
-                return self.node("param", value)
-            raise UnknownIdentifier("unknown identifier %r" % value)
-        if kind == "sym" and value == "(":
-            node = self.parse_expr()
-            self.expect_sym(")")
-            return node
-        raise SurfaceSyntaxError(
-            "expected a number, name or '(', found %r" % (value or "end of input"),
-            line,
-            col,
-        )
+                    message = "%s takes 1 argument, got %d" % (name, len(args))
+                    raise _error(text, 0, message, ArityError)
+                key = ("call", name, 0.0, id(node))
+                node = nodes.get(key) or nodes.setdefault(
+                    key, ExprNode("call", name, 0.0, (node,))
+                )
+                continue
+            comps.append(node)
+            if tok == ";":
+                break
+            if tok:
+                raise _error(text, i - 1, "unexpected %r after expression" % tok)
+            if len(comps) != 5:
+                message = "surface needs exactly 5 components, found %d" % len(comps)
+                raise _error(text, i - 1, message)
+            return tuple(comps)
 
 
 def parse_surface(text, name="", params=None):
@@ -281,7 +288,7 @@ def parse_surface(text, name="", params=None):
         On references to undefined names or wrong argument counts.
     """
     params = dict(params or {})
-    comps = _Parser(text, frozenset(params)).parse_surface()
+    comps = _parse(text, frozenset(params))
     return SurfaceSpec(components=comps, name=name, params=params, source=text)
 
 

@@ -2,6 +2,10 @@
 
 import math
 import operator
+import random
+import re
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from centroframe import taylor
 from centroframe.errors import (
     ArithmeticFailure,
     ArityError,
+    CentroframeError,
     DomainError,
     SurfaceSyntaxError,
     UnknownIdentifier,
@@ -18,6 +23,8 @@ from centroframe.errors import (
 )
 from centroframe.surfaces import (
     BUILTIN_SURFACES,
+    ExprNode,
+    SurfaceSpec,
     builtin_surface,
     eval_surface,
     load_surface_file,
@@ -305,3 +312,237 @@ def test_constant_outside_domain_is_domain_error(bad):
     spec = parse_surface("u; v; %s + u; u*v; v^2" % bad)
     with pytest.raises(DomainError, match="outside its real domain"):
         eval_surface(spec, 0.5, 0.5, 5)
+
+
+# ---------------------------------------------------------------------------
+# The parser against the recursive-descent parser it replaced
+# ---------------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<sym>[-+*/^();,])"
+    r"|(?P<newline>\n)"
+    r"|[ \t\r]+"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _tokenize(text):
+    tokens = []
+    line, line_start = 1, 0
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise SurfaceSyntaxError(
+                "unexpected character %r" % m.group(), line, m.start() - line_start + 1
+            )
+        elif kind is not None:
+            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class _Parser:
+    """Reference: recursive descent over positional tokens, hash-consed."""
+
+    def __init__(self, text, param_names):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.param_names = param_names
+        self.nodes = {}
+
+    def node(self, kind, name="", value=0.0, children=()):
+        key = (kind, name, struct.pack("<d", value) if kind == "num" else value)
+        key += tuple(id(c) for c in children)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = ExprNode(kind, name, value, children)
+        return node
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_sym(self, sym):
+        kind, value, line, col = self.peek()
+        if kind != "sym" or value != sym:
+            raise SurfaceSyntaxError(
+                "expected %r, found %r" % (sym, value or "end of input"), line, col
+            )
+        return self.next()
+
+    def at_sym(self, *syms):
+        kind, value, _, _ = self.peek()
+        return kind == "sym" and value in syms
+
+    def parse_surface(self):
+        comps = [self.parse_expr()]
+        while self.at_sym(";"):
+            self.next()
+            comps.append(self.parse_expr())
+        kind, value, line, col = self.peek()
+        if kind != "eof":
+            raise SurfaceSyntaxError("unexpected %r after expression" % value, line, col)
+        if len(comps) != 5:
+            raise SurfaceSyntaxError(
+                "surface needs exactly 5 components, found %d" % len(comps), line, col
+            )
+        return tuple(comps)
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.at_sym("+", "-"):
+            op = self.next()[1]
+            node = self.node("binary", op, children=(node, self.parse_term()))
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.at_sym("*", "/"):
+            op = self.next()[1]
+            node = self.node("binary", op, children=(node, self.parse_factor()))
+        return node
+
+    def parse_factor(self):
+        if self.at_sym("-"):
+            self.next()
+            return self.node("neg", children=(self.parse_factor(),))
+        node = self.parse_base()
+        if self.at_sym("^"):
+            self.next()
+            node = self.node("pow", value=self.parse_integer(), children=(node,))
+        return node
+
+    def parse_integer(self):
+        sign = 1
+        if self.at_sym("-"):
+            self.next()
+            sign = -1
+        kind, value, line, col = self.next()
+        if kind != "num" or not re.fullmatch(r"\d+", value):
+            raise SurfaceSyntaxError("exponent must be an integer", line, col)
+        return sign * int(value)
+
+    def parse_base(self):
+        kind, value, line, col = self.next()
+        if kind == "num":
+            return self.node("num", value=float(value))
+        if kind == "ident":
+            if self.at_sym("("):
+                self.next()
+                args = [self.parse_expr()]
+                while self.at_sym(","):
+                    self.next()
+                    args.append(self.parse_expr())
+                self.expect_sym(")")
+                if value not in _PLAIN:
+                    raise UnknownIdentifier("unknown function %r" % value)
+                if len(args) != 1:
+                    raise ArityError("%s takes 1 argument, got %d" % (value, len(args)))
+                return self.node("call", value, children=tuple(args))
+            if value in ("u", "v"):
+                return self.node("var", value)
+            if value in self.param_names:
+                return self.node("param", value)
+            raise UnknownIdentifier("unknown identifier %r" % value)
+        if kind == "sym" and value == "(":
+            node = self.parse_expr()
+            self.expect_sym(")")
+            return node
+        raise SurfaceSyntaxError(
+            "expected a number, name or '(', found %r" % (value or "end of input"), line, col
+        )
+
+
+def _outcome(parse, text, params):
+    """Components, or the error's type, message, line and column."""
+    try:
+        return "ok", parse(text, params)
+    except CentroframeError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _reference_parse(text, params):
+    return _Parser(text, frozenset(params)).parse_surface()
+
+
+def _parse_components(text, params):
+    return parse_surface(text, params=params).components
+
+
+# Pieces of fuzz strings: well-formed fragments and the inputs where a flat
+# tokenizer most easily parts from the positional one.
+_FUZZ_PIECES = (
+    "u", "v", "a", "x", "_b1", "e", "e5", "sin", "cosh", "sqrt", "neg", "foo",
+    "0", "1", "2", "3", "10", "2.5", "0.0", "-0.0", "1e3", "1E-2", "2.", ".5", ".5e", "1e",
+    "1e+", ".", "..", "1.2.3", "+", "-", "*", "/", "^", "^-", "(", ")", ",", ";", ";",
+    " ", "  ", "\t", "\r", "\n", "\f", "\v", "$", "#", "é", "π", "٣", "١.٥",
+    "２", "x^2.0", "x^-3", "u^-3", "u^2", "u^0", "^2", "^(2)", "sin(u, v)", "(u)", "foo(u)", "u(v)",
+)
+
+
+def _fuzz_expr(rng, depth=0):
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        return rng.choice(["u", "v", "a", "1", "2.5", "3", ".5", "0.0"])
+    if r < 0.55:
+        return "%s %s %s" % (_fuzz_expr(rng, depth + 1), rng.choice("+-*/"),
+                             _fuzz_expr(rng, depth + 1))
+    if r < 0.65:
+        return "-" + _fuzz_expr(rng, depth + 1)
+    if r < 0.75:
+        return "(%s)^%s" % (_fuzz_expr(rng, depth + 1), rng.choice(["2", "-1", "0", "3"]))
+    if r < 0.9:
+        return "%s(%s)" % (rng.choice(["sin", "cosh", "exp", "sqrt", "neg"]),
+                           _fuzz_expr(rng, depth + 1))
+    return "(%s)" % _fuzz_expr(rng, depth + 1)
+
+
+def _fuzz_strings(count, seed=19):
+    """Seeded strings: surfaces with a few pieces inserted, replaced or
+    deleted, and strings of pieces alone."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.6:
+            parts = list(re.split(r"(\W)", "; ".join(_fuzz_expr(rng) for _ in range(5))))
+            for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+                k = rng.randrange(len(parts) + 1)
+                action = rng.random()
+                if action < 0.4:
+                    parts.insert(k, rng.choice(_FUZZ_PIECES))
+                elif action < 0.7 and k < len(parts):
+                    parts[k] = rng.choice(_FUZZ_PIECES)
+                elif k < len(parts):
+                    del parts[k]
+            text = "".join(parts)
+        else:
+            text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(1, 30)))
+        yield text, ({"a": 1.5} if rng.random() < 0.7 else {})
+
+
+def test_parser_matches_recursive_descent_on_fuzz():
+    outcomes = Counter()
+    for text, params in _fuzz_strings(20000):
+        want = _outcome(_reference_parse, text, params)
+        got = _outcome(_parse_components, text, params)
+        assert got == want, (text, params)
+        outcomes["ok" if want[0] == "ok" else want[1].split(" ")[0]] += 1
+    # the battery reaches every error of the grammar, and valid surfaces
+    assert outcomes["ok"] >= 2000
+    assert outcomes.keys() >= {"unexpected", "expected", "exponent", "surface", "unknown", "sin"}
+
+
+def test_parser_compiles_gl5_images_to_the_reference_program():
+    for text, _, _ in _gl5_images(200, seed=19):
+        spec = parse_surface(text)
+        ref = SurfaceSpec(components=_reference_parse(text, {}))
+        assert spec.components == ref.components
+        assert repr(spec.program) == repr(ref.program)
