@@ -59,7 +59,6 @@ from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solv
     jet_matmul,
     jet_mul,
     jet_solve,
-    mat_mul,
     pack,
     resize,
     solve,
@@ -251,10 +250,6 @@ class GaugeTransform:
     def r(self):
         """((r03, r04), (r13, r14), (r23, r24))."""
         return tuple(tuple(row[3:5]) for row in self.K[0:3])
-
-    def compose(self, other):
-        """Gauge acting first by self, then by other (K_total = K1 K2)."""
-        return GaugeTransform(mat_mul(self.K, other.K))
 
 
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):

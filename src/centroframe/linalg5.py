@@ -15,10 +15,9 @@ degree that the array functions take explicitly:
   there iff its constant term is nonzero.
 
 The frame pipeline tracks its own degrees (see :mod:`centroframe.adaptation`).
-`mat_mul`, `mat_vec`, `solve` and `inverse` are nested-list entry points:
-they `pack` floats and jets (a float is a constant of unbounded degree), run
-the array functions and `unpack` with the per-entry degrees that scalar jet
-arithmetic gives: entry (i, j) of A B has degree min over t of
+`mat_mul` and `solve` are nested-list entry points: they `pack` floats and
+jets (a float is a constant of unbounded degree), run the array functions
+and `unpack` with the per-entry degrees that scalar jet arithmetic gives: entry (i, j) of A B has degree min over t of
 min(deg A[i][t], deg B[t][j]); column j of the solution of A X = B has
 degree min(deg A, deg B[:, j]), deg A the lowest entry degree of A; an entry
 whose inputs are all floats stays a float.
@@ -40,11 +39,8 @@ from .taylor import TaylorScalar
 
 __all__ = [
     "identity",
-    "transpose",
     "mat_mul",
-    "mat_vec",
     "solve",
-    "inverse",
     "jet_matmul",
     "jet_mul",
     "jet_solve",
@@ -57,10 +53,6 @@ _PIVOT_TOL = 1e-12
 def identity(n):
     """n x n identity with float entries (mixes freely with jet entries)."""
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(row) for row in zip(*A)]
 
 
 def degrees_of(M):
@@ -220,11 +212,6 @@ def mat_mul(A, B):
     return unpack(jet_matmul(pack(A, degree), pack(B, degree), degree), degrees)
 
 
-def mat_vec(A, x):
-    """Matrix times column vector (vector as a flat list)."""
-    return [row[0] for row in mat_mul(A, [[xi] for xi in x])]
-
-
 def solve(A, B):
     """Solve A X = B over the jet ring (nested-list entry point of `jet_solve`).
 
@@ -242,11 +229,6 @@ def solve(A, B):
     degree = _working_degree(degrees)
     X = unpack(jet_solve(pack(A, degree), pack(B, degree), degree), degrees)
     return [x[0] for x in X] if vector_rhs else X
-
-
-def inverse(A):
-    """Matrix inverse via `solve` against the identity."""
-    return solve(A, identity(len(A)))
 
 
 def expm5(M, t=1.0):
