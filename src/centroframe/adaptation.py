@@ -332,21 +332,30 @@ def frame1(jet5, tol=1e-10):
     return Frame5T(coeffs=coeffs, degrees=(degree,) * 5, level=1)
 
 
-def maurer_cartan(frame):
+def maurer_cartan(frame, gauged=None):
     """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field.
 
-    One solve of F against [dF/du | dF/dv] on coefficient arrays.  Column j
-    of Omega has degree min(min deg F, deg F[:, j] - 1); a frame column of
-    degree 0 has no known derivative and raises ValueError.
+    One solve of F against [dF/du | dF/dv] on coefficient arrays.  When
+    `frame` is G K for a frame G and a gauge K, `gauged` = (mc of G, K)
+    gives Omega by the gauge law K^-1 (Omega_G K + dK) instead, one solve
+    against K.  Near a null point the adapted frames are far worse
+    conditioned than the gauges that make them, and solving against them
+    loses up to eight digits there.  Column j of Omega has degree
+    min(min deg F, deg F[:, j] - 1) either way; a frame column of degree 0
+    has no known derivative and raises ValueError.
     """
     d = np.array(frame.degrees)
     if d.min() < 1:
         raise ValueError("the Maurer-Cartan form needs frame columns of degree >= 1")
     degrees = np.minimum(d.min(), d - 1)
     w = int(degrees.max())
-    F = resize(frame.coeffs, n_terms(w + 1))
+    n = n_terms(w)
+    F = resize(frame.coeffs if gauged is None else gauged[1].coeffs, n_terms(w + 1))
     dF = np.concatenate([derivative(F, w + 1, 0), derivative(F, w + 1, 1)], axis=1)
-    X = jet_solve(resize(F, n_terms(w)), dF, w)
+    if gauged is not None:  # [Omega_G,u K | Omega_G,v K] + [dK/du | dK/dv]
+        Y = jet_matmul(resize(gauged[0].omega, n).reshape(10, 5, n), resize(F, n), w)
+        dF += Y.reshape(2, 5, 5, n).transpose(1, 0, 2, 3).reshape(5, 10, n)
+    X = jet_solve(resize(F, n), dF, w)
     return MCField(
         omega=X.reshape(5, 2, 5, -1).transpose(1, 0, 2, 3),
         degrees=tuple(int(x) for x in degrees),

@@ -407,13 +407,13 @@ def analyze_point(spec, u0, v0, degree=4, want_connection=True):
             "normal plane is null at (u, v) = (%g, %g)" % (u0, v0)
         )
     if stype.tag == "SpaceLike":
-        fr2, _, epsilon = adapt2_spacelike(fr1, fund1)
+        fr2, gauge2, epsilon = adapt2_spacelike(fr1, fund1)
     else:
-        fr2, _ = adapt2_timelike(fr1, fund1)
+        fr2, gauge2 = adapt2_timelike(fr1, fund1)
         epsilon = 0
-    mc2 = maurer_cartan(fr2)
-    fr3, _ = adapt3(fr2, mc2, stype.tag, epsilon)
-    mc3 = maurer_cartan(fr3)
+    mc2 = maurer_cartan(fr2, (mc1, gauge2))
+    fr3, gauge3 = adapt3(fr2, mc2, stype.tag, epsilon)
+    mc3 = maurer_cartan(fr3, (mc2, gauge3))
     inv = extract_invariants(mc3, stype.tag, epsilon)
     k_inv = gauss_from_invariants(inv).const
     k_conn = gauss_from_connection(inv).const if want_connection else float("nan")

@@ -378,6 +378,28 @@ def test_maurer_cartan_matches_nested_solve():
         _assert_jets_close(mc.dv, [row[5:] for row in X])
 
 
+def test_gauge_law_matches_solve():
+    # the form of F K from the form of F and K equals the solve against F K,
+    # degrees included: random jet gauges at level 1, and levels 2 and 3
+    rng = np.random.default_rng(14)
+    for name, adapt2, tag in (("h2", adapt2_spacelike, "SpaceLike"),
+                              ("s21", adapt2_timelike, "TimeLike")):
+        for degree in (4, 5, 6):
+            u, v = rng.uniform(-0.8, 0.8, 2)
+            fr = frame1(_jets(name, u, v, degree))
+            mc = maurer_cartan(fr)
+            g = _random_g1_gauge(rng, degree - 1, jet_valued=True)
+            fr2, g2, *eps = adapt2(fr, _normal_forms(fr))
+            mc2 = maurer_cartan(fr2)
+            fr3, g3 = adapt3(fr2, mc2, tag, *eps)
+            for frame, base, gauge in ((apply_gauge(fr, g), mc, g), (fr2, mc, g2), (fr3, mc2, g3)):
+                want = maurer_cartan(frame)
+                got = maurer_cartan(frame, (base, gauge))
+                assert got.degrees == want.degrees
+                _assert_jets_close(got.du, want.du)
+                _assert_jets_close(got.dv, want.dv)
+
+
 def test_coframe_projection_matches_per_entry_solve():
     for _, fr in _random_frames(12):
         mc = maurer_cartan(fr)

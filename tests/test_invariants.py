@@ -287,9 +287,17 @@ def test_invariants_are_gl5_invariant(name, bump, point):
 
 # Queries of the benchmark's point_queries workload (bench seed, 0-based
 # input index) that failed its output check while frame1 completed the frame
-# with standard basis vectors, whose condition reached about 1e4: (model,
-# bump, u, v, rows of A).
+# with standard basis vectors, whose condition reached about 1e4, or (seed 7
+# #707, near the null cone) while the level-2 and level-3 forms were solved
+# against their frames: (model, bump, u, v, rows of A).
 _BENCH_QUERIES = {
+    "seed7-707": ("sphere", -0.02191319382527264, 0.9503364575062376, -0.9145724486583879, [
+        0.031581559555095264, 0.15459781237425094, 0.010715016683570496, 0.018041534466123717, -0.009540404594264293,
+        -0.0994078167264535, -0.22327775638758957, 0.02914047255990695, 0.06061595257301948, 0.09610089256676851,
+        -0.01496114377530015, 0.012628729487464104, 0.037381194079867196, 0.015024154290960528, -0.04716645747548231,
+        0.033490758037921065, -0.09149689716764484, 0.02227312098105012, 0.04838202835341622, 0.013982744159435552,
+        0.0713487263281715, 0.2874467470959567, -0.07445350164845731, -0.009925072545541088, -0.09621800040987032,
+    ]),
     "seed8-5228": ("s21", 0.02719223390575301, -0.6344297294060621, -0.5750236845152672, [
         -0.8554810326581473, 1.5484471795823613, -0.55350974321443, -0.06098088874467902, -4.154050266440588,
         0.8082442045975905, 0.45729686678027276, -1.8789058303467678, 0.7938144139836211, -0.05204240636811785,
@@ -347,6 +355,19 @@ def test_bench_point_queries_pass_the_bench_check(case):
         assert abs(k1 - k2) <= 1e-8 * max(abs(k1), abs(k2))
     scale = max([1.0] + [abs(x.const) for x in res.invariants.h.values()])
     assert res.residual_max <= 1e-7 * scale
+
+
+def test_curvature_routes_agree_near_the_null_cone():
+    # K = 1.66e8 and max |h| = 4e8 at this point; the two routes differed by
+    # 8e-9 to 3e-8 of K while the Maurer-Cartan forms of the adapted frames
+    # were solved against those frames
+    model, bump, u, v, A = _BENCH_QUERIES["seed7-707"]
+    components = [c.strip() for c in builtin_surface(model).source.split(";")]
+    text = _gl5_image_text(components, np.reshape(A, (5, 5)), bump)
+    res = analyze_point(parse_surface(text), u, v, degree=7)
+    k1, k2 = res.gauss_invariants, res.gauss_connection
+    assert abs(k1) > 1e8
+    assert abs(k1 - k2) <= 1e-9 * abs(k1)
 
 
 @pytest.mark.parametrize("name", ["h2", "s21"])
