@@ -350,12 +350,12 @@ def maurer_cartan(frame, gauged=None):
     degrees = np.minimum(d.min(), d - 1)
     w = int(degrees.max())
     n = n_terms(w)
-    F = resize(frame.coeffs if gauged is None else gauged[1].coeffs, n_terms(w + 1))
-    dF = np.concatenate([derivative(F, w + 1, 0), derivative(F, w + 1, 1)], axis=1)
+    M = resize(frame.coeffs if gauged is None else gauged[1].coeffs, n_terms(w + 1))
+    dM = np.concatenate([derivative(M, w + 1, 0), derivative(M, w + 1, 1)], axis=1)
     if gauged is not None:  # [Omega_G,u K | Omega_G,v K] + [dK/du | dK/dv]
-        Y = jet_matmul(resize(gauged[0].omega, n).reshape(10, 5, n), resize(F, n), w)
-        dF += Y.reshape(2, 5, 5, n).transpose(1, 0, 2, 3).reshape(5, 10, n)
-    X = jet_solve(resize(F, n), dF, w)
+        Y = jet_matmul(resize(gauged[0].omega, n).reshape(10, 5, n), resize(M, n), w)
+        dM += Y.reshape(2, 5, 5, n).transpose(1, 0, 2, 3).reshape(5, 10, n)
+    X = jet_solve(resize(M, n), dM, w)  # M = F, or M = K for the gauge law
     return MCField(
         omega=X.reshape(5, 2, 5, -1).transpose(1, 0, 2, 3),
         degrees=tuple(int(x) for x in degrees),

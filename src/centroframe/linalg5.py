@@ -17,10 +17,11 @@ degree that the array functions take explicitly:
 The frame pipeline tracks its own degrees (see :mod:`centroframe.adaptation`).
 `mat_mul` and `solve` are nested-list entry points: they `pack` floats and
 jets (a float is a constant of unbounded degree), run the array functions
-and `unpack` with the per-entry degrees that scalar jet arithmetic gives: entry (i, j) of A B has degree min over t of
-min(deg A[i][t], deg B[t][j]); column j of the solution of A X = B has
-degree min(deg A, deg B[:, j]), deg A the lowest entry degree of A; an entry
-whose inputs are all floats stays a float.
+and `unpack` with the per-entry degrees that scalar jet arithmetic gives:
+entry (i, j) of A B has degree min over t of min(deg A[i][t], deg B[t][j]);
+column j of the solution of A X = B has degree min(deg A, deg B[:, j]),
+deg A the lowest entry degree of A; an entry whose inputs are all floats
+stays a float.
 
 ``expm5`` is a scaling-and-squaring matrix exponential for plain float
 matrices (series kernel after scaling the 1-norm below 0.5); it is
