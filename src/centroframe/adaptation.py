@@ -338,11 +338,11 @@ def maurer_cartan(frame, gauged=None):
     One solve of F against [dF/du | dF/dv] on coefficient arrays.  When
     `frame` is G K for a frame G and a gauge K, `gauged` = (mc of G, K)
     gives Omega by the gauge law K^-1 (Omega_G K + dK) instead, one solve
-    against K.  Near a null point the adapted frames are far worse
-    conditioned than the gauges that make them, and solving against them
-    loses up to eight digits there.  Column j of Omega has degree
-    min(min deg F, deg F[:, j] - 1) either way; a frame column of degree 0
-    has no known derivative and raises ValueError.
+    against K.  Near a null point the adapted frames are badly conditioned
+    and solving against them loses up to eight digits, while the gauges are
+    block triangular and solving against them does not.  Column j of Omega
+    has degree min(min deg F, deg F[:, j] - 1) either way; a frame column of
+    degree 0 has no known derivative and raises ValueError.
     """
     d = np.array(frame.degrees)
     if d.min() < 1:
