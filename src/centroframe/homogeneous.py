@@ -5,10 +5,10 @@ Maurer-Cartan form collapses to
 
     Omega = M0 * alpha + M1 * omega^1 + M2 * omega^2
 
-with constant 5x5 matrices built from the invariant values (the six linear
-relations eliminate the level-1 coefficients, so fourteen numbers remain
-free per case).  The structure equation d(Omega) = -Omega ^ Omega then
-reduces to three matrix identities:
+with constant matrices that fill the layout `invariants.LAYOUTS`, the one
+the point pipeline reads, with the invariant values: fourteen per case are
+free, and the six level-1 values follow from the linear relations.  The
+structure equation d(Omega) = -Omega ^ Omega reduces to three identities:
 
 * space-like:  [M0, M1] + M2 = 0,   [M2, M0] + M1 = 0,   [M1, M2] + K*M0 = 0
 * time-like:   [M0, M1] - M1 = 0,   [M2, M0] - M2 = 0,   [M1, M2] + K*M0 = 0
@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
-from .invariants import gauss_formula
-from .linalg5 import expm5
+from .invariants import LAYOUTS, gauss_formula
 from .surfaces import builtin_surface
 
 __all__ = [
@@ -64,22 +64,15 @@ __all__ = [
     "model_metric",
 ]
 
-SPACELIKE_NAMES = (
-    "h131", "h132", "h141", "h142", "h232", "h242",
-    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-)
-TIMELIKE_NAMES = (
-    "h131", "h132", "h141", "h142", "h231", "h241",
-    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-)
+SPACELIKE_NAMES = LAYOUTS["SpaceLike"].constants
+TIMELIKE_NAMES = LAYOUTS["TimeLike"].constants
+
 
 def invariant_names(surface_type):
     """Component order of the constant-invariant vector for a case."""
-    if surface_type == "SpaceLike":
-        return SPACELIKE_NAMES
-    if surface_type == "TimeLike":
-        return TIMELIKE_NAMES
-    raise CaseMismatch("surface_type must be SpaceLike or TimeLike")
+    if surface_type not in LAYOUTS:
+        raise CaseMismatch("surface_type must be SpaceLike or TimeLike")
+    return LAYOUTS[surface_type].constants
 
 
 @dataclass(frozen=True)
@@ -133,65 +126,33 @@ class ConstantInvariantVector:
         return np.array(self.values)
 
 
+def _level1(d, surface_type):
+    """The six level-1 values that the linear relations force on a model.
+
+    Solved by hand from `invariants.relation_residuals` with every
+    vanishing entry zero, in terms of the fourteen constants in `d`.
+    """
+    if surface_type == "SpaceLike":
+        tp, tm = (d["h331"] + d["h342"]) / 2.0, (d["h332"] - d["h341"]) / 2.0
+        return {"h111": tp - d["h432"] + d["h441"], "h112": tm, "h121": tm, "h122": tp,
+                "h221": tp, "h222": tm + d["h431"] + d["h442"]}
+    return {"h111": d["h441"], "h121": d["h332"], "h122": -d["h341"],
+            "h211": -d["h432"], "h212": d["h441"], "h222": d["h332"]}
+
+
 def model_omega(vector):
     """Reduced Maurer-Cartan matrices (M0, M1, M2) of a constant vector.
 
     Returns three float arrays with
-    Omega = M0*alpha + M1*omega^1 + M2*omega^2.
+    Omega = M0*alpha + M1*omega^1 + M2*omega^2: M0 is the layout's, and
+    M1, M2 fill the layout's cells from the constants and the level-1
+    values the relations force.
     """
-    d = vector.as_dict()
-    if vector.surface_type == "SpaceLike":
-        e = float(vector.epsilon)
-        tp = (d["h331"] + d["h342"]) / 2.0  # level-1 value forced by relations
-        tm = (d["h332"] - d["h341"]) / 2.0
-        M0 = np.array(
-            [
-                [0.0, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0],
-                [0.0, -1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0, 2.0],
-                [0.0, 0.0, 0.0, -2.0, 0.0],
-            ]
-        )
-        M1 = np.array(
-            [
-                [0.0, e, 0.0, 0.0, 0.0],
-                [1.0, tp - d["h432"] + d["h441"], tm, d["h131"], d["h141"]],
-                [0.0, tm, tp, d["h132"], d["h142"]],
-                [0.0, 1.0, 0.0, d["h331"], d["h341"]],
-                [0.0, 0.0, 1.0, d["h431"], d["h441"]],
-            ]
-        )
-        M2 = np.array(
-            [
-                [0.0, 0.0, e, 0.0, 0.0],
-                [0.0, tm, tp, d["h132"], d["h142"]],
-                [1.0, tp, tm + d["h431"] + d["h442"], d["h232"], d["h242"]],
-                [0.0, 0.0, -1.0, d["h332"], d["h342"]],
-                [0.0, 1.0, 0.0, d["h432"], d["h442"]],
-            ]
-        )
-        return M0, M1, M2
-    M0 = np.diag([0.0, 1.0, -1.0, 2.0, -2.0])
-    M1 = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0, 0.0],
-            [1.0, d["h441"], d["h332"], d["h131"], d["h141"]],
-            [0.0, -d["h432"], d["h441"], d["h231"], d["h241"]],
-            [0.0, 1.0, 0.0, d["h331"], d["h341"]],
-            [0.0, 0.0, 0.0, d["h431"], d["h441"]],
-        ]
-    )
-    M2 = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, d["h332"], -d["h341"], d["h132"], d["h142"]],
-            [1.0, d["h441"], d["h332"], d["h131"], d["h141"]],
-            [0.0, 0.0, 0.0, d["h332"], d["h342"]],
-            [0.0, 0.0, 1.0, d["h432"], d["h442"]],
-        ]
-    )
-    return M0, M1, M2
+    layout = LAYOUTS[vector.surface_type]
+    d = {"1": 1.0, "0": 0.0, "-1": -1.0, "e": float(vector.epsilon), **vector.as_dict()}
+    d.update(_level1(d, vector.surface_type))
+    M1, M2 = np.array([d[x] for x in layout.fill.flat]).reshape(2, 5, 5)
+    return layout.M0.copy(), M1, M2
 
 
 def gauss_constant(vector):
@@ -543,10 +504,6 @@ def model_generators(name):
     return M0, s * (M1 - M2), s * (M1 + M2)
 
 
-def _expm_np(M, t):
-    return np.array(expm5([list(row) for row in M], t))
-
-
 def exp_product_point(name, t, u, v):
     """Surface point exp(u*G1) exp(v*G2) exp(t*G0) e0 of a built-in model.
 
@@ -554,7 +511,7 @@ def exp_product_point(name, t, u, v):
     independent of t because exp(t*G0) stabilizes the base point.
     """
     G0, G1, G2 = model_generators(name)
-    g = _expm_np(G1, u) @ _expm_np(G2, v) @ _expm_np(G0, t)
+    g = expm(u * G1) @ expm(v * G2) @ expm(t * G0)
     return g[:, 0]
 
 

@@ -1,20 +1,37 @@
 """Differential invariants of a 3-adapted frame.
 
-Once the frame is 3-adapted, every Maurer-Cartan entry is either a fixed
-multiple of the coframe, the connection form alpha, or semi-basic with
-coefficient functions that are differential invariants of the surface.
-This module names those coefficients, evaluates the linear relations that
-the structure equations impose on them (as signed residuals), computes the
-Gauss curvature by two independent routes (the algebraic curvature formula
-and d(alpha) against the area form), and assembles the induced metrics.
+The Maurer-Cartan form of a 3-adapted frame is
+Omega = M0 alpha + M1 omega^1 + M2 omega^2, with alpha the connection form,
+omega^k = omega^k_0 the coframe, M0 constant, and M1, M2 holding pinned
+values and the differential invariants.  This module keeps that layout per
+case (`LAYOUTS`; `homogeneous.model_omega` fills it with constants), reads
+the invariants off it, evaluates the linear relations among them (as
+signed residuals), computes the Gauss curvature by two independent routes
+(the algebraic formula and d(alpha) against the area form), and assembles
+the induced metrics.
 
-Naming: h<i><j><k> is the coefficient of omega^k_0 in the semi-basic part
-of omega^i_j, after any alpha-part is removed.  The connection form is
-alpha = (omega^1_2 - omega^2_1)/2 in the space-like case and
-(omega^1_1 - omega^2_2)/2 in the time-like case.
+A layout table has one line per row i, M0 | M1 | M2, one token per column
+j.  A token of M_k (k = 1, 2) says what the cell holds:
+
+    h<ijk>     the invariant h<ijk>: the coefficient of omega^k in the
+               semi-basic part of omega^i_j
+    1 0 -1 e   a value the adaptation pins (e = epsilon, the sign of h0),
+               checked as vanishing["fix_w<ij>_<k>"]
+    *          an entry killed on Omega: vanishing["w<ij>_du"], ["w<ij>_dv"]
+    !          an entry killed on the coframe: vanishing["w<ij>_<k>"]
+    =x         a copy of x that holds by construction (not read)
+    ~x         a copy of invariant x by Cartan-lemma symmetry, checked as
+               vanishing["sym_w<ij>"]; h231~h132 is an invariant and a copy
+
+The semi-basic part is S = P - M0 (x) alpha, with P the coframe projection
+(`MCField.projection`) and alpha = sum over i, j in {1, 2} of
+M0[i, j] omega^i_j / 2: (omega^1_2 - omega^2_1)/2 when space-like,
+(omega^1_1 - omega^2_2)/2 when time-like.  A cell of S has the jet degree
+of its column of P, lowered to alpha's where M0 is nonzero.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +54,8 @@ from .taylor import TaylorScalar, n_terms
 __all__ = [
     "InvariantSet",
     "MetricData",
+    "Layout",
+    "LAYOUTS",
     "H_NAMES",
     "extract_invariants",
     "relation_residuals",
@@ -84,122 +103,124 @@ class MetricData:
     signature: str
 
 
-def _combination(P, degrees, terms, offset=(0.0, 0.0)):
-    """Jets (x1, x2) of sum c P[:, i, j] over terms (c, i, j), minus `offset`.
+# Row i of M0 | M1 | M2 per case; the tokens are explained above.
+_LAYOUT_TABLES = {
+    "SpaceLike": """
+        0  0  0  0  0 | *   e      0     !          !         | *   0      e     !     !
+        0  0  1  0  0 | =1  h111   h121  h131       h141      | =0  h112   h122  h132  h142
+        0 -1  0  0  0 | =0  =h121  h221  h231~h132  h241~h142 | =1  =h122  h222  h232  h242
+        0  0  0  0  2 | *   1      0     h331       h341      | *   0      -1    h332  h342
+        0  0  0 -2  0 | *   0      1     h431       h441      | *   1      0     h432  h442
+        """,
+    "TimeLike": """
+        0  0  0  0  0 | *   0     1      !     !     | *   1      0      !      !
+        0  1  0  0  0 | =1  h111  h121   h131  h141  | =0  =h222  h122   h132   h142
+        0  0 -1  0  0 | =0  h211  =h111  h231  h241  | =1  h212   h222   ~h131  ~h141
+        0  0  0  2  0 | *   1     0      h331  h341  | *   0      0      h332   h342
+        0  0  0  0 -2 | *   0     0      h431  h441  | *   0      1      h432   h442
+        """,
+}
 
-    P is a coefficient array whose column j has degree degrees[j]; the
-    result has the lowest degree among the columns it reads.
+
+class Layout(NamedTuple):
+    """One case of the layout, parsed from its table.
+
+    `M0` is the (5, 5) matrix of alpha coefficients and `fill` a (2, 5, 5)
+    array of what the cells of (M1, M2) hold once every check is met: an
+    invariant name or "1", "0", "-1", "e".  `names` are the invariants,
+    sorted; h<ijk> sits in cell (k - 1, i, j).  `constants` are the names
+    that stay free in a homogeneous model, sorted: those outside columns
+    1-2 that are not symmetric copies (columns 1-2 hold the level-1
+    coefficients, which the six relations determine there).  The read
+    plan: `reads` and `killed` list (key, k, i, j) read off S and off
+    Omega, `sym` lists (key, cell, copy cell), and the pinned values are
+    pinned[0] + epsilon * pinned[1].
     """
-    d = min(degrees[j] for _, _, j in terms)
-    n = n_terms(d)
-    c = sum(coef * P[:, i, j, :n] for coef, i, j in terms)
-    c[:, 0] -= offset
-    return TaylorScalar(c[0]), TaylorScalar(c[1])
 
+    M0: np.ndarray
+    fill: np.ndarray
+    names: tuple
+    constants: tuple
+    reads: tuple
+    killed: tuple
+    sym: tuple
+    pinned: np.ndarray
+
+
+def _parse_layout(table):
+    rows = [[half.split() for half in line.split("|")] for line in table.strip().splitlines()]
+    fill = np.empty((2, 5, 5), dtype=object)
+    pinned = np.zeros((2, 2, 5, 5))
+    reads, killed, sym = [], [], []
+    for k, i, j in np.ndindex(fill.shape):
+        tok = rows[i][k + 1][j]
+        name, _, copy = tok.partition("~")
+        cell = "w%d%d" % (i, j)
+        fill[k, i, j] = "0" if tok in ("*", "!") else copy or name.lstrip("=")
+        if tok == "*":
+            killed.append((cell + ("_du", "_dv")[k], k, i, j))
+        elif tok == "!":
+            reads.append((cell + "_%d" % (k + 1), k, i, j))
+        elif tok[0] in "h~":
+            reads += [(name, k, i, j)] if name else []
+            sym += [("sym_" + cell, (k, i, j), copy)] if copy else []
+        elif tok[0] != "=":
+            reads.append(("fix_%s_%d" % (cell, k + 1), k, i, j))
+            pinned[:, k, i, j] = (0.0, 1.0) if tok == "e" else (float(tok), 0.0)
+    where = {key: (k, i, j) for key, k, i, j in reads if key[0] == "h"}
+    sym = tuple((key, at, where[copy]) for key, at, copy in sym)
+    copied = {at for _, at, _ in sym}
+    constants = [n for n, at in where.items() if at[2] > 2 and at not in copied]
+    M0 = np.array([row[0] for row in rows], dtype=float)
+    return Layout(M0, fill, tuple(sorted(where)), tuple(sorted(constants)), tuple(reads),
+                  tuple(killed), sym, pinned)
+
+
+LAYOUTS = {case: _parse_layout(table) for case, table in _LAYOUT_TABLES.items()}
 
 # Names of the invariants `extract_invariants` returns, sorted, per type.
-H_NAMES = {
-    "SpaceLike": (
-        "h111", "h112", "h121", "h122", "h131", "h132", "h141", "h142",
-        "h221", "h222", "h231", "h232", "h241", "h242",
-        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-    ),
-    "TimeLike": (
-        "h111", "h121", "h122", "h131", "h132", "h141", "h142",
-        "h211", "h212", "h222", "h231", "h241",
-        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
-    ),
-}
+H_NAMES = {case: layout.names for case, layout in LAYOUTS.items()}
+
+
+def _alpha(M0, F, n=None):
+    """alpha's coefficients, sum of M0[i, j] F[:, i, j] / 2 over i, j in {1, 2}."""
+    return sum(M0[i, j] / 2.0 * F[:, i, j, :n] for i in (1, 2) for j in (1, 2) if M0[i, j])
 
 
 def extract_invariants(mc, surface_type, epsilon=0):
     """Name the invariant coefficients of a 3-adapted Maurer-Cartan field.
 
-    Every name is a linear combination of Maurer-Cartan entries, read off
-    the coframe projection (`MCField.projection`) after combining there.
-
-    Parameters
-    ----------
-    mc : MCField
-        Maurer-Cartan field of a 3-adapted frame.
-    surface_type : str
-        "SpaceLike" or "TimeLike".
-    epsilon : int
-        Sign of h0 (space-like case only).
-
-    Returns
-    -------
-    InvariantSet
+    `mc` is the Maurer-Cartan field of a 3-adapted frame, `surface_type`
+    "SpaceLike" or "TimeLike" and `epsilon` the sign of h0 (space-like
+    only).  The layout of the case is read off S = P - M0 (x) alpha, P the
+    coframe projection (`MCField.projection`), except for the entries
+    killed on Omega, which are read off `MCField.omega`.
     """
-    P, dP = mc.projection, mc.projection_degrees
-
-    def combo(*terms):
-        return _combination(P, dP, terms)
-
-    def pair(i, j, offset=(0.0, 0.0)):
-        return _combination(P, dP, ((1.0, i, j),), offset)
-
-    h = {}
-    vanish = {}
-
-    # entries that adaptation kills outright
-    for (i, j), label in (((0, 0), "w00"), ((3, 0), "w30"), ((4, 0), "w40")):
-        vanish[label + "_du"], vanish[label + "_dv"] = _combination(
-            mc.omega, mc.degrees, ((1.0, i, j),)
-        )
-    vanish["w03_1"], vanish["w03_2"] = pair(0, 3)
-    vanish["w04_1"], vanish["w04_2"] = pair(0, 4)
-
-    if surface_type == "SpaceLike":
-        e = float(epsilon)
-        fixed = {(3, 1): (1.0, 0.0), (3, 2): (0.0, -1.0), (4, 1): (0.0, 1.0),
-                 (4, 2): (1.0, 0.0), (0, 1): (e, 0.0), (0, 2): (0.0, e)}
-        alpha = ((0.5, 1, 2), (-0.5, 2, 1))  # (omega^1_2 - omega^2_1)/2
-        h["h111"], h["h112"] = pair(1, 1)
-        h["h221"], h["h222"] = pair(2, 2)
-        # omega^1_2 and omega^2_1 share one semi-basic part around +-alpha
-        h["h121"], h["h122"] = combo((0.5, 1, 2), (0.5, 2, 1))
-        h["h331"], h["h332"] = pair(3, 3)
-        h["h441"], h["h442"] = pair(4, 4)
-        # omega^3_4 - 2 alpha and omega^4_3 + 2 alpha
-        h["h341"], h["h342"] = combo((1.0, 3, 4), (-1.0, 1, 2), (1.0, 2, 1))
-        h["h431"], h["h432"] = combo((1.0, 4, 3), (1.0, 1, 2), (-1.0, 2, 1))
-        h["h131"], h["h132"] = pair(1, 3)
-        h["h141"], h["h142"] = pair(1, 4)
-        h["h231"], h["h232"] = pair(2, 3)
-        h["h241"], h["h242"] = pair(2, 4)
-        vanish["sym_w23"] = h["h231"] - h["h132"]
-        vanish["sym_w24"] = h["h241"] - h["h142"]
-    elif surface_type == "TimeLike":
-        fixed = {(3, 1): (1.0, 0.0), (3, 2): (0.0, 0.0), (4, 1): (0.0, 0.0),
-                 (4, 2): (0.0, 1.0), (0, 1): (0.0, 1.0), (0, 2): (1.0, 0.0)}
-        alpha = ((0.5, 1, 1), (-0.5, 2, 2))  # (omega^1_1 - omega^2_2)/2
-        h["h111"], h["h222"] = combo((0.5, 1, 1), (0.5, 2, 2))
-        h["h121"], h["h122"] = pair(1, 2)
-        h["h211"], h["h212"] = pair(2, 1)
-        # omega^3_3 - 2 alpha and omega^4_4 + 2 alpha
-        h["h331"], h["h332"] = combo((1.0, 3, 3), (-1.0, 1, 1), (1.0, 2, 2))
-        h["h441"], h["h442"] = combo((1.0, 4, 4), (1.0, 1, 1), (-1.0, 2, 2))
-        h["h341"], h["h342"] = pair(3, 4)
-        h["h431"], h["h432"] = pair(4, 3)
-        h["h131"], h["h132"] = pair(1, 3)
-        h["h141"], h["h142"] = pair(1, 4)
-        h["h231"], c2 = pair(2, 3)
-        vanish["sym_w23"] = c2 - h["h131"]
-        h["h241"], c2 = pair(2, 4)
-        vanish["sym_w24"] = c2 - h["h141"]
-    else:
+    if surface_type not in LAYOUTS:
         raise ValueError("surface_type must be SpaceLike or TimeLike")
-
-    # residuals of the pinned coframe multiples (2-adaptedness witnesses)
-    for (i, j), target in fixed.items():
-        vanish["fix_w%d%d_1" % (i, j)], vanish["fix_w%d%d_2" % (i, j)] = pair(i, j, offset=target)
-
+    layout = LAYOUTS[surface_type]
+    M0, P, pd = layout.M0, mc.projection, mc.projection_degrees
+    I, J = np.nonzero(M0)
+    S = P.copy()
+    S[:, I, J] -= M0[I, J, None] * _alpha(M0, P)[:, None]
+    S[..., 0] -= layout.pinned[0] + float(epsilon) * layout.pinned[1]
+    # alpha reads columns 1 and 2 in both cases
+    degree = np.tile(pd, (5, 1))
+    degree[I, J] = np.minimum(degree[I, J], min(pd[1:3]))
+    sizes = n_terms(degree).tolist()
+    omega, od = mc.omega, mc.degrees
+    vanish = {key: TaylorScalar(omega[k, i, j, : n_terms(od[j])].copy()) for key, k, i, j in layout.killed}
+    vanish.update((key, TaylorScalar(S[k, i, j, : sizes[i][j]])) for key, k, i, j in layout.reads)
+    h = {key: vanish.pop(key) for key in layout.names}
+    for key, (k, i, j), (kc, ic, jc) in layout.sym:
+        n = min(sizes[i][j], sizes[ic][jc])
+        vanish[key] = TaylorScalar(S[k, i, j, :n] - S[kc, ic, jc, :n])
+    alpha = _alpha(M0, omega, n_terms(min(od[1:3])))
     return InvariantSet(
         surface_type=surface_type,
         epsilon=int(epsilon),
         h=h,
-        alpha=_combination(mc.omega, mc.degrees, alpha),
+        alpha=(TaylorScalar(alpha[0]), TaylorScalar(alpha[1])),
         coframe=mc.coframe(),
         vanishing=vanish,
     )

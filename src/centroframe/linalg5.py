@@ -23,15 +23,13 @@ column j of the solution of A X = B has degree min(deg A, deg B[:, j]),
 deg A the lowest entry degree of A; an entry whose inputs are all floats
 stays a float.
 
-``expm5`` is a scaling-and-squaring matrix exponential for plain float
-matrices (series kernel after scaling the 1-norm below 0.5); it is
-deliberately hand-rolled so the homogeneous-model layer has no runtime
-dependency on an external implementation.
+``expm5`` adapts `scipy.linalg.expm` to a float matrix and a time t.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import taylor
@@ -233,24 +231,5 @@ def solve(A, B):
 
 
 def expm5(M, t=1.0):
-    """Matrix exponential exp(t*M) for a float 5x5 (scaling and squaring).
-
-    The argument is halved until its 1-norm is at most 0.5, the exponential
-    series is summed to machine precision, and the result is squared back.
-    """
-    A = np.asarray(M, dtype=float) * float(t)
-    norm = np.linalg.norm(A, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm / 0.5)))
-        A = A / (2.0**squarings)
-    X = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, 60):
-        term = term @ A / k
-        X = X + term
-        if np.linalg.norm(term, 1) <= 1e-17 * np.linalg.norm(X, 1):
-            break
-    for _ in range(squarings):
-        X = X @ X
-    return X
+    """Matrix exponential exp(t*M) of a float matrix (`scipy.linalg.expm`)."""
+    return expm(np.asarray(M, dtype=float) * float(t))

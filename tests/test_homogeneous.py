@@ -6,6 +6,8 @@ with the direct one, quadric equations, and the adaptation pipeline run on
 the built-in surfaces.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from centroframe.homogeneous import (
     structure_jacobian,
     structure_residual,
 )
-from centroframe.invariants import H_NAMES, analyze_point
+from centroframe.invariants import H_NAMES, InvariantSet, analyze_point, relation_residuals
 from centroframe.surfaces import builtin_surface, eval_surface
 
 
@@ -86,6 +88,23 @@ def test_constant_names_follow_h_names(names, surface_type):
     assert set(names) <= set(H_NAMES[surface_type])
     assert names == tuple(n for n in H_NAMES[surface_type] if n in names)
     assert names == tuple(sorted(names))
+
+
+# The constant-vector component orders, listed by hand as the reference for
+# the orders the layout tables yield.
+SPACELIKE_REFERENCE = (
+    "h131", "h132", "h141", "h142", "h232", "h242",
+    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+)
+TIMELIKE_REFERENCE = (
+    "h131", "h132", "h141", "h142", "h231", "h241",
+    "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+)
+
+
+def test_constant_names_derived_from_layouts():
+    assert SPACELIKE_NAMES == SPACELIKE_REFERENCE
+    assert TIMELIKE_NAMES == TIMELIKE_REFERENCE
 
 
 def test_model_omega_templates():
@@ -231,6 +250,33 @@ def test_gauss_constant_matches_pipeline():
         assert np.max(np.abs(structure_residual(civ))) < 1e-10
         model = builtin_model(name)
         assert np.allclose(civ.as_array(), model.constants.as_array(), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["h2", "sphere", "s21"])
+def test_pipeline_layout_matches_model_omega(name):
+    """S = P - M0 (x) alpha of the pipeline equals the model's (M1, M2)."""
+    M0, M1, M2 = model_omega(builtin_model(name).constants)
+    rng = np.random.default_rng(17)
+    for u, v in rng.uniform(-1.0, 1.0, (8, 2)):
+        res = analyze_point(builtin_surface(name), u, v)
+        P = res.mc.projection[..., 0]
+        # coframe projection of alpha = sum over i, j in {1, 2} of M0[i, j] omega^i_j / 2
+        alpha = np.einsum("ij,kij->k", M0[1:3, 1:3], P[:, 1:3, 1:3]) / 2
+        S = P - M0 * alpha[:, None, None]
+        assert np.max(np.abs(S - np.array([M1, M2]))) < 1e-12, (u, v)
+
+
+@pytest.mark.parametrize("st, eps", CASES)
+def test_filled_level1_cells_satisfy_relations(st, eps):
+    """The level-1 values model_omega fills in solve the six linear relations."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        vec = ConstantInvariantVector(st, eps, tuple(rng.uniform(-3, 3, 14)))
+        M = np.array(model_omega(vec)[1:])
+        h = {n: float(M[int(n[3]) - 1, int(n[1]), int(n[2])]) for n in H_NAMES[st]}
+        inv = InvariantSet(st, eps, h, alpha=None, coframe=None, vanishing=defaultdict(float))
+        for label, r in relation_residuals(inv).items():
+            assert abs(r) < 1e-14, label
 
 
 def test_search_finds_both_spacelike_solutions():

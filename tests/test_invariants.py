@@ -24,6 +24,7 @@ from centroframe.adaptation import (
 from centroframe.errors import NullTypeUnsupported
 from centroframe.invariants import (
     H_NAMES,
+    LAYOUTS,
     analyze_point,
     effective_degree,
     extract_invariants,
@@ -91,6 +92,31 @@ def test_invariant_names_table_matches_extraction(name, surface_type):
     res = _analyze(name, 0.3, -0.2)
     assert res.surface_type == surface_type
     assert sorted(res.invariants.h) == list(H_NAMES[surface_type])
+
+
+# The invariant names per case, listed by hand as the reference for the
+# names the layout tables yield.
+H_NAMES_REFERENCE = {
+    "SpaceLike": (
+        "h111", "h112", "h121", "h122", "h131", "h132", "h141", "h142",
+        "h221", "h222", "h231", "h232", "h241", "h242",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    ),
+    "TimeLike": (
+        "h111", "h121", "h122", "h131", "h132", "h141", "h142",
+        "h211", "h212", "h222", "h231", "h241",
+        "h331", "h332", "h341", "h342", "h431", "h432", "h441", "h442",
+    ),
+}
+
+
+def test_h_names_derived_from_layouts():
+    assert H_NAMES == H_NAMES_REFERENCE
+    for layout in LAYOUTS.values():
+        # invariant h<ijk> is read off cell (k - 1, i, j)
+        for key, k, i, j in layout.reads:
+            if key.startswith("h"):
+                assert key == "h%d%d%d" % (i, j, k + 1)
 
 
 def test_metric_closed_forms():
