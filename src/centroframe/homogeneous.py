@@ -28,7 +28,10 @@ are built once per case from the affine parts of `model_omega` and the
 quadratic form of `invariants.gauss_formula`.  The independent equations
 are chosen exactly from the coefficient rows: all-zero rows are dropped,
 and so is any row that equals or negates an earlier kept row.  The search
-runs Levenberg-Marquardt with the analytic Jacobian L + 2 Q x.
+runs all starts of one case together through `least_squares`, a batched
+Levenberg-Marquardt in plain numpy: one GEMM with Q gives the residuals and
+the exact Jacobians L + 2 Q x of the whole stack, and one batched solve
+gives every damped Gauss-Newton step.
 """
 
 import math
@@ -37,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
 from .invariants import LAYOUTS, gauss_formula
@@ -57,6 +59,7 @@ __all__ = [
     "structure_jacobian",
     "residual_dimension",
     "SearchCluster",
+    "least_squares",
     "search_constant_solutions",
     "model_generators",
     "exp_product_point",
@@ -401,16 +404,99 @@ def _search_plan(case):
 SEARCH_BOX = 3.0
 # Max-norm distance below which two converged solutions share a cluster.
 CLUSTER_TOL = 1e-6
+# Levenberg-Marquardt: iteration cap, initial damping, the damping range
+# (below it the shift is lost to roundoff on the unit diagonal, past it a
+# step is pure roundoff), and the relative size of a negligible step.
+LM_MAX_ITER = 100
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_MIN = 1e-12
+LM_LAMBDA_MAX = 1e16
+LM_XTOL = 1e-15
+
+
+def _residual_stack(c, L, Q, X):
+    """Residuals (k, m) and Jacobians (k, m, 14) at the k rows of X.
+
+    One GEMM with Q reshaped to (m*14, 14) gives Q[i] x for every row and
+    entry; then r = c + (L + Q x) . x and J = L + 2 Q x.
+    """
+    QX = (X @ Q.reshape(-1, X.shape[1]).T).reshape(len(X), len(c), X.shape[1])
+    LQ = L + QX
+    return c + (LQ @ X[:, :, None])[..., 0], LQ + QX
+
+
+def _normal_equations(c, L, Q, X):
+    """(ok, max|r|, |r|^2, J^T J, J^T r) at the rows of X; `ok` marks the
+    rows where all of them are finite."""
+    R, J = _residual_stack(c, L, Q, X)
+    JT = J.transpose(0, 2, 1)
+    H, g = JT @ J, (JT @ R[:, :, None])[..., 0]
+    f = np.einsum("km,km->k", R, R)
+    ok = np.isfinite(f) & np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+    return ok, np.abs(R).max(axis=1), f, H, g
+
+
+def least_squares(c, L, Q, X0):
+    """Levenberg-Marquardt on r(x) = c + L.x + x.Q.x from every row of X0.
+
+    Marquardt's damped Gauss-Newton step with Jacobian-diagonal scaling
+    (More, "The Levenberg-Marquardt algorithm: implementation and theory",
+    LNM 630, 1978): with D = diag(J^T J), each active row solves
+    (J^T J + lam D) dx = -J^T r, scaled by D^(1/2) to unit diagonal, and all
+    rows share one batched solve.  The damping lam is kept per row: a step
+    that lowers |r|^2 is taken and lam falls tenfold, otherwise lam rises
+    tenfold.  A row stops when its step is negligible, its residual is
+    zero or lam passes `LM_LAMBDA_MAX`; no row runs past `LM_MAX_ITER`
+    iterations.  A row whose step or residual turns non-finite stops at
+    once, as not converged, before it reaches the batched solve.
+
+    Returns the final points X (n, 14) and the max-norm residual at each;
+    it is inf for a row that stopped on a non-finite value.
+    """
+    X = np.array(X0, dtype=float)
+    diag = (slice(None),) + np.diag_indices(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, rmax, f, H, g = _normal_equations(c, L, Q, X)
+    rmax[~ok] = np.inf
+    lam = np.full(len(X), LM_LAMBDA0)
+    active = np.flatnonzero(ok)
+    for _ in range(LM_MAX_ITER):
+        if not len(active):
+            break
+        Ha, la = H[active], lam[active]
+        # a zero column of J gets a tiny scale, so its diagonal is lam
+        d = np.sqrt(np.maximum(Ha[diag], np.finfo(float).tiny))
+        A = Ha / (d[:, :, None] * d[:, None, :])
+        A[diag] += la[:, None]
+        y = np.linalg.solve(A, -(g[active] / d)[:, :, None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = y / d
+            Xt = X[active] + step
+            okt, rt, ft, Ht, gt = _normal_equations(c, L, Q, Xt)
+        better = okt & (ft < f[active])
+        take = active[better]
+        X[take], rmax[take], f[take], H[take], g[take] = (
+            Xt[better], rt[better], ft[better], Ht[better], gt[better]
+        )
+        rmax[active[~okt]] = np.inf
+        lam[active] = np.where(better, np.maximum(la / 10.0, LM_LAMBDA_MIN), la * 10.0)
+        small = np.abs(step).max(axis=1) <= LM_XTOL * (LM_XTOL + np.abs(X[active]).max(axis=1))
+        done = ~okt | small | (f[active] == 0.0) | (lam[active] > LM_LAMBDA_MAX)
+        active = active[~done]
+    return X, rmax
 
 
 def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10):
     """Find all constant-invariant solutions from random starts.
 
-    Runs Levenberg-Marquardt least squares on the reduced residual system,
-    with its exact Jacobian, from `restarts` uniform random starts in
-    [-SEARCH_BOX, SEARCH_BOX]^14 (alternating epsilon for the umbrella case
-    "spacelike") and greedily clusters converged solutions closer than
-    `CLUSTER_TOL` in max norm.
+    Draws `restarts` uniform random starts in [-SEARCH_BOX, SEARCH_BOX]^14;
+    start i belongs to the case `plan[i % len(plan)]` (alternating epsilon
+    for the umbrella case "spacelike").  The starts of each (type, epsilon)
+    group run together through one batched `least_squares` on the reduced
+    residual system.  Converged solutions are then clustered greedily in
+    start order, closer than `CLUSTER_TOL` in max norm; each cluster keeps
+    the vector with the smallest residual, and reports its residual and K
+    recomputed there by `structure_residual` and `gauss_constant`.
 
     Parameters
     ----------
@@ -430,49 +516,37 @@ def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10)
     """
     plan = _search_plan(case)
     rng = np.random.default_rng(seed)
+    starts = rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=(max(restarts, 0), 14))
+    runs = [
+        least_squares(*_support_tensors(*key), starts[g::len(plan)])
+        for g, key in enumerate(plan)
+    ]
     clusters = []
     for i in range(restarts):
-        surface_type, epsilon = plan[i % len(plan)]
-
-        def fun(x, _st=surface_type, _eps=epsilon):
-            return structure_residual(ConstantInvariantVector(_st, _eps, tuple(x)))
-
-        def jac(x, _st=surface_type, _eps=epsilon):
-            return structure_jacobian(ConstantInvariantVector(_st, _eps, tuple(x)))
-
-        x0 = rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=14)
-        sol = least_squares(
-            fun, x0, jac=jac, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-13,
-            max_nfev=4000,
-        )
-        resid = float(np.max(np.abs(fun(sol.x))))
-        if resid >= tol:
+        j, g = divmod(i, len(plan))
+        surface_type, epsilon = plan[g]
+        X, rmax = runs[g]
+        x, resid = X[j], rmax[j]
+        if not resid < tol:
             continue
-        placed = False
         for c in clusters:
             if (
                 c.surface_type == surface_type
                 and c.epsilon == epsilon
-                and np.max(np.abs(c.values - sol.x)) < CLUSTER_TOL
+                and np.max(np.abs(c.values - x)) < CLUSTER_TOL
             ):
                 c.hits += 1
                 if resid < c.residual:
-                    c.values = sol.x.copy()
-                    c.residual = resid
-                placed = True
+                    c.values, c.residual = x, resid
                 break
-        if not placed:
-            civ = ConstantInvariantVector(surface_type, epsilon, tuple(sol.x))
+        else:
             clusters.append(
-                SearchCluster(
-                    surface_type=surface_type,
-                    epsilon=epsilon,
-                    values=sol.x.copy(),
-                    residual=resid,
-                    hits=1,
-                    gauss=gauss_constant(civ),
-                )
+                SearchCluster(surface_type, epsilon, x, resid, hits=1, gauss=math.nan)
             )
+    for c in clusters:
+        civ = ConstantInvariantVector(c.surface_type, c.epsilon, tuple(c.values))
+        c.residual = float(np.max(np.abs(structure_residual(civ))))
+        c.gauss = gauss_constant(civ)
     clusters.sort(
         key=lambda c: (
             c.surface_type,

@@ -453,5 +453,5 @@ def analyze_point(spec, u0, v0, degree=4, want_connection=True):
         frame=fr3,
         mc=mc3,
         gram=stype.gram,
-        residual_max=max(residuals),
+        residual_max=float(np.max(residuals)),  # a NaN entry propagates
     )

@@ -4,11 +4,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from centroframe import cli
+import centroframe
+from centroframe import cli, invariants
 from centroframe.cli import main
 from centroframe.homogeneous import quadric_residual
 from centroframe.invariants import analyze_point
@@ -235,6 +240,38 @@ def test_analyze_non_finite_result_is_not_ok(monkeypatch):
     assert rec["ok"] is False
     assert rec["error"] == "ArithmeticFailure"
     assert rec["message"] == "non-finite result: gauss_connection"
+
+
+def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
+    # R3 is neither the first residual nor the last, so a plain max() over
+    # floats would skip its NaN
+    relations = invariants.relation_residuals
+
+    def nan_r3(inv):
+        res = relations(inv)
+        res["R3"] = res["R3"] * math.nan
+        return res
+
+    monkeypatch.setattr(invariants, "relation_residuals", nan_r3)
+    assert math.isnan(analyze_point(builtin_surface("h2"), 0.3, -0.2).residual_max)
+    rec = cli._analyze_record((builtin_surface("h2"), 0.3, -0.2, 5, 1e-7))
+    assert rec["residual_ok"] is not True
+
+
+def test_analyze_process_does_not_import_scipy_optimize():
+    # only `search` solves least-squares problems, and it needs no scipy
+    code = (
+        "import sys\n"
+        "from centroframe import cli\n"
+        "assert cli.main(['analyze', '--surface', 'h2', '--grid', '0:0.5:2']) == 0\n"
+        "sys.exit('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(centroframe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_rejects_low_degree(capsys):

@@ -13,16 +13,21 @@ import pytest
 
 from centroframe.errors import CaseMismatch, DegenerateCoframe, UnknownModel
 from centroframe.homogeneous import (
+    CLUSTER_TOL,
+    SEARCH_BOX,
     SPACELIKE_NAMES,
     TIMELIKE_NAMES,
     ConstantInvariantVector,
     _comm,
     _raw_residual,
+    _residual_stack,
     _residual_support,
+    _support_tensors,
     bracket_check,
     builtin_model,
     exp_product_point,
     gauss_constant,
+    least_squares,
     model_generators,
     model_metric,
     model_omega,
@@ -310,6 +315,8 @@ def test_search_single_sign_cases_and_errors():
     assert len(minus) == 1 and minus[0].epsilon == -1
     with pytest.raises(CaseMismatch):
         search_constant_solutions("lightlike", restarts=1)
+    assert search_constant_solutions("spacelike", restarts=0) == []
+    assert search_constant_solutions("timelike", restarts=-1) == []
 
 
 def test_search_is_deterministic():
@@ -318,6 +325,76 @@ def test_search_is_deterministic():
     assert len(a) == len(b) == 1
     assert np.array_equal(a[0].values, b[0].values)
     assert a[0].hits == b[0].hits
+
+
+MODEL_OF_CASE = {("SpaceLike", 1): "h2", ("SpaceLike", -1): "sphere", ("TimeLike", 0): "s21"}
+
+
+@pytest.mark.parametrize("st, eps", CASES)
+def test_batched_stack_matches_structure_residual_and_jacobian(st, eps):
+    c, L, Q = _support_tensors(st, eps)
+    X = np.random.default_rng(51).uniform(-SEARCH_BOX, SEARCH_BOX, (50, 14))
+    R, J = _residual_stack(c, L, Q, X)
+    for x, r, jac in zip(X, R, J):
+        vec = ConstantInvariantVector(st, eps, tuple(x))
+        want_r, want_j = structure_residual(vec), structure_jacobian(vec)
+        assert np.max(np.abs(r - want_r)) <= 1e-13 * np.max(np.abs(want_r))
+        assert np.max(np.abs(jac - want_j)) <= 1e-13 * np.max(np.abs(want_j))
+
+
+@pytest.mark.parametrize("st, eps", CASES)
+def test_batched_lm_matches_scipy_route(st, eps):
+    """Reference: scipy's MINPACK LM from the same starts, one call each."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    def fun(x):
+        return structure_residual(ConstantInvariantVector(st, eps, tuple(x)))
+
+    def jac(x):
+        return structure_jacobian(ConstantInvariantVector(st, eps, tuple(x)))
+
+    model = builtin_model(MODEL_OF_CASE[st, eps]).constants.as_array()
+    X0 = np.random.default_rng(52).uniform(-SEARCH_BOX, SEARCH_BOX, (200, 14))
+    X, rmax = least_squares(*_support_tensors(st, eps), X0)
+    assert np.all(rmax < 1e-10)
+    for x0, x in zip(X0, X):
+        ref = scipy_least_squares(
+            fun, x0, jac=jac, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-13, max_nfev=4000
+        ).x
+        assert np.max(np.abs(fun(ref))) < 1e-10
+        assert np.max(np.abs(ref - model)) < 1e-9
+        assert np.max(np.abs(x - model)) < 1e-9
+        assert np.max(np.abs(x - ref)) < 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lm_rows_are_independent_of_the_batch(monkeypatch):
+    st, eps = "SpaceLike", 1
+    tensors = _support_tensors(st, eps)
+    X0 = np.random.default_rng(53).uniform(-SEARCH_BOX, SEARCH_BOX, (12, 14))
+    X0[3, 5] = np.nan
+    X0[8] = 1e200
+    X, rmax = least_squares(*tensors, X0)
+    bad = np.isin(np.arange(12), [3, 8])
+    assert np.all(rmax[bad] == np.inf)
+    assert np.all(rmax[~bad] < 1e-10)
+    model = builtin_model("h2").constants.as_array()
+    for x0, x in zip(X0[~bad], X[~bad]):
+        alone, r1 = least_squares(*tensors, x0[None])
+        assert r1[0] < 1e-10
+        assert np.max(np.abs(alone[0] - x)) < 1e-12
+        assert np.max(np.abs(x - model)) < CLUSTER_TOL
+
+    # the same starts through the search: the bad rows are left out
+    class Starts:
+        def uniform(self, low, high, size):
+            assert size == X0.shape
+            return X0.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Starts())
+    clusters = search_constant_solutions("spacelike+", restarts=12, seed=0)
+    assert [c.hits for c in clusters] == [10]
+    assert np.max(np.abs(clusters[0].values - model)) < CLUSTER_TOL
 
 
 def test_exp_product_matches_parametrization():
