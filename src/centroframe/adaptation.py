@@ -353,7 +353,9 @@ def maurer_cartan(frame, gauged=None):
     M = resize(frame.coeffs if gauged is None else gauged[1].coeffs, n_terms(w + 1))
     dM = np.concatenate([derivative(M, w + 1, 0), derivative(M, w + 1, 1)], axis=1)
     if gauged is not None:  # [Omega_G,u K | Omega_G,v K] + [dK/du | dK/dv]
-        Y = jet_matmul(resize(gauged[0].omega, n).reshape(10, 5, n), resize(M, n), w)
+        # Omega_G K as (K^T Omega_G^T)^T: the jet operator is built from K's 25 entries
+        OgT = resize(gauged[0].omega, n).reshape(10, 5, n).transpose(1, 0, 2)
+        Y = jet_matmul(resize(M, n).transpose(1, 0, 2), OgT, w).transpose(1, 0, 2)
         dM += Y.reshape(2, 5, 5, n).transpose(1, 0, 2, 3).reshape(5, 10, n)
     X = jet_solve(resize(M, n), dM, w)  # M = F, or M = K for the gauge law
     return MCField(

@@ -13,7 +13,8 @@ structure equation d(Omega) = -Omega ^ Omega reduces to three identities:
 * space-like:  [M0, M1] + M2 = 0,   [M2, M0] + M1 = 0,   [M1, M2] + K*M0 = 0
 * time-like:   [M0, M1] - M1 = 0,   [M2, M0] - M2 = 0,   [M1, M2] + K*M0 = 0
 
-with K the Gauss curvature expressed in the constants.  Solutions make
+with K and the six relation cells (solved for the level-1 values) from
+`invariants.structure_terms` on the filled layout.  Solutions make
 (M0, M1, M2) span a three-dimensional matrix Lie algebra, and the surface
 is an orbit of the corresponding group: exponentials of the generators
 parametrize it.  This module builds the matrices, evaluates the reduced
@@ -24,8 +25,8 @@ parametrizations, quadric equations, and closed-form induced metrics.
 The matrices are affine in the fourteen constants x (M0 does not depend on
 them) and K is quadratic, so each of the 75 entries of the three identities
 is an exact quadratic r(x) = c + L.x + x.Q.x.  The coefficients (c, L, Q)
-are built once per case from the affine parts of `model_omega` and the
-quadratic form of `invariants.gauss_formula`.  The independent equations
+are built once per case from the affine parts of `model_omega`; the
+quadratic form of K is read off the same [M1, M2].  The independent equations
 are chosen exactly from the coefficient rows: all-zero rows are dropped,
 and so is any row that equals or negates an earlier kept row.  The search
 runs all starts of one case together through `least_squares`, a batched
@@ -36,13 +37,14 @@ gives every damped Gauss-Newton step.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
-from .invariants import LAYOUTS, gauss_formula
+from .invariants import LAYOUTS, structure_terms
 from .surfaces import builtin_surface
 
 __all__ = [
@@ -129,18 +131,40 @@ class ConstantInvariantVector:
         return np.array(self.values)
 
 
-def _level1(d, surface_type):
-    """The six level-1 values that the linear relations force on a model.
+def _fill(surface_type, epsilon, values):
+    """(M1, M2) of the layout, its tokens looked up in `values` and the pins."""
+    d = {"1": 1.0, "0": 0.0, "-1": -1.0, "e": float(epsilon), **values}
+    return np.array([d[x] for x in LAYOUTS[surface_type].fill.flat]).reshape(2, 5, 5)
 
-    Solved by hand from `invariants.relation_residuals` with every
-    vanishing entry zero, in terms of the fourteen constants in `d`.
+
+@lru_cache(maxsize=8)
+def _level1(surface_type, epsilon):
+    """Level-1 names and the linear map that the six relations force.
+
+    The relation cells of `invariants.structure_terms` are affine in the
+    values of the fill, with dyadic coefficients read exactly at 0 and at
+    unit vectors; they are solved in Fractions for the level-1 names (the
+    fill's names outside `constants`).  Row r lists the pairs (k, w), w
+    nonzero, with name r = sum of w * y_k over them, y = (1, x).
     """
-    if surface_type == "SpaceLike":
-        tp, tm = (d["h331"] + d["h342"]) / 2.0, (d["h332"] - d["h341"]) / 2.0
-        return {"h111": tp - d["h432"] + d["h441"], "h112": tm, "h121": tm, "h122": tp,
-                "h221": tp, "h222": tm + d["h431"] + d["h442"]}
-    return {"h111": d["h441"], "h121": d["h332"], "h122": -d["h341"],
-            "h211": -d["h432"], "h212": d["h441"], "h222": d["h332"]}
+    layout = LAYOUTS[surface_type]
+    names = tuple(sorted(set(layout.fill.flat) & set(layout.names) - set(layout.constants)))
+    n, unknowns = len(names), names + layout.constants
+
+    def cells(z):
+        P = _fill(surface_type, epsilon, dict(zip(unknowns, z)))
+        return structure_terms(P[..., None], surface_type, epsilon)[1][:, 0]
+
+    r0 = cells(np.zeros(len(unknowns)))
+    A = np.array([cells(e) - r0 for e in np.eye(len(unknowns))]).T
+    # Gauss-Jordan on [A_level1 | r0 | A_constants]: level1 = -row[n:] . y
+    M = [[Fraction(v) for v in row] for row in np.column_stack([A[:, :n], r0, A[:, n:]])]
+    for c in range(n):
+        M[c:] = sorted(M[c:], key=lambda row: row[c] == 0)  # a nonzero pivot first
+        M[c] = [v / M[c][c] for v in M[c]]
+        M = [row if r == c or not row[c] else [a - row[c] * b for a, b in zip(row, M[c])]
+             for r, row in enumerate(M)]
+    return names, tuple(tuple((k, float(-v)) for k, v in enumerate(row[n:]) if v) for row in M)
 
 
 def model_omega(vector):
@@ -151,16 +175,29 @@ def model_omega(vector):
     M1, M2 fill the layout's cells from the constants and the level-1
     values the relations force.
     """
-    layout = LAYOUTS[vector.surface_type]
-    d = {"1": 1.0, "0": 0.0, "-1": -1.0, "e": float(vector.epsilon), **vector.as_dict()}
-    d.update(_level1(d, vector.surface_type))
-    M1, M2 = np.array([d[x] for x in layout.fill.flat]).reshape(2, 5, 5)
-    return layout.M0.copy(), M1, M2
+    names, rows = _level1(vector.surface_type, vector.epsilon)
+    values, y = vector.as_dict(), (1.0,) + vector.values
+    for name, row in zip(names, rows):
+        values[name] = -0.0  # adding to -0.0 keeps the sign of a zero sum
+        for k, w in row:
+            values[name] += w * y[k]
+    M1, M2 = _fill(vector.surface_type, vector.epsilon, values)
+    return LAYOUTS[vector.surface_type].M0.copy(), M1, M2
 
 
 def gauss_constant(vector):
-    """Gauss curvature of a constant-invariant vector (algebraic formula)."""
-    return gauss_formula(vector.as_dict(), vector.surface_type, vector.epsilon)
+    """Gauss curvature of a constant-invariant vector, from [M1, M2]."""
+    _, M1, M2 = model_omega(vector)
+    K, _ = structure_terms(np.array([M1, M2])[..., None], vector.surface_type, vector.epsilon)
+    return float(K[0])
+
+
+# The two identities of each case linear in (M1, M2), [M_a, M_b] + s*M_c = 0,
+# as (label, a, b, c, s); the third, [M1, M2] + K*M0 = 0, is shared.
+_IDENTITIES = {
+    "SpaceLike": (("[M0,M1]+M2", 0, 1, 2, 1.0), ("[M2,M0]+M1", 2, 0, 1, 1.0)),
+    "TimeLike": (("[M0,M1]-M1", 0, 1, 1, -1.0), ("[M2,M0]-M2", 2, 0, 2, -1.0)),
+}
 
 
 def _comm(A, B):
@@ -185,31 +222,6 @@ def _affine_parts(surface_type, epsilon):
     return N
 
 
-def _gauss_form(surface_type, epsilon):
-    """Symmetric G of shape (15, 15) with K(x) = (1, x) G (1, x)^T.
-
-    K is a quadratic polynomial in x, so its coefficients follow exactly
-    from `gauss_formula` at 0, at the unit vectors e_k and at e_k + e_l:
-    Q_kl = (K(e_k + e_l) - K(e_k) - K(e_l) + K(0)) / 2, diagonal included.
-    """
-    names = invariant_names(surface_type)
-
-    def K(x):
-        return gauss_formula(dict(zip(names, x)), surface_type, epsilon)
-
-    E = np.eye(14)
-    k0 = K(np.zeros(14))
-    unit = np.array([K(e) for e in E])
-    pair = np.array([[K(a + b) for b in E] for a in E])
-    Q = (pair - unit[:, None] - unit[None, :] + k0) / 2.0
-    g = unit - k0 - np.diag(Q)
-    G = np.empty((15, 15))
-    G[0, 0] = k0
-    G[0, 1:] = G[1:, 0] = g / 2.0
-    G[1:, 1:] = Q
-    return G
-
-
 @lru_cache(maxsize=8)
 def _residual_tensors(surface_type, epsilon):
     """Exact coefficients (c, L, Q) of the 75 raw structure residuals.
@@ -218,7 +230,7 @@ def _residual_tensors(surface_type, epsilon):
     The tensors are built in homogeneous coordinates y = (1, x): a product
     of affine matrices M_a M_b has the form sum_pq y_p y_q N_ap N_bq, a
     linear term M_a is sum_q y_0 y_q N_aq, and K*M0 is the quadratic form
-    of K times the constant M0.
+    of K, read off the same [M1, M2], times the constant M0.
     """
     N = _affine_parts(surface_type, epsilon)
 
@@ -232,14 +244,12 @@ def _residual_tensors(surface_type, epsilon):
         T[0] = N[a]  # y_0 y_q N_aq, split over [0, q] and [q, 0] below
         return T
 
-    if surface_type == "SpaceLike":
-        E1 = comm(0, 1) + linear(2)
-        E2 = comm(2, 0) + linear(1)
-    else:
-        E1 = comm(0, 1) - linear(1)
-        E2 = comm(2, 0) - linear(2)
-    # M0 is constant in both cases (N[0, 1:] = 0), so K*M0 stays quadratic.
-    E3 = comm(1, 2) + _gauss_form(surface_type, epsilon)[:, :, None, None] * N[0, 0]
+    E1, E2 = (comm(a, b) + s * linear(c) for _, a, b, c, s in _IDENTITIES[surface_type])
+    # M0 is constant in both cases (N[0, 1:] = 0), so K*M0 stays quadratic:
+    # K = -1/2 sum over i, j in {1, 2} of M0[i, j] [M1, M2][i, j].
+    C = comm(1, 2)
+    G = -0.5 * np.einsum("ij,pqij->pq", N[0, 0, 1:3, 1:3], C[..., 1:3, 1:3])
+    E3 = C + G[..., None, None] * N[0, 0]
     T = np.concatenate(
         [E.transpose(2, 3, 0, 1).reshape(25, 15, 15) for E in (E1, E2, E3)]
     )
@@ -352,20 +362,9 @@ def bracket_check(model):
     The labels name the identity being tested; every value is zero (to
     roundoff) when the model solves the reduced structure equations.
     """
-    M0, M1, M2 = model_omega(model.constants)
-    K = model.gauss
-    if model.surface_type == "SpaceLike":
-        rel = {
-            "[M0,M1]+M2": _comm(M0, M1) + M2,
-            "[M2,M0]+M1": _comm(M2, M0) + M1,
-            "[M1,M2]+K*M0": _comm(M1, M2) + K * M0,
-        }
-    else:
-        rel = {
-            "[M0,M1]-M1": _comm(M0, M1) - M1,
-            "[M2,M0]-M2": _comm(M2, M0) - M2,
-            "[M1,M2]+K*M0": _comm(M1, M2) + K * M0,
-        }
+    M = model_omega(model.constants)
+    rel = {label: _comm(M[a], M[b]) + s * M[c] for label, a, b, c, s in _IDENTITIES[model.surface_type]}
+    rel["[M1,M2]+K*M0"] = _comm(M[1], M[2]) + model.gauss * M[0]
     return {label: float(np.max(np.abs(E))) for label, E in rel.items()}
 
 

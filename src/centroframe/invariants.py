@@ -5,10 +5,10 @@ Omega = M0 alpha + M1 omega^1 + M2 omega^2, with alpha the connection form,
 omega^k = omega^k_0 the coframe, M0 constant, and M1, M2 holding pinned
 values and the differential invariants.  This module keeps that layout per
 case (`LAYOUTS`; `homogeneous.model_omega` fills it with constants), reads
-the invariants off it, evaluates the linear relations among them (as
-signed residuals), computes the Gauss curvature by two independent routes
-(the algebraic formula and d(alpha) against the area form), and assembles
-the induced metrics.
+the invariants off it, evaluates the six linear relations among them and
+the algebraic Gauss curvature from the structure equation, computes the
+curvature a second way (d(alpha) against the area form), and assembles the
+induced metrics.
 
 A layout table has one line per row i, M0 | M1 | M2, one token per column
 j.  A token of M_k (k = 1, 2) says what the cell holds:
@@ -28,9 +28,15 @@ The semi-basic part is S = P - M0 (x) alpha, with P the coframe projection
 M0[i, j] omega^i_j / 2: (omega^1_2 - omega^2_1)/2 when space-like,
 (omega^1_1 - omega^2_2)/2 when time-like.  A cell of S has the jet degree
 of its column of P, lowered to alpha's where M0 is nonzero.
+
+With Omega = P1 omega^1 + P2 omega^2, d(Omega) + Omega ^ Omega = 0 needs
+only C = [P1, P2] (`structure_terms`; Fels & Olver, "Moving coframes I"):
+the six cells with both entries pinned are the relations R1-R6, and
+d(alpha) = K omega^1 ^ omega^2 gives K = -1/2 sum M0[i, j] C_ij, i, j in {1, 2}.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,9 +53,9 @@ from .adaptation import (
     maurer_cartan,
 )
 from .errors import NullTypeUnsupported
-from .linalg5 import solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
+from .linalg5 import jet_matmul, solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
 from .surfaces import eval_surface
-from .taylor import TaylorScalar, n_terms
+from .taylor import TaylorScalar, degree_of, n_terms
 
 __all__ = [
     "InvariantSet",
@@ -57,9 +63,10 @@ __all__ = [
     "Layout",
     "LAYOUTS",
     "H_NAMES",
+    "RELATION_CELLS",
     "extract_invariants",
+    "structure_terms",
     "relation_residuals",
-    "gauss_formula",
     "gauss_from_invariants",
     "gauss_from_connection",
     "metric_at",
@@ -70,13 +77,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class InvariantSet:
     """Named invariant coefficients of a 3-adapted frame at a point.
 
     `h` maps coefficient names to jets; `alpha` is the (du, dv) pair of the
     connection form; `vanishing` collects everything that adaptation forces
     to zero (kept as jets so tests can check the whole neighborhood).
+    `projection` is P (2, 5, 5, n) at its lowest column degree; `structure`,
+    its `structure_terms`, is shared by the relations and the curvature.
     """
 
     surface_type: str
@@ -85,6 +94,11 @@ class InvariantSet:
     alpha: tuple
     coframe: list
     vanishing: dict
+    projection: np.ndarray
+
+    @cached_property
+    def structure(self):
+        return structure_terms(self.projection, self.surface_type, self.epsilon)
 
 
 @dataclass
@@ -223,7 +237,45 @@ def extract_invariants(mc, surface_type, epsilon=0):
         alpha=(TaylorScalar(alpha[0]), TaylorScalar(alpha[1])),
         coframe=mc.coframe(),
         vanishing=vanish,
+        projection=P[..., : n_terms(min(pd))],
     )
+
+
+# The six relations as the pinned cells (i, j) of the structure equation,
+# with the sign that gives R1-R6: (label, (i, j), sign).
+RELATION_CELLS = {
+    "SpaceLike": (("R1", (3, 1), 1.0), ("R2", (3, 2), 1.0), ("R3", (4, 1), -1.0),
+                  ("R4", (4, 2), 1.0), ("R5", (0, 1), -1.0), ("R6", (0, 2), -1.0)),
+    "TimeLike": (("R1", (3, 1), 1.0), ("R2", (3, 2), 1.0), ("R3", (4, 1), -1.0),
+                 ("R4", (4, 2), -1.0), ("R5", (0, 1), -1.0), ("R6", (0, 2), 1.0)),
+}
+
+
+@lru_cache(maxsize=8)
+def _readout(surface_type, epsilon):
+    """(7, 25) map from the flattened commutator C to K and the six cells."""
+    layout = LAYOUTS[surface_type]
+    W = np.zeros((7, 5, 5))
+    W[0, 1:3, 1:3] = -0.5 * layout.M0[1:3, 1:3]
+    for r, (_, (i, j), _) in enumerate(RELATION_CELLS[surface_type], 1):
+        W[r, i, j] = 1.0
+        W[r, 1:3, 0] = -(layout.pinned[0][:, i, j] + epsilon * layout.pinned[1][:, i, j])
+    return W.reshape(7, 25)
+
+
+def structure_terms(P, surface_type, epsilon):
+    """Curvature and relation cells of the structure equation on the coframe.
+
+    `P` is the coframe projection (2, 5, 5, n) at one jet degree (n = 1 for
+    floats) and C = [P1, P2].  Returns K (n,) and R (6, n): C_ij - c1 C_10 -
+    c2 C_20 at the cells of `RELATION_CELLS`, unsigned, (c1, c2) the pinned
+    values; d(omega^k) = -C_k0 omega^1 ^ omega^2 makes R vanish.
+    """
+    # C = [P1, -P2] [P2; P1] as one product
+    C = jet_matmul(np.concatenate([P[0], -P[1]], axis=1), np.concatenate([P[1], P[0]]),
+                   degree_of(P.shape[-1]))
+    KR = _readout(surface_type, float(epsilon)) @ C.reshape(25, -1)
+    return KR[0], KR[1:]
 
 
 def relation_residuals(inv):
@@ -232,59 +284,16 @@ def relation_residuals(inv):
     All six are identically zero on 3-adapted frames; the returned jets
     measure how well a computed frame satisfies them.
     """
-    h = inv.h
-    v = inv.vanishing
-    if inv.surface_type == "SpaceLike":
-        e = float(inv.epsilon)
-        return {
-            "R1": h["h112"] * 2.0 - h["h332"] + h["h341"],
-            "R2": h["h221"] * 2.0 - h["h331"] - h["h342"],
-            "R3": h["h111"] - h["h122"] * 2.0 + h["h221"] + h["h432"] - h["h441"],
-            "R4": h["h112"] - h["h121"] * 2.0 + h["h222"] - h["h431"] - h["h442"],
-            "R5": v["w03_2"] - v["w04_1"] + (h["h121"] - h["h112"]) * (2.0 * e),
-            "R6": v["w03_1"] + v["w04_2"] + (h["h221"] - h["h122"]) * (2.0 * e),
-        }
+    R = inv.structure[1]
     return {
-        "R1": h["h222"] * 2.0 - h["h121"] - h["h332"],
-        "R2": h["h122"] + h["h341"],
-        "R3": h["h211"] + h["h432"],
-        "R4": h["h111"] * 2.0 - h["h212"] - h["h441"],
-        "R5": h["h111"] * 2.0 - h["h212"] * 2.0 + v["w03_2"],
-        "R6": h["h222"] * 2.0 - h["h121"] * 2.0 + v["w04_1"],
+        label: TaylorScalar(sign * r)
+        for (label, _, sign), r in zip(RELATION_CELLS[inv.surface_type], R)
     }
 
 
-def gauss_formula(h, surface_type, epsilon):
-    """Algebraic curvature formula over a name -> value mapping.
-
-    The values may be floats or jets; the result has the same kind.  Both
-    the point pipeline (`gauss_from_invariants`) and the homogeneous models
-    (`homogeneous.gauss_constant`, and the quadratic form of K in their
-    structure residual) evaluate K through this one function.
-    """
-    if surface_type == "SpaceLike":
-        quad = (
-            h["h332"] * h["h431"] * -1.0
-            - h["h441"] * h["h342"]
-            + h["h341"] * h["h442"]
-            - h["h332"] * h["h442"]
-            + h["h432"] * h["h331"]
-            + h["h432"] * h["h342"]
-            - h["h441"] * h["h331"]
-            + h["h341"] * h["h431"]
-        )
-        return (quad + h["h131"] - h["h232"] + h["h142"] * 2.0) * 0.5 - float(epsilon)
-    return (
-        h["h341"] * h["h432"]
-        - h["h332"] * h["h441"]
-        + (h["h132"] + h["h241"]) * 0.5
-        - 1.0
-    )
-
-
 def gauss_from_invariants(inv):
-    """Gauss curvature from the algebraic curvature formula (a jet)."""
-    return gauss_formula(inv.h, inv.surface_type, inv.epsilon)
+    """Gauss curvature from the structure equation, no derivatives (a jet)."""
+    return TaylorScalar(inv.structure[0])
 
 
 def gauss_from_connection(inv):

@@ -56,6 +56,11 @@ def n_terms(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
+def degree_of(n):
+    """Total degree of a bivariate jet with `n` coefficients (inverse of `n_terms`)."""
+    return int(round((math.sqrt(8 * n + 1) - 3) / 2))
+
+
 def index_of(a, b):
     """Flat index of the du^a dv^b coefficient in graded-lex order."""
     return _tri(a + b) + b
@@ -143,8 +148,7 @@ class TaylorScalar:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("coefficient vector must be one-dimensional")
-        # invert n = (d+1)(d+2)/2
-        d = int(round((math.sqrt(8 * c.size + 1) - 3) / 2))
+        d = degree_of(c.size)
         if n_terms(d) != c.size:
             raise ValueError("coefficient vector length %d is not triangular" % c.size)
         self.coeffs = c

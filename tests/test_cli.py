@@ -258,6 +258,23 @@ def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
     assert rec["residual_ok"] is not True
 
 
+def test_verify_fails_on_a_nan_relation_residual(monkeypatch, capsys):
+    # every residual_max the check reads is NaN; a plain max() fold would
+    # keep its 0 start and pass
+    relations = invariants.relation_residuals
+
+    def nan_r3(inv):
+        res = relations(inv)
+        res["R3"] = res["R3"] * math.nan
+        return res
+
+    monkeypatch.setattr(invariants, "relation_residuals", nan_r3)
+    rc = _run(["verify", "--check", "relations"])
+    out = capsys.readouterr().out
+    assert rc != 0
+    assert out.startswith("FAIL relations: residual=None")
+
+
 def test_analyze_process_does_not_import_scipy_optimize():
     # only `search` solves least-squares problems, and it needs no scipy
     code = (

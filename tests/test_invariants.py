@@ -13,6 +13,7 @@ import pytest
 
 from centroframe.adaptation import (
     GaugeTransform,
+    MCField,
     adapt2_spacelike,
     adapt2_timelike,
     adapt3,
@@ -22,9 +23,11 @@ from centroframe.adaptation import (
     maurer_cartan,
 )
 from centroframe.errors import NullTypeUnsupported
+from centroframe.homogeneous import ConstantInvariantVector, model_omega
 from centroframe.invariants import (
     H_NAMES,
     LAYOUTS,
+    RELATION_CELLS,
     analyze_point,
     effective_degree,
     extract_invariants,
@@ -503,3 +506,113 @@ def test_gauss_from_invariants_matches_direct_formula():
         - 1.0
     )
     assert res.gauss_invariants == pytest.approx(direct, rel=1e-12)
+
+
+# The six relations and the algebraic curvature written out by hand, name by
+# name, as the references for the structure-equation route.
+def _reference_relations(h, v, surface_type, epsilon):
+    if surface_type == "SpaceLike":
+        e = float(epsilon)
+        return {
+            "R1": h["h112"] * 2.0 - h["h332"] + h["h341"],
+            "R2": h["h221"] * 2.0 - h["h331"] - h["h342"],
+            "R3": h["h111"] - h["h122"] * 2.0 + h["h221"] + h["h432"] - h["h441"],
+            "R4": h["h112"] - h["h121"] * 2.0 + h["h222"] - h["h431"] - h["h442"],
+            "R5": v["w03_2"] - v["w04_1"] + (h["h121"] - h["h112"]) * (2.0 * e),
+            "R6": v["w03_1"] + v["w04_2"] + (h["h221"] - h["h122"]) * (2.0 * e),
+        }
+    return {
+        "R1": h["h222"] * 2.0 - h["h121"] - h["h332"],
+        "R2": h["h122"] + h["h341"],
+        "R3": h["h211"] + h["h432"],
+        "R4": h["h111"] * 2.0 - h["h212"] - h["h441"],
+        "R5": h["h111"] * 2.0 - h["h212"] * 2.0 + v["w03_2"],
+        "R6": h["h222"] * 2.0 - h["h121"] * 2.0 + v["w04_1"],
+    }
+
+
+def _reference_gauss(h, surface_type, epsilon):
+    # a reduced form: it equals K modulo the six relations
+    if surface_type == "SpaceLike":
+        quad = (
+            -h["h332"] * h["h431"]
+            - h["h441"] * h["h342"]
+            + h["h341"] * h["h442"]
+            - h["h332"] * h["h442"]
+            + h["h432"] * h["h331"]
+            + h["h432"] * h["h342"]
+            - h["h441"] * h["h331"]
+            + h["h341"] * h["h431"]
+        )
+        return (quad + h["h131"] - h["h232"] + h["h142"] * 2.0) * 0.5 - float(epsilon)
+    return h["h341"] * h["h432"] - h["h332"] * h["h441"] + (h["h132"] + h["h241"]) * 0.5 - 1.0
+
+
+LAYOUT_CASES = (("SpaceLike", 1), ("SpaceLike", -1), ("TimeLike", 0))
+
+
+def _fill_invariants(rng, S, surface_type, epsilon):
+    """Invariants read off the projection P = S + alpha M0, alpha random.
+
+    The Maurer-Cartan field is P itself (degree 0): its coframe columns are
+    the layout's pinned (1, 0) and (0, 1), so the projection is exact.
+    """
+    alpha = rng.uniform(-3, 3, 2)
+    P = S + alpha[:, None, None] * LAYOUTS[surface_type].M0
+    inv = extract_invariants(MCField(P[..., None], (0,) * 5), surface_type, epsilon)
+    h = {k: x.const for k, x in inv.h.items()}
+    v = {k: x.const for k, x in inv.vanishing.items()}
+    return inv, h, v, np.max(np.abs(P)) ** 2
+
+
+@pytest.mark.parametrize("st, eps", LAYOUT_CASES)
+def test_relation_residuals_match_reference_on_random_fills(st, eps):
+    # every invariant and every entry killed on the coframe random, so the
+    # relations do not hold; pinned cells and copies as the layout says
+    layout = LAYOUTS[st]
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        d = dict(zip(layout.names, rng.uniform(-3, 3, len(layout.names))))
+        d.update({"1": 1.0, "0": 0.0, "-1": -1.0, "e": float(eps)})
+        S = np.array([d[x] for x in layout.fill.flat]).reshape(2, 5, 5)
+        for key, k, i, j in layout.reads:
+            if key[0] == "w":
+                S[k, i, j] = rng.uniform(-3, 3)
+        inv, h, v, scale = _fill_invariants(rng, S, st, eps)
+        want = _reference_relations(h, v, st, eps)
+        got = relation_residuals(inv)
+        assert set(got) == set(want)
+        assert max(abs(x) for x in want.values()) > 0.1
+        for label, r in got.items():
+            assert abs(r.const - want[label]) < 1e-14 * scale, label
+
+
+@pytest.mark.parametrize("st, eps", LAYOUT_CASES)
+def test_gauss_matches_reference_on_model_fills(st, eps):
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        vec = ConstantInvariantVector(st, eps, tuple(rng.uniform(-3, 3, 14)))
+        inv, h, _, scale = _fill_invariants(rng, np.array(model_omega(vec)[1:]), st, eps)
+        K = gauss_from_invariants(inv).const
+        assert abs(K - _reference_gauss(h, st, eps)) < 1e-14 * scale
+
+
+def test_gauss_from_invariants_matches_direct_formula_spacelike():
+    text = _perturbed_text("h2", "u^2*v^2/50")
+    res = _analyze(text, 0.15, 0.25, degree=5)
+    assert res.surface_type == "SpaceLike"
+    h = {k: v.const for k, v in res.invariants.h.items()}
+    direct = _reference_gauss(h, "SpaceLike", res.epsilon)
+    assert res.gauss_invariants == pytest.approx(direct, rel=1e-12)
+
+
+def test_relation_cells_are_the_both_pinned_cells():
+    # a copy ("=x") is not read, so it has no fix_ key
+    for st, layout in LAYOUTS.items():
+        keys = {key for key, _, _, _ in layout.reads}
+        pinned = {
+            (i, j) for i, j in np.ndindex(5, 5)
+            if {"fix_w%d%d_1" % (i, j), "fix_w%d%d_2" % (i, j)} <= keys
+        }
+        assert {cell for _, cell, _ in RELATION_CELLS[st]} == pinned
+        assert [label for label, _, _ in RELATION_CELLS[st]] == ["R1", "R2", "R3", "R4", "R5", "R6"]
