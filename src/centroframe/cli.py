@@ -48,7 +48,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -90,11 +89,8 @@ _SEARCH_CASES = ("spacelike", "spacelike+", "spacelike-", "timelike")
 
 
 def format_float(x):
-    """17-significant-digit decimal form; None for non-finite values."""
-    x = float(x)
-    if not math.isfinite(x):
-        return None
-    return "%.17g" % x
+    """17-significant-digit decimal form; `nan`, `inf` or `-inf` if non-finite."""
+    return "%.17g" % float(x)
 
 
 def _json_escape(s):
@@ -125,8 +121,7 @@ def _json_value(value, out, level):
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        s = format_float(value)
-        out.append("null" if s is None else s)
+        out.append(format_float(value) if math.isfinite(value) else "null")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -169,8 +164,7 @@ def _cell(x):
     if x is False:
         return "false"
     if isinstance(x, (float, np.floating)):
-        s = format_float(x)
-        return "" if s is None else s
+        return format_float(x) if math.isfinite(x) else ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return str(x)
@@ -367,6 +361,8 @@ def _analyze_row(record):
 def _run_grid(tasks, jobs):
     if jobs <= 1:
         return [_analyze_record(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_analyze_record, tasks, chunksize=4))
 

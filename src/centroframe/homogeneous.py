@@ -41,10 +41,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
 from .invariants import LAYOUTS, structure_terms
+from .linalg5 import expm5
 from .surfaces import builtin_surface
 
 __all__ = [
@@ -421,7 +421,9 @@ def _residual_stack(c, L, Q, X):
     """
     QX = (X @ Q.reshape(-1, X.shape[1]).T).reshape(len(X), len(c), X.shape[1])
     LQ = L + QX
-    return c + (LQ @ X[:, :, None])[..., 0], LQ + QX
+    R = c + (LQ @ X[:, :, None])[..., 0]
+    LQ += QX  # J in place; a third (k, m, 14) temporary costs page faults every step
+    return R, LQ
 
 
 def _normal_equations(c, L, Q, X):
@@ -584,7 +586,7 @@ def exp_product_point(name, t, u, v):
     independent of t because exp(t*G0) stabilizes the base point.
     """
     G0, G1, G2 = model_generators(name)
-    g = expm(u * G1) @ expm(v * G2) @ expm(t * G0)
+    g = expm5(G1, u) @ expm5(G2, v) @ expm5(G0, t)
     return g[:, 0]
 
 

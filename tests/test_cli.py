@@ -272,7 +272,7 @@ def test_verify_fails_on_a_nan_relation_residual(monkeypatch, capsys):
     rc = _run(["verify", "--check", "relations"])
     out = capsys.readouterr().out
     assert rc != 0
-    assert out.startswith("FAIL relations: residual=None")
+    assert out.startswith("FAIL relations: residual=nan")
 
 
 def test_analyze_process_does_not_import_scipy_optimize():
@@ -283,6 +283,33 @@ def test_analyze_process_does_not_import_scipy_optimize():
         "assert cli.main(['analyze', '--surface', 'h2', '--grid', '0:0.5:2']) == 0\n"
         "sys.exit('scipy.optimize' in sys.modules)\n"
     )
+    src = str(Path(centroframe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_paths_do_not_import_scipy(tmp_path):
+    # scipy serves only the model exponentials; without --jobs no process
+    # pool is imported either
+    f = [c.strip() for c in builtin_surface("s21").source.split(";")]
+    A = [[2.0 if i == j else 0.1 * (i - 2 * j) for j in range(5)] for i in range(5)]
+    image = "; ".join(" + ".join("%r*(%s)" % (A[i][j], f[j]) for j in range(5)) for i in range(5))
+    code = (
+        "import contextlib, io, sys\n"
+        "from centroframe import analyze_point, cli, parse_surface\n"
+        "argvs = [['analyze', '--surface', 'h2', '--grid', '-1:1:3'], ['verify'],\n"
+        "         ['example', 'sphere', '--grid', '0:1:3', '--out', %r],\n"
+        "         ['search', 'spacelike', '--restarts', '5']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert all(cli.main(argv) == 0 for argv in argvs)\n"
+        "assert analyze_point(parse_surface(%r), 0.4, -0.3, degree=7).surface_type == 'TimeLike'\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    ) % (str(tmp_path), image)
     src = str(Path(centroframe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

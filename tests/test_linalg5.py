@@ -1,7 +1,8 @@
 """Tests for the float/jet linear-algebra layer.
 
 Oracles: numpy.linalg.solve for float systems, A (A^-1 B) = B up to each
-entry's degree for jet systems, scipy.linalg.expm for the matrix
+entry's degree for jet systems, LAPACK's dgetrf/dgetrs for the pivoting
+and singularity decisions of `jet_solve`, scipy.linalg.expm for the matrix
 exponential, eigendecompositions for the inverse square root of the
 level-2 forms in :mod:`centroframe.adaptation`, and closed-form identities
 (Cayley-Hamilton, polarization, null pairing) for the rest of that algebra.
@@ -10,6 +11,7 @@ level-2 forms in :mod:`centroframe.adaptation`, and closed-form identities
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from centroframe import taylor
 from centroframe.adaptation import (
@@ -24,8 +26,13 @@ from centroframe.adaptation import (
 )
 from centroframe.errors import NotIndefinite, NotPositiveDefinite, SingularMatrix
 from centroframe.linalg5 import (
+    _PIVOT_TOL,
+    _flat,
+    _operator,
+    _unflat,
     expm5,
     jet_matmul,
+    jet_solve,
     mat_mul,
     solve,
 )
@@ -174,6 +181,117 @@ def test_singular_constant_part_raises():
     A = [[du + 1.0, dv + 2.0], [du * 3.0 + 2.0, 4.0]]
     with pytest.raises(SingularMatrix):
         solve(A, [[1.0], [dv]])
+
+
+def _lapack_failing_column(A0):
+    """First column whose dgetrf pivot fails jet_solve's rule, or None."""
+    lu, _, _ = dgetrf(A0)
+    tol = _PIVOT_TOL * np.abs(A0).max()
+    small = np.flatnonzero(~(np.abs(np.diag(lu)) > tol))
+    return int(small[0]) if small.size else None
+
+
+def _lapack_jet_solve(A, B, degree):
+    """jet_solve's Neumann series with A0^-1 applied by dgetrf/dgetrs."""
+    k = A.shape[0]
+    lu, piv, _ = dgetrf(A[:, :, 0])
+    N = A.copy()
+    N[:, :, 0] = 0.0
+    T = _operator(dgetrs(lu, piv, N.reshape(k, -1))[0].reshape(N.shape), degree)
+    Y = _flat(dgetrs(lu, piv, B.reshape(k, -1))[0].reshape(B.shape))
+    X = Y
+    for _ in range(degree):
+        X = Y - T @ X
+    return _unflat(X, k)
+
+
+def _singular_cases(rng):
+    """Constant parts that fail a pivot: rank-deficient, non-finite, ties."""
+    cases = []
+    for k in (2, 3, 5):
+        for j in range(k):
+            # column j in the span of the columns before it, plus a
+            # perturbation below the pivot floor and one well above it
+            for noise in (0.0, 1e-15, 1e-9):
+                A0 = rng.standard_normal((k, k))
+                A0[:, j] = A0[:, :j] @ rng.standard_normal(j) + noise * rng.standard_normal(k)
+                cases.append(A0)
+        for value in (np.nan, np.inf, -np.inf):
+            A0 = rng.standard_normal((k, k)) + k * np.eye(k)
+            A0[int(rng.integers(k)), int(rng.integers(k))] = value
+            cases.append(A0)
+        for i in range(k):
+            A0 = rng.standard_normal((k, k))
+            A0[i] = 0.0
+            cases.append(A0)
+        cases.append(np.zeros((k, k)))
+    # ties in the pivot column, on integer matrices where elimination is exact
+    cases += [
+        np.array([[1.0, 2.0], [-1.0, -2.0]]),
+        np.array([[2.0, 1.0, 3.0], [-2.0, 1.0, -1.0], [2.0, 3.0, 5.0]]),
+        np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]),
+        np.array([[3.0, 1.0, 4.0, 1.0], [-3.0, 2.0, -1.0, 5.0],
+                  [3.0, 4.0, 7.0, 11.0], [0.0, 1.0, 1.0, 2.0]]),
+    ]
+    return cases
+
+
+def test_singular_column_matches_lapack():
+    # the column jet_solve names is the first one whose dgetrf pivot fails
+    # the same rule; matrices that pass it solve as LAPACK does
+    rng = np.random.default_rng(24)
+    raised = 0
+    for A0 in _singular_cases(rng):
+        k = A0.shape[0]
+        want = _lapack_failing_column(A0)
+        A, B = A0[:, :, None], rng.standard_normal((k, 2, 1))
+        if want is None:
+            X, ref = jet_solve(A, B, 0), _lapack_jet_solve(A, B, 0)
+            assert np.abs(X - ref).max() <= 1e-14 * np.linalg.cond(A0) * np.abs(ref).max()
+            continue
+        with pytest.raises(SingularMatrix, match="^no usable pivot in column %d$" % want):
+            jet_solve(A, B, 0)
+        raised += 1
+    assert raised >= 40
+
+
+def test_jet_solve_matches_lapack_reference():
+    rng = np.random.default_rng(25)
+    for trial in range(200):
+        degree = trial % 8
+        k, m = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        n = taylor.n_terms(degree)
+        A = rng.standard_normal((k, k, n))
+        A[:, :, 0] += 2.0 * np.sqrt(k) * np.eye(k)
+        B = rng.standard_normal((k, m, n))
+        X, ref = jet_solve(A, B, degree), _lapack_jet_solve(A, B, degree)
+        assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+_SCALES = (1e-20, 1e-15, 1e-10, 1e-5, 1.0, 1e5, 1e10, 1e15, 1e20)
+
+
+def test_jet_solve_is_scale_invariant():
+    # the pivot floor is relative: c A X = c B has the solution of A X = B
+    rng = np.random.default_rng(26)
+    for k, degree in ((2, 3), (5, 5)):
+        n = taylor.n_terms(degree)
+        A = rng.standard_normal((k, k, n))
+        A[:, :, 0] += 2.0 * np.eye(k)
+        B = rng.standard_normal((k, 3, n))
+        X = jet_solve(A, B, degree)
+        for c in _SCALES:
+            assert np.allclose(jet_solve(c * A, c * B, degree), X, rtol=1e-12, atol=1e-12)
+
+
+def test_rank_deficient_raises_at_every_scale():
+    rng = np.random.default_rng(27)
+    A = rng.standard_normal((5, 5, taylor.n_terms(2)))
+    A[:, 3, 0] = A[:, 0, 0] - 2.0 * A[:, 2, 0]
+    B = rng.standard_normal((5, 1, taylor.n_terms(2)))
+    for c in _SCALES:
+        with pytest.raises(SingularMatrix, match="^no usable pivot in column 3$"):
+            jet_solve(c * A, c * B, 2)
 
 
 def test_expm_matches_scipy():
