@@ -30,8 +30,8 @@ one degree per column (the rules are in `apply_gauge`, `maurer_cartan` and
 from level 2 on, since no gauge changes it.  The level-2 data are arrays
 too: `FundamentalData` holds (h0, h3, h4) as one (3, 3, n) array of their
 (a, b, c) entries, and the reduction works on symmetric forms as (3, n)
-arrays and on 2x2 jet matrices as (2, 2, n) arrays.  Nested lists of
-TaylorScalar entries are built on demand only.
+arrays and on 2x2 jet matrices as (2, 2, n) arrays.  Views with
+TaylorScalar entries (`Frame5T.matrix`, ...) are built on demand only.
 """
 
 import math
@@ -53,16 +53,11 @@ from .errors import (
 )
 from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solve)
     _PIVOT_TOL,
-    _working_degree,
-    degrees_of,
-    identity,
     jet_matmul,
     jet_mul,
     jet_solve,
-    pack,
     resize,
     solve,
-    unpack,
 )
 from .taylor import TaylorScalar, apply, derivative, n_terms
 
@@ -88,11 +83,6 @@ def _jet(c, degree):
     return TaylorScalar(c[: n_terms(degree)])
 
 
-def _nested(C, degrees):
-    """Nested list of jets from a (5, 5, n) array with one degree per column."""
-    return unpack(C, np.broadcast_to(degrees, (5, 5)))
-
-
 @dataclass(eq=False)
 class Frame5T:
     """Jet-valued frame field with columns (e0, ..., e4).
@@ -111,16 +101,16 @@ class Frame5T:
 
     @cached_property
     def matrix(self):
-        return _nested(self.coeffs, self.degrees)
+        return [[_jet(c, d) for c, d in zip(row, self.degrees)] for row in self.coeffs]
 
 
 @dataclass(eq=False)
 class MCField:
-    """Maurer-Cartan coefficients: omega^i_j = du[i][j] du + dv[i][j] dv.
+    """Maurer-Cartan coefficients: omega^i_j = omega[0, i, j] du + omega[1, i, j] dv.
 
     `omega` is a (2, 5, 5, n) coefficient array, omega[0] the du parts and
-    omega[1] the dv parts; `degrees[j]` is the degree of column j.  `du` and
-    `dv` are nested lists of TaylorScalar entries, built on first use.
+    omega[1] the dv parts; `degrees[j]` is the degree of column j.
+    `coframe()` gives the coframe block as TaylorScalar entries.
 
     `projection` expresses all 25 entries in the coframe (omega^1_0,
     omega^2_0) by one 2x2 jet solve: omega^i_j = x1 omega^1_0 + x2 omega^2_0
@@ -131,9 +121,6 @@ class MCField:
 
     omega: np.ndarray
     degrees: tuple
-
-    du = cached_property(lambda self: _nested(self.omega[0], self.degrees))
-    dv = cached_property(lambda self: _nested(self.omega[1], self.degrees))
 
     def coframe(self):
         """Rows are the (du, dv) coefficients of omega^1_0 and omega^2_0."""
@@ -152,11 +139,6 @@ class MCField:
         Ct = resize(self.omega[:, 1:3, 0], n)
         rhs = resize(self.omega, n).reshape(2, 25, n)
         return jet_solve(Ct, rhs, degree).reshape(2, 5, 5, n)
-
-    def in_coframe(self, i, j):
-        """Coefficients (x1, x2) with omega^i_j = x1 omega^1_0 + x2 omega^2_0."""
-        d = self.projection_degrees[j]
-        return _jet(self.projection[0, i, j], d), _jet(self.projection[1, i, j], d)
 
 
 class SymMat2T(NamedTuple):
@@ -207,49 +189,32 @@ class SurfaceType:
     trace: float
 
 
+@dataclass(eq=False)
 class GaugeTransform:
     """A frame change F -> F K, tangent-preserving for K = [[1, 0, r0], [0, A, r], [0, 0, B]].
 
-    Built from a nested-list K of floats and jets, or from its (5, 5, n)
-    coefficient array and per-entry `degrees` (inf for a float entry).
-    `K`, `A`, `B` and `r` give nested lists, built on first use.
+    `coeffs` is the (5, 5, n) coefficient array of K and `degrees` its
+    (5, 5) per-entry degrees, inf for a float entry.  `from_blocks` builds
+    a float gauge from its blocks, and `A`, `B` and r = ((r03, r04), (r13,
+    r14), (r23, r24)) read them back as Python floats.  They read only the
+    constant part, so they describe float gauges, the only kind their
+    readers (the acceptance tests) build.
     """
 
-    def __init__(self, K, degrees=None):
-        if degrees is None:
-            degrees = degrees_of(K)
-            K = pack(K, _working_degree(degrees))
-        self.coeffs = K
-        self.degrees = degrees
-
-    @cached_property
-    def K(self):
-        return unpack(self.coeffs, self.degrees)
+    coeffs: np.ndarray
+    degrees: np.ndarray
 
     @classmethod
     def from_blocks(cls, A=None, B=None, r03=0.0, r04=0.0, r13=0.0, r14=0.0, r23=0.0, r24=0.0):
-        (a11, a12), (a21, a22) = identity(2) if A is None else A
-        (b11, b12), (b21, b22) = identity(2) if B is None else B
-        return cls([
-            [1.0, 0.0, 0.0, r03, r04],
-            [0.0, a11, a12, r13, r14],
-            [0.0, a21, a22, r23, r24],
-            [0.0, 0.0, 0.0, b11, b12],
-            [0.0, 0.0, 0.0, b21, b22],
-        ])
+        K = np.eye(5)
+        K[1:3, 1:3] = np.eye(2) if A is None else A
+        K[3:5, 3:5] = np.eye(2) if B is None else B
+        K[0:3, 3:5] = [[r03, r04], [r13, r14], [r23, r24]]
+        return cls(K[:, :, None], np.full((5, 5), np.inf))
 
-    @property
-    def A(self):
-        return [row[1:3] for row in self.K[1:3]]
-
-    @property
-    def B(self):
-        return [row[3:5] for row in self.K[3:5]]
-
-    @property
-    def r(self):
-        """((r03, r04), (r13, r14), (r23, r24))."""
-        return tuple(tuple(row[3:5]) for row in self.K[0:3])
+    A = property(lambda self: self.coeffs[1:3, 1:3, 0].tolist())
+    B = property(lambda self: self.coeffs[3:5, 3:5, 0].tolist())
+    r = property(lambda self: tuple(map(tuple, self.coeffs[0:3, 3:5, 0].tolist())))
 
 
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
@@ -291,7 +256,10 @@ def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
 # ---------------------------------------------------------------------------
 
 
-def frame1(jet5, tol=1e-10):
+_FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal tests
+
+
+def frame1(jet5):
     """Initial adapted frame from the 1-jet of the position vector.
 
     Columns are e0 = f, e1 = f_u, e2 = f_v, and two constant columns: the
@@ -318,12 +286,12 @@ def frame1(jet5, tol=1e-10):
     P = coeffs[:, :3, 0]
     scale = max(np.linalg.norm(P[:, 1]), np.linalg.norm(P[:, 2]), 1e-300)
     gram12 = P[:, 1:].T @ P[:, 1:]
-    if np.linalg.det(gram12) <= (tol * scale * scale) ** 2:
+    if np.linalg.det(gram12) <= (_FRAME1_TOL * scale * scale) ** 2:
         raise NotImmersed("tangent vectors are dependent at the base point")
     # rejection of e0 from span(e1, e2)
     coeff = np.linalg.solve(gram12, P[:, 1:].T @ P[:, 0])
     resid = P[:, 0] - P[:, 1:] @ coeff
-    if np.linalg.norm(resid) <= tol * max(np.linalg.norm(P[:, 0]), 1e-300):
+    if np.linalg.norm(resid) <= _FRAME1_TOL * max(np.linalg.norm(P[:, 0]), 1e-300):
         raise NotTransversal("position vector lies in the tangent plane")
 
     # complete with an orthonormal basis of the complement, scaled by |f(p)|
@@ -369,7 +337,10 @@ def maurer_cartan(frame, gauged=None):
 # ---------------------------------------------------------------------------
 
 
-def fundamental_matrices(mc, tol=1e-10):
+_DEGENERATE_TOL = 1e-10  # floor of det(h0, h3, h4) over max(1, largest entry)^3
+
+
+def fundamental_matrices(mc):
     """Cartan-lemma matrices h0, h3, h4 of a 1-adapted frame.
 
     For k in {0, 3, 4} solves omega^k_j = h^k_j1 omega^1_0 + h^k_j2 omega^2_0
@@ -392,7 +363,7 @@ def fundamental_matrices(mc, tol=1e-10):
     triples = H[:, :, 0]
     det = float(np.linalg.det(triples))
     scale = max(1.0, float(np.abs(triples).max()))
-    if abs(det) <= tol * scale**3:
+    if abs(det) <= _DEGENERATE_TOL * scale**3:
         raise Degenerate("second-order data span less than three dimensions")
     return FundamentalData(coeffs=H, degree=degree, nondeg_det=det, asymmetry=asym)
 
@@ -402,13 +373,16 @@ def fundamental_matrices(mc, tol=1e-10):
 _Q_POLAR = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
 
 
-def classify_plane(fund, tol=1e-8):
+_NULL_TOL = 1e-8  # a Gram determinant within this share of the squared Gram norm is null
+
+
+def classify_plane(fund):
     """Type of the plane spanned by (h3, h4) under Q = -det.
 
     The Gram matrix V G V^T of the restriction of Q (V the constant triples
     of h3 and h4, G the polarization matrix of Q) decides: positive
     determinant means space-like, negative means time-like, and a
-    determinant within `tol` times the squared Gram norm is null.
+    determinant within _NULL_TOL times the squared Gram norm is null.
 
     Raises
     ------
@@ -424,7 +398,7 @@ def classify_plane(fund, tol=1e-8):
     det = float(np.linalg.det(gram))
     trace = float(np.trace(gram))
     norm2 = float(np.sum(gram * gram))
-    if abs(det) <= tol * max(norm2, 1e-300):
+    if abs(det) <= _NULL_TOL * max(norm2, 1e-300):
         tag = "Null"
     elif det > 0:
         tag = "SpaceLike"
@@ -585,7 +559,10 @@ def _level2_gauge(A1, B, r0, s, degree):
     return GaugeTransform(K, degrees)
 
 
-def adapt2_spacelike(frame, fund, tol=1e-10):
+_ADAPT2_TOL = 1e-10  # absolute floor of adapt2's det B and of the h0 part that fixes the scale
+
+
+def adapt2_spacelike(frame, fund):
     """Reduce a 1-adapted frame over a space-like point to level 2.
 
     Returns (frame2, gauge, epsilon) where the new frame satisfies
@@ -609,13 +586,13 @@ def adapt2_spacelike(frame, fund, tol=1e-10):
     # 2) move (p3, p4) to the reference basis (T1, T2) of the trace-free
     #    plane by the normal-space gauge B
     B = np.stack([[(p3[0] - p3[2]) * 0.5, p3[1]], [(p4[0] - p4[2]) * 0.5, p4[1]]])
-    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= tol:
+    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= _ADAPT2_TOL:
         raise IndependenceFailure("normalized pair does not span the trace-free plane")
 
     # 3) subtract the trace-free part of h0 via the translational gauge
     r0 = np.stack([(p0[0] - p0[2]) * 0.5, p0[1]])
     s = (p0[0] + p0[2]) * 0.5
-    if abs(s[0]) <= tol:
+    if abs(s[0]) <= _ADAPT2_TOL:
         raise DegenerateTraceComponent("pure-trace part of h0 vanishes")
     epsilon = 1 if s[0] > 0 else -1
 
@@ -626,7 +603,7 @@ def adapt2_spacelike(frame, fund, tol=1e-10):
     return frame2, gauge, epsilon
 
 
-def adapt2_timelike(frame, fund, tol=1e-10):
+def adapt2_timelike(frame, fund):
     """Reduce a 1-adapted frame over a time-like point to level 2.
 
     Returns (frame2, gauge) where the new frame satisfies h3 = E11,
@@ -649,13 +626,13 @@ def adapt2_timelike(frame, fund, tol=1e-10):
 
     # 2) map (p3, p4) (now diagonal) to (E11, E22)
     B = np.stack([[p3[0], p3[2]], [p4[0], p4[2]]])
-    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= tol:
+    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= _ADAPT2_TOL:
         raise IndependenceFailure("normalized pair does not span the diagonal plane")
 
     # 3) subtract the diagonal part of h0
     r0 = np.stack([p0[0], p0[2]])
     s = p0[1]
-    if abs(s[0]) <= tol:
+    if abs(s[0]) <= _ADAPT2_TOL:
         raise DegenerateOffdiagComponent("off-diagonal part of h0 vanishes")
 
     # 4) scale by diag(a11, a22) to make h0 = offdiag(1); a11 > 0,

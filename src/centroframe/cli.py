@@ -324,7 +324,7 @@ def _analyze_record(task):
     h = {k: res.invariants.h[k].const for k in sorted(res.invariants.h)}
     results = dict(
         gauss_invariants=res.gauss_invariants, gauss_connection=res.gauss_connection,
-        E=E, F=F, G=G, **h,
+        E=E, F=F, G=G, alpha_du=alpha_du, alpha_dv=alpha_dv, **h,
     )
     bad = [k for k, x in results.items() if not math.isfinite(x)]
     if bad:

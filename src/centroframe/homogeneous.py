@@ -623,7 +623,10 @@ def quadric_residual(name, point):
     raise UnknownModel("no quadric table for model %r" % name)
 
 
-def model_metric(name, u, v, tol=1e-9):
+_SPHERE_POLE_TOL = 1e-9  # |cos v| at or below it is a singular circle of "sphere"
+
+
+def model_metric(name, u, v):
     """Closed-form induced metric (E, F, G) of a built-in model at (u, v).
 
     Raises
@@ -636,7 +639,7 @@ def model_metric(name, u, v, tol=1e-9):
         return (3.0 * math.cosh(v) ** 2, 0.0, 3.0)
     if name == "sphere":
         c = math.cos(v)
-        if abs(c) <= tol:
+        if abs(c) <= _SPHERE_POLE_TOL:
             raise DegenerateCoframe(
                 "parametrization is singular where cos(v) = 0 (v = %g)" % v
             )

@@ -15,28 +15,18 @@ degree that the array functions take explicitly:
   element is invertible there iff its constant term is nonzero.
 
 The frame pipeline tracks its own degrees (see :mod:`centroframe.adaptation`).
-`mat_mul` and `solve` are nested-list entry points: they `pack` floats and
-jets (a float is a constant of unbounded degree), run the array functions
-and `unpack` with the per-entry degrees that scalar jet arithmetic gives:
-entry (i, j) of A B has degree min over t of min(deg A[i][t], deg B[t][j]);
-column j of the solution of A X = B has degree min(deg A, deg B[:, j]),
-deg A the lowest entry degree of A; an entry whose inputs are all floats
-stays a float.
+`solve` is the float entry point: nested lists in, `jet_solve` at degree 0,
+Python floats out.
 
 ``expm5`` adapts `scipy.linalg.expm`, imported on first call, to a matrix and a time t.
 """
-
-import math
 
 import numpy as np
 
 from . import taylor
 from .errors import SingularMatrix
-from .taylor import TaylorScalar
 
 __all__ = [
-    "identity",
-    "mat_mul",
     "solve",
     "jet_matmul",
     "jet_mul",
@@ -45,57 +35,6 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-12
-
-
-def identity(n):
-    """n x n identity with float entries (mixes freely with jet entries)."""
-    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-
-def degrees_of(M):
-    """Per-entry degrees of a nested-list matrix; floats count as inf."""
-    return np.array(
-        [[x.degree if isinstance(x, TaylorScalar) else math.inf for x in row] for row in M]
-    )
-
-
-def _working_degree(degrees):
-    """Highest finite entry degree (0 when every entry is a float)."""
-    finite = degrees[np.isfinite(degrees)]
-    return int(finite.max()) if finite.size else 0
-
-
-def pack(M, degree):
-    """Coefficient array (rows, cols, n_terms(degree)) of a nested-list matrix.
-
-    Jets above `degree` are truncated and jets below it are zero-padded; a
-    float x becomes the constant jet x.
-    """
-    n = taylor.n_terms(degree)
-    out = np.zeros((len(M), len(M[0]), n))
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
-            if isinstance(x, TaylorScalar):
-                c = x.coeffs[:n]
-                out[i, j, : c.size] = c
-            else:
-                out[i, j, 0] = x
-    return out
-
-
-def unpack(C, degrees):
-    """Nested-list matrix from a coefficient array and per-entry degrees.
-
-    An entry of degree inf becomes the float C[i, j, 0]; any other entry the
-    jet of its first n_terms(degree) coefficients.
-    """
-    return [
-        [
-            float(c[0]) if math.isinf(d) else TaylorScalar(c[: taylor.n_terms(int(d))])
-            for c, d in zip(crow, drow)
-        ]
-        for crow, drow in zip(C, degrees)
-    ]
 
 
 def resize(C, n):
@@ -215,35 +154,16 @@ def jet_solve(A, B, degree):
     return _unflat(X, k)
 
 
-def mat_mul(A, B):
-    """Matrix product of nested-list matrices (entries float or jet).
-
-    Entry (i, j) has degree min over t of min(deg A[i][t], deg B[t][j]),
-    and is a float when every one of those entries is a float.
-    """
-    dA, dB = degrees_of(A), degrees_of(B)
-    degrees = np.minimum(dA[:, :, None], dB[None, :, :]).min(axis=1)
-    degree = _working_degree(degrees)
-    return unpack(jet_matmul(pack(A, degree), pack(B, degree), degree), degrees)
-
-
 def solve(A, B):
-    """Solve A X = B over the jet ring (nested-list entry point of `jet_solve`).
+    """Solve A X = B for a float matrix A and a float vector or matrix B.
 
-    A is a square matrix of floats and jets (size 2..5) and B a flat vector
-    or a matrix of columns; X has the shape of B.  Column j of X has degree
-    min(deg A, deg B[:, j]), deg A the lowest entry degree of A, and is a
-    float column when all of those entries are floats.  Raises
-    SingularMatrix as `jet_solve` does.
+    A and B are nested lists (A square, size 2..5; B a flat vector or a
+    matrix of columns); X has the shape of B, with Python float entries.
+    Raises SingularMatrix as `jet_solve` does, which it runs at degree 0.
     """
-    vector_rhs = not isinstance(B[0], (list, tuple))
-    if vector_rhs:
-        B = [[b] for b in B]
-    dB = degrees_of(B)
-    degrees = np.broadcast_to(np.minimum(degrees_of(A).min(), dB.min(axis=0)), dB.shape)
-    degree = _working_degree(degrees)
-    X = unpack(jet_solve(pack(A, degree), pack(B, degree), degree), degrees)
-    return [x[0] for x in X] if vector_rhs else X
+    B = np.array(B, dtype=float)
+    X = jet_solve(np.array(A, dtype=float)[:, :, None], B.reshape(len(B), -1, 1), 0)
+    return X.reshape(B.shape).tolist()
 
 
 def expm5(M, t=1.0):

@@ -3,13 +3,15 @@
 Oracles: hand-derived fundamental matrices for a frozen quadratic-graph
 fixture, the Maurer-Cartan gauge-change law, the structure equations
 d(Omega) = -Omega ^ Omega, and the normal forms that each adaptation level
-must produce.
+must produce.  The array paths are checked against TaylorScalar arithmetic
+on object arrays: F Omega = dF, Cramer's rule for the coframe projection,
+and products of the block gauges.
 """
 
 import numpy as np
 import pytest
 
-from centroframe import adaptation
+from centroframe import adaptation, taylor
 from centroframe.adaptation import (
     FundamentalData,
     GaugeTransform,
@@ -28,7 +30,6 @@ from centroframe.errors import (
     NotImmersed,
     NotTransversal,
 )
-from centroframe.linalg5 import mat_mul, solve
 from centroframe.surfaces import builtin_surface, eval_surface, parse_surface
 from centroframe.taylor import TaylorScalar
 
@@ -45,8 +46,13 @@ def _jets(name_or_text, u0, v0, degree=4):
     return eval_surface(spec, u0, v0, degree)
 
 
-def _allzero(jet, atol=1e-12):
-    return np.allclose(jet.coeffs, 0.0, atol=atol)
+def _entries(C, degrees):
+    """Object array of the jets of a coefficient array C (..., cols, n);
+    entries in column j have degree degrees[j]."""
+    out = np.empty(C.shape[:-1], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = TaylorScalar(C[idx][: taylor.n_terms(degrees[idx[-1]])])
+    return out
 
 
 def test_frame1_layout_and_position_column():
@@ -77,10 +83,10 @@ def test_maurer_cartan_level1_normalization():
     mc = maurer_cartan(fr)
     # de0 = e1 du + e2 dv exactly: the coframe is the identity and the
     # remaining entries of column 0 vanish
-    assert _allzero(mc.du[1][0] - 1.0) and _allzero(mc.dv[1][0])
-    assert _allzero(mc.du[2][0]) and _allzero(mc.dv[2][0] - 1.0)
-    for i in (0, 3, 4):
-        assert _allzero(mc.du[i][0]) and _allzero(mc.dv[i][0])
+    column0 = mc.omega[:, :, 0, : taylor.n_terms(mc.degrees[0])]
+    want = np.zeros_like(column0)
+    want[0, 1, 0] = want[1, 2, 0] = 1.0
+    assert np.allclose(column0, want, atol=1e-12)
 
 
 def test_maurer_cartan_gauge_change_law():
@@ -89,29 +95,24 @@ def test_maurer_cartan_gauge_change_law():
     mc = maurer_cartan(fr)
     rng = np.random.default_rng(5)
     K = np.eye(5) + 0.3 * rng.uniform(-1, 1, size=(5, 5))
-    gauged = apply_gauge(fr, GaugeTransform([list(r) for r in K]))
+    gauged = apply_gauge(fr, GaugeTransform(K[:, :, None], np.full((5, 5), np.inf)))
     mc2 = maurer_cartan(gauged)
-    Kinv = np.linalg.inv(K)
-    for part in ("du", "dv"):
-        raw = getattr(mc, part)
-        new = getattr(mc2, part)
-        for i in range(5):
-            for j in range(5):
-                expected = sum(
-                    Kinv[i, a] * raw[a][b] * K[b, j] for a in range(5) for b in range(5)
-                )
-                assert np.allclose(new[i][j].coeffs, expected.coeffs, atol=1e-10)
+    assert mc2.degrees == mc.degrees
+    n = taylor.n_terms(max(mc.degrees))
+    expected = np.einsum("ia,pabk,bj->pijk", np.linalg.inv(K), mc.omega[..., :n], K)
+    assert np.allclose(mc2.omega[..., :n], expected, atol=1e-10)
 
 
 def _structure_residual_max(mc):
     """Largest coefficient of d(Omega) + Omega ^ Omega over all entries."""
+    du, dv = _entries(mc.omega, mc.degrees)
     worst = 0.0
     for i in range(5):
         for j in range(5):
-            d_entry = mc.du[i][j].deriv_v() * -1.0 + mc.dv[i][j].deriv_u()
+            d_entry = du[i, j].deriv_v() * -1.0 + dv[i, j].deriv_u()
             wedge = None
             for k in range(5):
-                term = mc.du[i][k] * mc.dv[k][j] - mc.dv[i][k] * mc.du[k][j]
+                term = du[i, k] * dv[k, j] - dv[i, k] * du[k, j]
                 wedge = term if wedge is None else wedge + term
             resid = d_entry + wedge
             worst = max(worst, float(np.abs(resid.coeffs).max()))
@@ -203,13 +204,7 @@ def test_adapt2_timelike_normal_forms():
 
 
 def _gauge_distance_from_identity(gauge):
-    worst = 0.0
-    for i in range(5):
-        for j in range(5):
-            x = gauge.K[i][j]
-            x0 = x.const if isinstance(x, TaylorScalar) else float(x)
-            worst = max(worst, abs(x0 - (1.0 if i == j else 0.0)))
-    return worst
+    return float(np.abs(gauge.coeffs[:, :, 0] - np.eye(5)).max())
 
 
 def test_adapt2_is_stable_on_adapted_frames():
@@ -240,8 +235,8 @@ def test_adapt3_kills_normal_translation_terms():
         assert fr3.level == 3
         mc3 = maurer_cartan(fr3)
         for j in (3, 4):
-            x1, x2 = mc3.in_coframe(0, j)
-            assert abs(x1.const) < 1e-10 and abs(x2.const) < 1e-10
+            x1, x2 = mc3.projection[:, 0, j, 0]
+            assert abs(x1) < 1e-10 and abs(x2) < 1e-10
         # idempotence: the translational gauge is now zero
         fr4, gauge4 = adapt3(fr3, mc3, case, eps)
         assert _gauge_distance_from_identity(gauge4) < 1e-10
@@ -258,34 +253,37 @@ def test_position_column_is_preserved():
         assert np.allclose(fr3.matrix[i][0].coeffs, want.coeffs, atol=1e-11)
 
 
+# the blocks of [[1, 0, r0], [0, A, r], [0, 0, B]]: A, B and (r03, r04, r13, r14, r23, r24)
+_BLOCK_ENTRIES = (
+    [(1, 1), (1, 2), (2, 1), (2, 2)],
+    [(3, 3), (3, 4), (4, 3), (4, 4)],
+    [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)],
+)
+
+
 def _random_g1_gauge(rng, degree=None, jet_valued=False):
-    def entry(x):
-        if not jet_valued:
-            return float(x)
-        from centroframe import taylor
-
-        c = np.zeros(taylor.n_terms(degree))
-        c[0] = x
-        c[1] = 0.2 * rng.uniform(-1, 1)
-        c[2] = 0.2 * rng.uniform(-1, 1)
-        return TaylorScalar(c)
-
+    """Random level-1 block gauge: float, or with jet blocks of `degree`
+    (random constant terms, small random linear terms)."""
     while True:
         A = rng.uniform(-1.5, 1.5, size=(2, 2))
         B = rng.uniform(-1.5, 1.5, size=(2, 2))
         if abs(np.linalg.det(A)) > 0.3 and abs(np.linalg.det(B)) > 0.3:
             break
     r = rng.uniform(-1, 1, size=6)
-    return GaugeTransform.from_blocks(
-        A=[[entry(x) for x in row] for row in A],
-        B=[[entry(x) for x in row] for row in B],
-        r03=entry(r[0]),
-        r04=entry(r[1]),
-        r13=entry(r[2]),
-        r14=entry(r[3]),
-        r23=entry(r[4]),
-        r24=entry(r[5]),
-    )
+    if not jet_valued:
+        return GaugeTransform.from_blocks(
+            A=A, B=B, r03=r[0], r04=r[1], r13=r[2], r14=r[3], r23=r[4], r24=r[5]
+        )
+    coeffs = np.zeros((5, 5, taylor.n_terms(degree)))
+    coeffs[:, :, 0] = np.eye(5)
+    degrees = np.full((5, 5), np.inf)
+    for cells, values in zip(_BLOCK_ENTRIES, (A.flat, B.flat, r)):
+        for (i, j), x in zip(cells, values):
+            coeffs[i, j, 0] = x
+            coeffs[i, j, 1] = 0.2 * rng.uniform(-1, 1)
+            coeffs[i, j, 2] = 0.2 * rng.uniform(-1, 1)
+            degrees[i, j] = degree
+    return GaugeTransform(coeffs, degrees)
 
 
 def test_readaptation_after_random_gauge():
@@ -325,12 +323,18 @@ def test_gauge_transform_blocks_round_trip():
     assert g.A == [[0.0, 2.0], [-2.0, 0.0]]
     assert g.B == [[1.0, 0.5], [0.0, 1.0]]
     assert g.r == ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
-    composed = GaugeTransform((np.array(g.K) @ np.eye(5)).tolist())
-    assert np.allclose(composed.K, g.K)
+    assert np.array_equal(g.coeffs[:, :, 0], [
+        [1.0, 0.0, 0.0, 0.1, 0.2],
+        [0.0, 0.0, 2.0, 0.3, 0.4],
+        [0.0, -2.0, 0.0, 0.5, 0.6],
+        [0.0, 0.0, 0.0, 1.0, 0.5],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    assert g.coeffs.shape == (5, 5, 1) and np.isinf(g.degrees).all()
 
 
 # ---------------------------------------------------------------------------
-# The array paths against the nested-list routes they replace
+# The array paths against jet arithmetic on TaylorScalar entries
 # ---------------------------------------------------------------------------
 
 
@@ -343,13 +347,12 @@ def _assert_jets_close(got, want, rtol=1e-12):
         assert np.abs(g.coeffs - w.coeffs).max() <= rtol * scale
 
 
-def _at_degrees(M, like):
-    """Entries of M as jets truncated to the degrees of the entries of `like`."""
-
-    def jet(x, d):
-        return x.truncate(d) if isinstance(x, TaylorScalar) else TaylorScalar.constant(x, d)
-
-    return [[jet(x, w.degree) for x, w in zip(row, wrow)] for row, wrow in zip(M, like)]
+def _at_degrees(C, like):
+    """Entries of a coefficient array C as jets at the degrees of the jets in `like`."""
+    return [
+        [TaylorScalar(c[: taylor.n_terms(w.degree)]) for c, w in zip(row, wrow)]
+        for row, wrow in zip(C, like)
+    ]
 
 
 def _random_frames(seed):
@@ -368,14 +371,17 @@ def _random_frames(seed):
             yield name, adapt2(fr, _normal_forms(fr))[0]
 
 
-def test_maurer_cartan_matches_nested_solve():
+def test_maurer_cartan_satisfies_frame_equation():
+    # F Omega = dF in jet arithmetic, with column j of Omega at degree
+    # min(min deg F, deg F[:, j] - 1)
     for _, fr in _random_frames(11):
-        F = fr.matrix
-        dF = [[x.deriv_u() for x in row] + [x.deriv_v() for x in row] for row in F]
-        X = solve(F, dF)
         mc = maurer_cartan(fr)
-        _assert_jets_close(mc.du, [row[:5] for row in X])
-        _assert_jets_close(mc.dv, [row[5:] for row in X])
+        assert mc.degrees == tuple(min(min(fr.degrees), d - 1) for d in fr.degrees)
+        F = np.array(fr.matrix, dtype=object)
+        for omega, deriv in zip(_entries(mc.omega, mc.degrees), ("deriv_u", "deriv_v")):
+            FO = F @ omega
+            dF = [[getattr(x, deriv)().coeffs for x in row] for row in F]
+            _assert_jets_close(FO, _at_degrees(dF, FO))
 
 
 def test_gauge_law_matches_solve():
@@ -396,18 +402,34 @@ def test_gauge_law_matches_solve():
                 want = maurer_cartan(frame)
                 got = maurer_cartan(frame, (base, gauge))
                 assert got.degrees == want.degrees
-                _assert_jets_close(got.du, want.du)
-                _assert_jets_close(got.dv, want.dv)
+                for part in (0, 1):  # du, then dv
+                    _assert_jets_close(
+                        _entries(got.omega[part], got.degrees),
+                        _entries(want.omega[part], want.degrees),
+                    )
 
 
 def test_coframe_projection_matches_per_entry_solve():
+    # each entry cu du + cv dv = x1 omega^1_0 + x2 omega^2_0 by Cramer's rule
     for _, fr in _random_frames(12):
         mc = maurer_cartan(fr)
-        Ct = np.array(mc.coframe(), dtype=object).T.tolist()
+        (a, b), (c, d) = mc.coframe()  # omega^1_0 = a du + b dv, omega^2_0 = c du + d dv
+        det = a * d - b * c
+        du, dv = _entries(mc.omega, mc.degrees)
+        got = _entries(mc.projection, mc.projection_degrees)
         for i in range(5):
             for j in range(5):
-                want = solve(Ct, [mc.du[i][j], mc.dv[i][j]])
-                _assert_jets_close(mc.in_coframe(i, j), want)
+                want = [(du[i, j] * d - dv[i, j] * c) / det, (a * dv[i, j] - b * du[i, j]) / det]
+                _assert_jets_close(got[:, i, j], want)
+
+
+def _block_gauge(A=np.eye(2), B=np.eye(2), r0=(0.0, 0.0)):
+    """[[1, 0, r0], [0, A, 0], [0, 0, B]] as an object array of floats and jets."""
+    K = np.eye(5).astype(object)
+    K[1:3, 1:3] = np.array(A, dtype=object)
+    K[3:5, 3:5] = np.array(B, dtype=object)
+    K[0, 3:5] = np.array(r0, dtype=object)
+    return K
 
 
 def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
@@ -429,22 +451,20 @@ def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
             fr2, gauge = adapt2_timelike(fr, fund)
         A1, B, r0, s = blocks[-1]
         A1, B = ([[TaylorScalar(x) for x in row] for row in M] for M in (A1, B))
-        (r03, r04), (s1, s2) = ([TaylorScalar(x) for x in v] for v in (r0, s))
+        r0, (s1, s2) = ([TaylorScalar(x) for x in v] for v in (r0, s))
         # K1 K2 K3 K4 entry by entry in jet arithmetic (numpy on objects)
-        want = np.linalg.multi_dot([np.array(g.K, dtype=object) for g in (
-            GaugeTransform.from_blocks(A=A1),
-            GaugeTransform.from_blocks(B=B),
-            GaugeTransform.from_blocks(r03=r03, r04=r04),
-            GaugeTransform.from_blocks(
-                A=[[s1, 0.0], [0.0, s2]], B=[[s1 * s1, 0.0], [0.0, s2 * s2]]
-            ),
-        )]).tolist()
-        _assert_jets_close(_at_degrees(gauge.K, want), want)
+        want = np.linalg.multi_dot([
+            _block_gauge(A=A1),
+            _block_gauge(B=B),
+            _block_gauge(r0=r0),
+            _block_gauge(A=[[s1, 0.0], [0.0, s2]], B=[[s1 * s1, 0.0], [0.0, s2 * s2]]),
+        ])
+        _assert_jets_close(_at_degrees(gauge.coeffs, want), want)
         # block-wise F K: e0 is kept exactly, the other columns lose an order
-        ref = mat_mul(fr.matrix, want)
-        assert fr2.degrees == (fr.degrees[0],) + (ref[0][1].degree,) * 4
+        ref = np.array(fr.matrix, dtype=object) @ want
+        assert fr2.degrees == (fr.degrees[0],) + (ref[0, 1].degree,) * 4
         assert np.array_equal(fr2.coeffs[:, 0], fr.coeffs[:, 0])
-        _assert_jets_close(_at_degrees(fr2.matrix, ref), ref)
+        _assert_jets_close(_at_degrees(fr2.coeffs, ref), ref)
 
 
 def test_adapt2_allocates_no_taylor_scalars(monkeypatch):

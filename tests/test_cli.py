@@ -258,6 +258,23 @@ def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
     assert rec["residual_ok"] is not True
 
 
+def test_nan_connection_form_is_not_ok(monkeypatch, tmp_path):
+    # alpha is reported but is neither a curvature nor a metric entry
+    def nan_alpha_du(*args, **kwargs):
+        res = analyze_point(*args, **kwargs)
+        du, dv = res.invariants.alpha
+        alpha = (du * math.nan, dv)
+        return dataclasses.replace(res, invariants=dataclasses.replace(res.invariants, alpha=alpha))
+
+    monkeypatch.setattr(cli, "analyze_point", nan_alpha_du)
+    out = tmp_path / "a"
+    assert _run(["analyze", "--surface", "h2", "--grid", "0:0:1", "--out", str(out)]) == 0
+    (rec,) = json.loads((out / "analyze.json").read_text())["records"]
+    assert rec["ok"] is False
+    assert rec["error"] == "ArithmeticFailure"
+    assert rec["message"] == "non-finite result: alpha_du"
+
+
 def test_verify_fails_on_a_nan_relation_residual(monkeypatch, capsys):
     # every residual_max the check reads is NaN; a plain max() fold would
     # keep its 0 start and pass

@@ -1,11 +1,12 @@
 """Tests for the float/jet linear-algebra layer.
 
-Oracles: numpy.linalg.solve for float systems, A (A^-1 B) = B up to each
-entry's degree for jet systems, LAPACK's dgetrf/dgetrs for the pivoting
-and singularity decisions of `jet_solve`, scipy.linalg.expm for the matrix
-exponential, eigendecompositions for the inverse square root of the
-level-2 forms in :mod:`centroframe.adaptation`, and closed-form identities
-(Cayley-Hamilton, polarization, null pairing) for the rest of that algebra.
+Oracles: numpy.linalg.solve for float systems, A (A^-1 B) = B and
+products in TaylorScalar arithmetic for jet systems, LAPACK's
+dgetrf/dgetrs for the pivoting and singularity decisions of `jet_solve`,
+scipy.linalg.expm for the matrix exponential, eigendecompositions for the
+inverse square root of the level-2 forms in :mod:`centroframe.adaptation`,
+and closed-form identities (Cayley-Hamilton, polarization, null pairing)
+for the rest of that algebra.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ from centroframe.linalg5 import (
     expm5,
     jet_matmul,
     jet_solve,
-    mat_mul,
+    resize,
     solve,
 )
 from centroframe.taylor import TaylorScalar, coordinate_jets
@@ -65,76 +66,25 @@ def test_float_solve_matches_numpy():
         assert np.allclose(X, np.linalg.solve(A, B), atol=1e-12)
 
 
-def _mixed_matrix(rng, rows, cols, lo, float_share=0.25):
-    """Jets of random degree in [lo, 7], with about `float_share` floats."""
-    return [
-        [
-            float(rng.uniform(-1, 1))
-            if rng.random() < float_share
-            else _random_jet(rng, int(rng.integers(lo, 8)))
-            for _ in range(cols)
-        ]
-        for _ in range(rows)
-    ]
+def _coeff_array(M):
+    """(rows, cols, n) coefficient array of a nested list of equal-degree jets."""
+    return np.array([[x.coeffs for x in row] for row in M])
 
 
-def _degree(x):
-    return x.degree if isinstance(x, TaylorScalar) else np.inf
-
-
-def _const(x):
-    return x.const if isinstance(x, TaylorScalar) else x
-
-
-def _coeffs(x, degree):
-    """Coefficients of x up to `degree` (a float is a constant jet)."""
-    if isinstance(x, TaylorScalar):
-        return x.coeffs[: taylor.n_terms(degree)]
-    out = np.zeros(taylor.n_terms(degree))
-    out[0] = x
-    return out
-
-
-def _check_degrees(M, want):
-    for row, want_row in zip(M, want):
-        for x, d in zip(row, want_row):
-            if np.isinf(d):
-                assert type(x) is float
-            else:
-                assert isinstance(x, TaylorScalar) and x.degree == d
-
-
-def test_mixed_degree_solve_and_product():
-    # per-entry degrees: deg X[:, j] = min(deg A, deg B[:, j]) and
-    # deg (A X)[i][j] = min over t of min(deg A[i][t], deg X[t][j]);
-    # A X reproduces B up to each product entry's degree
+def test_jet_solve_and_product_reproduce_rhs():
+    # A and B of random degrees, solved at the lower one: A X reproduces B
     rng = np.random.default_rng(23)
-    for trial in range(40):
+    for _ in range(40):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
-        A = _mixed_matrix(rng, n, n, int(rng.integers(0, 8)), 0.6 if trial % 5 == 0 else 0.25)
-        if trial % 7 == 0:
-            # all-float A: float columns of B give float columns of X
-            A = [[_const(x) for x in row] for row in A]
-        for i in range(n):
-            A[i][i] = A[i][i] + 2.0 * n
-        B = _mixed_matrix(rng, n, m, int(rng.integers(0, 8)))
-        deg_a = min(_degree(x) for row in A for x in row)
-        dX = [[min(deg_a, min(_degree(B[t][j]) for t in range(n))) for j in range(m)]] * n
-        dP = [
-            [min(min(_degree(A[i][t]), dX[t][j]) for t in range(n)) for j in range(m)]
-            for i in range(n)
-        ]
-        X = solve(A, B)
-        _check_degrees(X, dX)
-        P = mat_mul(A, X)
-        _check_degrees(P, dP)
-        for i in range(n):
-            for j in range(m):
-                d = 0 if np.isinf(dP[i][j]) else int(dP[i][j])
-                assert np.allclose(_coeffs(P[i][j], d), _coeffs(B[i][j], d), atol=1e-10)
-        x = solve(A, [row[0] for row in B])
-        _check_degrees([x], [[row[0] for row in dX]])
+        deg_a, deg_b = (int(d) for d in rng.integers(0, 8, 2))
+        A = rng.uniform(-1, 1, (n, n, taylor.n_terms(deg_a)))
+        A[:, :, 0] += 2.0 * n * np.eye(n)
+        B = rng.uniform(-1, 1, (n, m, taylor.n_terms(deg_b)))
+        degree = min(deg_a, deg_b)
+        A, B = resize(A, taylor.n_terms(degree)), resize(B, taylor.n_terms(degree))
+        X = jet_solve(A, B, degree)
+        assert np.allclose(jet_matmul(A, X, degree), B, atol=1e-10)
 
 
 def test_matrix_rhs_and_inverse():
@@ -149,28 +99,31 @@ def test_jet_solve_reproduces_known_solution():
     for n in (2, 3, 5):
         A = _jet_matrix(rng, n)
         x_true = [_random_jet(rng) for _ in range(n)]
-        b = list(np.array(A, dtype=object) @ np.array(x_true, dtype=object))
-        x = solve(A, b)
+        b = np.array(A, dtype=object) @ np.array(x_true, dtype=object)
+        x = jet_solve(_coeff_array(A), _coeff_array(b[:, None]), 3)[:, 0]
         for xi, ti in zip(x, x_true):
-            assert np.allclose(xi.coeffs, ti.coeffs, atol=1e-10)
+            assert np.allclose(xi, ti.coeffs, atol=1e-10)
 
 
 def test_degree_zero_jets_match_float_path():
+    # the constant term of a jet solution is the float solution of the
+    # constant parts
     rng = np.random.default_rng(14)
     A = rng.uniform(-2, 2, size=(4, 4)) + 3 * np.eye(4)
     b = rng.uniform(-1, 1, size=4)
     x_float = solve([list(r) for r in A], list(b))
-    A_jet = [[TaylorScalar.constant(v, 0) for v in row] for row in A]
-    b_jet = [TaylorScalar.constant(v, 0) for v in b]
-    x_jet = solve(A_jet, b_jet)
-    assert np.allclose([j.const for j in x_jet], x_float, rtol=0, atol=1e-15)
+    A_jet = rng.uniform(-1, 1, (4, 4, taylor.n_terms(3)))
+    b_jet = rng.uniform(-1, 1, (4, 1, taylor.n_terms(3)))
+    A_jet[:, :, 0], b_jet[:, 0, 0] = A, b
+    x_jet = jet_solve(A_jet, b_jet, 3)
+    assert np.allclose(x_jet[:, 0, 0], x_float, rtol=0, atol=1e-15)
 
 
 def test_singular_matrix_raises():
     A = [[1.0, 2.0], [2.0, 4.0]]
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="^no usable pivot in column 1$"):
         solve(A, [1.0, 0.0])
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="^no usable pivot in column 0$"):
         solve([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 0.0])
 
 
@@ -178,9 +131,10 @@ def test_singular_constant_part_raises():
     # the jet matrix is invertible as a polynomial matrix but not over the
     # jet ring: its constant part [[1, 2], [2, 4]] is singular
     du, dv = coordinate_jets(0.0, 0.0, 3)
-    A = [[du + 1.0, dv + 2.0], [du * 3.0 + 2.0, 4.0]]
+    A = [[du + 1.0, dv + 2.0], [du * 3.0 + 2.0, TaylorScalar.constant(4.0, 3)]]
+    B = [[TaylorScalar.constant(1.0, 3)], [dv]]
     with pytest.raises(SingularMatrix):
-        solve(A, [[1.0], [dv]])
+        jet_solve(_coeff_array(A), _coeff_array(B), 3)
 
 
 def _lapack_failing_column(A0):
