@@ -24,14 +24,26 @@ fiber-invariant scalars in :mod:`centroframe.invariants`.
 All computations run over truncated Taylor jets held as coefficient arrays
 (see :mod:`centroframe.linalg5`) from `frame1` to the invariants, so the
 output frame is itself a jet field and further differentiation (for
-connection forms and curvature) costs one degree per level.  A frame has
-one degree per column (the rules are in `apply_gauge`, `maurer_cartan` and
-`MCField`); the position column e0 keeps one order more than the others
-from level 2 on, since no gauge changes it.  The level-2 data are arrays
-too: `FundamentalData` holds (h0, h3, h4) as one (3, 3, n) array of their
-(a, b, c) entries, and the reduction works on symmetric forms as (3, n)
-arrays and on 2x2 jet matrices as (2, 2, n) arrays.  Views with
-TaylorScalar entries (`Frame5T.matrix`, ...) are built on demand only.
+connection forms and curvature) costs one degree per level.  Every stage
+takes one point, or a batch of N points as arrays with a leading axis
+(frames (N, 5, 5, n), forms (N, 2, 5, 5, n), ...), and runs the same code
+either way.  A check that fails raises the point's error; in a batch, the
+failing points raise together as `PointFailures` (`errors.raise_where`),
+before any arithmetic that depends on what failed.
+
+A frame has one degree per column (the rules are in `apply_gauge`,
+`maurer_cartan` and `MCField`); the position column e0 keeps one order
+more than the others from level 2 on, since no gauge changes it.  Levels
+2 and 3 are gauges: `maurer_cartan` takes the level-2 and level-3 forms
+from the gauge law with K^-1 in closed form, so after level 1 no frame is
+multiplied out and no 5x5 system is solved.  The frames that `adapt2_*`
+and `adapt3` return carry their degrees, by the gauge rule, and build
+their coefficients only when they are read.  The level-2 data are arrays
+too: `FundamentalData` holds (h0, h3, h4) as one (..., 3, 3, n) array of
+their (a, b, c) entries, and the reduction works on symmetric forms as
+(..., 3, n) arrays and on 2x2 jet matrices as (..., 2, 2, n) arrays.
+Views with TaylorScalar entries (`Frame5T.matrix`, ...) are built on
+demand only, for one point.
 """
 
 import math
@@ -50,6 +62,7 @@ from .errors import (
     NotIndefinite,
     NotPositiveDefinite,
     NotTransversal,
+    raise_where,
 )
 from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solve)
     _PIVOT_TOL,
@@ -59,7 +72,7 @@ from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solv
     resize,
     solve,
 )
-from .taylor import TaylorScalar, apply, derivative, n_terms
+from .taylor import TaylorScalar, apply, degree_of, derivative, n_terms, stack
 
 __all__ = [
     "Frame5T",
@@ -83,21 +96,43 @@ def _jet(c, degree):
     return TaylorScalar(c[: n_terms(degree)])
 
 
-@dataclass(eq=False)
+def _scalar(x):
+    """A per-point value as a Python scalar for one point; a batch's array as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 class Frame5T:
     """Jet-valued frame field with columns (e0, ..., e4).
 
-    `coeffs` is the (5, 5, n) coefficient array of the frame matrix and
-    `degrees[j]` the degree of column j; coefficients above a column's
-    degree carry no meaning.  `matrix` is the nested list of TaylorScalar
-    entries, built on first use.
+    `coeffs` is the (..., 5, 5, n) coefficient array of the frame matrix
+    and `degrees[j]` the degree of column j; coefficients above a column's
+    degree carry no meaning.  A frame made by `apply_gauge` keeps the
+    (frame, gauge) pair it comes from as `source` and multiplies it out
+    when `coeffs` is first read; `const`, the (..., 5, 5) constant part,
+    is a float product.  `matrix` is the nested list of TaylorScalar
+    entries of one point, built on first use.
     """
 
-    coeffs: np.ndarray
-    degrees: tuple
-    level: int
-    surface_type: str = ""
-    epsilon: int = 0
+    def __init__(self, coeffs, degrees, level, surface_type="", epsilon=0, source=None):
+        self._coeffs = coeffs
+        self.degrees = degrees
+        self.level = level
+        self.surface_type = surface_type
+        self.epsilon = epsilon
+        self.source = source
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = _gauge_product(*self.source, self.degrees)
+        return self._coeffs
+
+    @property
+    def const(self):
+        if self._coeffs is None:
+            frame, gauge = self.source
+            return frame.const @ np.ascontiguousarray(gauge.coeffs[..., 0])
+        return self._coeffs[..., 0]
 
     @cached_property
     def matrix(self):
@@ -106,17 +141,20 @@ class Frame5T:
 
 @dataclass(eq=False)
 class MCField:
-    """Maurer-Cartan coefficients: omega^i_j = omega[0, i, j] du + omega[1, i, j] dv.
+    """Maurer-Cartan coefficients: omega^i_j = omega[..., 0, i, j] du + omega[..., 1, i, j] dv.
 
-    `omega` is a (2, 5, 5, n) coefficient array, omega[0] the du parts and
-    omega[1] the dv parts; `degrees[j]` is the degree of column j.
-    `coframe()` gives the coframe block as TaylorScalar entries.
+    `omega` is a (..., 2, 5, 5, n) coefficient array, omega[..., 0, :, :]
+    the du parts and omega[..., 1, :, :] the dv parts; `degrees[j]` is the
+    degree of column j.  `coframe()` gives the coframe block of one point as
+    TaylorScalar entries.
 
     `projection` expresses all 25 entries in the coframe (omega^1_0,
     omega^2_0) by one 2x2 jet solve: omega^i_j = x1 omega^1_0 + x2 omega^2_0
-    with x1 = projection[0, i, j] and x2 = projection[1, i, j]; column j has
-    degree `projection_degrees[j]` = min(degrees[0], degrees[j]).  A linear
-    combination of entries projects to the same combination of projections.
+    with x1 = projection[..., 0, i, j] and x2 = projection[..., 1, i, j];
+    column j has degree `projection_degrees[j]` = min(degrees[0], degrees[j]).
+    A linear combination of entries projects to the same combination of
+    projections.  `project(rows, cols)` projects only the entries in those
+    rows and columns, at the highest projection degree of `cols`.
     """
 
     omega: np.ndarray
@@ -133,12 +171,17 @@ class MCField:
 
     @cached_property
     def projection(self):
+        return self.project(range(5), range(5))
+
+    def project(self, rows, cols):
         # cu du + cv dv = x1 omega^1_0 + x2 omega^2_0 means C^T (x1, x2) = (cu, cv)
-        degree = max(self.projection_degrees)
+        rows, cols = list(rows), list(cols)
+        degree = max(self.projection_degrees[j] for j in cols)
         n = n_terms(degree)
-        Ct = resize(self.omega[:, 1:3, 0], n)
-        rhs = resize(self.omega, n).reshape(2, 25, n)
-        return jet_solve(Ct, rhs, degree).reshape(2, 5, 5, n)
+        batch = self.omega.shape[:-4]
+        Ct = resize(self.omega[..., 1:3, 0, :], n)
+        rhs = resize(self.omega[..., rows, :, :][..., cols, :], n).reshape(*batch, 2, -1, n)
+        return jet_solve(Ct, rhs, degree).reshape(*batch, 2, len(rows), len(cols), n)
 
 
 class SymMat2T(NamedTuple):
@@ -157,13 +200,14 @@ class SymMat2T(NamedTuple):
 class FundamentalData:
     """Cartan-lemma matrices of a 1-adapted frame.
 
-    `coeffs` is a (3, 3, n) coefficient array: rows h0, h3, h4, the
+    `coeffs` is a (..., 3, 3, n) coefficient array: rows h0, h3, h4, the
     symmetric 2x2 coefficient matrices of omega^k_1,2 against the coframe
     (k = 0, 3, 4), and columns their (a, b, c) entries [[a, b], [b, c]], all
-    of degree `degree`.  `h0`, `h3` and `h4` are read-only views with
-    TaylorScalar entries, built on each access.  `nondeg_det` is the 3x3
-    determinant of the constant triples and `asymmetry` the largest
-    violation of Cartan-lemma symmetry (a numerical diagnostic).
+    of degree `degree`.  `h0`, `h3` and `h4` are read-only views of one
+    point with TaylorScalar entries, built on each access.  `nondeg_det`
+    is the 3x3 determinant of the constant triples and `asymmetry` the
+    largest violation of Cartan-lemma symmetry (a numerical diagnostic),
+    per point.
     """
 
     coeffs: np.ndarray
@@ -181,7 +225,10 @@ class FundamentalData:
 
 @dataclass
 class SurfaceType:
-    """Classification of span(h3, h4) by the restriction of Q = -det."""
+    """Classification of span(h3, h4) by the restriction of Q = -det.
+
+    For a batch, `tag` is an array of tags and the rest have a leading axis.
+    """
 
     tag: str  # "SpaceLike" | "TimeLike" | "Null"
     gram: np.ndarray
@@ -193,12 +240,12 @@ class SurfaceType:
 class GaugeTransform:
     """A frame change F -> F K, tangent-preserving for K = [[1, 0, r0], [0, A, r], [0, 0, B]].
 
-    `coeffs` is the (5, 5, n) coefficient array of K and `degrees` its
-    (5, 5) per-entry degrees, inf for a float entry.  `from_blocks` builds
-    a float gauge from its blocks, and `A`, `B` and r = ((r03, r04), (r13,
-    r14), (r23, r24)) read them back as Python floats.  They read only the
-    constant part, so they describe float gauges, the only kind their
-    readers (the acceptance tests) build.
+    `coeffs` is the (..., 5, 5, n) coefficient array of K and `degrees` its
+    (5, 5) per-entry degrees, inf for a float entry (the same at every
+    point of a batch).  `from_blocks` builds a float gauge from its blocks,
+    and `A`, `B` and r = ((r03, r04), (r13, r14), (r23, r24)) read them back
+    as Python floats.  They read only the constant part, so they describe
+    float gauges, the only kind their readers (the acceptance tests) build.
     """
 
     coeffs: np.ndarray
@@ -217,6 +264,41 @@ class GaugeTransform:
     r = property(lambda self: tuple(map(tuple, self.coeffs[0:3, 3:5, 0].tolist())))
 
 
+_EYE5 = np.eye(5)
+
+
+def _float_part(gauge):
+    """Which entries of a gauge are floats, and its constant part at one
+    point (its float entries are the same at every point)."""
+    return np.isinf(gauge.degrees), gauge.coeffs[(0,) * (gauge.coeffs.ndim - 3)][:, :, 0]
+
+
+def _gauge_rule(degrees, gauge):
+    """Column degrees of F K for a frame F with column `degrees`, and which
+    columns K keeps and which rows of K each column uses (see `apply_gauge`)."""
+    is_float, K0 = _float_part(gauge)
+    used = ~(is_float & (K0 == 0.0))
+    kept = (is_float & (K0 == _EYE5)).all(axis=0)
+    bound = np.where(used, np.minimum(np.array(degrees)[:, None], gauge.degrees), np.inf)
+    return tuple(int(d) for d in np.where(kept, degrees, bound.min(axis=0))), kept, used
+
+
+def _gauge_product(frame, gauge, degrees):
+    """The coefficients of F K, at the column degrees of the gauge rule."""
+    _, kept, used = _gauge_rule(frame.degrees, gauge)
+    n = n_terms(max(degrees))
+    coeffs = resize(frame.coeffs, n).copy()
+    cols = np.flatnonzero(~kept)
+    if cols.size:
+        rows = np.flatnonzero(used[:, cols].any(axis=1))
+        w = max(degrees[j] for j in cols)
+        m = n_terms(w)
+        K = gauge.coeffs[..., rows[:, None], cols, :]
+        product = jet_matmul(resize(frame.coeffs[..., rows, :], m), resize(K, m), w)
+        coeffs[..., cols, :] = resize(product, n)
+    return coeffs
+
+
 def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
     """New frame F K with bookkeeping tags updated.
 
@@ -225,29 +307,16 @@ def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
     they use (K[t][j] not the float 0), so a block gauge
     [[1, 0, r0], [0, A, r], [0, 0, B]] keeps e0 and maps (e1, e2) to F12 A
     and (e3, e4) to F0 r0 + F12 r + F34 B.  Column j then has degree
-    min over those rows of min(deg F[:, t], deg K[t][j]).
+    min over those rows of min(deg F[:, t], deg K[t][j]).  The product is
+    taken when the new frame's `coeffs` are first read.
     """
-    K, dK = gauge.coeffs, gauge.degrees
-    is_float = np.isinf(dK)
-    used = ~(is_float & (K[:, :, 0] == 0.0))
-    kept = (is_float & (K[:, :, 0] == np.eye(5))).all(axis=0)
-    bound = np.where(used, np.minimum(np.array(frame.degrees)[:, None], dK), np.inf)
-    degrees = np.where(kept, frame.degrees, bound.min(axis=0)).astype(int)
-    n = n_terms(degrees.max())
-    coeffs = resize(frame.coeffs, n).copy()
-    cols = np.flatnonzero(~kept)
-    if cols.size:
-        rows = np.flatnonzero(used[:, cols].any(axis=1))
-        w = int(degrees[cols].max())
-        m = n_terms(w)
-        product = jet_matmul(resize(frame.coeffs[:, rows], m), resize(K[np.ix_(rows, cols)], m), w)
-        coeffs[:, cols] = resize(product, n)
     return Frame5T(
-        coeffs=coeffs,
-        degrees=tuple(int(d) for d in degrees),
+        None,
+        _gauge_rule(frame.degrees, gauge)[0],
         level=frame.level if level is None else level,
         surface_type=frame.surface_type if surface_type is None else surface_type,
         epsilon=frame.epsilon if epsilon is None else epsilon,
+        source=(frame, gauge),
     )
 
 
@@ -262,12 +331,14 @@ _FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal test
 def frame1(jet5):
     """Initial adapted frame from the 1-jet of the position vector.
 
-    Columns are e0 = f, e1 = f_u, e2 = f_v, and two constant columns: the
-    last two columns of the complete QR factor of [e0 e1 e2] at the base
-    point, an orthonormal basis of the complement of their span, scaled by
-    |f(p)|.  So frame1(c f) = c frame1(f) for any scalar c, and the frame
-    stays as well conditioned as its first three columns.  Every column has
-    degree d - 1 for surface jets of lowest degree d.
+    `jet5` is the five surface jets of one point, or their (N, 5, n)
+    coefficients for a batch (`eval_surface`).  Columns are e0 = f,
+    e1 = f_u, e2 = f_v, and two constant columns: the last two columns of
+    the complete QR factor of [e0 e1 e2] at the base point, an orthonormal
+    basis of the complement of their span, scaled by |f(p)|.  So
+    frame1(c f) = c frame1(f) for any scalar c, and the frame stays as well
+    conditioned as its first three columns.  Every column has degree d - 1
+    for surface jets of lowest degree d.
 
     Raises
     ------
@@ -276,41 +347,102 @@ def frame1(jet5):
     NotTransversal
         If the position vector lies in the tangent plane at the base point.
     """
-    degree = min(j.degree for j in jet5) - 1
-    f = np.array([j.coeffs[: n_terms(degree + 1)] for j in jet5])
-    coeffs = np.zeros((5, 5, n_terms(degree)))
-    coeffs[:, 0] = f[:, : n_terms(degree)]
-    coeffs[:, 1] = derivative(f, degree + 1, 0)
-    coeffs[:, 2] = derivative(f, degree + 1, 1)
+    if isinstance(jet5, np.ndarray):
+        degree = degree_of(jet5.shape[-1]) - 1
+        f = jet5
+    else:
+        degree = min(j.degree for j in jet5) - 1
+        f = np.array([j.coeffs[: n_terms(degree + 1)] for j in jet5])
+    coeffs = np.zeros(f.shape[:-2] + (5, 5, n_terms(degree)))
+    coeffs[..., 0, :] = f[..., : n_terms(degree)]
+    coeffs[..., 1, :] = derivative(f, degree + 1, 0)
+    coeffs[..., 2, :] = derivative(f, degree + 1, 1)
 
-    P = coeffs[:, :3, 0]
-    scale = max(np.linalg.norm(P[:, 1]), np.linalg.norm(P[:, 2]), 1e-300)
-    gram12 = P[:, 1:].T @ P[:, 1:]
-    if np.linalg.det(gram12) <= (_FRAME1_TOL * scale * scale) ** 2:
-        raise NotImmersed("tangent vectors are dependent at the base point")
+    P = coeffs[..., :3, 0]
+    norms = np.linalg.norm(P, axis=-2)
+    scale = np.maximum(np.maximum(norms[..., 1], norms[..., 2]), 1e-300)
+    P12 = np.ascontiguousarray(P[..., 1:])
+    P12t = P12.swapaxes(-1, -2)
+    gram12 = P12t @ P12
+    raise_where(np.linalg.det(gram12) <= (_FRAME1_TOL * scale * scale) ** 2,
+                lambda i: NotImmersed("tangent vectors are dependent at the base point"))
     # rejection of e0 from span(e1, e2)
-    coeff = np.linalg.solve(gram12, P[:, 1:].T @ P[:, 0])
-    resid = P[:, 0] - P[:, 1:] @ coeff
-    if np.linalg.norm(resid) <= _FRAME1_TOL * max(np.linalg.norm(P[:, 0]), 1e-300):
-        raise NotTransversal("position vector lies in the tangent plane")
+    coeff = np.linalg.solve(gram12, P12t @ P[..., 0, None])
+    resid = np.linalg.norm(P[..., 0, None] - P12 @ coeff, axis=(-2, -1))
+    raise_where(resid <= _FRAME1_TOL * np.maximum(norms[..., 0], 1e-300),
+                lambda i: NotTransversal("position vector lies in the tangent plane"))
 
     # complete with an orthonormal basis of the complement, scaled by |f(p)|
-    Q, _ = np.linalg.qr(P, mode="complete")
-    coeffs[:, 3:, 0] = Q[:, 3:] * np.linalg.norm(P[:, 0])
+    Q, _ = np.linalg.qr(np.ascontiguousarray(P), mode="complete")
+    coeffs[..., 3:, 0] = Q[..., 3:] * norms[..., 0, None, None]
     return Frame5T(coeffs=coeffs, degrees=(degree,) * 5, level=1)
+
+
+def _inverses2(A, B, degree):
+    """A^-1 and B^-1 of 2x2 jet matrices A, B (..., 2, 2, n), as adjugates
+    over determinants that share one reciprocal: 1/det A = det B / (det A det B)."""
+    M = stack([A, B], axis=-4)
+    a, b, c, d = M[..., 0, 0, :], M[..., 0, 1, :], M[..., 1, 0, :], M[..., 1, 1, :]
+    det = jet_mul(a, d, degree) - jet_mul(b, c, degree)
+    both = apply("reciprocal", jet_mul(det[..., 0, :], det[..., 1, :], degree), degree)
+    inv_det = jet_mul(det[..., ::-1, :], both[..., None, :], degree)
+    adj = stack([stack([d, -b], axis=-2), stack([-c, a], axis=-2)], axis=-3)
+    inverses = jet_mul(adj, inv_det[..., None, None, :], degree)
+    return inverses[..., 0, :, :, :], inverses[..., 1, :, :, :]
+
+
+def _times(X, M, degree):
+    """X M for coefficient arrays X (..., r, k, n) and M (..., k, m, n), as
+    (M^T X^T)^T: the jet operator is built from the smaller factor M."""
+    Y = jet_matmul(M.swapaxes(-3, -2), X.swapaxes(-3, -2), degree)
+    return Y.swapaxes(-3, -2)
+
+
+def _gauge_law(Og, gauge, degree):
+    """Omega = K^-1 (Omega_G K + dK) for K = [[1, 0, r0], [0, A, r], [0, 0, B]].
+
+    Omega_G (..., 2, 5, 5, n) is the form of G, and the result is the form
+    of G K at `degree`.  K^-1 goes block by block, with 2x2 adjugate
+    inverses: for R = (r0; r) and Z = Omega_G K + dK, the rows of K^-1 Z
+    are W = B^-1 Z_34 (rows 3-4), Z_0 - r0 W and A^-1 (Z_12 - r W).  When
+    A and B are the float identity, as at level 3, nothing is inverted.
+    """
+    K = resize(gauge.coeffs, n_terms(degree + 1))
+    Z = stack([derivative(K, degree + 1, 0), derivative(K, degree + 1, 1)], axis=-4)
+    K, O = resize(K, n_terms(degree)), resize(Og, n_terms(degree))
+    is_float, K0 = _float_part(gauge)
+    # at level 3 A = B = I are floats: K = I + N with N^2 = 0, so K^-1 = I - N
+    unipotent = all(is_float[s, s].all() and (K0[s, s] == _EYE5[s, s]).all()
+                    for s in (slice(1, 3), slice(3, 5)))
+    # Omega_G K by column blocks: K keeps e0, takes (e1, e2) to A and
+    # (e3, e4) to its columns 3-4
+    Z[..., 0, :] += O[..., 0, :]
+    Z[..., 1:3, :] += O[..., 1:3, :] if unipotent else _times(
+        O[..., 1:3, :], K[..., None, 1:3, 1:3, :], degree)
+    Z[..., 3:5, :] += _times(O, K[..., None, :, 3:5, :], degree)
+    W = Z[..., 3:5, :, :]
+    if not unipotent:
+        Ai, Bi = _inverses2(K[..., None, 1:3, 1:3, :], K[..., None, 3:5, 3:5, :], degree)
+        W = jet_matmul(Bi, W, degree)
+    V = Z[..., 0:3, :, :] - jet_matmul(K[..., None, 0:3, 3:5, :], W, degree)
+    if not unipotent:
+        V[..., 1:3, :, :] = jet_matmul(Ai, V[..., 1:3, :, :], degree)
+    return np.concatenate([V, W], axis=-3)
 
 
 def maurer_cartan(frame, gauged=None):
     """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field.
 
     One solve of F against [dF/du | dF/dv] on coefficient arrays.  When
-    `frame` is G K for a frame G and a gauge K, `gauged` = (mc of G, K)
-    gives Omega by the gauge law K^-1 (Omega_G K + dK) instead, one solve
-    against K.  Near a null point the adapted frames are badly conditioned
-    and solving against them loses up to eight digits, while the gauges are
-    block triangular and solving against them does not.  Column j of Omega
-    has degree min(min deg F, deg F[:, j] - 1) either way; a frame column of
-    degree 0 has no known derivative and raises ValueError.
+    `frame` is G K for a frame G and a tangent-preserving gauge K,
+    `gauged` = (mc of G, K) gives Omega by the gauge law
+    K^-1 (Omega_G K + dK) instead, in closed form (`_gauge_law`), and only
+    the frame's degrees are read.  Near a null point the adapted frames are
+    badly conditioned and solving against them loses up to eight digits,
+    while the gauges are block triangular and inverting them does not.
+    Column j of Omega has degree min(min deg F, deg F[:, j] - 1) either
+    way; a frame column of degree 0 has no known derivative and raises
+    ValueError.
     """
     d = np.array(frame.degrees)
     if d.min() < 1:
@@ -318,18 +450,15 @@ def maurer_cartan(frame, gauged=None):
     degrees = np.minimum(d.min(), d - 1)
     w = int(degrees.max())
     n = n_terms(w)
-    M = resize(frame.coeffs if gauged is None else gauged[1].coeffs, n_terms(w + 1))
-    dM = np.concatenate([derivative(M, w + 1, 0), derivative(M, w + 1, 1)], axis=1)
-    if gauged is not None:  # [Omega_G,u K | Omega_G,v K] + [dK/du | dK/dv]
-        # Omega_G K as (K^T Omega_G^T)^T: the jet operator is built from K's 25 entries
-        OgT = resize(gauged[0].omega, n).reshape(10, 5, n).transpose(1, 0, 2)
-        Y = jet_matmul(resize(M, n).transpose(1, 0, 2), OgT, w).transpose(1, 0, 2)
-        dM += Y.reshape(2, 5, 5, n).transpose(1, 0, 2, 3).reshape(5, 10, n)
-    X = jet_solve(resize(M, n), dM, w)  # M = F, or M = K for the gauge law
-    return MCField(
-        omega=X.reshape(5, 2, 5, -1).transpose(1, 0, 2, 3),
-        degrees=tuple(int(x) for x in degrees),
-    )
+    if gauged is None:
+        M = resize(frame.coeffs, n_terms(w + 1))
+        batch = M.shape[:-3]
+        dM = np.concatenate([derivative(M, w + 1, 0), derivative(M, w + 1, 1)], axis=-2)
+        X = jet_solve(resize(M, n), dM, w)
+        omega = X.reshape(*batch, 5, 2, 5, n).swapaxes(-4, -3)
+    else:
+        omega = _gauge_law(gauged[0].omega, gauged[1], w)
+    return MCField(omega=np.ascontiguousarray(omega), degrees=tuple(int(x) for x in degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +485,18 @@ def fundamental_matrices(mc):
     """
     d = mc.projection_degrees
     degree = min(d[1], d[2])
-    # X[i, k, j] is the omega^(i+1)_0 coefficient of omega^(0, 3, 4)[k]_(j+1)
-    X = mc.projection[:, [0, 3, 4], 1:3, : n_terms(degree)]
-    H = np.stack([X[0, :, 0], (X[1, :, 0] + X[0, :, 1]) * 0.5, X[1, :, 1]], axis=1)
-    asym = float(np.abs(X[1, :, 0, 0] - X[0, :, 1, 0]).max())
-    triples = H[:, :, 0]
-    det = float(np.linalg.det(triples))
-    scale = max(1.0, float(np.abs(triples).max()))
-    if abs(det) <= _DEGENERATE_TOL * scale**3:
-        raise Degenerate("second-order data span less than three dimensions")
-    return FundamentalData(coeffs=H, degree=degree, nondeg_det=det, asymmetry=asym)
+    # X[..., i, k, j] is the omega^(i+1)_0 coefficient of omega^(0, 3, 4)[k]_(j+1)
+    X = mc.project([0, 3, 4], [1, 2])[..., : n_terms(degree)]
+    x1, x2 = X[..., 0, :, :, :], X[..., 1, :, :, :]
+    H = stack([x1[..., 0, :], (x2[..., 0, :] + x1[..., 1, :]) * 0.5, x2[..., 1, :]], axis=-2)
+    asym = np.abs(x2[..., 0, 0] - x1[..., 1, 0]).max(axis=-1)
+    triples = np.ascontiguousarray(H[..., 0])
+    det = np.linalg.det(triples)
+    scale = np.maximum(1.0, np.abs(triples).max(axis=(-2, -1)))
+    raise_where(np.abs(det) <= _DEGENERATE_TOL * scale**3,
+                lambda i: Degenerate("second-order data span less than three dimensions"))
+    return FundamentalData(coeffs=H, degree=degree, nondeg_det=_scalar(det),
+                           asymmetry=_scalar(asym))
 
 
 # Polarization of Q(h) = -det(h) = b^2 - a c on (a, b, c) triples:
@@ -374,6 +505,9 @@ _Q_POLAR = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
 
 
 _NULL_TOL = 1e-8  # a Gram determinant within this share of the squared Gram norm is null
+_INDEPENDENCE_TOL = 1e-10  # |h3 x h4| within this share of |h3| |h4| is dependent
+_ROTATE_TOL = 1e-8  # a form whose diagonal is below this share of |b| is rotated first
+_LEAD_TOL = 1e-10  # a first component below this share of max(1, |second|) is not a lead
 
 
 def classify_plane(fund):
@@ -387,38 +521,44 @@ def classify_plane(fund):
     Raises
     ------
     IndependenceFailure
-        If h3 and h4 are linearly dependent at the base point.
+        If h3 and h4 are linearly dependent at the base point: their cross
+        product within _INDEPENDENCE_TOL times the product of their norms.
     """
-    V = fund.coeffs[1:, :, 0]
-    cross = np.linalg.norm(np.cross(V[0], V[1]))
-    scale = max(np.linalg.norm(V[0]) * np.linalg.norm(V[1]), 1e-300)
-    if cross <= 1e-10 * scale:
-        raise IndependenceFailure("h3 and h4 are linearly dependent")
-    gram = V @ _Q_POLAR @ V.T
-    det = float(np.linalg.det(gram))
-    trace = float(np.trace(gram))
-    norm2 = float(np.sum(gram * gram))
-    if abs(det) <= _NULL_TOL * max(norm2, 1e-300):
-        tag = "Null"
-    elif det > 0:
-        tag = "SpaceLike"
-    else:
-        tag = "TimeLike"
-    return SurfaceType(tag=tag, gram=gram, det=det, trace=trace)
+    V = np.ascontiguousarray(fund.coeffs[..., 1:, :, 0])
+    norms = np.linalg.norm(V, axis=-1)
+    h3, h4 = V[..., 0, :], V[..., 1, :]
+    cross = np.sqrt(sum(np.square(h3[..., i] * h4[..., j] - h3[..., j] * h4[..., i])
+                        for i, j in ((1, 2), (2, 0), (0, 1))))
+    scale = np.maximum(norms[..., 0] * norms[..., 1], 1e-300)
+    raise_where(cross <= _INDEPENDENCE_TOL * scale,
+                lambda i: IndependenceFailure("h3 and h4 are linearly dependent"))
+    gram = V @ _Q_POLAR @ V.swapaxes(-1, -2)
+    det = np.linalg.det(gram)
+    trace = gram[..., 0, 0] + gram[..., 1, 1]
+    norm2 = np.square(gram).reshape(gram.shape[:-2] + (4,)).sum(axis=-1)
+    null = np.abs(det) <= _NULL_TOL * np.maximum(norm2, 1e-300)
+    tag = np.where(null, "Null", np.where(det > 0, "SpaceLike", "TimeLike"))
+    return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det), trace=_scalar(trace))
 
 
 # ---------------------------------------------------------------------------
 # Symmetric 2x2 jet forms for level 2
 #
-# A form [[a, b], [b, c]] is a coefficient array (3, n) of its (a, b, c)
-# entries, and a 2x2 jet matrix is a coefficient array (2, 2, n); `degree`
-# is the working degree, n = n_terms(degree).
+# A form [[a, b], [b, c]] is a coefficient array (..., 3, n) of its (a, b, c)
+# entries, and a 2x2 jet matrix is a coefficient array (..., 2, 2, n);
+# `degree` is the working degree, n = n_terms(degree).
 # ---------------------------------------------------------------------------
+
+
+def _entries(h):
+    """The (a, b, c) entries of forms h (..., 3, n)."""
+    return h[..., 0, :], h[..., 1, :], h[..., 2, :]
 
 
 def _q_polar(h1, h2, degree):
     """Polarization B(h1, h2) of two forms as a jet; Q(h) = B(h, h)."""
-    return jet_mul(h1, _Q_POLAR @ h2, degree).sum(axis=0)
+    x, y, z = _entries(jet_mul(h1, _Q_POLAR @ h2, degree))
+    return x + y + z
 
 
 def _q_complement(h3, h4, degree):
@@ -430,21 +570,28 @@ def _q_complement(h3, h4, degree):
     """
     g3, g4 = _Q_POLAR @ h3, _Q_POLAR @ h4
     i, j = [1, 2, 0], [2, 0, 1]
-    return jet_mul(g3[i], g4[j], degree) - jet_mul(g3[j], g4[i], degree)
+    return jet_mul(g3[..., i, :], g4[..., j, :], degree) - jet_mul(g3[..., j, :], g4[..., i, :], degree)
 
 
 def _congruence(H, A, degree):
-    """Congruences A^T h A of the forms h in H (k, 3, n), as (k, 3, n).
+    """Congruences A^T h A of the forms h in H (..., k, 3, n), as (..., k, 3, n).
 
     (a, b, c) -> A^T h A is linear with the symmetric square S of A as its
     matrix, so the k forms take one jet product by S^T.
     """
-    (p, q), (r, s) = A
-    x = np.stack([p, p, r, p, p, q, r, q, q, s])
-    y = np.stack([p, r, r, q, s, r, s, q, s, s])
-    pp, pr, rr, pq, ps, qr, rs, qq, qs, ss = jet_mul(x, y, degree)
-    S = np.stack([[pp, 2.0 * pr, rr], [pq, ps + qr, rs], [qq, 2.0 * qs, ss]])
-    return jet_matmul(H, S.transpose(1, 0, 2), degree)
+    p, q, r, s = A[..., 0, 0, :], A[..., 0, 1, :], A[..., 1, 0, :], A[..., 1, 1, :]
+    x = stack([p, p, r, p, p, q, r, q, q, s], axis=-2)
+    y = stack([p, r, r, q, s, r, s, q, s, s], axis=-2)
+    z = jet_mul(x, y, degree)
+    pp, pr, rr, pq, ps, qr, rs, qq, qs, ss = (z[..., k, :] for k in range(10))
+    S = stack([stack(row, axis=-2) for row in
+                  ((pp, 2.0 * pr, rr), (pq, ps + qr, rs), (qq, 2.0 * qs, ss))], axis=-3)
+    return jet_matmul(H, S.swapaxes(-3, -2), degree)
+
+
+def _max_square(a0, b0, c0):
+    """max(1, a0^2, b0^2, c0^2) per point: the scale of a constant form."""
+    return np.maximum(np.maximum(np.maximum(a0 * a0, b0 * b0), c0 * c0), 1.0)
 
 
 def _spd_inverse_sqrt(h, degree):
@@ -460,21 +607,21 @@ def _spd_inverse_sqrt(h, degree):
     NotPositiveDefinite
         If the constant part of h is not positive definite.
     """
-    a0, b0, c0 = h[:, 0]
-    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
-    if a0 <= 0 or a0 * c0 - b0 * b0 <= _PIVOT_TOL * scale:
-        raise NotPositiveDefinite(
-            "constant part [[%g, %g], [%g, %g]] is not positive definite"
-            % (a0, b0, b0, c0)
-        )
-    a, b, c = h
+    a0, b0, c0 = (x[..., 0] for x in _entries(h))
+    bad = (a0 <= 0) | (a0 * c0 - b0 * b0 <= _PIVOT_TOL * _max_square(a0, b0, c0))
+    raise_where(bad, lambda i: NotPositiveDefinite(
+        "constant part [[%g, %g], [%g, %g]] is not positive definite"
+        % (a0[i], b0[i], b0[i], c0[i])))
+    a, b, c = _entries(h)
     root_det = apply("sqrt", -_q_polar(h, h, degree), degree)
     k = jet_mul(
         apply("reciprocal", root_det, degree),
         apply("rsqrt", a + c + 2.0 * root_det, degree),
         degree,
     )
-    return jet_mul(np.stack([[c + root_det, -b], [-b, a + root_det]]), k, degree)
+    adj = stack([stack([c + root_det, -b], axis=-2), stack([-b, a + root_det], axis=-2)],
+                   axis=-3)
+    return jet_mul(adj, k[..., None, None, :], degree)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -490,54 +637,60 @@ def _null_basis(h, degree):
     vectors are ordered by the position of that component (ties broken by
     the second component, descending), and the pairing normalization is
     split evenly between the two vectors so that re-running downstream
-    gauge chains on already-normalized data reproduces the identity.
+    gauge chains on already-normalized data reproduces the identity.  The
+    choices are made per point, and each point divides only by the entry
+    it chose.
 
     Raises
     ------
     NotIndefinite
         If the constant part of h is not indefinite.
     """
-    a0, b0, c0 = h[:, 0]
-    scale = max(1.0, a0 * a0, b0 * b0, c0 * c0)
-    if b0 * b0 - a0 * c0 <= _PIVOT_TOL * scale:
-        raise NotIndefinite(
-            "constant part [[%g, %g], [%g, %g]] is not indefinite" % (a0, b0, b0, c0)
-        )
+    a0, b0, c0 = (x[..., 0] for x in _entries(h))
+    raise_where(b0 * b0 - a0 * c0 <= _PIVOT_TOL * _max_square(a0, b0, c0),
+                lambda i: NotIndefinite("constant part [[%g, %g], [%g, %g]] is not indefinite"
+                                        % (a0[i], b0[i], b0[i], c0[i])))
 
-    rotated = max(abs(a0), abs(c0)) < 1e-8 * abs(b0)
-    work = h
-    if rotated:
-        # rotate coordinates by 45 degrees so a diagonal coefficient is large
-        a, b, c = h
-        work = np.stack([(a + c) * 0.5 + b, (c - a) * 0.5, (a + c) * 0.5 - b])
+    # where both diagonal coefficients are below _ROTATE_TOL |b|, rotate the
+    # coordinates by 45 degrees so that a diagonal coefficient is large
+    rotated = (np.maximum(np.abs(a0), np.abs(c0)) < _ROTATE_TOL * np.abs(b0))[..., None, None]
+    a, b, c = _entries(h)
+    work = np.where(rotated, stack([(a + c) * 0.5 + b, (c - a) * 0.5, (a + c) * 0.5 - b],
+                                      axis=-2), h)
     disc_root = apply("sqrt", _q_polar(work, work, degree), degree)
-    a, b, c = work
+    a, b, c = _entries(work)
     # the roots s of c s^2 + 2 b s + a = 0, for w = (1, s), when |c| >= |a|;
     # else of a s^2 + 2 b s + c = 0, for w = (s, 1)
-    free = 1 if abs(c[0]) >= abs(a[0]) else 0
-    roots = np.stack([disc_root - b, -(disc_root + b)])
-    W = np.zeros((2, 2, roots.shape[-1]))
-    W[:, free] = jet_mul(roots, apply("reciprocal", c if free else a, degree), degree)
-    W[:, 1 - free, 0] = 1.0
-    if rotated:
-        W = np.stack([W[:, 0] - W[:, 1], W[:, 0] + W[:, 1]], axis=1) * _SQRT_HALF
+    free = (np.abs(c[..., 0]) >= np.abs(a[..., 0]))[..., None, None]
+    roots = stack([disc_root - b, -(disc_root + b)], axis=-2)
+    s = jet_mul(roots, apply("reciprocal", np.where(free[..., 0], c, a), degree)[..., None, :],
+                degree)
+    one = np.zeros(s.shape)
+    one[..., 0] = 1.0
+    W = stack([np.where(free, one, s), np.where(free, s, one)], axis=-2)  # W[..., k] = w_k
+    W = np.where(rotated[..., None], stack([W[..., 0, :] - W[..., 1, :],
+                                               W[..., 0, :] + W[..., 1, :]], axis=-2) * _SQRT_HALF,
+                 W)
 
     canon = []
-    for w in W:
-        m0, m1 = abs(w[0, 0]), abs(w[1, 0])
-        lead = 0 if m0 > 1e-10 * max(m1, 1.0) else 1
-        w = jet_mul(w, apply("reciprocal", w[lead], degree), degree)
-        canon.append(((lead, -w[1, 0]), w))
-    canon.sort(key=lambda item: item[0])
-    A = np.stack([w for _, w in canon], axis=1)
+    for w in (W[..., 0, :, :], W[..., 1, :, :]):
+        # the lead is the first component unless it is within _LEAD_TOL of 0
+        m0, m1 = np.abs(w[..., 0, 0]), np.abs(w[..., 1, 0])
+        lead = np.where(m0 > _LEAD_TOL * np.maximum(m1, 1.0), 0, 1)
+        w = jet_mul(w, apply("reciprocal", np.where((lead == 0)[..., None], w[..., 0, :],
+                                                    w[..., 1, :]), degree)[..., None, :], degree)
+        canon.append((lead, -w[..., 1, 0], w))
+    (lead0, key0, w0), (lead1, key1, w1) = canon
+    swap = ((lead1 < lead0) | ((lead1 == lead0) & (key1 < key0)))[..., None, None]
+    A = stack([np.where(swap, w1, w0), np.where(swap, w0, w1)], axis=-2)
 
-    pairing = _congruence(h[None], A, degree)[0, 1]
-    p0 = pairing[0]
-    if abs(p0) <= _PIVOT_TOL:
-        raise NotIndefinite("null directions are numerically degenerate")
-    sign = 1.0 if p0 > 0 else -1.0
+    pairing = _congruence(h[..., None, :, :], A, degree)[..., 0, 1, :]
+    p0 = pairing[..., 0]
+    raise_where(np.abs(p0) <= _PIVOT_TOL,
+                lambda i: NotIndefinite("null directions are numerically degenerate"))
+    sign = np.where(p0 > 0, 1.0, -1.0)[..., None]
     inv_root = apply("rsqrt", pairing * sign, degree)
-    return jet_mul(A, np.stack([inv_root, inv_root * sign]), degree)
+    return jet_mul(A, stack([inv_root, inv_root * sign], axis=-2)[..., None, :, :], degree)
 
 
 def _level2_gauge(A1, B, r0, s, degree):
@@ -545,21 +698,26 @@ def _level2_gauge(A1, B, r0, s, degree):
 
     The four block gauges compose to [[1, 0, r0], [0, A1, 0], [0, 0, B]]
     with its columns scaled by (1, s1, s2, s1^2, s2^2): A = A1 diag(s),
-    B diag(s^2) and r0 diag(s^2).  A1 and B are (2, 2, n) coefficient
-    arrays, r0 and s are (2, n), all of degree `degree`.
+    B diag(s^2) and r0 diag(s^2).  A1 and B are (..., 2, 2, n) coefficient
+    arrays, r0 and s are (..., 2, n), all of degree `degree`.
     """
-    K = np.zeros((5, 5, n_terms(degree)))
-    K[0, 0, 0] = 1.0
-    K[1:3, 1:3] = jet_mul(A1, s, degree)
+    K = np.zeros(s.shape[:-2] + (5, 5, n_terms(degree)))
+    K[..., 0, 0, 0] = 1.0
+    K[..., 1:3, 1:3, :] = jet_mul(A1, s[..., None, :, :], degree)
     s2 = jet_mul(s, s, degree)
-    K[3:5, 3:5] = jet_mul(B, s2, degree)
-    K[0, 3:5] = jet_mul(r0, s2, degree)
+    K[..., 3:5, 3:5, :] = jet_mul(B, s2[..., None, :, :], degree)
+    K[..., 0, 3:5, :] = jet_mul(r0, s2, degree)
     degrees = np.full((5, 5), np.inf)
     degrees[1:3, 1:3] = degrees[3:5, 3:5] = degrees[0, 3:5] = degree
     return GaugeTransform(K, degrees)
 
 
 _ADAPT2_TOL = 1e-10  # absolute floor of adapt2's det B and of the h0 part that fixes the scale
+
+
+def _det2_const(B):
+    """Determinant of the constant parts of 2x2 jet matrices (..., 2, 2, n)."""
+    return B[..., 0, 0, 0] * B[..., 1, 1, 0] - B[..., 0, 1, 0] * B[..., 1, 0, 0]
 
 
 def adapt2_spacelike(frame, fund):
@@ -577,28 +735,29 @@ def adapt2_spacelike(frame, fund):
     d = fund.degree
     # 1) rotate/scale tangent directions so the Q-complement becomes the
     #    identity matrix; the (h3, h4)-plane is then trace-free
-    n = _q_complement(fund.coeffs[1], fund.coeffs[2], d)
-    if n[0, 0] + n[2, 0] < 0:
-        n = -n
+    n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
+    n = np.where((n[..., 0, 0] + n[..., 2, 0] < 0)[..., None, None], -n, n)
     A1 = _spd_inverse_sqrt(n, d)
-    p0, p3, p4 = _congruence(fund.coeffs, A1, d)
+    P = _congruence(fund.coeffs, A1, d)
+    p0, p3, p4 = (_entries(P[..., k, :, :]) for k in range(3))
 
     # 2) move (p3, p4) to the reference basis (T1, T2) of the trace-free
     #    plane by the normal-space gauge B
-    B = np.stack([[(p3[0] - p3[2]) * 0.5, p3[1]], [(p4[0] - p4[2]) * 0.5, p4[1]]])
-    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= _ADAPT2_TOL:
-        raise IndependenceFailure("normalized pair does not span the trace-free plane")
+    B = stack([stack([(p[0] - p[2]) * 0.5, p[1]], axis=-2) for p in (p3, p4)], axis=-3)
+    raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
+        "normalized pair does not span the trace-free plane"))
 
     # 3) subtract the trace-free part of h0 via the translational gauge
-    r0 = np.stack([(p0[0] - p0[2]) * 0.5, p0[1]])
+    r0 = stack([(p0[0] - p0[2]) * 0.5, p0[1]], axis=-2)
     s = (p0[0] + p0[2]) * 0.5
-    if abs(s[0]) <= _ADAPT2_TOL:
-        raise DegenerateTraceComponent("pure-trace part of h0 vanishes")
-    epsilon = 1 if s[0] > 0 else -1
+    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
+                lambda i: DegenerateTraceComponent("pure-trace part of h0 vanishes"))
+    epsilon = np.where(s[..., 0] > 0, 1, -1)
 
     # 4) scale by lam = |s|^-1/2 to make h0 = epsilon * I
-    lam = apply("rsqrt", s * float(epsilon), d)
-    gauge = _level2_gauge(A1, B, r0, np.stack([lam, lam]), d)
+    lam = apply("rsqrt", s * epsilon[..., None], d)
+    gauge = _level2_gauge(A1, B, r0, stack([lam, lam], axis=-2), d)
+    epsilon = _scalar(epsilon)
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="SpaceLike", epsilon=epsilon)
     return frame2, gauge, epsilon
 
@@ -617,29 +776,29 @@ def adapt2_timelike(frame, fund):
     """
     d = fund.degree
     # 1) null directions of the Q-complement diagonalize the plane
-    n = _q_complement(fund.coeffs[1], fund.coeffs[2], d)
-    lead = int(np.argmax(np.abs(n[:, 0])))
-    if n[lead, 0] < 0:
-        n = -n
+    n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
+    lead = np.expand_dims(np.argmax(np.abs(n[..., 0]), axis=-1), -1)
+    n = np.where((np.take_along_axis(n[..., 0], lead, -1) < 0)[..., None], -n, n)
     A1 = _null_basis(n, d)
-    p0, p3, p4 = _congruence(fund.coeffs, A1, d)
+    P = _congruence(fund.coeffs, A1, d)
+    p0, p3, p4 = (_entries(P[..., k, :, :]) for k in range(3))
 
     # 2) map (p3, p4) (now diagonal) to (E11, E22)
-    B = np.stack([[p3[0], p3[2]], [p4[0], p4[2]]])
-    if abs(B[0, 0, 0] * B[1, 1, 0] - B[0, 1, 0] * B[1, 0, 0]) <= _ADAPT2_TOL:
-        raise IndependenceFailure("normalized pair does not span the diagonal plane")
+    B = stack([stack([p[0], p[2]], axis=-2) for p in (p3, p4)], axis=-3)
+    raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
+        "normalized pair does not span the diagonal plane"))
 
     # 3) subtract the diagonal part of h0
-    r0 = np.stack([p0[0], p0[2]])
+    r0 = stack([p0[0], p0[2]], axis=-2)
     s = p0[1]
-    if abs(s[0]) <= _ADAPT2_TOL:
-        raise DegenerateOffdiagComponent("off-diagonal part of h0 vanishes")
+    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
+                lambda i: DegenerateOffdiagComponent("off-diagonal part of h0 vanishes"))
 
     # 4) scale by diag(a11, a22) to make h0 = offdiag(1); a11 > 0,
     #    sign(a22) = sign(s)
-    sign = 1.0 if s[0] > 0 else -1.0
+    sign = np.where(s[..., 0] > 0, 1.0, -1.0)[..., None]
     a11 = apply("rsqrt", s * sign, d)
-    gauge = _level2_gauge(A1, B, r0, np.stack([a11, a11 * sign]), d)
+    gauge = _level2_gauge(A1, B, r0, stack([a11, a11 * sign], axis=-2), d)
     frame2 = apply_gauge(frame, gauge, level=2, surface_type="TimeLike")
     return frame2, gauge
 
@@ -665,24 +824,24 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     surface_type : str
         "SpaceLike" or "TimeLike".
     epsilon : int
-        Sign of h0 for the space-like case.
+        Sign of h0 for the space-like case (per point for a batch).
 
     Returns
     -------
     (Frame5T, GaugeTransform)
     """
-    # h[k, c] is the omega^(k+1)_0 coefficient of omega^0_(3+c)
-    h = mc.projection[:, 0, 3:5]
+    # h[..., k, c] is the omega^(k+1)_0 coefficient of omega^0_(3+c)
+    h = mc.project([0], [3, 4])[..., 0, :, :]
     if surface_type == "SpaceLike":
-        r = h * -float(epsilon)
+        r = h * -np.asarray(epsilon, dtype=float)[..., None, None, None]
     elif surface_type == "TimeLike":
-        r = -h[::-1]
+        r = -h[..., ::-1, :, :]
     else:
         raise ValueError("surface_type must be SpaceLike or TimeLike")
     d = mc.projection_degrees[3:5]
-    K = np.zeros((5, 5, n_terms(max(d))))
-    K[range(5), range(5), 0] = 1.0
-    K[1:3, 3:5] = resize(r, K.shape[-1])
+    K = np.zeros(h.shape[:-3] + (5, 5, n_terms(max(d))))
+    K[..., range(5), range(5), 0] = 1.0
+    K[..., 1:3, 3:5, :] = resize(r, K.shape[-1])
     degrees = np.full((5, 5), np.inf)
     degrees[1:3, 3:5] = d
     gauge = GaugeTransform(K, degrees)

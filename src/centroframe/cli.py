@@ -62,21 +62,19 @@ from .homogeneous import (
     search_constant_solutions,
     structure_residual,
 )
-from .invariants import H_NAMES, analyze_point, effective_degree
+from .invariants import H_ALL, H_COLUMNS_OF, MAX_BATCH, analyze_point, effective_degree
 from .surfaces import eval_surface, resolve_surface
 
 __all__ = ["main", "cmd_analyze", "cmd_example", "cmd_verify", "cmd_search"]
 
 SCHEMA = "centroframe/1"
 
-H_COLUMNS = tuple(sorted(set().union(*H_NAMES.values())))
-
 ANALYZE_COLUMNS = (
     "u", "v", "ok", "error", "message", "surface_type", "epsilon",
     "gauss_invariants", "gauss_connection",
     "metric_E", "metric_F", "metric_G", "signature",
     "alpha_du", "alpha_dv", "residual_max", "residual_ok",
-) + H_COLUMNS
+) + H_ALL
 
 VERIFY_COLUMNS = ("name", "passed", "residual", "tolerance", "detail")
 
@@ -309,40 +307,49 @@ def _error_record(u, v, exc):
     }
 
 
-def _analyze_record(task):
-    """One grid point -> plain-dict record; errors recorded, not raised."""
-    spec, u, v, degree, tol = task
-    try:
-        res = analyze_point(spec, u, v, degree=degree)
-    except (OverflowError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        failure = ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
-        return _error_record(u, v, failure)
-    except CentroframeError as exc:
-        return _error_record(u, v, exc)
-    alpha_du, alpha_dv = (x.const for x in res.invariants.alpha)
-    E, F, G = (x.const for x in res.metric.first)
-    h = {k: res.invariants.h[k].const for k in sorted(res.invariants.h)}
-    results = dict(
-        gauss_invariants=res.gauss_invariants, gauss_connection=res.gauss_connection,
-        E=E, F=F, G=G, alpha_du=alpha_du, alpha_dv=alpha_dv, **h,
-    )
-    bad = [k for k, x in results.items() if not math.isfinite(x)]
-    if bad:
-        return _error_record(u, v, ArithmeticFailure("non-finite result: " + ", ".join(bad)))
-    return {
-        "u": u,
-        "v": v,
-        "ok": True,
-        "surface_type": res.surface_type,
-        "epsilon": res.epsilon,
-        "gauss_invariants": res.gauss_invariants,
-        "gauss_connection": res.gauss_connection,
-        "metric": {"E": E, "F": F, "G": G, "signature": res.metric.signature},
-        "alpha": {"du": alpha_du, "dv": alpha_dv},
-        "residual_max": res.residual_max,
-        "residual_ok": bool(res.residual_max <= tol),
-        "h": h,
-    }
+def _analyze_records(task):
+    """A contiguous run of grid points -> plain-dict records, built from one
+    `analyze_point` batch; errors recorded, not raised."""
+    spec, us, vs, degree, tol = task
+    res = analyze_point(spec, np.array(us), np.array(vs), degree=degree)
+    K1, K2, R = res.gauss_invariants.tolist(), res.gauss_connection.tolist(), res.residual_max.tolist()
+    metric, alpha, H = res.metric.tolist(), res.alpha.tolist(), res.h.tolist()
+    records = []
+    for i, (u, v) in enumerate(zip(us, vs)):
+        exc = res.errors.get(i)
+        if isinstance(exc, (OverflowError, ZeroDivisionError, np.linalg.LinAlgError)):
+            exc = ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
+        if exc is not None:
+            if not isinstance(exc, CentroframeError):
+                raise exc
+            records.append(_error_record(u, v, exc))
+            continue
+        (E, F, G), (alpha_du, alpha_dv) = metric[i], alpha[i]
+        h = {k: H[i][c] for k, c in H_COLUMNS_OF[res.surface_type[i]]}
+        results = dict(
+            gauss_invariants=K1[i], gauss_connection=K2[i],
+            E=E, F=F, G=G, alpha_du=alpha_du, alpha_dv=alpha_dv, **h,
+        )
+        bad = [k for k, x in results.items() if not math.isfinite(x)]
+        if bad:
+            failure = ArithmeticFailure("non-finite result: " + ", ".join(bad))
+            records.append(_error_record(u, v, failure))
+            continue
+        records.append({
+            "u": u,
+            "v": v,
+            "ok": True,
+            "surface_type": res.surface_type[i],
+            "epsilon": int(res.epsilon[i]),
+            "gauss_invariants": K1[i],
+            "gauss_connection": K2[i],
+            "metric": {"E": E, "F": F, "G": G, "signature": res.signature[i]},
+            "alpha": {"du": alpha_du, "dv": alpha_dv},
+            "residual_max": R[i],
+            "residual_ok": bool(R[i] <= tol),
+            "h": h,
+        })
+    return records
 
 
 def _analyze_row(record):
@@ -358,13 +365,18 @@ def _analyze_row(record):
     return [flat.get(c) for c in ANALYZE_COLUMNS]
 
 
-def _run_grid(tasks, jobs):
+def _run_grid(spec, us, vs, degree, tol, jobs):
+    """Records of the points (us, vs), in contiguous batches of at most
+    MAX_BATCH points, so memory stays bounded; with `jobs` > 1 the batches
+    are handed to worker processes."""
+    tasks = [(spec, us[k : k + MAX_BATCH], vs[k : k + MAX_BATCH], degree, tol)
+             for k in range(0, len(us), MAX_BATCH)]
     if jobs <= 1:
-        return [_analyze_record(t) for t in tasks]
+        return [r for task in tasks for r in _analyze_records(task)]
     from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_analyze_record, tasks, chunksize=4))
+        return [r for records in pool.map(_analyze_records, tasks) for r in records]
 
 
 def cmd_analyze(ns):
@@ -374,12 +386,9 @@ def cmd_analyze(ns):
     if ns.degree < 4:
         raise CentroframeError("analyze needs --degree >= 4")
     spec = resolve_surface(ns.surface)
-    tasks = [
-        (spec, u, v, ns.degree, ns.tol)
-        for u in _grid_values(grid[0])
-        for v in _grid_values(grid[1])
-    ]
-    records = _run_grid(tasks, ns.jobs)
+    points = [(u, v) for u in _grid_values(grid[0]) for v in _grid_values(grid[1])]
+    us, vs = [p[0] for p in points], [p[1] for p in points]
+    records = _run_grid(spec, us, vs, ns.degree, ns.tol, ns.jobs)
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -452,13 +461,14 @@ def cmd_example(ns):
 
 
 def _model_points(seed):
-    """(name, u, v, analyze_point result) at 8 random points of each model."""
+    """(name, u, v, analyze_point result) at 8 random points of each model,
+    analyzed as one batch per model."""
     rng = np.random.default_rng(seed)
     for name in MODEL_NAMES:
-        spec = resolve_surface(name)
-        for _ in range(8):
-            u, v = rng.uniform(-1.0, 1.0, 2)
-            yield name, u, v, analyze_point(spec, u, v, degree=5)
+        us, vs = np.array([rng.uniform(-1.0, 1.0, 2) for _ in range(8)]).T
+        res = analyze_point(resolve_surface(name), us, vs, degree=5)
+        for i in range(8):
+            yield name, us[i], vs[i], res.point(i)
 
 
 def _check_brackets(seed):

@@ -3,11 +3,44 @@
 Every failure mode that callers are expected to handle gets its own class so
 that batch drivers can record the error name and keep going.  All classes
 derive from :class:`CentroframeError`.
+
+The point pipeline runs on batches: arrays with a leading axis over points.
+A check that fails for some points of a batch raises :class:`PointFailures`
+with the error each of those points raises alone (`raise_where`); the batch
+driver drops them and runs the rest again.
 """
+
+import numpy as np
 
 
 class CentroframeError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class PointFailures(CentroframeError):
+    """Points of a batch failed a check.
+
+    `errors` maps the index of each failing point in the batch to the
+    exception that the point raises when it runs alone.
+    """
+
+    def __init__(self, errors):
+        super().__init__("%d point(s) failed" % len(errors))
+        self.errors = errors
+
+
+def raise_where(bad, error):
+    """Raise the errors of the points where the boolean array `bad` holds.
+
+    `error(i)` builds the exception of point i.  Without a batch axis (`bad`
+    0-d) that exception is raised itself, with i = (); with one, the failing
+    points are raised together as PointFailures.
+    """
+    if not np.count_nonzero(bad):
+        return
+    if np.ndim(bad) == 0:
+        raise error(())
+    raise PointFailures({int(i): error(int(i)) for i in np.flatnonzero(bad)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Small dense linear algebra over floats *or* Taylor jets.
 
-A matrix of jets is a coefficient array C of shape (rows, cols, n), C[i, j]
-the coefficients of entry (i, j) and n = n_terms(degree) for a working
-degree that the array functions take explicitly:
+A matrix of jets is a coefficient array C of shape (..., rows, cols, n),
+C[..., i, j] the coefficients of entry (i, j) and n = n_terms(degree) for a
+working degree that the array functions take explicitly.  Leading axes are
+a batch: every function runs on each point of it with the same kernels, so
+a point's result does not depend on the batch around it.
 
-* `jet_matmul` is a truncated jet-matrix product: one dense matmul with the
-  left factor gathered, through the `_mul_table` coefficient pairs, into
-  the matrix of left multiplication on stacked coefficients;
-* `jet_mul` is the elementwise product of two arrays of jets;
-* `jet_solve` factors the constant part A0 once (LU with partial pivoting,
-  in Python floats) and handles the nilpotent rest by a Neumann series,
-  exact after `degree` steps.  Pivoting and singularity decisions look
-  only at constant terms, which is the right notion over the jet ring: an
-  element is invertible there iff its constant term is nonzero.
+* `jet_matmul` is a truncated jet-matrix product: one dense matmul per
+  point with the left factor gathered, through the `_mul_table` coefficient
+  pairs, into the matrix of left multiplication on stacked coefficients;
+* `jet_mul` is the elementwise product of two arrays of jets
+  (`taylor.product`);
+* `jet_solve` factors the constant part A0 once per point (LU with partial
+  pivoting) and then solves order by order: the part of X of total degree
+  d follows from the parts of lower degree by one forward substitution,
+  which is exact, so `degree` graded steps give X.
+  Pivoting and singularity decisions look only at constant terms, which is
+  the right notion over the jet ring: an element is invertible there iff
+  its constant term is nonzero.
 
 The frame pipeline tracks its own degrees (see :mod:`centroframe.adaptation`).
 `solve` is the float entry point: nested lists in, `jet_solve` at degree 0,
@@ -24,7 +29,9 @@ Python floats out.
 import numpy as np
 
 from . import taylor
-from .errors import SingularMatrix
+from .errors import SingularMatrix, raise_where
+from .taylor import _shift_index, resize  # noqa: F401  (resize is part of this module's API)
+from .taylor import product as jet_mul
 
 __all__ = [
     "solve",
@@ -36,122 +43,143 @@ __all__ = [
 
 _PIVOT_TOL = 1e-12
 
-
-def resize(C, n):
-    """Coefficient array C (..., m) truncated or zero-padded to n coefficients."""
-    if C.shape[-1] >= n:
-        return C[..., :n]
-    out = np.zeros(C.shape[:-1] + (n,))
-    out[..., : C.shape[-1]] = C
-    return out
-
-
-# degree -> (n, n) table `shift` with shift[o, b] = a for the multi-indices
-# a + b = o of `_mul_table`, and n (a zero slot) where no such a exists, so
-# the coefficients of a jet product a b are resize(a, n + 1)[shift] @ b.
-_SHIFT_CACHE = {}
-
-
-def _shift_index(degree):
-    shift = _SHIFT_CACHE.get(degree)
-    if shift is None:
-        ia, ib, iout = taylor._mul_table(degree)
-        n = taylor.n_terms(degree)
-        shift = np.full((n, n), n, dtype=np.intp)
-        shift[iout, ib] = ia
-        _SHIFT_CACHE[degree] = shift
-    return shift
-
-
-# ((r, k, n), degree) -> (r n, k n) index of `_operator` into resize(A, n + 1).ravel()
+# (r, k, n, degree) -> (r n, k n) index of `_operator` into one point's
+# resize(A, n + 1), flattened; the batch size is not part of the key.
 _OPERATOR_CACHE = {}
 
 
 def _operator(A, degree):
-    """Left multiplication by a coefficient array A of shape (r, k, n).
+    """Left multiplication by coefficient arrays A of shape (..., r, k, n).
 
-    Returns T of shape (r n, k n) with _flat(A B) = T @ _flat(B), so a
-    truncated jet-matrix product is one dense matmul.  T is one gather:
-    T[i n + o, t n + b] is coefficient shift[o, b] of A[i, t].
+    Returns T of shape (..., r n, k n) with _flat(A B) = T @ _flat(B), so a
+    truncated jet-matrix product is one dense matmul per point.  T is one
+    contiguous gather: T[i n + o, t n + b] is coefficient shift[o, b] of A[i, t].
     """
-    r, k, n = A.shape
-    index = _OPERATOR_CACHE.get((A.shape, degree))
+    *batch, r, k, n = A.shape
+    index = _OPERATOR_CACHE.get((r, k, n, degree))
     if index is None:
         cell = (np.arange(r)[:, None, None, None] * k + np.arange(k)[:, None]) * (n + 1)
         index = (cell + _shift_index(degree)[:, None, :]).reshape(r * n, k * n)
-        _OPERATOR_CACHE[A.shape, degree] = index
-    return resize(A, n + 1).reshape(-1)[index]
+        _OPERATOR_CACHE[r, k, n, degree] = index
+    return resize(A, n + 1).reshape(*batch, -1).take(index, axis=-1)
+
+
+# (k, n, degree) -> for each total degree d = 1..degree, (lo, hi, index):
+# rows lo:hi of the coefficient-major solution hold its coefficients of
+# degree d, and `index` gathers, from one point's resize(M, n + 1) flattened,
+# the block of the operator that maps rows :lo to them.  In the operator,
+# row o k + i and column b k + t is coefficient shift[o, b] of M[i, t].
+_GRADED_CACHE = {}
+
+
+def _graded_blocks(k, n, degree):
+    blocks = _GRADED_CACHE.get((k, n, degree))
+    if blocks is None:
+        cell = (np.arange(k)[:, None] * k + np.arange(k)) * (n + 1)
+        index = (cell[None, :, None, :] + _shift_index(degree)[:, None, :, None])
+        index = index.reshape(n * k, n * k)
+        bounds = [(k * taylor.n_terms(d - 1), k * taylor.n_terms(d)) for d in range(1, degree + 1)]
+        blocks = tuple((lo, hi, np.ascontiguousarray(index[lo:hi, :lo])) for lo, hi in bounds)
+        _GRADED_CACHE[k, n, degree] = blocks
+    return blocks
 
 
 def _flat(B):
-    """(k, m, n) coefficient array as a (k n, m) matrix, coefficients inner."""
-    k, m, n = B.shape
-    return B.transpose(0, 2, 1).reshape(k * n, m)
+    """(..., k, m, n) coefficient array as a (..., k n, m) matrix, coefficients inner."""
+    *batch, k, m, n = B.shape
+    return B.swapaxes(-1, -2).reshape(*batch, k * n, m)
 
 
 def _unflat(X, rows):
     """Inverse of `_flat` (contiguous, so each entry's coefficients are too)."""
-    return np.ascontiguousarray(X.reshape(rows, -1, X.shape[1]).transpose(0, 2, 1))
+    *batch, _, m = X.shape
+    return np.ascontiguousarray(X.reshape(*batch, rows, -1, m).swapaxes(-1, -2))
 
 
 def jet_matmul(A, B, degree):
-    """Truncated product of coefficient arrays A (r, k, n) and B (k, m, n)."""
-    return _unflat(_operator(A, degree) @ _flat(B), A.shape[0])
+    """Truncated product of coefficient arrays A (..., r, k, n) and B (..., k, m, n)."""
+    return _unflat(_operator(A, degree) @ _flat(B), A.shape[-3])
 
 
-def jet_mul(a, b, degree):
-    """Elementwise truncated product of coefficient arrays (leading axes broadcast)."""
-    return (resize(a, a.shape[-1] + 1)[..., _shift_index(degree)] @ b[..., None])[..., 0]
+def _factor(A0, tol):
+    """P A0 = L D U of one point's constant part (nested lists of floats):
+    (the rows of L below and of D^-1 U above the diagonal of D, the row
+    permutation, and the first column without a usable pivot or None).
 
-
-def jet_solve(A, B, degree):
-    """Solve A X = B for coefficient arrays A (k, k, n) and B (k, m, n).
-
-    The constant part A0 is factored once, P A0 = L D U with unit triangular
-    L and U, pivoting on the first row of largest |entry| (as LAPACK's `dgetrf`).
-    With A = A0 (I + M), where M = A0^-1 (A - A0) has no constant term, the
-    solution X = (I + M)^-1 A0^-1 B is the Neumann fixed point X = Y - M X
-    with Y = A0^-1 B; each step fixes one more order, so `degree` steps are
-    exact.  M and Y come from one forward and back substitution of [N | B].
-
-    Raises
-    ------
-    SingularMatrix
-        If a pivot of the constant part is NaN or at most _PIVOT_TOL times
-        the largest constant entry (so an all-zero, NaN or inf A0 fails).
+    Pivots on the first row of largest |entry| in each column, as LAPACK's
+    `idamax`; a pivot is usable when it is above `tol`, which is NaN or inf
+    when A0 has such an entry, so that fails column 0.
     """
-    k, _, n = A.shape
-    tol = _PIVOT_TOL * float(np.abs(A[:, :, 0]).max())  # NaN or inf with such an entry
-    lu = A[:, :, 0].tolist()
-    perm = list(range(k))
+    k = len(A0)
+    lu, perm = A0, list(range(k))
     for j in range(k):
-        p = max(range(j, k), key=lambda i: abs(lu[i][j]))  # the first largest, as idamax
+        p = max(range(j, k), key=lambda i: abs(lu[i][j]))  # the first largest
         lu[j], lu[p], perm[j], perm[p] = lu[p], lu[j], perm[p], perm[j]
         top = lu[j]
         if not abs(top[j]) > tol:  # a NaN pivot is unusable too
-            raise SingularMatrix("no usable pivot in column %d" % j)
+            return lu, perm, j
         for row in lu[j + 1 :]:
             f = row[j] = row[j] / top[j]
             if f:
                 row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], top[j + 1 :])]
     for j, row in enumerate(lu):  # D^-1 U above the diagonal
         row[j + 1 :] = [x / row[j] for x in row[j + 1 :]]
-    LU = np.array(lu)
-    sol = np.concatenate([A.reshape(k, -1), B.reshape(k, -1)], axis=1)[perm]
-    sol[:, : k * n : n] = 0.0  # the constant terms of N = A - A0
-    for i in range(1, k):  # forward with L, then back with D^-1 U; zero rows skipped
-        if any(lu[i][:i]):
-            sol[i] -= LU[i, :i] @ sol[:i]
-    sol /= LU.diagonal()[:, None]
+    return lu, perm, None
+
+
+def jet_solve(A, B, degree):
+    """Solve A X = B for coefficient arrays A (..., k, k, n) and B (..., k, m, n).
+
+    The constant part A0 of each point is factored once in Python floats
+    (`_factor`), P A0 = L D U with unit triangular L and U, pivoting on the
+    first row of largest |entry| (as LAPACK's `dgetrf`); the substitutions
+    and graded steps then run on the whole batch.  With A = A0 + N, where
+    N has no constant term, one forward and back substitution of [N | B]
+    gives M = A0^-1 N and Y = A0^-1 B, and X = Y - M X.  M raises the total
+    degree, so the part X_d of total degree d is Y_d - (M X_<d)_d: one
+    graded step per degree, in order, each exact.
+
+    Raises
+    ------
+    SingularMatrix
+        If a pivot of a point's constant part is NaN or at most _PIVOT_TOL
+        times its largest constant entry (so an all-zero, NaN or inf A0
+        fails).  With a batch axis, as PointFailures.
+    """
+    *batch, k, _, n = A.shape
+    m = B.shape[-2]
+    A = A.reshape(-1, k, k, n)
+    if B.shape[:-3] != tuple(batch):  # B without the batch axis is shared
+        B = np.broadcast_to(B, (*batch, k, m, n))
+    B = B.reshape(-1, k, m, n)
+    tol = _PIVOT_TOL * np.abs(A[..., 0]).max(axis=(1, 2))  # relative, per point
+    factors = [_factor(A0, t) for A0, t in zip(A[..., 0].tolist(), tol.tolist())]
+    failed = {}
+    for i, (_, _, column) in enumerate(factors):
+        if column is not None:
+            failed[i] = SingularMatrix("no usable pivot in column %d" % column)
+    if failed:
+        raise_where(np.isin(np.arange(len(factors)), list(failed)).reshape(batch),
+                    lambda i: failed[0 if i == () else i])
+    lu = np.array([f[0] for f in factors]).reshape(-1, k, k)
+    perm = np.array([f[1] for f in factors])
+    diagonal = np.diagonal(lu, axis1=1, axis2=2)
+    points = np.arange(len(factors))
+    sol = np.concatenate([A.reshape(-1, k, k * n), B.reshape(-1, k, m * n)], axis=2)
+    sol = sol[points[:, None], perm]
+    sol[:, :, : k * n : n] = 0.0  # the constant terms of N
+    for i in range(1, k):  # forward with L, then back with D^-1 U
+        sol[:, i] -= (lu[:, i, None, :i] @ sol[:, :i])[:, 0]
+    sol /= diagonal[:, :, None]
     for i in range(k - 2, -1, -1):
-        if any(lu[i][i + 1 :]):
-            sol[i] -= LU[i, i + 1 :] @ sol[i + 1 :]
-    T = _operator(sol[:, : k * n].reshape(A.shape), degree)
-    Y = _flat(sol[:, k * n :].reshape(B.shape))
-    X = Y
-    for _ in range(degree):
-        X = Y - T @ X
-    return _unflat(X, k)
+        sol[:, i] -= (lu[:, i, None, i + 1 :] @ sol[:, i + 1 :])[:, 0]
+    M = resize(sol[:, :, : k * n].reshape(-1, k, k, n), n + 1).reshape(len(points), -1)
+    X = np.ascontiguousarray(sol[:, :, k * n :].reshape(-1, k, m, n).transpose(0, 3, 1, 2))
+    X = X.reshape(-1, n * k, m)  # coefficient-major: row o k + i is coefficient o of row i
+    for lo, hi, block in _graded_blocks(k, n, degree):  # one total degree, from those below
+        X[:, lo:hi] -= M.take(block, axis=-1) @ X[:, :lo]
+    X = X.reshape(-1, n, k, m).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(X).reshape(*batch, k, m, n)
 
 
 def solve(A, B):

@@ -20,9 +20,10 @@ Line and column are worked out only when there is an error to report.  A
 surface is compiled once: the parser hash-conses equal subtrees into one
 node, so the five components form a DAG, and each :class:`SurfaceSpec`
 turns that DAG into a straight-line program of shared subexpressions.
-:func:`eval_surface` runs the program on the coefficient vectors of Taylor
-jets (:mod:`centroframe.taylor`), computing each subexpression once, so
-every surface is automatically differentiable to the chosen degree.
+:func:`eval_surface` runs the program on the coefficient arrays of Taylor
+jets (:mod:`centroframe.taylor`), computing each subexpression once for a
+whole batch of base points, so every surface is automatically
+differentiable to the chosen degree.
 """
 
 import math
@@ -37,9 +38,9 @@ import numpy as np
 from . import taylor
 from .errors import (
     ArithmeticFailure, ArityError, DomainError, SurfaceSyntaxError, UnknownIdentifier,
-    UnknownModel,
+    UnknownModel, raise_where,
 )
-from .taylor import TaylorScalar, coordinate_jets
+from .taylor import TaylorScalar
 
 __all__ = [
     "ExprNode",
@@ -425,13 +426,15 @@ def eval_surface(spec, u0, v0, degree):
     """Evaluate a surface spec to five jets about the base point (u0, v0).
 
     Runs the spec's compiled program: each shared subexpression is computed
-    once, on coefficient vectors, and component i is checked as soon as its
-    instructions have run.
+    once, on coefficient arrays, and component i is checked as soon as its
+    instructions have run.  `u0` and `v0` are floats, or 1-D arrays of N
+    base points run as one batch.
 
     Returns
     -------
-    list of TaylorScalar
-        The five coordinate jets, each of the requested degree.
+    list of TaylorScalar, or ndarray
+        The five coordinate jets, each of the requested degree; for a batch,
+        their coefficients as one (N, 5, n) array.
 
     Raises
     ------
@@ -441,21 +444,33 @@ def eval_surface(spec, u0, v0, degree):
     DomainError
         If a function is taken outside its real domain, of a jet or of a
         constant subexpression (sqrt(0 - 1), sin(1e308*10)).
+
+    With a batch, a point's error comes as PointFailures; a constant
+    subexpression that fails fails every point.
     """
-    u, v = coordinate_jets(u0, v0, degree)
-    vals = [u.coeffs, v.coeffs]
+    if degree < 1:
+        raise ValueError("coordinate jets need degree >= 1")
+    U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    u, v = np.zeros((2,) + U.shape + (taylor.n_terms(degree),))
+    u[..., 0], u[..., taylor.index_of(1, 0)] = U, 1.0
+    v[..., 0], v[..., taylor.index_of(0, 1)] = V, 1.0
+    vals = [u, v]
     vals += [TaylorScalar.constant(float(x), degree).coeffs for x in spec.params.values()]
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (code, k) in enumerate(spec.program):
+        for c, (code, k) in enumerate(spec.program):
             for op, a, b in code:
-                vals.append(op(vals, a, b, degree))
-            if not np.isfinite(vals[k]).all():
-                raise ArithmeticFailure(
-                    "surface component x%d is not finite at (u, v) = (%g, %g)" % (i, u0, v0)
-                )
-            out.append(TaylorScalar(vals[k]))
-    return out
+                try:
+                    vals.append(op(vals, a, b, degree))
+                except (ArithmeticError, DomainError) as exc:  # of a constant subexpression
+                    raise_where(np.ones(U.shape, dtype=bool), lambda i: exc)
+            x = vals[k] if vals[k].shape == u.shape else np.broadcast_to(vals[k], u.shape)
+            raise_where(~np.isfinite(x).all(axis=-1), lambda i: ArithmeticFailure(
+                "surface component x%d is not finite at (u, v) = (%g, %g)" % (c, U[i], V[i])))
+            out.append(x)
+    if U.ndim:
+        return taylor.stack(out, axis=-2)
+    return [TaylorScalar(x) for x in out]
 
 
 # ---------------------------------------------------------------------------

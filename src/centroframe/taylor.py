@@ -22,7 +22,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, ZeroConstantTerm
+from .errors import DomainError, ZeroConstantTerm, raise_where
 
 __all__ = [
     "TaylorScalar",
@@ -56,9 +56,15 @@ def n_terms(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
+_DEGREE_OF = {}
+
+
 def degree_of(n):
     """Total degree of a bivariate jet with `n` coefficients (inverse of `n_terms`)."""
-    return int(round((math.sqrt(8 * n + 1) - 3) / 2))
+    d = _DEGREE_OF.get(n)
+    if d is None:
+        d = _DEGREE_OF[n] = int(round((math.sqrt(8 * n + 1) - 3) / 2))
+    return d
 
 
 def index_of(a, b):
@@ -66,8 +72,9 @@ def index_of(a, b):
     return _tri(a + b) + b
 
 
-# Cached multiplication tables: degree -> (ia, ib, iout) index triples with
-# which a truncated product is a gather-multiply-scatter (np.bincount).
+# Cached multiplication tables: degree -> (ia, ib, iout) index triples, one
+# per term a[ia] b[ib] of a truncated product and the coefficient iout it
+# adds to (`_shift_index` turns them into a product's operator).
 _MUL_CACHE = {}
 
 
@@ -124,7 +131,7 @@ def derivative(coeffs, degree, axis):
     has shape (..., n_terms(degree - 1)).
     """
     src, factor = _deriv_table(degree, axis)
-    return coeffs[..., src] * factor
+    return coeffs.take(src, axis=-1) * factor
 
 
 class TaylorScalar:
@@ -299,20 +306,60 @@ def coordinate_jets(u0, v0, degree):
 # ---------------------------------------------------------------------------
 # Coefficient-array kernels
 #
-# Each takes and returns dense coefficient vectors of one degree; the jet
-# operators and functions above and below are thin wrappers, and compiled
-# surfaces call the kernels directly.  None of them writes to its inputs.
+# Each takes and returns coefficient arrays of one degree, the coefficients
+# on the last axis; leading axes (a batch of points, entries of a matrix)
+# broadcast.  The jet operators and functions above and below are thin
+# wrappers, and compiled surfaces call the kernels directly.  None of them
+# writes to its inputs.
 # ---------------------------------------------------------------------------
 
 
+def stack(arrays, axis):
+    """`np.stack` of equal-shape arrays along a negative `axis`, as one
+    concatenation (np.stack's own checks cost more than the copy here)."""
+    index = (Ellipsis, None) + (slice(None),) * (-axis - 1)
+    return np.concatenate([x[index] for x in arrays], axis=axis)
+
+
+def resize(C, n):
+    """Coefficient array C (..., m) truncated or zero-padded to n coefficients."""
+    if C.shape[-1] >= n:
+        return C[..., :n]
+    out = np.zeros(C.shape[:-1] + (n,))
+    out[..., : C.shape[-1]] = C
+    return out
+
+
+# degree -> (n, n) table `shift` with shift[o, b] = a for the multi-indices
+# a + b = o of `_mul_table`, and n (a zero slot) where no such a exists, so
+# the coefficients of a jet product a b are resize(a, n + 1)[shift] @ b.
+_SHIFT_CACHE = {}
+
+
+def _shift_index(degree):
+    shift = _SHIFT_CACHE.get(degree)
+    if shift is None:
+        ia, ib, iout = _mul_table(degree)
+        n = n_terms(degree)
+        shift = np.full((n, n), n, dtype=np.intp)
+        shift[iout, ib] = ia
+        _SHIFT_CACHE[degree] = shift
+    return shift
+
+
 def product(a, b, degree):
-    """Truncated product of two coefficient vectors of degree `degree`."""
-    ia, ib, iout = _mul_table(degree)
-    return np.bincount(iout, weights=a[ia] * b[ib], minlength=n_terms(degree))
+    """Truncated product of coefficient arrays of degree `degree`.
+
+    One matrix-vector product per jet: a's left-multiplication matrix,
+    gathered contiguously (so each product runs the same BLAS kernel
+    whatever the batch around it), times b.
+    """
+    A = resize(a, a.shape[-1] + 1).take(_shift_index(degree), axis=-1)
+    return (A @ np.ascontiguousarray(b)[..., None])[..., 0]
 
 
 def power(a, n, degree):
-    """Integer power of a coefficient vector by binary exponentiation.
+    """Integer power of a coefficient array by binary exponentiation.
 
     Raises
     ------
@@ -321,30 +368,33 @@ def power(a, n, degree):
     """
     if n < 0:
         return apply("reciprocal", power(a, -n, degree), degree)
-    out = np.zeros(n_terms(degree))
-    out[0] = 1.0
-    base = a
+    if n == 0:
+        out = np.zeros(a.shape)
+        out[..., 0] = 1.0
+        return out
+    out, base = None, a
     while n:
         if n & 1:
-            out = product(out, base, degree)
+            out = base if out is None else product(out, base, degree)
         base = product(base, base, degree) if n > 1 else base
         n >>= 1
-    return out
+    return out.copy() if out is a else out
 
 
 def _compose(series, c, degree):
-    """Evaluate sum_k series[k] * (x - x(0))^k by Horner's rule, where x has
-    the coefficient vector `c` of degree `degree`."""
-    p = c.copy()
-    p[0] = 0.0
-    out = np.zeros(n_terms(degree))
-    out[0] = series[-1]
-    for s in reversed(series[:-1]):
-        # a product's coefficients are sums from +0.0, never -0.0, so adding
-        # s to the constant term alone equals adding the constant jet s
-        out = product(out, p, degree)
-        out[0] += s
-    return out
+    """Evaluate sum_k series[..., k] * (x - x(0))^k by Horner's rule, where x
+    has the coefficient array `c` of degree `degree`."""
+    p = resize(c, c.shape[-1] + 1)  # a new array, padded with the zero slot of the shift
+    p[..., 0] = 0.0
+    P = p.take(_shift_index(degree), axis=-1)  # times p
+    # E[..., k, :, 0] is the constant jet series[..., k]; the jets stay columns
+    E = np.zeros(series.shape + (c.shape[-1], 1))
+    E[..., 0, 0] = series
+    out = E[..., degree, :, :]
+    for k in range(degree - 1, -1, -1):
+        out = P @ out
+        out += E[..., k, :, :]
+    return out[..., 0]
 
 
 def _cyclic_series(a0, degree, f0, f1, signs):
@@ -381,7 +431,11 @@ _SERIES = {
 
 def apply(name, c, degree):
     """The elementary function `name` (a key of the table above: sin, cos,
-    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of a coefficient vector.
+    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of a coefficient array
+    (n,), or (N, n) for a batch of N points.
+
+    The series of each point is built from its constant term with `math`,
+    so an overflow (cosh(800)) is that point's OverflowError.
 
     Raises
     ------
@@ -390,12 +444,25 @@ def apply(name, c, degree):
     ZeroConstantTerm
         For reciprocal when |constant term| is at most ZERO_TOL.
     """
-    a0 = float(c[0])
-    if name in ("sqrt", "rsqrt") and a0 <= ZERO_TOL:
-        raise DomainError("%s of a jet with non-positive constant term %g" % (name, a0))
-    if name == "reciprocal" and abs(a0) <= ZERO_TOL:
-        raise ZeroConstantTerm("division by a jet with constant term %g" % a0)
-    return _compose(_SERIES[name](a0, degree), c, degree)
+    a0 = c[..., 0]
+    series, failed = [], {}
+    for k, x in enumerate(a0.ravel().tolist()):
+        if name in ("sqrt", "rsqrt") and x <= ZERO_TOL:
+            failed[k] = DomainError("%s of a jet with non-positive constant term %g" % (name, x))
+        elif name == "reciprocal" and abs(x) <= ZERO_TOL:
+            failed[k] = ZeroConstantTerm("division by a jet with constant term %g" % x)
+        else:
+            try:
+                series.append(_SERIES[name](x, degree))
+                continue
+            except ArithmeticError as exc:  # math's OverflowError
+                failed[k] = exc
+        series.append([0.0] * (degree + 1))
+    if failed:
+        bad = np.zeros(a0.size, dtype=bool)
+        bad[list(failed)] = True
+        raise_where(bad.reshape(a0.shape), lambda i: failed[0 if i == () else i])
+    return _compose(np.array(series).reshape(a0.shape + (degree + 1,)), c, degree)
 
 
 # ---------------------------------------------------------------------------

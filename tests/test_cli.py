@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import centroframe
@@ -233,38 +234,56 @@ def test_analyze_constant_domain_error_recorded_inline(tmp_path, bad, message):
 def test_analyze_non_finite_result_is_not_ok(monkeypatch):
     # a record is "ok" only with finite curvatures, metric and invariants
     def nan_curvature(*args, **kwargs):
-        return dataclasses.replace(analyze_point(*args, **kwargs), gauss_connection=math.nan)
+        res = analyze_point(*args, **kwargs)
+        return dataclasses.replace(res, gauss_connection=np.full_like(res.gauss_connection, math.nan))
 
     monkeypatch.setattr(cli, "analyze_point", nan_curvature)
-    rec = cli._analyze_record((builtin_surface("h2"), 0.1, 0.2, 5, 1e-7))
+    (rec,) = cli._analyze_records((builtin_surface("h2"), [0.1], [0.2], 5, 1e-7))
     assert rec["ok"] is False
     assert rec["error"] == "ArithmeticFailure"
     assert rec["message"] == "non-finite result: gauss_connection"
 
 
-def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
-    # R3 is neither the first residual nor the last, so a plain max() over
-    # floats would skip its NaN
-    relations = invariants.relation_residuals
+def _nan_r3(relations, rows=slice(None)):
+    """relation_residuals with R3 a NaN jet at `rows` of the batch."""
 
     def nan_r3(inv):
         res = relations(inv)
-        res["R3"] = res["R3"] * math.nan
+        res["R3"] = res["R3"].copy()
+        res["R3"][rows] = math.nan
         return res
 
-    monkeypatch.setattr(invariants, "relation_residuals", nan_r3)
+    return nan_r3
+
+
+def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
+    # R3 is neither the first residual nor the last, so a plain max() over
+    # floats would skip its NaN
+    monkeypatch.setattr(invariants, "relation_residuals", _nan_r3(invariants.relation_residuals))
     assert math.isnan(analyze_point(builtin_surface("h2"), 0.3, -0.2).residual_max)
-    rec = cli._analyze_record((builtin_surface("h2"), 0.3, -0.2, 5, 1e-7))
+    (rec,) = cli._analyze_records((builtin_surface("h2"), [0.3], [-0.2], 5, 1e-7))
     assert rec["residual_ok"] is not True
+
+
+def test_nan_in_one_point_flips_only_its_record(monkeypatch):
+    spec, us, vs = builtin_surface("s21"), [-0.5, 0.0, 0.5], [0.2, 0.3, 0.4]
+    clean = cli._analyze_records((spec, us, vs, 5, 1e-7))
+    monkeypatch.setattr(invariants, "relation_residuals", _nan_r3(invariants.relation_residuals, 1))
+    records = cli._analyze_records((spec, us, vs, 5, 1e-7))
+    assert [cli.dumps_json(r) for r in records[::2]] == [cli.dumps_json(r) for r in clean[::2]]
+    assert clean[1]["residual_ok"] is True
+    assert records[1]["residual_ok"] is False and math.isnan(records[1]["residual_max"])
+    assert {k: x for k, x in records[1].items() if not k.startswith("residual")} == {
+        k: x for k, x in clean[1].items() if not k.startswith("residual")}
 
 
 def test_nan_connection_form_is_not_ok(monkeypatch, tmp_path):
     # alpha is reported but is neither a curvature nor a metric entry
     def nan_alpha_du(*args, **kwargs):
         res = analyze_point(*args, **kwargs)
-        du, dv = res.invariants.alpha
-        alpha = (du * math.nan, dv)
-        return dataclasses.replace(res, invariants=dataclasses.replace(res.invariants, alpha=alpha))
+        alpha = res.alpha.copy()
+        alpha[:, 0] = math.nan
+        return dataclasses.replace(res, alpha=alpha)
 
     monkeypatch.setattr(cli, "analyze_point", nan_alpha_du)
     out = tmp_path / "a"
@@ -277,15 +296,8 @@ def test_nan_connection_form_is_not_ok(monkeypatch, tmp_path):
 
 def test_verify_fails_on_a_nan_relation_residual(monkeypatch, capsys):
     # every residual_max the check reads is NaN; a plain max() fold would
-    # keep its 0 start and pass
-    relations = invariants.relation_residuals
-
-    def nan_r3(inv):
-        res = relations(inv)
-        res["R3"] = res["R3"] * math.nan
-        return res
-
-    monkeypatch.setattr(invariants, "relation_residuals", nan_r3)
+    # keep its 0 start and pass.  verify analyzes each model as one batch.
+    monkeypatch.setattr(invariants, "relation_residuals", _nan_r3(invariants.relation_residuals))
     rc = _run(["verify", "--check", "relations"])
     out = capsys.readouterr().out
     assert rc != 0
