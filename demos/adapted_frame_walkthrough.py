@@ -66,7 +66,7 @@ for label, h in (("h0", fund.h0), ("h3", fund.h3), ("h4", fund.h4)):
 
 kind = classify_plane(fund)
 print("plane type: %s  (Q-restriction det %.3e, trace %.3e)"
-      % (kind.tag, kind.det, kind.trace))
+      % (kind.tag, kind.det, kind.gram.trace()))
 
 # --- Level 2: normalizing the second-order data --------------------------
 # The space-like and time-like branches bring (h3, h4) to different normal

@@ -8,160 +8,29 @@ differential invariants (including the Gauss curvature by two independent
 routes).  A companion layer handles the homogeneous models with constant
 invariants and searches for all constant-invariant solutions of the
 structure equations.
+
+Each submodule's ``__all__`` is its public name table; the package exports
+their union, plus `TaylorScalar` and `coordinate_jets` from
+:mod:`centroframe.taylor`.
 """
 
-from .adaptation import (
-    Frame5T,
-    FundamentalData,
-    GaugeTransform,
-    MCField,
-    SurfaceType,
-    adapt2_spacelike,
-    adapt2_timelike,
-    adapt3,
-    apply_gauge,
-    classify_plane,
-    frame1,
-    fundamental_matrices,
-    maurer_cartan,
-)
-from .errors import (
-    ArithmeticFailure,
-    ArityError,
-    CaseMismatch,
-    CentroframeError,
-    Degenerate,
-    DegenerateCoframe,
-    DegenerateOffdiagComponent,
-    DegenerateTraceComponent,
-    DomainError,
-    IndependenceFailure,
-    NotImmersed,
-    NotIndefinite,
-    NotPositiveDefinite,
-    NotTransversal,
-    NullTypeUnsupported,
-    SingularMatrix,
-    SurfaceSyntaxError,
-    UnknownIdentifier,
-    UnknownModel,
-    ZeroConstantTerm,
-)
-from .homogeneous import (
-    MODEL_NAMES,
-    ConstantInvariantVector,
-    HomogeneousModel,
-    SearchCluster,
-    bracket_check,
-    builtin_model,
-    exp_product_point,
-    gauss_constant,
-    invariant_names,
-    model_generators,
-    model_metric,
-    model_omega,
-    quadric_residual,
-    residual_dimension,
-    search_constant_solutions,
-    structure_jacobian,
-    structure_residual,
-)
-from .invariants import (
-    AnalysisBatch,
-    AnalysisResult,
-    InvariantSet,
-    MetricData,
-    analyze_point,
-    extract_invariants,
-    fiber_invariant_scalars,
-    gauss_from_connection,
-    gauss_from_invariants,
-    metric_at,
-    relation_residuals,
-)
-from .surfaces import (
-    SurfaceSpec,
-    builtin_surface,
-    eval_surface,
-    load_surface_file,
-    parse_surface,
-    resolve_surface,
-    unparse,
-)
+from . import adaptation, errors, homogeneous, invariants, surfaces
+from .adaptation import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .homogeneous import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .surfaces import *  # noqa: F401,F403
 from .taylor import TaylorScalar, coordinate_jets
 
 __version__ = "0.1.0"
 
 __all__ = [
+    *adaptation.__all__,
+    *errors.__all__,
+    *homogeneous.__all__,
+    *invariants.__all__,
+    *surfaces.__all__,
     "TaylorScalar",
     "coordinate_jets",
-    "SurfaceSpec",
-    "parse_surface",
-    "eval_surface",
-    "unparse",
-    "builtin_surface",
-    "load_surface_file",
-    "resolve_surface",
-    "Frame5T",
-    "MCField",
-    "FundamentalData",
-    "SurfaceType",
-    "GaugeTransform",
-    "apply_gauge",
-    "frame1",
-    "maurer_cartan",
-    "fundamental_matrices",
-    "classify_plane",
-    "adapt2_spacelike",
-    "adapt2_timelike",
-    "adapt3",
-    "InvariantSet",
-    "MetricData",
-    "AnalysisResult",
-    "AnalysisBatch",
-    "extract_invariants",
-    "relation_residuals",
-    "gauss_from_invariants",
-    "gauss_from_connection",
-    "metric_at",
-    "fiber_invariant_scalars",
-    "analyze_point",
-    "MODEL_NAMES",
-    "ConstantInvariantVector",
-    "HomogeneousModel",
-    "SearchCluster",
-    "invariant_names",
-    "model_omega",
-    "gauss_constant",
-    "structure_residual",
-    "structure_jacobian",
-    "residual_dimension",
-    "builtin_model",
-    "bracket_check",
-    "search_constant_solutions",
-    "model_generators",
-    "exp_product_point",
-    "quadric_residual",
-    "model_metric",
-    "CentroframeError",
-    "ZeroConstantTerm",
-    "DomainError",
-    "ArithmeticFailure",
-    "SurfaceSyntaxError",
-    "UnknownIdentifier",
-    "ArityError",
-    "UnknownModel",
-    "SingularMatrix",
-    "NotPositiveDefinite",
-    "NotIndefinite",
-    "NotImmersed",
-    "NotTransversal",
-    "Degenerate",
-    "IndependenceFailure",
-    "NullTypeUnsupported",
-    "DegenerateTraceComponent",
-    "DegenerateOffdiagComponent",
-    "DegenerateCoframe",
-    "CaseMismatch",
     "__version__",
 ]

@@ -110,15 +110,15 @@ class Frame5T:
     (frame, gauge) pair it comes from as `source` and multiplies it out
     when `coeffs` is first read; `const`, the (..., 5, 5) constant part,
     is a float product.  `matrix` is the nested list of TaylorScalar
-    entries of one point, built on first use.
+    entries of one point, built on first use.  `surface_type` is the case
+    of a frame from `adapt2_*` ("SpaceLike" or "TimeLike"), which the
+    level-3 frame keeps, and "" for a level-1 frame.
     """
 
-    def __init__(self, coeffs, degrees, level, surface_type="", epsilon=0, source=None):
+    def __init__(self, coeffs, degrees, surface_type="", source=None):
         self._coeffs = coeffs
         self.degrees = degrees
-        self.level = level
         self.surface_type = surface_type
-        self.epsilon = epsilon
         self.source = source
 
     @property
@@ -204,15 +204,13 @@ class FundamentalData:
     symmetric 2x2 coefficient matrices of omega^k_1,2 against the coframe
     (k = 0, 3, 4), and columns their (a, b, c) entries [[a, b], [b, c]], all
     of degree `degree`.  `h0`, `h3` and `h4` are read-only views of one
-    point with TaylorScalar entries, built on each access.  `nondeg_det`
-    is the 3x3 determinant of the constant triples and `asymmetry` the
-    largest violation of Cartan-lemma symmetry (a numerical diagnostic),
-    per point.
+    point with TaylorScalar entries, built on each access.  `asymmetry`
+    is the largest violation of Cartan-lemma symmetry (a numerical
+    diagnostic), per point.
     """
 
     coeffs: np.ndarray
     degree: int
-    nondeg_det: float
     asymmetry: float
 
     def _form(self, k):
@@ -227,13 +225,14 @@ class FundamentalData:
 class SurfaceType:
     """Classification of span(h3, h4) by the restriction of Q = -det.
 
-    For a batch, `tag` is an array of tags and the rest have a leading axis.
+    `gram` is the 2x2 Gram matrix of that restriction in the basis
+    (h3, h4) and `det` its determinant, whose sign decides `tag`.  For a
+    batch, `tag` is an array of tags and the rest have a leading axis.
     """
 
     tag: str  # "SpaceLike" | "TimeLike" | "Null"
     gram: np.ndarray
     det: float
-    trace: float
 
 
 @dataclass(eq=False)
@@ -299,8 +298,8 @@ def _gauge_product(frame, gauge, degrees):
     return coeffs
 
 
-def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
-    """New frame F K with bookkeeping tags updated.
+def apply_gauge(frame, gauge, surface_type=None):
+    """New frame F K, tagged `surface_type` (by default the frame's).
 
     A column of K that is the float unit vector e_j keeps column j of F.
     The other columns come from one product of F and K over the rows t that
@@ -313,9 +312,7 @@ def apply_gauge(frame, gauge, level=None, surface_type=None, epsilon=None):
     return Frame5T(
         None,
         _gauge_rule(frame.degrees, gauge)[0],
-        level=frame.level if level is None else level,
         surface_type=frame.surface_type if surface_type is None else surface_type,
-        epsilon=frame.epsilon if epsilon is None else epsilon,
         source=(frame, gauge),
     )
 
@@ -375,7 +372,7 @@ def frame1(jet5):
     # complete with an orthonormal basis of the complement, scaled by |f(p)|
     Q, _ = np.linalg.qr(np.ascontiguousarray(P), mode="complete")
     coeffs[..., 3:, 0] = Q[..., 3:] * norms[..., 0, None, None]
-    return Frame5T(coeffs=coeffs, degrees=(degree,) * 5, level=1)
+    return Frame5T(coeffs=coeffs, degrees=(degree,) * 5)
 
 
 def _inverses2(A, B, degree):
@@ -495,8 +492,7 @@ def fundamental_matrices(mc):
     scale = np.maximum(1.0, np.abs(triples).max(axis=(-2, -1)))
     raise_where(np.abs(det) <= _DEGENERATE_TOL * scale**3,
                 lambda i: Degenerate("second-order data span less than three dimensions"))
-    return FundamentalData(coeffs=H, degree=degree, nondeg_det=_scalar(det),
-                           asymmetry=_scalar(asym))
+    return FundamentalData(coeffs=H, degree=degree, asymmetry=_scalar(asym))
 
 
 # Polarization of Q(h) = -det(h) = b^2 - a c on (a, b, c) triples:
@@ -534,11 +530,10 @@ def classify_plane(fund):
                 lambda i: IndependenceFailure("h3 and h4 are linearly dependent"))
     gram = V @ _Q_POLAR @ V.swapaxes(-1, -2)
     det = np.linalg.det(gram)
-    trace = gram[..., 0, 0] + gram[..., 1, 1]
     norm2 = np.square(gram).reshape(gram.shape[:-2] + (4,)).sum(axis=-1)
     null = np.abs(det) <= _NULL_TOL * np.maximum(norm2, 1e-300)
     tag = np.where(null, "Null", np.where(det > 0, "SpaceLike", "TimeLike"))
-    return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det), trace=_scalar(trace))
+    return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det))
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +753,7 @@ def adapt2_spacelike(frame, fund):
     lam = apply("rsqrt", s * epsilon[..., None], d)
     gauge = _level2_gauge(A1, B, r0, stack([lam, lam], axis=-2), d)
     epsilon = _scalar(epsilon)
-    frame2 = apply_gauge(frame, gauge, level=2, surface_type="SpaceLike", epsilon=epsilon)
+    frame2 = apply_gauge(frame, gauge, surface_type="SpaceLike")
     return frame2, gauge, epsilon
 
 
@@ -799,7 +794,7 @@ def adapt2_timelike(frame, fund):
     sign = np.where(s[..., 0] > 0, 1.0, -1.0)[..., None]
     a11 = apply("rsqrt", s * sign, d)
     gauge = _level2_gauge(A1, B, r0, stack([a11, a11 * sign], axis=-2), d)
-    frame2 = apply_gauge(frame, gauge, level=2, surface_type="TimeLike")
+    frame2 = apply_gauge(frame, gauge, surface_type="TimeLike")
     return frame2, gauge
 
 
@@ -845,4 +840,4 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     degrees = np.full((5, 5), np.inf)
     degrees[1:3, 3:5] = d
     gauge = GaugeTransform(K, degrees)
-    return apply_gauge(frame, gauge, level=3), gauge
+    return apply_gauge(frame, gauge), gauge

@@ -12,6 +12,29 @@ driver drops them and runs the rest again.
 
 import numpy as np
 
+__all__ = [
+    "CentroframeError",
+    "ZeroConstantTerm",
+    "DomainError",
+    "ArithmeticFailure",
+    "SurfaceSyntaxError",
+    "UnknownIdentifier",
+    "ArityError",
+    "UnknownModel",
+    "SingularMatrix",
+    "NotPositiveDefinite",
+    "NotIndefinite",
+    "NotImmersed",
+    "NotTransversal",
+    "Degenerate",
+    "IndependenceFailure",
+    "NullTypeUnsupported",
+    "DegenerateTraceComponent",
+    "DegenerateOffdiagComponent",
+    "DegenerateCoframe",
+    "CaseMismatch",
+]
+
 
 class CentroframeError(Exception):
     """Base class for all errors raised by this package."""

@@ -51,6 +51,7 @@ __all__ = [
     "MODEL_NAMES",
     "SPACELIKE_NAMES",
     "TIMELIKE_NAMES",
+    "invariant_names",
     "ConstantInvariantVector",
     "HomogeneousModel",
     "builtin_model",

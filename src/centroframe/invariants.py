@@ -446,10 +446,9 @@ class AnalysisResult:
 def _frame_at(frame, j):
     """Point j of a batch's frame, built on request as the batch's is."""
     if frame.source is None:
-        return Frame5T(frame.coeffs[j], frame.degrees, frame.level)
+        return Frame5T(frame.coeffs[j], frame.degrees)
     base, gauge = frame.source
-    return Frame5T(None, frame.degrees, frame.level, frame.surface_type,
-                   _item(frame.epsilon, j),
+    return Frame5T(None, frame.degrees, frame.surface_type,
                    source=(_frame_at(base, j), GaugeTransform(gauge.coeffs[j], gauge.degrees)))
 
 
@@ -547,17 +546,13 @@ def _point(errors, parts, i):
     )
 
 
-def effective_degree(degree, want_connection=True):
+def effective_degree(degree):
     """Jet degree at which `analyze_point` evaluates the surface.
 
     The connection-route curvature needs degree >= 4; requests below 5 are
-    raised to 5 when that route is wanted, which keeps one order of margin.
-    Without it, requests below 4 are raised to 4: each frame level costs one
-    order, and at degree 3 columns 3-4 of the level-3 frame are constants,
-    so their derivatives in omega (and the invariants read off them) would
-    be lost.
+    raised to 5, which keeps one order of margin.
     """
-    return max(degree, 5 if want_connection else 4)
+    return max(degree, 5)
 
 
 # Points per batch.  Chosen on `analyze --surface h2 --grid -1:1:41` in
@@ -569,7 +564,7 @@ def effective_degree(degree, want_connection=True):
 MAX_BATCH = 64
 
 
-def analyze_point(spec, u0, v0, degree=4, want_connection=True):
+def analyze_point(spec, u0, v0, degree=4):
     """Run the full adaptation chain on a surface at one parameter point,
     or at a batch of points.
 
@@ -581,9 +576,7 @@ def analyze_point(spec, u0, v0, degree=4, want_connection=True):
         Parameter point(s).
     degree : int
         Requested jet degree for the surface evaluation; the degree used is
-        `effective_degree(degree, want_connection)`.
-    want_connection : bool
-        Compute the d(alpha) curvature route (needs degree >= 5).
+        `effective_degree(degree)`.
 
     Returns
     -------
@@ -600,10 +593,10 @@ def analyze_point(spec, u0, v0, degree=4, want_connection=True):
     """
     if np.ndim(u0) == 0:
         errors, parts = _analyze(spec, np.array([u0], dtype=float), np.array([v0], dtype=float),
-                                 degree, want_connection)
+                                 degree)
         return _point(errors, parts, 0)
     U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-    return AnalysisBatch.of(U, V, *_analyze(spec, U, V, degree, want_connection))
+    return AnalysisBatch.of(U, V, *_analyze(spec, U, V, degree))
 
 
 def _settle(run, index, errors):
@@ -635,7 +628,7 @@ def _front(spec, U, V, degree):
     return fr1, mc1, fund1, stype
 
 
-def _tail(tag, U, V, fr1, mc1, fund1, gram, want_connection):
+def _tail(tag, U, V, fr1, mc1, fund1, gram):
     """Levels 2 and 3 and the invariants of a batch of points of one type."""
     if tag == "SpaceLike":
         fr2, gauge2, epsilon = adapt2_spacelike(fr1, fund1)
@@ -647,7 +640,7 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram, want_connection):
     mc3 = maurer_cartan(fr3, (mc2, gauge3))
     inv = extract_invariants(mc3, tag, epsilon)
     k_inv = gauss_from_invariants(inv)[..., 0]
-    k_conn = gauss_from_connection(inv)[..., 0] if want_connection else np.full(U.shape, np.nan)
+    k_conn = gauss_from_connection(inv)[..., 0]
     metric = metric_at(fr3, mc3)
     residuals = [x[..., 0] for x in inv.vanishing.values()]
     residuals += [x[..., 0] for x in relation_residuals(inv).values()]
@@ -658,10 +651,10 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram, want_connection):
     )
 
 
-def _analyze(spec, U, V, degree, want_connection):
+def _analyze(spec, U, V, degree):
     """The errors, by point index, and the (indices, batch AnalysisResult)
     parts of each batch of one type, for the points (U, V)."""
-    d = effective_degree(degree, want_connection)
+    d = effective_degree(degree)
     errors, parts = {}, []
     for lo in range(0, U.size, MAX_BATCH):
         index = np.arange(lo, min(lo + MAX_BATCH, U.size))
@@ -679,14 +672,12 @@ def _analyze(spec, U, V, degree, want_connection):
             def run(pos, sel=sel):
                 k = sel[pos]
                 if k.size == index.size:  # every point of the batch: no copies
-                    return _tail(tag, U[index], V[index], fr1, mc1, fund1, stype.gram,
-                                 want_connection)
+                    return _tail(tag, U[index], V[index], fr1, mc1, fund1, stype.gram)
                 return _tail(tag, U[index[k]], V[index[k]],
-                             Frame5T(fr1.coeffs[k], fr1.degrees, fr1.level),
+                             Frame5T(fr1.coeffs[k], fr1.degrees),
                              MCField(mc1.omega[k], mc1.degrees),
-                             FundamentalData(fund1.coeffs[k], fund1.degree,
-                                             fund1.nondeg_det[k], fund1.asymmetry[k]),
-                             stype.gram[k], want_connection)
+                             FundamentalData(fund1.coeffs[k], fund1.degree, fund1.asymmetry[k]),
+                             stype.gram[k])
 
             rows, part = _settle(run, index[sel], errors)
             if part is not None:

@@ -47,8 +47,8 @@ __all__ = [
     "SurfaceSpec",
     "parse_surface",
     "eval_surface",
-    "unparse",
     "builtin_surface",
+    "load_surface_file",
     "resolve_surface",
     "BUILTIN_SURFACES",
 ]
@@ -471,50 +471,6 @@ def eval_surface(spec, u0, v0, degree):
     if U.ndim:
         return taylor.stack(out, axis=-2)
     return [TaylorScalar(x) for x in out]
-
-
-# ---------------------------------------------------------------------------
-# Unparsing (used by tests to check print/parse round-trips)
-# ---------------------------------------------------------------------------
-
-_PREC = {"expr": 0, "term": 1, "neg": 2, "pow": 3, "atom": 4}
-
-
-def _node_prec(node):
-    if node.kind == "binary":
-        return _PREC["expr"] if node.name in "+-" else _PREC["term"]
-    if node.kind == "neg":
-        return _PREC["neg"]
-    if node.kind == "pow":
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
-def _unparse(node, parent_prec):
-    prec = _node_prec(node)
-    if node.kind == "num":
-        text = repr(node.value)
-    elif node.kind in ("var", "param"):
-        text = node.name
-    elif node.kind == "call":
-        text = "%s(%s)" % (node.name, _unparse(node.children[0], 0))
-    elif node.kind == "neg":
-        text = "-%s" % _unparse(node.children[0], prec)
-    elif node.kind == "pow":
-        text = "%s^%d" % (_unparse(node.children[0], prec + 1), int(node.value))
-    elif node.kind == "binary":
-        left = _unparse(node.children[0], prec)
-        # left associativity: right operand needs strictly higher binding
-        right = _unparse(node.children[1], prec + 1)
-        text = "%s %s %s" % (left, node.name, right)
-    else:
-        raise ValueError("bad node kind %r" % node.kind)
-    return "(%s)" % text if prec < parent_prec else text
-
-
-def unparse(spec):
-    """Render a SurfaceSpec back to source text that reparses identically."""
-    return "; ".join(_unparse(node, 0) for node in spec.components)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def _entries(C, degrees):
 def test_frame1_layout_and_position_column():
     jets = _jets("h2", 0.0, 0.0)
     fr = frame1(jets)
-    assert fr.level == 1
     consts = np.array([[x.const for x in row] for row in fr.matrix])
     # e0 = (1,0,0,0,0), e1 ~ sqrt(3) e_1, e2 ~ sqrt(3) e_2, completion e_3, e_4
     assert np.allclose(consts[:, 0], [1, 0, 0, 0, 0])
@@ -147,7 +146,7 @@ def test_fundamental_matrices_degenerate():
 def test_classify_independence_failure():
     # rows h0, h3, h4 of (a, b, c) triples, degree 0; h4 = 2 h3
     H = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
-    fund = FundamentalData(coeffs=H[:, :, None], degree=0, nondeg_det=0.0, asymmetry=0.0)
+    fund = FundamentalData(coeffs=H[:, :, None], degree=0, asymmetry=0.0)
     with pytest.raises(IndependenceFailure):
         classify_plane(fund)
 
@@ -168,7 +167,7 @@ def test_adapt2_spacelike_normal_forms():
     fr = frame1(_jets("h2", 0.4, 0.1, 5))
     fund = _normal_forms(fr)
     fr2, gauge, eps = adapt2_spacelike(fr, fund)
-    assert eps == 1 and fr2.level == 2 and fr2.surface_type == "SpaceLike"
+    assert eps == 1 and fr2.surface_type == "SpaceLike"
     fund2 = _normal_forms(fr2)
     for got, want in (
         (fund2.h3, (1.0, 0.0, -1.0)),
@@ -190,7 +189,7 @@ def test_adapt2_spacelike_sphere_epsilon():
 def test_adapt2_timelike_normal_forms():
     fr = frame1(_jets("s21", -0.2, 0.25, 5))
     fr2, gauge = adapt2_timelike(fr, _normal_forms(fr))
-    assert fr2.level == 2 and fr2.surface_type == "TimeLike"
+    assert fr2.surface_type == "TimeLike"
     fund2 = _normal_forms(fr2)
     for got, want in (
         (fund2.h3, (1.0, 0.0, 0.0)),
@@ -232,7 +231,7 @@ def test_adapt3_kills_normal_translation_terms():
             eps = 0
         mc2 = maurer_cartan(fr2)
         fr3, gauge3 = adapt3(fr2, mc2, case, eps)
-        assert fr3.level == 3
+        assert fr3.surface_type == case
         mc3 = maurer_cartan(fr3)
         for j in (3, 4):
             x1, x2 = mc3.projection[:, 0, j, 0]

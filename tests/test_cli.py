@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -345,6 +346,32 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The names tests/test_acceptance.py, README, demos/ and bench/ import from
+# the package itself (bench's imports of submodules aside).
+_PACKAGE_IMPORTS = (
+    "CentroframeError", "DegenerateCoframe", "GaugeTransform", "MODEL_NAMES",
+    "adapt2_spacelike", "adapt2_timelike", "adapt3", "analyze_point", "apply_gauge",
+    "bracket_check", "builtin_model", "builtin_surface", "classify_plane", "eval_surface",
+    "exp_product_point", "frame1", "fundamental_matrices", "invariant_names",
+    "maurer_cartan", "model_generators", "model_metric", "model_omega", "parse_surface",
+    "quadric_residual", "residual_dimension", "search_constant_solutions",
+    "structure_residual",
+)
+
+
+def test_package_exports():
+    from centroframe import adaptation, errors, homogeneous, surfaces
+
+    tables = [m.__all__ for m in (adaptation, errors, homogeneous, invariants, surfaces)]
+    names = centroframe.__all__
+    extra = ["TaylorScalar", "coordinate_jets", "__version__"]
+    assert sorted(names) == sorted([n for table in tables for n in table] + extra)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert not inspect.ismodule(getattr(centroframe, name)), name
+    assert set(_PACKAGE_IMPORTS) <= set(names)
 
 
 def test_analyze_rejects_low_degree(capsys):

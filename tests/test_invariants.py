@@ -29,7 +29,6 @@ from centroframe.invariants import (
     LAYOUTS,
     RELATION_CELLS,
     analyze_point,
-    effective_degree,
     extract_invariants,
     fiber_invariant_scalars,
     gauss_from_connection,
@@ -412,22 +411,11 @@ def test_pure_scalings_keep_the_curvature(name, c):
 
 def test_connection_route_needs_degree():
     spec = builtin_surface("h2")
-    res = analyze_point(spec, 0.1, 0.1, degree=3, want_connection=False)
-    assert np.isnan(res.gauss_connection)
+    res = analyze_point(spec, 0.1, 0.1, degree=5)
     # the guard: alpha without a derivative order gives no connection route
     flat = tuple(a.truncate(0) for a in res.invariants.alpha)
     with pytest.raises(ValueError):
         gauss_from_connection(dataclasses.replace(res.invariants, alpha=flat))
-
-
-@pytest.mark.parametrize("name, K", [("h2", -1 / 3), ("sphere", 1 / 3), ("s21", -1 / 3)])
-def test_low_degree_without_connection_is_exact(name, K):
-    # degree 3 is raised to 4, the lowest degree whose level-3 frame still
-    # carries the derivative that omega's columns 3-4 need
-    res = analyze_point(builtin_surface(name), 0.3, -0.2, degree=3, want_connection=False)
-    assert res.gauss_invariants == pytest.approx(K, abs=1e-12)
-    assert res.residual_max < 1e-12
-    assert effective_degree(3, want_connection=False) == 4
 
 
 # Names read off columns 3-4 of the level-3 Maurer-Cartan form: one degree
@@ -449,24 +437,23 @@ _VANISHING = (
     | _LOWER_DEGREE_VANISHING
 )
 
-# (surface, requested degree, want_connection) -> degree of alpha
+# (surface, requested degree) -> degree of alpha
 _ALPHA_DEGREE = {
-    ("h2", 4, True): 2,
-    ("h2", 5, True): 2,
-    ("h2", 7, True): 4,
-    ("h2", 4, False): 1,
-    ("s21", 4, True): 2,
-    ("s21", 5, True): 2,
-    ("s21", 7, True): 4,
-    ("s21", 4, False): 1,
+    ("h2", 4): 2,
+    ("h2", 5): 2,
+    ("h2", 6): 3,
+    ("h2", 7): 4,
+    ("s21", 4): 2,
+    ("s21", 5): 2,
+    ("s21", 6): 3,
+    ("s21", 7): 4,
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ALPHA_DEGREE))
 def test_reported_jet_degrees_are_pinned(case):
-    name, degree, want_connection = case
-    res = analyze_point(builtin_surface(name), 0.3, -0.2, degree=degree,
-                        want_connection=want_connection)
+    name, degree = case
+    res = analyze_point(builtin_surface(name), 0.3, -0.2, degree=degree)
     top = _ALPHA_DEGREE[case]
     lower = _LOWER_DEGREE[res.surface_type]
     assert {k: x.degree for k, x in res.invariants.h.items()} == {
@@ -483,7 +470,7 @@ def test_reported_jet_degrees_are_pinned(case):
 
 def test_analyze_point_bumps_degree_for_connection():
     spec = builtin_surface("h2")
-    res = analyze_point(spec, 0.1, 0.1, degree=3, want_connection=True)
+    res = analyze_point(spec, 0.1, 0.1, degree=3)
     assert res.gauss_connection == pytest.approx(-1 / 3, abs=1e-9)
 
 

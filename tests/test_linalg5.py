@@ -326,7 +326,7 @@ def test_q_form_is_minus_det_and_polarization():
         assert _q(t1, t1) == pytest.approx(-det1)
         polar = (_q(t1 + t2, t1 + t2) - _q(t1, t1) - _q(t2, t2)) / 2
         H = np.stack([np.ones(3), t1, t2])[:, :, None]
-        fund = FundamentalData(coeffs=H, degree=0, nondeg_det=0.0, asymmetry=0.0)
+        fund = FundamentalData(coeffs=H, degree=0, asymmetry=0.0)
         gram = classify_plane(fund).gram
         want = [[_q(t1, t1), polar], [polar, _q(t2, t2)]]
         assert np.allclose(gram, want, rtol=1e-12, atol=1e-12)
