@@ -803,6 +803,14 @@ def adapt2_timelike(frame, fund):
 # ---------------------------------------------------------------------------
 
 
+def _check_case(surface_type, epsilon):
+    """Raise ValueError unless the case is known and a space-like epsilon is +1 or -1."""
+    if surface_type not in ("SpaceLike", "TimeLike"):
+        raise ValueError("surface_type must be SpaceLike or TimeLike")
+    if surface_type == "SpaceLike" and not np.all(np.abs(epsilon) == 1):
+        raise ValueError("space-like epsilon must be +1 or -1")
+
+
 def adapt3(frame, mc, surface_type, epsilon=0):
     """Remove the semi-basic parts of omega^0_3 and omega^0_4.
 
@@ -819,20 +827,20 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     surface_type : str
         "SpaceLike" or "TimeLike".
     epsilon : int
-        Sign of h0 for the space-like case (per point for a batch).
+        Sign of h0 for the space-like case (per point for a batch), +1 or
+        -1 there; the time-like case does not read it.
 
     Returns
     -------
     (Frame5T, GaugeTransform)
     """
+    _check_case(surface_type, epsilon)
     # h[..., k, c] is the omega^(k+1)_0 coefficient of omega^0_(3+c)
     h = mc.project([0], [3, 4])[..., 0, :, :]
     if surface_type == "SpaceLike":
         r = h * -np.asarray(epsilon, dtype=float)[..., None, None, None]
-    elif surface_type == "TimeLike":
-        r = -h[..., ::-1, :, :]
     else:
-        raise ValueError("surface_type must be SpaceLike or TimeLike")
+        r = -h[..., ::-1, :, :]
     d = mc.projection_degrees[3:5]
     K = np.zeros(h.shape[:-3] + (5, 5, n_terms(max(d))))
     K[..., range(5), range(5), 0] = 1.0

@@ -461,14 +461,15 @@ def cmd_example(ns):
 
 
 def _model_points(seed):
-    """(name, u, v, analyze_point result) at 8 random points of each model,
-    analyzed as one batch per model."""
+    """(name, AnalysisBatch) at 8 random points of each model, analyzed as
+    one batch per model; raises the error of the first point that failed."""
     rng = np.random.default_rng(seed)
     for name in MODEL_NAMES:
         us, vs = np.array([rng.uniform(-1.0, 1.0, 2) for _ in range(8)]).T
         res = analyze_point(resolve_surface(name), us, vs, degree=5)
-        for i in range(8):
-            yield name, us[i], vs[i], res.point(i)
+        if res.errors:
+            raise res.errors[min(res.errors)]
+        yield name, res
 
 
 def _check_brackets(seed):
@@ -497,19 +498,19 @@ def _check_quadrics(seed):
 
 
 def _check_metrics(seed):
-    err = [np.subtract([x.const for x in r.metric.first], model_metric(n, u, v))
-           for n, u, v, r in _model_points(seed + 202)]
+    err = [r.metric - [model_metric(n, u, v) for u, v in zip(r.u, r.v)]
+           for n, r in _model_points(seed + 202)]
     return float(np.max(np.abs(err))), "pipeline metric vs closed-form model metric", True
 
 
 def _check_relations(seed):
-    worst = np.max([r.residual_max for _, _, _, r in _model_points(seed + 303)])
+    worst = np.max([r.residual_max for _, r in _model_points(seed + 303)])
     return float(worst), "linear invariant relations and forced-zero entries", True
 
 
 def _check_gauss(seed):
     err = [np.subtract([r.gauss_invariants, r.gauss_connection], builtin_model(n).gauss)
-           for n, _, _, r in _model_points(seed + 404)]
+           for n, r in _model_points(seed + 404)]
     return float(np.max(np.abs(err))), "curvature by both routes vs the model values", True
 
 

@@ -35,7 +35,7 @@ the six cells with both entries pinned are the relations R1-R6, and
 d(alpha) = K omega^1 ^ omega^2 gives K = -1/2 sum M0[i, j] C_ij, i, j in {1, 2}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -44,8 +44,9 @@ import numpy as np
 from .adaptation import (
     Frame5T,
     FundamentalData,
-    GaugeTransform,
     MCField,
+    _check_case,
+    _scalar,
     adapt2_spacelike,
     adapt2_timelike,
     adapt3,
@@ -82,38 +83,35 @@ __all__ = [
 ]
 
 
-def _jet(c):
-    """A jet of one point as a TaylorScalar; a batch's (N, n) coefficients as is."""
-    return TaylorScalar(c) if c.ndim == 1 else c
-
-
-def _coeffs(x):
-    """Coefficients of a TaylorScalar, or a batch's coefficient array."""
-    return x.coeffs if isinstance(x, TaylorScalar) else x
-
-
 @dataclass(eq=False)
 class InvariantSet:
     """Named invariant coefficients of a 3-adapted frame at a point.
 
-    `h` maps coefficient names to jets; `alpha` is the (du, dv) pair of the
-    connection form; `vanishing` collects everything that adaptation forces
-    to zero (kept as jets so tests can check the whole neighborhood).
-    `coframe` is the (2, 2, n) array of omega^1_0 and omega^2_0 (rows) in
-    du and dv (columns).  `projection` is P (2, 5, 5, n) at its lowest
-    column degree; `structure`, its `structure_terms`, is shared by the
-    relations and the curvature.  For a batch of N points of one type the
-    jets are (N, n) coefficient arrays, and `epsilon`, `coframe` and
-    `projection` have a leading axis too.
+    Every jet is held as its (n,) coefficient array.  `h_coeffs` maps
+    coefficient names to jets; `alpha_coeffs` (2, n) is the (du, dv) pair of
+    the connection form; `vanishing_coeffs` collects everything that
+    adaptation forces to zero (kept as jets so tests can check the whole
+    neighborhood).  `coframe` is the (2, 2, n) array of omega^1_0 and
+    omega^2_0 (rows) in du and dv (columns).  `projection` is P (2, 5, 5, n)
+    at its lowest column degree; `structure`, its `structure_terms`, is
+    shared by the relations and the curvature.  For a batch of N points of
+    one type every array, and `epsilon`, has a leading axis.  `h`, `alpha`
+    and `vanishing` are read-only views of one point with TaylorScalar
+    entries, built on each access.
     """
 
     surface_type: str
     epsilon: int
-    h: dict
-    alpha: tuple
-    coframe: list
-    vanishing: dict
+    h_coeffs: dict
+    alpha_coeffs: np.ndarray
+    coframe: np.ndarray
+    vanishing_coeffs: dict
     projection: np.ndarray
+
+    h = property(lambda self: {k: TaylorScalar(c) for k, c in self.h_coeffs.items()})
+    alpha = property(lambda self: tuple(map(TaylorScalar, self.alpha_coeffs)))
+    vanishing = property(lambda self: {k: TaylorScalar(c)
+                                       for k, c in self.vanishing_coeffs.items()})
 
     @cached_property
     def structure(self):
@@ -124,17 +122,20 @@ class InvariantSet:
 class MetricData:
     """Induced metrics in the surface coordinates.
 
-    `first` holds (E, F, G) jets with I = E du^2 + 2 F du dv + G dv^2.
-    `normal_gram` is the ambient 5x5 Gram matrix of the normal-bundle
-    metric at the base point: for an ambient vector X it evaluates to
-    x3^2 + x4^2 (space-like) or 2 x3 x4 (time-like), where (x3, x4) are the
-    components of X along (e3, e4).  For a batch, (N, n) coefficient arrays
-    and (N, 5, 5).
+    `first_coeffs` (3, n) holds the (E, F, G) jets with
+    I = E du^2 + 2 F du dv + G dv^2, and `first` is its read-only view of
+    one point, three TaylorScalars built on each access.  `normal_gram` is
+    the ambient 5x5 Gram matrix of the normal-bundle metric at the base
+    point: for an ambient vector X it evaluates to x3^2 + x4^2 (space-like)
+    or 2 x3 x4 (time-like), where (x3, x4) are the components of X along
+    (e3, e4).  For a batch, (N, 3, n) and (N, 5, 5).
     """
 
-    first: tuple
+    first_coeffs: np.ndarray
     normal_gram: np.ndarray
     signature: str
+
+    first = property(lambda self: tuple(map(TaylorScalar, self.first_coeffs)))
 
 
 # Row i of M0 | M1 | M2 per case; the tokens are explained above.
@@ -230,13 +231,12 @@ def extract_invariants(mc, surface_type, epsilon=0):
 
     `mc` is the Maurer-Cartan field of a 3-adapted frame, `surface_type`
     "SpaceLike" or "TimeLike" and `epsilon` the sign of h0 (space-like
-    only; per point for a batch).  The layout of the case is read off
-    S = P - M0 (x) alpha, P the coframe projection (`MCField.projection`),
-    except for the entries killed on Omega, which are read off
-    `MCField.omega`.
+    only, where it must be +1 or -1; per point for a batch).  The layout of
+    the case is read off S = P - M0 (x) alpha, P the coframe projection
+    (`MCField.projection`), except for the entries killed on Omega, which
+    are read off `MCField.omega`.
     """
-    if surface_type not in LAYOUTS:
-        raise ValueError("surface_type must be SpaceLike or TimeLike")
+    _check_case(surface_type, epsilon)
     layout = LAYOUTS[surface_type]
     M0, P, pd = layout.M0, mc.projection, mc.projection_degrees
     eps = np.asarray(epsilon, dtype=float)[..., None, None, None]
@@ -249,21 +249,20 @@ def extract_invariants(mc, surface_type, epsilon=0):
     degree[I, J] = np.minimum(degree[I, J], min(pd[1:3]))
     sizes = n_terms(degree).tolist()
     omega, od = mc.omega, mc.degrees
-    vanish = {key: _jet(omega[..., k, i, j, : n_terms(od[j])].copy())
+    vanish = {key: omega[..., k, i, j, : n_terms(od[j])].copy()
               for key, k, i, j in layout.killed}
-    vanish.update((key, _jet(S[..., k, i, j, : sizes[i][j]])) for key, k, i, j in layout.reads)
+    vanish.update((key, S[..., k, i, j, : sizes[i][j]]) for key, k, i, j in layout.reads)
     h = {key: vanish.pop(key) for key in layout.names}
     for key, (k, i, j), (kc, ic, jc) in layout.sym:
         n = min(sizes[i][j], sizes[ic][jc])
-        vanish[key] = _jet(S[..., k, i, j, :n] - S[..., kc, ic, jc, :n])
-    alpha = _alpha(M0, omega, n_terms(min(od[1:3])))
+        vanish[key] = S[..., k, i, j, :n] - S[..., kc, ic, jc, :n]
     return InvariantSet(
         surface_type=surface_type,
         epsilon=epsilon if np.ndim(epsilon) else int(epsilon),
-        h=h,
-        alpha=(_jet(alpha[..., 0, :]), _jet(alpha[..., 1, :])),
+        h_coeffs=h,
+        alpha_coeffs=_alpha(M0, omega, n_terms(min(od[1:3]))),
         coframe=omega[..., 1:3, 0, : n_terms(od[0])].swapaxes(-3, -2),
-        vanishing=vanish,
+        vanishing_coeffs=vanish,
         projection=P[..., : n_terms(min(pd))],
     )
 
@@ -313,29 +312,31 @@ def structure_terms(P, surface_type, epsilon):
 def relation_residuals(inv):
     """Signed residuals of the six linear relations among the invariants.
 
-    All six are identically zero on 3-adapted frames; the returned jets
-    measure how well a computed frame satisfies them.
+    All six are identically zero on 3-adapted frames; the returned jets,
+    as coefficient arrays, measure how well a computed frame satisfies them.
     """
     R = inv.structure[1]
     return {
-        label: _jet(sign * R[..., r, :])
+        label: sign * R[..., r, :]
         for r, (label, _, sign) in enumerate(RELATION_CELLS[inv.surface_type])
     }
 
 
 def gauss_from_invariants(inv):
-    """Gauss curvature from the structure equation, no derivatives (a jet)."""
-    return _jet(inv.structure[0])
+    """Gauss curvature from the structure equation, no derivatives (a jet's
+    coefficient array)."""
+    return inv.structure[0]
 
 
 def gauss_from_connection(inv):
-    """Gauss curvature from d(alpha) = K omega^1 wedge omega^2 (a jet).
+    """Gauss curvature from d(alpha) = K omega^1 wedge omega^2 (a jet's
+    coefficient array).
 
     Needs the connection form to carry at least one derivative order,
     which requires the surface jets to start at degree >= 4 (each frame
     level consumes one order; alpha sits three levels down).
     """
-    a_du, a_dv = (_coeffs(a) for a in inv.alpha)
+    a_du, a_dv = inv.alpha_coeffs[..., 0, :], inv.alpha_coeffs[..., 1, :]
     degree = degree_of(a_du.shape[-1])
     if degree < 1:
         raise ValueError(
@@ -348,7 +349,7 @@ def gauss_from_connection(inv):
     area = (jet_mul(C[..., 0, 0, :n], C[..., 1, 1, :n], w)
             - jet_mul(C[..., 0, 1, :n], C[..., 1, 0, :n], w))
     d_alpha = derivative(a_dv, degree, 0)[..., :n] - derivative(a_du, degree, 1)[..., :n]
-    return _jet(jet_mul(d_alpha, apply("reciprocal", area, w), w))
+    return jet_mul(d_alpha, apply("reciprocal", area, w), w)
 
 
 # (E, F, G) of the induced metric as sums of products of coframe entries
@@ -384,7 +385,7 @@ def metric_at(frame, mc):
         E, F, G = x[..., 0, :] * 2.0, x[..., 1, :] + x[..., 2, :], x[..., 3, :] * 2.0
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
     N = np.ascontiguousarray(np.linalg.inv(frame.const)[..., 3:5, :])
-    return MetricData(first=(_jet(E), _jet(F), _jet(G)),
+    return MetricData(first_coeffs=stack([E, F, G], axis=-2),
                       normal_gram=N.swapaxes(-1, -2) @ S @ N, signature=signature)
 
 
@@ -396,8 +397,8 @@ def fiber_invariant_scalars(inv):
     combinations of level-2/3 coefficients that the stabilizer leaves
     fixed.  Values are floats (constant terms).
     """
-    h = {k: v.const for k, v in inv.h.items()}
-    K = gauss_from_invariants(inv).const
+    h = {k: v[..., 0] for k, v in inv.h_coeffs.items()}
+    K = gauss_from_invariants(inv)[..., 0]
     if inv.surface_type == "SpaceLike":
         shape = (h["h331"] + h["h342"]) ** 2 + (h["h332"] - h["h341"]) ** 2
         return {
@@ -426,7 +427,8 @@ class AnalysisResult:
     Inside `analyze_point` the same record holds a batch of points of one
     surface type, every field but `surface_type` with a leading axis.
     `frame` is built from the level-1 frame and the gauges when its
-    coefficients are read.
+    coefficients are read.  The records hold coefficient arrays; their
+    TaylorScalar views (`invariants.h`, ...) are built when read.
     """
 
     u: float
@@ -443,19 +445,6 @@ class AnalysisResult:
     residual_max: float
 
 
-def _frame_at(frame, j):
-    """Point j of a batch's frame, built on request as the batch's is."""
-    if frame.source is None:
-        return Frame5T(frame.coeffs[j], frame.degrees)
-    base, gauge = frame.source
-    return Frame5T(None, frame.degrees, frame.surface_type,
-                   source=(_frame_at(base, j), GaugeTransform(gauge.coeffs[j], gauge.degrees)))
-
-
-def _item(x, j):
-    return x if np.ndim(x) == 0 else x[j].item()
-
-
 @dataclass(eq=False)
 class AnalysisBatch:
     """`analyze_point` at N points, as columns with one row per point.
@@ -465,9 +454,9 @@ class AnalysisBatch:
     `surface_type` and `signature` (None where failed), `epsilon`, the two
     curvatures, `metric` (N, 3) (E, F, G), `alpha` (N, 2) (du, dv),
     `residual_max`, and `h` (N, len(H_ALL)), one column per invariant name
-    of `H_ALL` (NaN where the name is not of the point's type).
-    `point(i)` is point i's AnalysisResult, built from `parts`, the
-    (indices, batch AnalysisResult) of each batch of one type.
+    of `H_ALL` (NaN where the name is not of the point's type).  The
+    batch keeps no frames, Maurer-Cartan fields or jets: for those of one
+    point, call `analyze_point` on that point, which gives the same values.
     """
 
     u: np.ndarray
@@ -482,7 +471,6 @@ class AnalysisBatch:
     alpha: np.ndarray
     residual_max: np.ndarray
     h: np.ndarray
-    parts: list = field(default_factory=list)
 
     @classmethod
     def of(cls, U, V, errors, parts):
@@ -494,7 +482,6 @@ class AnalysisBatch:
             epsilon=np.zeros(N, dtype=int), gauss_invariants=nan.copy(),
             gauss_connection=nan.copy(), metric=np.full((N, 3), np.nan),
             alpha=np.full((N, 2), np.nan), residual_max=nan, h=np.full((N, len(H_ALL)), np.nan),
-            parts=parts,
         )
         for rows, part in parts:
             for i in rows.tolist():
@@ -502,48 +489,13 @@ class AnalysisBatch:
             out.epsilon[rows] = part.epsilon
             out.gauss_invariants[rows] = part.gauss_invariants
             out.gauss_connection[rows] = part.gauss_connection
-            out.metric[rows] = stack([x[..., 0] for x in part.metric.first], axis=-1)
-            out.alpha[rows] = stack([a[..., 0] for a in part.invariants.alpha], axis=-1)
+            out.metric[rows] = part.metric.first_coeffs[..., 0]
+            out.alpha[rows] = part.invariants.alpha_coeffs[..., 0]
             out.residual_max[rows] = part.residual_max
             names, columns = zip(*H_COLUMNS_OF[part.surface_type])
-            h = part.invariants.h
+            h = part.invariants.h_coeffs
             out.h[rows[:, None], columns] = stack([h[k][..., 0] for k in names], axis=-1)
         return out
-
-    def point(self, i):
-        """AnalysisResult of point i; raises the point's error if it failed."""
-        return _point(self.errors, self.parts, i)
-
-
-def _point(errors, parts, i):
-    """AnalysisResult of point i of `_analyze`'s results."""
-    if i in errors:
-        raise errors[i]
-    index, part = next((index, part) for index, part in parts if i in index)
-    j = int(np.searchsorted(index, i))
-    inv = part.invariants
-    jets = lambda d: {k: TaylorScalar(x[j]) for k, x in d.items()}  # noqa: E731
-    invariants = InvariantSet(
-        inv.surface_type, _item(inv.epsilon, j), jets(inv.h),
-        tuple(TaylorScalar(a[j]) for a in inv.alpha), inv.coframe[j], jets(inv.vanishing),
-        inv.projection[j],
-    )
-    metric = part.metric
-    return AnalysisResult(
-        u=part.u[j].item(),
-        v=part.v[j].item(),
-        surface_type=part.surface_type,
-        epsilon=_item(part.epsilon, j),
-        invariants=invariants,
-        gauss_invariants=part.gauss_invariants[j].item(),
-        gauss_connection=part.gauss_connection[j].item(),
-        metric=MetricData(tuple(TaylorScalar(x[j]) for x in metric.first),
-                          metric.normal_gram[j], metric.signature),
-        frame=_frame_at(part.frame, j),
-        mc=MCField(part.mc.omega[j], part.mc.degrees),
-        gram=part.gram[j],
-        residual_max=part.residual_max[j].item(),
-    )
 
 
 def effective_degree(degree):
@@ -581,9 +533,10 @@ def analyze_point(spec, u0, v0, degree=4):
     Returns
     -------
     AnalysisResult, or AnalysisBatch for arrays
-        A point is the batch of one.  A batch runs in batches of at most
-        MAX_BATCH points, each stage once per batch and per surface type;
-        a point's results do not depend on the batch it runs in.
+        A point runs as itself, every array without a batch axis.  A batch
+        runs in batches of at most MAX_BATCH points, each stage once per
+        batch and per surface type; a point's results do not depend on the
+        batch it runs in.
 
     Raises
     ------
@@ -591,11 +544,10 @@ def analyze_point(spec, u0, v0, degree=4):
         If the point classifies as Null (for a batch, that point's entry in
         `AnalysisBatch.errors`).
     """
-    if np.ndim(u0) == 0:
-        errors, parts = _analyze(spec, np.array([u0], dtype=float), np.array([v0], dtype=float),
-                                 degree)
-        return _point(errors, parts, 0)
     U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    if U.ndim == 0:
+        fr1, mc1, fund1, stype = _front(spec, U, V, effective_degree(degree))
+        return _tail(stype.tag, U, V, fr1, mc1, fund1, stype.gram)
     return AnalysisBatch.of(U, V, *_analyze(spec, U, V, degree))
 
 
@@ -629,25 +581,26 @@ def _front(spec, U, V, degree):
 
 
 def _tail(tag, U, V, fr1, mc1, fund1, gram):
-    """Levels 2 and 3 and the invariants of a batch of points of one type."""
+    """Levels 2 and 3 and the invariants of one point, or of a batch of
+    points of one type."""
     if tag == "SpaceLike":
         fr2, gauge2, epsilon = adapt2_spacelike(fr1, fund1)
     else:
         fr2, gauge2 = adapt2_timelike(fr1, fund1)
-        epsilon = np.zeros(U.shape, dtype=int)
+        epsilon = _scalar(np.zeros(U.shape, dtype=int))
     mc2 = maurer_cartan(fr2, (mc1, gauge2))
     fr3, gauge3 = adapt3(fr2, mc2, tag, epsilon)
     mc3 = maurer_cartan(fr3, (mc2, gauge3))
     inv = extract_invariants(mc3, tag, epsilon)
-    k_inv = gauss_from_invariants(inv)[..., 0]
-    k_conn = gauss_from_connection(inv)[..., 0]
+    k_inv = _scalar(gauss_from_invariants(inv)[..., 0])
+    k_conn = _scalar(gauss_from_connection(inv)[..., 0])
     metric = metric_at(fr3, mc3)
-    residuals = [x[..., 0] for x in inv.vanishing.values()]
+    residuals = [x[..., 0] for x in inv.vanishing_coeffs.values()]
     residuals += [x[..., 0] for x in relation_residuals(inv).values()]
     return AnalysisResult(
-        u=U, v=V, surface_type=tag, epsilon=epsilon, invariants=inv,
+        u=_scalar(U), v=_scalar(V), surface_type=tag, epsilon=epsilon, invariants=inv,
         gauss_invariants=k_inv, gauss_connection=k_conn, metric=metric, frame=fr3, mc=mc3,
-        gram=gram, residual_max=np.max(np.abs(residuals), axis=0),  # a NaN entry propagates
+        gram=gram, residual_max=_scalar(np.max(np.abs(residuals), axis=0)),  # NaN propagates
     )
 
 

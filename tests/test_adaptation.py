@@ -30,6 +30,7 @@ from centroframe.errors import (
     NotImmersed,
     NotTransversal,
 )
+from centroframe.invariants import extract_invariants
 from centroframe.surfaces import builtin_surface, eval_surface, parse_surface
 from centroframe.taylor import TaylorScalar
 
@@ -239,6 +240,30 @@ def test_adapt3_kills_normal_translation_terms():
         # idempotence: the translational gauge is now zero
         fr4, gauge4 = adapt3(fr3, mc3, case, eps)
         assert _gauge_distance_from_identity(gauge4) < 1e-10
+
+
+def test_spacelike_adapt3_needs_the_sign_of_h0():
+    # with epsilon = 0 the space-like gauge is the identity, so the frame
+    # it returns would keep omega^0_3, omega^0_4 semi-basic parts of ~0.6
+    fr = frame1(_jets("h2", 0.3, -0.1, 5))
+    fr2, _, eps = adapt2_spacelike(fr, _normal_forms(fr))
+    mc2 = maurer_cartan(fr2)
+    for bad in ((), (0,), (2,), (np.array([1, 0]),)):
+        with pytest.raises(ValueError, match="epsilon"):
+            adapt3(fr2, mc2, "SpaceLike", *bad)
+    fr3, _ = adapt3(fr2, mc2, "SpaceLike", eps)
+    mc3 = maurer_cartan(fr3)
+    with pytest.raises(ValueError, match="epsilon"):
+        extract_invariants(mc3, "SpaceLike")
+    assert extract_invariants(mc3, "SpaceLike", eps).epsilon == eps
+    with pytest.raises(ValueError, match="surface_type"):
+        adapt3(fr2, mc2, "Null", eps)
+
+    # the time-like case does not read epsilon, and keeps its default
+    fr = frame1(_jets("s21", 0.3, -0.1, 5))
+    fr2, _ = adapt2_timelike(fr, _normal_forms(fr))
+    fr3, _ = adapt3(fr2, maurer_cartan(fr2), "TimeLike")
+    assert extract_invariants(maurer_cartan(fr3), "TimeLike").epsilon == 0
 
 
 def test_position_column_is_preserved():

@@ -2,20 +2,20 @@
 
 A grid runs as one batch: every stage runs once per batch, and a point that
 fails leaves the batch with its error.  A point's results must not depend on
-that.  Its AnalysisResult values and its `analyze` record are bit-identical
-whether it runs alone, in a 5x5 batch, or in a sub-batch after neighbours
-failed, and a failing point raises the same error type and message in a
-batch as alone.
+that.  Its columns in the AnalysisBatch and its `analyze` record are
+bit-identical whether it runs alone, in a 5x5 batch, or in a sub-batch after
+neighbours failed; every jet, frame and Maurer-Cartan field of the batch
+equals the point's own; and a failing point records the same error type and
+message in a batch as it raises alone.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from centroframe import cli
-from centroframe.invariants import analyze_point
+from centroframe import cli, invariants
+from centroframe.invariants import H_ALL, H_COLUMNS_OF, analyze_point
 from centroframe.surfaces import BUILTIN_SURFACES, parse_surface
 
 GRID = np.linspace(-1.0, 1.0, 5)
@@ -52,27 +52,45 @@ def _alone(spec, u, v, degree):
         return exc
 
 
-def _at(batch, i):
-    return batch.errors.get(i) or batch.point(i)
+def _error(exc):
+    return [type(exc).__name__, str(exc)]
 
 
-def _bits(res):
-    """Every value of a result as bytes (signs of zeros included), or the
-    type and message of an error."""
+def _row(batch, i):
+    """Point i's columns as bytes (signs of zeros included), or the type and
+    message of its error."""
+    if i in batch.errors:
+        return _error(batch.errors[i])
+    floats = (batch.u[i], batch.v[i], batch.gauss_invariants[i], batch.gauss_connection[i],
+              batch.residual_max[i])
+    return ([batch.surface_type[i], batch.signature[i], int(batch.epsilon[i])]
+            + [np.float64(x).tobytes() for x in floats]
+            + [a[i].tobytes() for a in (batch.metric, batch.alpha, batch.h)])
+
+
+def _columns(res):
+    """`_row` of a point run alone (an AnalysisResult or the error it raised)."""
     if isinstance(res, Exception):
-        return [type(res).__name__, str(res)]
-    inv = res.invariants
-    jets = [*inv.h.values(), *inv.vanishing.values(), *inv.alpha, *res.metric.first]
+        return _error(res)
+    h = np.full(len(H_ALL), np.nan)
+    for k, c in H_COLUMNS_OF[res.surface_type]:
+        h[c] = res.invariants.h_coeffs[k][0]
     floats = (res.u, res.v, res.gauss_invariants, res.gauss_connection, res.residual_max)
-    arrays = (inv.coframe, inv.projection, res.metric.normal_gram, res.gram, res.mc.omega,
-              res.frame.coeffs)
-    return (
-        [res.surface_type, res.epsilon, inv.epsilon, res.metric.signature, list(inv.h),
-         list(inv.vanishing), res.frame.degrees, res.mc.degrees]
-        + [np.float64(x).tobytes() for x in floats]
-        + [x.coeffs.tobytes() for x in jets]
-        + [a.tobytes() for a in arrays]
-    )
+    arrays = (res.metric.first_coeffs[:, 0], res.invariants.alpha_coeffs[:, 0], h)
+    return ([res.surface_type, res.metric.signature, res.epsilon]
+            + [np.float64(x).tobytes() for x in floats]
+            + [a.tobytes() for a in arrays])
+
+
+def _jets(res, j=()):
+    """Every array of an AnalysisResult as bytes; of row j for a batch's."""
+    inv = res.invariants
+    arrays = (*inv.h_coeffs.values(), *inv.vanishing_coeffs.values(), inv.alpha_coeffs,
+              inv.coframe, inv.projection, res.metric.first_coeffs, res.metric.normal_gram,
+              res.gram, res.mc.omega, res.frame.coeffs)
+    return ([int(np.asarray(inv.epsilon)[j]), list(inv.h_coeffs), list(inv.vanishing_coeffs),
+             res.frame.degrees, res.mc.degrees]
+            + [a[j].tobytes() for a in arrays])
 
 
 def _records(spec, us, vs, degree):
@@ -94,10 +112,16 @@ def test_point_results_do_not_depend_on_the_batch(case):
     assert set(range(0, 2 * len(keep), 2)) <= set(sub.errors)
 
     for i in range(25):
-        alone = _bits(_alone(spec, US[i], VS[i], degree))
-        assert _bits(_at(batch, i)) == alone, i
+        alone = _columns(_alone(spec, US[i], VS[i], degree))
+        assert _row(batch, i) == alone, i
         if i in keep:
-            assert _bits(_at(sub, 2 * keep.index(i) + 1)) == alone, i
+            assert _row(sub, 2 * keep.index(i) + 1) == alone, i
+
+    # the batch's jets, before it keeps only their constant terms
+    _, parts = invariants._analyze(spec, US, VS, degree)
+    for rows, part in parts:
+        for j, i in enumerate(rows.tolist()):
+            assert _jets(part, j) == _jets(_alone(spec, US[i], VS[i], degree)), i
 
     records = _records(spec, US, VS, degree)
     sub_records = _records(spec, sub_u, sub_v, degree)
@@ -126,6 +150,4 @@ def test_errors_in_a_batch_are_the_errors_alone(text, us, vs):
         alone = _alone(spec, u, v, 5)
         assert isinstance(alone, Exception) == (i in batch.errors), i
         if i in batch.errors:
-            assert _bits(batch.errors[i]) == _bits(alone), i
-            with pytest.raises(type(alone), match="^%s$" % re.escape(str(alone))):
-                batch.point(i)
+            assert _row(batch, i) == _columns(alone), i

@@ -280,11 +280,11 @@ def test_filled_level1_cells_satisfy_relations(st, eps):
         M = np.array(model_omega(vec)[1:])
         h = {n: float(M[int(n[3]) - 1, int(n[1]), int(n[2])]) for n in H_NAMES[st]}
         inv = InvariantSet(
-            st, eps, h, alpha=None, coframe=None, vanishing=defaultdict(float),
+            st, eps, h, alpha_coeffs=None, coframe=None, vanishing_coeffs=defaultdict(float),
             projection=M[..., None],
         )
         for label, r in relation_residuals(inv).items():
-            assert abs(r.const) < 1e-14, label
+            assert abs(r[0]) < 1e-14, label
 
 
 def test_search_finds_both_spacelike_solutions():

@@ -28,6 +28,7 @@ from centroframe.invariants import (
     H_NAMES,
     LAYOUTS,
     RELATION_CELLS,
+    AnalysisBatch,
     analyze_point,
     extract_invariants,
     fiber_invariant_scalars,
@@ -37,6 +38,7 @@ from centroframe.invariants import (
     relation_residuals,
 )
 from centroframe.surfaces import builtin_surface, parse_surface
+from centroframe.taylor import TaylorScalar
 
 NULL_FIXTURE = "1 + u^2/2 + v^2/2; u; v; u^2/2; u*v"
 
@@ -179,7 +181,7 @@ def test_relations_hold_on_perturbed_surfaces():
         assert res.surface_type == tag
         rels = relation_residuals(res.invariants)
         for name, jet in rels.items():
-            assert abs(jet.const) < 1e-9, (text[:30], name)
+            assert abs(jet[0]) < 1e-9, (text[:30], name)
         for name, jet in res.invariants.vanishing.items():
             assert abs(jet.const) < 1e-9, (text[:30], name)
 
@@ -413,9 +415,37 @@ def test_connection_route_needs_degree():
     spec = builtin_surface("h2")
     res = analyze_point(spec, 0.1, 0.1, degree=5)
     # the guard: alpha without a derivative order gives no connection route
-    flat = tuple(a.truncate(0) for a in res.invariants.alpha)
+    flat = res.invariants.alpha_coeffs[..., :1]
     with pytest.raises(ValueError):
-        gauss_from_connection(dataclasses.replace(res.invariants, alpha=flat))
+        gauss_from_connection(dataclasses.replace(res.invariants, alpha_coeffs=flat))
+
+
+@pytest.mark.parametrize("name", ["h2", "s21"])
+def test_records_hold_arrays_and_views_are_built_when_read(name):
+    """One jet representation: a point's records and the functions that
+    build them give coefficient arrays, and the TaylorScalar views carry
+    the same bytes."""
+    res = _analyze(name, 0.3, -0.2)
+    inv = extract_invariants(res.mc, res.surface_type, res.epsilon)
+    arrays = [*inv.h_coeffs.values(), *inv.vanishing_coeffs.values(), inv.alpha_coeffs,
+              *relation_residuals(inv).values(), gauss_from_invariants(inv),
+              gauss_from_connection(inv), metric_at(res.frame, res.mc).first_coeffs]
+    assert all(type(a) is np.ndarray for a in arrays)
+
+    views = [(res.invariants.h, res.invariants.h_coeffs),
+             (res.invariants.vanishing, res.invariants.vanishing_coeffs),
+             (dict(enumerate(res.invariants.alpha)), dict(enumerate(res.invariants.alpha_coeffs))),
+             (dict(enumerate(res.metric.first)), dict(enumerate(res.metric.first_coeffs)))]
+    for view, stored in views:
+        assert list(view) == list(stored)
+        for k, jet in view.items():
+            assert isinstance(jet, TaylorScalar)
+            assert jet.coeffs.tobytes() == stored[k].tobytes(), k
+
+    assert fiber_invariant_scalars(res.invariants) == fiber_invariant_scalars(inv)
+    batch = _analyze(name, np.array([0.3]), np.array([-0.2]))
+    assert isinstance(batch, AnalysisBatch)
+    assert not hasattr(batch, "point") and not hasattr(batch, "parts")
 
 
 # Names read off columns 3-4 of the level-3 Maurer-Cartan form: one degree
@@ -571,7 +601,7 @@ def test_relation_residuals_match_reference_on_random_fills(st, eps):
         assert set(got) == set(want)
         assert max(abs(x) for x in want.values()) > 0.1
         for label, r in got.items():
-            assert abs(r.const - want[label]) < 1e-14 * scale, label
+            assert abs(r[0] - want[label]) < 1e-14 * scale, label
 
 
 @pytest.mark.parametrize("st, eps", LAYOUT_CASES)
@@ -580,7 +610,7 @@ def test_gauss_matches_reference_on_model_fills(st, eps):
     for _ in range(20):
         vec = ConstantInvariantVector(st, eps, tuple(rng.uniform(-3, 3, 14)))
         inv, h, _, scale = _fill_invariants(rng, np.array(model_omega(vec)[1:]), st, eps)
-        K = gauss_from_invariants(inv).const
+        K = gauss_from_invariants(inv)[0]
         assert abs(K - _reference_gauss(h, st, eps)) < 1e-14 * scale
 
 
