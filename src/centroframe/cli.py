@@ -30,12 +30,15 @@ Output conventions
   configurations produce byte-identical files; non-finite values become
   ``null``.  Keys appear in a fixed order.
 * CSV files use UTF-8, LF line endings, and the same float formatting;
-  column orders are fixed (see README).  An ``analyze`` CSV row is its
-  JSON record flattened: ``metric.E`` becomes ``metric_E``, ``h`` entries
-  keep their names, and absent fields are empty.
-* Grid syntax is ``lo:hi:count``, inclusive at both ends.  ``--grid`` takes
-  one spec (used for both axes) or two (u then v).  Records are emitted in
-  row-major order (u outer, v inner) regardless of ``--jobs``.
+  column orders are fixed (see README).
+* An ``analyze`` record is its CSV row, absent fields empty.  Its JSON object
+  nests the present fields (``metric_E`` as ``metric.E``, ``h`` entries by
+  name), written from one fixed template per record shape (ok space-like,
+  ok time-like, error) by the ``null`` rule and key order above.
+* Grid syntax is ``lo:hi:count``, inclusive at both ends, with ``lo``,
+  ``hi`` and ``hi - lo`` finite.  ``--grid`` takes one spec (used for both
+  axes) or two (u then v).  Records are emitted in row-major order (u
+  outer, v inner) regardless of ``--jobs`` (at most one worker per batch).
 * Per-point analysis failures are recorded inline and never abort a sweep;
   the process exits nonzero only on configuration or parse errors (and on
   failed ``verify`` checks).
@@ -45,6 +48,7 @@ import argparse
 import csv
 import io
 import math
+import operator
 import os
 import re
 import sys
@@ -91,66 +95,48 @@ def format_float(x):
     return "%.17g" % float(x)
 
 
+_JSON_SPECIAL = re.compile(r'["\\\x00-\x1f]')
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
 def _json_escape(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append({"\n": "\\n", "\r": "\\r", "\t": "\\t"}.get(ch, "\\u%04x" % ord(ch)))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"%s"' % _JSON_SPECIAL.sub(
+        lambda m: _JSON_ESCAPES.get(m.group(), "\\u%04x" % ord(m.group())), s)
 
 
-def _json_value(value, out, level):
-    pad = "  " * level
+def _json_float(x):
+    return format_float(x) if math.isfinite(x) else "null"
+
+
+def _json_value(value, pad=""):
+    """JSON text of `value`, written where the line is indented by `pad`."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(_json_escape(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_float(value) if math.isfinite(value) else "null")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(pad + "  " + _json_escape(str(k)) + ": ")
-            _json_value(v, out, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _json_escape(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_float(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [_json_escape(str(k)) + ": " + _json_value(v, inner) for k, v in value.items()]
+    elif isinstance(value, _AnalyzeRows):
+        brackets, items = "[]", [_record_json(row) for row in value]
     elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad + "  ")
-            _json_value(v, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+        brackets, items = "[]", [_json_value(v, inner) for v in value]
     else:
         raise TypeError("cannot serialize %r" % type(value))
+    if not items:
+        return brackets
+    return "%s\n%s%s\n%s%s" % (brackets[0], inner, (",\n" + inner).join(items), pad, brackets[1])
 
 
 def dumps_json(doc):
     """Deterministic JSON text (insertion-ordered keys, fixed float format)."""
-    out = []
-    _json_value(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _json_value(doc) + "\n"
 
 
 def _cell(x):
@@ -220,6 +206,8 @@ def _grid_spec(text):
         raise argparse.ArgumentTypeError("bad grid spec %r" % text.strip())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError("grid bounds must be finite")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("grid span hi - lo must be finite")
     if n < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return (lo, hi, n)
@@ -257,7 +245,7 @@ def build_parser():
     _add_grid(sp)
     sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 for the curvature-by-connection route; the output records the degree used)")
     sp.add_argument("--tol", type=float, default=1e-7, help="relation-residual tolerance for residual_ok (default 1e-7)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps (default 1; ordering is unaffected)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps, at most one per batch of %d points (default 1; ordering is unaffected)" % MAX_BATCH)
     _add_output(sp, "json", "output directory (default: print to stdout)")
     sp.set_defaults(run=cmd_analyze)
 
@@ -297,86 +285,108 @@ def build_parser():
 # ---------------------------------------------------------------------------
 
 
-def _error_record(u, v, exc):
-    return {
-        "u": u,
-        "v": v,
-        "ok": False,
-        "error": type(exc).__name__,
-        "message": str(exc),
-    }
+# An `analyze` record is its row in ANALYZE_COLUMNS order, None where a field
+# is absent.  Each record shape (ok of each surface type; error, of type None)
+# has a `%`-template of its JSON text, made by writing placeholders at import.
+
+_NESTED_IN = dict.fromkeys(H_ALL, "h") | {"signature": "metric"}
+
+
+def _record_template(surface_type):
+    """The `%`-template of the JSON text of a record of `surface_type`, a
+    getter of the row fields it takes, and which of those `_record_json`
+    writes by `_json_value`; the others are the integer epsilon and floats,
+    which `_analyze_records` checks are finite."""
+    if surface_type is None:
+        shown = ("u", "v", "ok", "error", "message")
+        fixed, written = {"ok": False}, ("u", "v", "error", "message")
+    else:
+        names = {k for k, _ in H_COLUMNS_OF[surface_type]}
+        shown = [c for c in ANALYZE_COLUMNS if c not in ("error", "message") and (c not in H_ALL or c in names)]
+        fixed, written = {"ok": True, "surface_type": surface_type}, ("signature", "residual_max", "residual_ok")
+    record = {}
+    for c in shown:
+        value = fixed.get(c, "\0" + c)
+        parent, _, key = c.partition("_")
+        if c in _NESTED_IN:
+            record.setdefault(_NESTED_IN[c], {})[c] = value
+        elif parent in ("metric", "alpha"):
+            record.setdefault(parent, {})[key] = value
+        else:
+            record[c] = value
+    text = _json_value(record, "    ").replace("%", "%%")
+    marker = re.compile(r'"\\u0000(\w+)"')
+    taken = marker.findall(text)
+    text = marker.sub(lambda m: "%s" if m[1] in written else "%d" if m[1] == "epsilon" else "%.17g", text)
+    return (text, operator.itemgetter(*[ANALYZE_COLUMNS.index(c) for c in taken]),
+            [j for j, c in enumerate(taken) if c in written])
+
+
+_RECORD_JSON = {case: _record_template(case) for case in (None, *H_COLUMNS_OF)}
+_TYPE_AT = ANALYZE_COLUMNS.index("surface_type")
+
+
+class _AnalyzeRows(list):
+    """The rows of an `analyze` document's records, which `dumps_json`
+    writes through the record templates, at their place in the document."""
+
+
+def _record_json(row):
+    """JSON text of one `analyze` row as an item of the document's records."""
+    template, pick, written = _RECORD_JSON[row[_TYPE_AT]]
+    fields = list(pick(row))
+    for j in written:
+        fields[j] = _json_value(fields[j])
+    return template % tuple(fields)
+
+
+# The results that must be finite for an ok record, in the order of the
+# batch columns that `_analyze_records` stacks, named as its message names them
+_RESULT_NAMES = ("gauss_invariants", "gauss_connection", "E", "F", "G", "alpha_du", "alpha_dv") + H_ALL
+_RESULTS_OF = {case: np.array([k not in H_ALL or k in dict(cols) for k in _RESULT_NAMES])
+               for case, cols in H_COLUMNS_OF.items()} | {None: np.zeros(len(_RESULT_NAMES), bool)}
 
 
 def _analyze_records(task):
-    """A contiguous run of grid points -> plain-dict records, built from one
+    """A contiguous run of grid points -> their rows, built from one
     `analyze_point` batch; errors recorded, not raised."""
     spec, us, vs, degree, tol = task
     res = analyze_point(spec, np.array(us), np.array(vs), degree=degree)
-    K1, K2, R = res.gauss_invariants.tolist(), res.gauss_connection.tolist(), res.residual_max.tolist()
-    metric, alpha, H = res.metric.tolist(), res.alpha.tolist(), res.h.tolist()
-    records = []
+    values = np.column_stack([res.gauss_invariants, res.gauss_connection, res.metric, res.alpha, res.h])
+    results = np.array([_RESULTS_OF[t] for t in res.surface_type])
+    bad, cells = (~np.isfinite(values) & results).tolist(), np.where(results, values, None).tolist()
+    eps, R = res.epsilon.tolist(), res.residual_max.tolist()
+    rows = []
     for i, (u, v) in enumerate(zip(us, vs)):
         exc = res.errors.get(i)
         if isinstance(exc, (OverflowError, ZeroDivisionError, np.linalg.LinAlgError)):
             exc = ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
+        if exc is not None and not isinstance(exc, CentroframeError):
+            raise exc
+        if exc is None and any(bad[i]):
+            exc = ArithmeticFailure("non-finite result: " + ", ".join(k for k, b in zip(_RESULT_NAMES, bad[i]) if b))
         if exc is not None:
-            if not isinstance(exc, CentroframeError):
-                raise exc
-            records.append(_error_record(u, v, exc))
+            rows.append((u, v, False, type(exc).__name__, str(exc)) + (None,) * (len(ANALYZE_COLUMNS) - 5))
             continue
-        (E, F, G), (alpha_du, alpha_dv) = metric[i], alpha[i]
-        h = {k: H[i][c] for k, c in H_COLUMNS_OF[res.surface_type[i]]}
-        results = dict(
-            gauss_invariants=K1[i], gauss_connection=K2[i],
-            E=E, F=F, G=G, alpha_du=alpha_du, alpha_dv=alpha_dv, **h,
-        )
-        bad = [k for k, x in results.items() if not math.isfinite(x)]
-        if bad:
-            failure = ArithmeticFailure("non-finite result: " + ", ".join(bad))
-            records.append(_error_record(u, v, failure))
-            continue
-        records.append({
-            "u": u,
-            "v": v,
-            "ok": True,
-            "surface_type": res.surface_type[i],
-            "epsilon": int(res.epsilon[i]),
-            "gauss_invariants": K1[i],
-            "gauss_connection": K2[i],
-            "metric": {"E": E, "F": F, "G": G, "signature": res.signature[i]},
-            "alpha": {"du": alpha_du, "dv": alpha_dv},
-            "residual_max": R[i],
-            "residual_ok": bool(R[i] <= tol),
-            "h": h,
-        })
-    return records
-
-
-def _analyze_row(record):
-    """CSV row of one record: nested fields take their own name when that is
-    a column (`signature`, `h...`), else `<parent>_<name>` (`metric_E`)."""
-    flat = {}
-    for k, x in record.items():
-        if isinstance(x, dict):
-            for kk, xx in x.items():
-                flat[kk if kk in ANALYZE_COLUMNS else "%s_%s" % (k, kk)] = xx
-        else:
-            flat[k] = x
-    return [flat.get(c) for c in ANALYZE_COLUMNS]
+        K1, K2, E, F, G, du, dv, *h = cells[i]
+        rows.append((u, v, True, None, None, res.surface_type[i], eps[i], K1, K2, E, F, G,
+                     res.signature[i], du, dv, R[i], R[i] <= tol, *h))
+    return rows
 
 
 def _run_grid(spec, us, vs, degree, tol, jobs):
-    """Records of the points (us, vs), in contiguous batches of at most
+    """Rows of the points (us, vs), in contiguous batches of at most
     MAX_BATCH points, so memory stays bounded; with `jobs` > 1 the batches
-    are handed to worker processes."""
+    are handed to worker processes, at most one per batch."""
     tasks = [(spec, us[k : k + MAX_BATCH], vs[k : k + MAX_BATCH], degree, tol)
              for k in range(0, len(us), MAX_BATCH)]
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [r for task in tasks for r in _analyze_records(task)]
     from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [r for records in pool.map(_analyze_records, tasks) for r in records]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for rows in pool.map(_analyze_records, tasks) for r in rows]
 
 
 def cmd_analyze(ns):
@@ -388,7 +398,7 @@ def cmd_analyze(ns):
     spec = resolve_surface(ns.surface)
     points = [(u, v) for u in _grid_values(grid[0]) for v in _grid_values(grid[1])]
     us, vs = [p[0] for p in points], [p[1] for p in points]
-    records = _run_grid(spec, us, vs, ns.degree, ns.tol, ns.jobs)
+    rows = _AnalyzeRows(_run_grid(spec, us, vs, ns.degree, ns.tol, ns.jobs))
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -396,9 +406,9 @@ def cmd_analyze(ns):
         "degree": effective_degree(ns.degree),
         "tolerance": ns.tol,
         "grid": {"u": list(grid[0]), "v": list(grid[1])},
-        "records": records,
+        "records": rows,
     }
-    _emit(ns, "analyze", doc, ANALYZE_COLUMNS, (_analyze_row(r) for r in records))
+    _emit(ns, "analyze", doc, ANALYZE_COLUMNS, rows)
     return 0
 
 

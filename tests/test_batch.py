@@ -94,8 +94,8 @@ def _jets(res, j=()):
 
 
 def _records(spec, us, vs, degree):
-    records = cli._analyze_records((spec, list(map(float, us)), list(map(float, vs)), degree, 1e-7))
-    return [cli.dumps_json(r) for r in records]
+    rows = cli._analyze_records((spec, list(map(float, us)), list(map(float, vs)), degree, 1e-7))
+    return [cli._record_json(r) for r in rows]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -232,6 +232,11 @@ def test_analyze_constant_domain_error_recorded_inline(tmp_path, bad, message):
         assert rec["message"] == message
 
 
+def _fields(row):
+    """An `analyze` row as a dict keyed by its columns."""
+    return dict(zip(cli.ANALYZE_COLUMNS, row))
+
+
 def test_analyze_non_finite_result_is_not_ok(monkeypatch):
     # a record is "ok" only with finite curvatures, metric and invariants
     def nan_curvature(*args, **kwargs):
@@ -239,7 +244,8 @@ def test_analyze_non_finite_result_is_not_ok(monkeypatch):
         return dataclasses.replace(res, gauss_connection=np.full_like(res.gauss_connection, math.nan))
 
     monkeypatch.setattr(cli, "analyze_point", nan_curvature)
-    (rec,) = cli._analyze_records((builtin_surface("h2"), [0.1], [0.2], 5, 1e-7))
+    (row,) = cli._analyze_records((builtin_surface("h2"), [0.1], [0.2], 5, 1e-7))
+    rec = _fields(row)
     assert rec["ok"] is False
     assert rec["error"] == "ArithmeticFailure"
     assert rec["message"] == "non-finite result: gauss_connection"
@@ -262,16 +268,17 @@ def test_nan_relation_residual_is_not_residual_ok(monkeypatch):
     # floats would skip its NaN
     monkeypatch.setattr(invariants, "relation_residuals", _nan_r3(invariants.relation_residuals))
     assert math.isnan(analyze_point(builtin_surface("h2"), 0.3, -0.2).residual_max)
-    (rec,) = cli._analyze_records((builtin_surface("h2"), [0.3], [-0.2], 5, 1e-7))
-    assert rec["residual_ok"] is not True
+    (row,) = cli._analyze_records((builtin_surface("h2"), [0.3], [-0.2], 5, 1e-7))
+    assert _fields(row)["residual_ok"] is not True
 
 
 def test_nan_in_one_point_flips_only_its_record(monkeypatch):
     spec, us, vs = builtin_surface("s21"), [-0.5, 0.0, 0.5], [0.2, 0.3, 0.4]
-    clean = cli._analyze_records((spec, us, vs, 5, 1e-7))
+    clean_rows = cli._analyze_records((spec, us, vs, 5, 1e-7))
     monkeypatch.setattr(invariants, "relation_residuals", _nan_r3(invariants.relation_residuals, 1))
-    records = cli._analyze_records((spec, us, vs, 5, 1e-7))
-    assert [cli.dumps_json(r) for r in records[::2]] == [cli.dumps_json(r) for r in clean[::2]]
+    rows = cli._analyze_records((spec, us, vs, 5, 1e-7))
+    assert [cli._record_json(r) for r in rows[::2]] == [cli._record_json(r) for r in clean_rows[::2]]
+    clean, records = [_fields(r) for r in clean_rows], [_fields(r) for r in rows]
     assert clean[1]["residual_ok"] is True
     assert records[1]["residual_ok"] is False and math.isnan(records[1]["residual_max"])
     assert {k: x for k, x in records[1].items() if not k.startswith("residual")} == {
@@ -403,6 +410,39 @@ def test_analyze_jobs_byte_identical(tmp_path):
     assert _run(base + ["--jobs", "1", "--out", str(out1)]) == 0
     assert _run(base + ["--jobs", "2", "--out", str(out2)]) == 0
     assert (out1 / "analyze.json").read_bytes() == (out2 / "analyze.json").read_bytes()
+
+
+@pytest.mark.parametrize("points, most", [("-1:1:3", 0), ("-1:1:9", 2)])
+def test_analyze_jobs_start_at_most_one_worker_per_batch(monkeypatch, capsys, points, most):
+    # 9 points are one batch, which runs inline; 81 points are two batches
+    import multiprocessing.process
+
+    calls = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(process):
+        calls.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    argv = ["analyze", "--surface", "h2", "--grid", points, "--format", "csv"]
+    assert _run(argv + ["--jobs", "1"]) == 0
+    inline = capsys.readouterr().out
+    assert calls == []
+    assert _run(argv + ["--jobs", "3"]) == 0
+    assert capsys.readouterr().out == inline
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("command", [["analyze", "--surface", "h2"], ["example", "h2"]])
+@pytest.mark.parametrize("grid", [["-1e308:1e308:3", "0:0:1"], ["0:0:1", "1e308:-1e308:2"]])
+def test_grid_span_must_be_finite(command, grid, capsys):
+    # both bounds are finite but hi - lo overflows, which would make
+    # linspace give inf and nan points
+    with pytest.raises(SystemExit) as exc:
+        _run(command + ["--grid", *grid])
+    assert exc.value.code == 2
+    assert "grid span hi - lo must be finite" in capsys.readouterr().err
 
 
 def test_example_spacelike_files(tmp_path):
