@@ -50,7 +50,7 @@ print("base point: (u, v) = (%g, %g)" % (U0, V0))
 spec = parse_surface(TEXT)
 jets = eval_surface(spec, U0, V0, degree=5)
 fr1 = frame1(jets)
-F0 = np.array([[x.const for x in row] for row in fr1.matrix])
+F0 = fr1.const
 print("\nlevel-1 frame (columns e0..e4) at the base point:")
 print(F0)
 
@@ -96,8 +96,8 @@ for name in sorted(res.invariants.h):
     if abs(val) > 1e-12:
         print("  %s = % .9f" % (name, val))
 print("connection form alpha = %.9f du + %.9f dv"
-      % tuple(x.const for x in res.invariants.alpha))
-E, F, G = (x.const for x in res.metric.first)
+      % tuple(res.invariants.alpha_coeffs[:, 0]))
+E, F, G = res.metric.first_coeffs[:, 0]
 print("metric: E = %.9f, F = %.9f, G = %.9f  (%s)"
       % (E, F, G, res.metric.signature))
 print("Gauss curvature, algebraic route:   % .12f" % res.gauss_invariants)

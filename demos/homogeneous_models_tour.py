@@ -74,7 +74,7 @@ for name in MODEL_NAMES:
     # Pipeline cross-check at one random point: the adaptation chain must
     # reproduce the frozen constants and the closed-form metric.
     res = analyze_point(spec, float(u), float(v), degree=5)
-    E, F, G = (x.const for x in res.metric.first)
+    E, F, G = res.metric.first_coeffs[:, 0]
     Ew, Fw, Gw = model_metric(name, float(u), float(v))
     print("pipeline at (%.3f, %.3f): K_alg = %+.6f, K_conn = %+.6f" %
           (u, v, res.gauss_invariants, res.gauss_connection))

@@ -42,8 +42,6 @@ their coefficients only when they are read.  The level-2 data are arrays
 too: `FundamentalData` holds (h0, h3, h4) as one (..., 3, 3, n) array of
 their (a, b, c) entries, and the reduction works on symmetric forms as
 (..., 3, n) arrays and on 2x2 jet matrices as (..., 2, 2, n) arrays.
-Views with TaylorScalar entries (`Frame5T.matrix`, ...) are built on
-demand only, for one point.
 """
 
 import math
@@ -72,7 +70,7 @@ from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solv
     resize,
     solve,
 )
-from .taylor import TaylorScalar, apply, degree_of, derivative, n_terms, stack
+from .taylor import apply, degree_of, derivative, n_terms, stack
 
 __all__ = [
     "Frame5T",
@@ -91,11 +89,6 @@ __all__ = [
 ]
 
 
-def _jet(c, degree):
-    """TaylorScalar of the first n_terms(degree) coefficients of c."""
-    return TaylorScalar(c[: n_terms(degree)])
-
-
 def _scalar(x):
     """A per-point value as a Python scalar for one point; a batch's array as is."""
     return x.item() if np.ndim(x) == 0 else x
@@ -109,10 +102,9 @@ class Frame5T:
     degree carry no meaning.  A frame made by `apply_gauge` keeps the
     (frame, gauge) pair it comes from as `source` and multiplies it out
     when `coeffs` is first read; `const`, the (..., 5, 5) constant part,
-    is a float product.  `matrix` is the nested list of TaylorScalar
-    entries of one point, built on first use.  `surface_type` is the case
-    of a frame from `adapt2_*` ("SpaceLike" or "TimeLike"), which the
-    level-3 frame keeps, and "" for a level-1 frame.
+    is a float product.  `surface_type` is the case of a frame from
+    `adapt2_*` ("SpaceLike" or "TimeLike"), which the level-3 frame keeps,
+    and "" for a level-1 frame.
     """
 
     def __init__(self, coeffs, degrees, surface_type="", source=None):
@@ -134,10 +126,6 @@ class Frame5T:
             return frame.const @ np.ascontiguousarray(gauge.coeffs[..., 0])
         return self._coeffs[..., 0]
 
-    @cached_property
-    def matrix(self):
-        return [[_jet(c, d) for c, d in zip(row, self.degrees)] for row in self.coeffs]
-
 
 @dataclass(eq=False)
 class MCField:
@@ -145,8 +133,7 @@ class MCField:
 
     `omega` is a (..., 2, 5, 5, n) coefficient array, omega[..., 0, :, :]
     the du parts and omega[..., 1, :, :] the dv parts; `degrees[j]` is the
-    degree of column j.  `coframe()` gives the coframe block of one point as
-    TaylorScalar entries.
+    degree of column j.
 
     `projection` expresses all 25 entries in the coframe (omega^1_0,
     omega^2_0) by one 2x2 jet solve: omega^i_j = x1 omega^1_0 + x2 omega^2_0
@@ -159,11 +146,6 @@ class MCField:
 
     omega: np.ndarray
     degrees: tuple
-
-    def coframe(self):
-        """Rows are the (du, dv) coefficients of omega^1_0 and omega^2_0."""
-        d = self.degrees[0]
-        return [[_jet(self.omega[a, k, 0], d) for a in (0, 1)] for k in (1, 2)]
 
     @property
     def projection_degrees(self):
@@ -185,15 +167,16 @@ class MCField:
 
 
 class SymMat2T(NamedTuple):
-    """Entries of a symmetric 2x2 jet matrix [[a, b], [b, c]]."""
+    """Entries of a symmetric 2x2 jet matrix [[a, b], [b, c]] of one point,
+    as (n,) coefficient arrays."""
 
-    a: TaylorScalar
-    b: TaylorScalar
-    c: TaylorScalar
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
     def const(self):
         """Constant-term triple (a0, b0, c0) as floats."""
-        return (self.a.const, self.b.const, self.c.const)
+        return (float(self.a[0]), float(self.b[0]), float(self.c[0]))
 
 
 @dataclass(eq=False)
@@ -203,10 +186,9 @@ class FundamentalData:
     `coeffs` is a (..., 3, 3, n) coefficient array: rows h0, h3, h4, the
     symmetric 2x2 coefficient matrices of omega^k_1,2 against the coframe
     (k = 0, 3, 4), and columns their (a, b, c) entries [[a, b], [b, c]], all
-    of degree `degree`.  `h0`, `h3` and `h4` are read-only views of one
-    point with TaylorScalar entries, built on each access.  `asymmetry`
-    is the largest violation of Cartan-lemma symmetry (a numerical
-    diagnostic), per point.
+    of degree `degree`.  `h0`, `h3` and `h4` are the `SymMat2T` of one
+    point.  `asymmetry` is the largest violation of Cartan-lemma symmetry
+    (a numerical diagnostic), per point.
     """
 
     coeffs: np.ndarray
@@ -214,7 +196,7 @@ class FundamentalData:
     asymmetry: float
 
     def _form(self, k):
-        return SymMat2T(*(_jet(c, self.degree) for c in self.coeffs[k]))
+        return SymMat2T(*self.coeffs[k])
 
     h0 = property(lambda self: self._form(0))
     h3 = property(lambda self: self._form(1))

@@ -213,6 +213,25 @@ def _grid_spec(text):
     return (lo, hi, n)
 
 
+def _checked(convert, ok, rule):
+    """An option type: `convert` the text, a usage error unless `ok` holds
+    of the value (`rule` says what must hold)."""
+    def parse(text):
+        try:
+            x = convert(text)
+        except ValueError:
+            x = None
+        if x is None or not ok(x):
+            raise argparse.ArgumentTypeError("%s, got %r" % (rule, text))
+        return x
+    return parse
+
+
+_tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0, "tolerance must be finite and >= 0")
+_seed = _checked(int, lambda n: n >= 0, "seed must be an integer >= 0")
+_restarts = _checked(int, lambda n: n >= 1, "restarts must be an integer >= 1")
+
+
 def _grid_axes(specs):
     if len(specs) > 2:
         raise CentroframeError("--grid takes one or two lo:hi:count specs")
@@ -244,7 +263,7 @@ def build_parser():
     sp.add_argument("--surface", default="", help="built-in name, file path, or inline text with 5 ';'-separated components")
     _add_grid(sp)
     sp.add_argument("--degree", type=int, default=4, help="surface jet degree (default 4; raised to 5 for the curvature-by-connection route; the output records the degree used)")
-    sp.add_argument("--tol", type=float, default=1e-7, help="relation-residual tolerance for residual_ok (default 1e-7)")
+    sp.add_argument("--tol", type=_tolerance, default=1e-7, help="relation-residual tolerance for residual_ok (default 1e-7)")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps, at most one per batch of %d points (default 1; ordering is unaffected)" % MAX_BATCH)
     _add_output(sp, "json", "output directory (default: print to stdout)")
     sp.set_defaults(run=cmd_analyze)
@@ -264,16 +283,16 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run verification checks")
     sp.add_argument("--check", choices=tuple(_CHECKS), default=None, help="run only this check")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance for every check (per-check default otherwise)")
-    sp.add_argument("--seed", type=int, default=0, help="random seed for the sampled checks (default 0)")
+    sp.add_argument("--tol", type=_tolerance, default=None, help="tolerance for every check (per-check default otherwise)")
+    sp.add_argument("--seed", type=_seed, default=0, help="random seed for the sampled checks (default 0)")
     _add_output(sp, "json", "write the report to this directory (default: none)")
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("search", help="search for constant-invariant solutions")
     sp.add_argument("case", metavar="CASE", help="one of: %s" % ", ".join(_SEARCH_CASES))
-    sp.add_argument("--restarts", type=int, default=200, help="number of random starts (default 200)")
-    sp.add_argument("--seed", type=int, default=0, help="random seed for the starts (default 0)")
-    sp.add_argument("--tol", type=float, default=1e-10, help="max residual of a converged start (default 1e-10)")
+    sp.add_argument("--restarts", type=_restarts, default=200, help="number of random starts (default 200)")
+    sp.add_argument("--seed", type=_seed, default=0, help="random seed for the starts (default 0)")
+    sp.add_argument("--tol", type=_tolerance, default=1e-10, help="max residual of a converged start (default 1e-10)")
     _add_output(sp, "json", "write the report to this directory (default: none)")
     sp.set_defaults(run=cmd_search)
 
@@ -375,14 +394,15 @@ def _analyze_records(task):
 
 
 def _run_grid(spec, us, vs, degree, tol, jobs):
-    """Rows of the points (us, vs), in contiguous batches of at most
-    MAX_BATCH points, so memory stays bounded; with `jobs` > 1 the batches
-    are handed to worker processes, at most one per batch."""
+    """Rows of the points (us, vs).  In process the grid is one batch, whose
+    memory `analyze_point` bounds by its sub-batches; with `jobs` > 1 the
+    grid is split into contiguous tasks of at most MAX_BATCH points, the
+    same sub-batches, for worker processes, at most one per task."""
+    workers = min(jobs, math.ceil(len(us) / MAX_BATCH))
+    if workers <= 1:
+        return _analyze_records((spec, us, vs, degree, tol))
     tasks = [(spec, us[k : k + MAX_BATCH], vs[k : k + MAX_BATCH], degree, tol)
              for k in range(0, len(us), MAX_BATCH)]
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [r for task in tasks for r in _analyze_records(task)]
     from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -95,9 +95,9 @@ class InvariantSet:
     omega^2_0 (rows) in du and dv (columns).  `projection` is P (2, 5, 5, n)
     at its lowest column degree; `structure`, its `structure_terms`, is
     shared by the relations and the curvature.  For a batch of N points of
-    one type every array, and `epsilon`, has a leading axis.  `h`, `alpha`
-    and `vanishing` are read-only views of one point with TaylorScalar
-    entries, built on each access.
+    one type every array, and `epsilon`, has a leading axis.  `h` is the
+    read-only view of one point with TaylorScalar entries, built on each
+    access.
     """
 
     surface_type: str
@@ -109,9 +109,6 @@ class InvariantSet:
     projection: np.ndarray
 
     h = property(lambda self: {k: TaylorScalar(c) for k, c in self.h_coeffs.items()})
-    alpha = property(lambda self: tuple(map(TaylorScalar, self.alpha_coeffs)))
-    vanishing = property(lambda self: {k: TaylorScalar(c)
-                                       for k, c in self.vanishing_coeffs.items()})
 
     @cached_property
     def structure(self):
@@ -123,19 +120,16 @@ class MetricData:
     """Induced metrics in the surface coordinates.
 
     `first_coeffs` (3, n) holds the (E, F, G) jets with
-    I = E du^2 + 2 F du dv + G dv^2, and `first` is its read-only view of
-    one point, three TaylorScalars built on each access.  `normal_gram` is
-    the ambient 5x5 Gram matrix of the normal-bundle metric at the base
-    point: for an ambient vector X it evaluates to x3^2 + x4^2 (space-like)
-    or 2 x3 x4 (time-like), where (x3, x4) are the components of X along
-    (e3, e4).  For a batch, (N, 3, n) and (N, 5, 5).
+    I = E du^2 + 2 F du dv + G dv^2.  `normal_gram` is the ambient 5x5
+    Gram matrix of the normal-bundle metric at the base point: for an
+    ambient vector X it evaluates to x3^2 + x4^2 (space-like) or 2 x3 x4
+    (time-like), where (x3, x4) are the components of X along (e3, e4).
+    For a batch, (N, 3, n) and (N, 5, 5).
     """
 
     first_coeffs: np.ndarray
     normal_gram: np.ndarray
     signature: str
-
-    first = property(lambda self: tuple(map(TaylorScalar, self.first_coeffs)))
 
 
 # Row i of M0 | M1 | M2 per case; the tokens are explained above.
@@ -427,8 +421,7 @@ class AnalysisResult:
     Inside `analyze_point` the same record holds a batch of points of one
     surface type, every field but `surface_type` with a leading axis.
     `frame` is built from the level-1 frame and the gauges when its
-    coefficients are read.  The records hold coefficient arrays; their
-    TaylorScalar views (`invariants.h`, ...) are built when read.
+    coefficients are read.  The records hold coefficient arrays.
     """
 
     u: float
@@ -454,9 +447,10 @@ class AnalysisBatch:
     `surface_type` and `signature` (None where failed), `epsilon`, the two
     curvatures, `metric` (N, 3) (E, F, G), `alpha` (N, 2) (du, dv),
     `residual_max`, and `h` (N, len(H_ALL)), one column per invariant name
-    of `H_ALL` (NaN where the name is not of the point's type).  The
-    batch keeps no frames, Maurer-Cartan fields or jets: for those of one
-    point, call `analyze_point` on that point, which gives the same values.
+    of `H_ALL` (NaN where the name is not of the point's type).  Each
+    sub-batch is written into the columns as it completes, and its frames,
+    Maurer-Cartan fields and jets are dropped: for those of one point, call
+    `analyze_point` on that point, which gives the same values.
     """
 
     u: np.ndarray
@@ -474,7 +468,8 @@ class AnalysisBatch:
 
     @classmethod
     def of(cls, U, V, errors, parts):
-        """The columns of the results of `_analyze`."""
+        """The columns of the (indices, batch AnalysisResult) `parts`, read
+        one at a time as `_analyze` yields them."""
         N = U.size
         nan = np.full(N, np.nan)
         out = cls(
@@ -534,9 +529,10 @@ def analyze_point(spec, u0, v0, degree=4):
     -------
     AnalysisResult, or AnalysisBatch for arrays
         A point runs as itself, every array without a batch axis.  A batch
-        runs in batches of at most MAX_BATCH points, each stage once per
-        batch and per surface type; a point's results do not depend on the
-        batch it runs in.
+        runs in sub-batches of at most MAX_BATCH points, each stage once per
+        sub-batch and per surface type, and each sub-batch's results go into
+        the columns as it completes, so memory is bounded by MAX_BATCH, not
+        by N; a point's results do not depend on the batch it runs in.
 
     Raises
     ------
@@ -548,7 +544,8 @@ def analyze_point(spec, u0, v0, degree=4):
     if U.ndim == 0:
         fr1, mc1, fund1, stype = _front(spec, U, V, effective_degree(degree))
         return _tail(stype.tag, U, V, fr1, mc1, fund1, stype.gram)
-    return AnalysisBatch.of(U, V, *_analyze(spec, U, V, degree))
+    errors = {}
+    return AnalysisBatch.of(U, V, errors, _analyze(spec, U, V, degree, errors))
 
 
 def _settle(run, index, errors):
@@ -604,11 +601,11 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram):
     )
 
 
-def _analyze(spec, U, V, degree):
-    """The errors, by point index, and the (indices, batch AnalysisResult)
-    parts of each batch of one type, for the points (U, V)."""
+def _analyze(spec, U, V, degree, errors):
+    """Yield the (indices, batch AnalysisResult) part of each sub-batch of
+    one type, for the points (U, V), recording the errors in `errors` by
+    point index."""
     d = effective_degree(degree)
-    errors, parts = {}, []
     for lo in range(0, U.size, MAX_BATCH):
         index = np.arange(lo, min(lo + MAX_BATCH, U.size))
         index, front = _settle(lambda pos: _front(spec, U[index[pos]], V[index[pos]], d),
@@ -634,5 +631,4 @@ def _analyze(spec, U, V, degree):
 
             rows, part = _settle(run, index[sel], errors)
             if part is not None:
-                parts.append((rows, part))
-    return errors, parts
+                yield rows, part

@@ -31,13 +31,7 @@ __all__ = [
     "product",
     "power",
     "apply",
-    "sin",
-    "cos",
-    "sinh",
-    "cosh",
-    "exp",
     "sqrt",
-    "rsqrt",
     "reciprocal",
     "ZERO_TOL",
 ]
@@ -249,20 +243,7 @@ class TaylorScalar:
             return NotImplemented
         return TaylorScalar(power(self.coeffs, int(n), self.degree))
 
-    # -- calculus ------------------------------------------------------------
-
-    def _derivative(self, axis):
-        if self.degree == 0:
-            return TaylorScalar.constant(0.0, 0)
-        return TaylorScalar(derivative(self.coeffs, self.degree, axis))
-
-    def deriv_u(self):
-        """Partial derivative with respect to u; degree drops by one."""
-        return self._derivative(0)
-
-    def deriv_v(self):
-        """Partial derivative with respect to v; degree drops by one."""
-        return self._derivative(1)
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at offsets (du, dv)."""
@@ -308,9 +289,9 @@ def coordinate_jets(u0, v0, degree):
 #
 # Each takes and returns coefficient arrays of one degree, the coefficients
 # on the last axis; leading axes (a batch of points, entries of a matrix)
-# broadcast.  The jet operators and functions above and below are thin
-# wrappers, and compiled surfaces call the kernels directly.  None of them
-# writes to its inputs.
+# broadcast.  The pipeline and compiled surfaces call the kernels directly;
+# TaylorScalar's operators and `sqrt` and `reciprocal` below are thin
+# wrappers for one jet.  None of them writes to its inputs.
 # ---------------------------------------------------------------------------
 
 
@@ -466,43 +447,13 @@ def apply(name, c, degree):
 
 
 # ---------------------------------------------------------------------------
-# Elementary functions of jets
+# Functions of TaylorScalars
 # ---------------------------------------------------------------------------
-
-
-def sin(x):
-    """Sine of a jet."""
-    return TaylorScalar(apply("sin", x.coeffs, x.degree))
-
-
-def cos(x):
-    """Cosine of a jet."""
-    return TaylorScalar(apply("cos", x.coeffs, x.degree))
-
-
-def sinh(x):
-    """Hyperbolic sine of a jet."""
-    return TaylorScalar(apply("sinh", x.coeffs, x.degree))
-
-
-def cosh(x):
-    """Hyperbolic cosine of a jet."""
-    return TaylorScalar(apply("cosh", x.coeffs, x.degree))
-
-
-def exp(x):
-    """Exponential of a jet."""
-    return TaylorScalar(apply("exp", x.coeffs, x.degree))
 
 
 def sqrt(x):
     """Square root of a jet; the constant term must be strictly positive."""
     return TaylorScalar(apply("sqrt", x.coeffs, x.degree))
-
-
-def rsqrt(x):
-    """Reciprocal square root of a jet (constant term must be positive)."""
-    return TaylorScalar(apply("rsqrt", x.coeffs, x.degree))
 
 
 def reciprocal(x):

@@ -10,6 +10,7 @@ message in a batch as it raises alone.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,8 +119,7 @@ def test_point_results_do_not_depend_on_the_batch(case):
             assert _row(sub, 2 * keep.index(i) + 1) == alone, i
 
     # the batch's jets, before it keeps only their constant terms
-    _, parts = invariants._analyze(spec, US, VS, degree)
-    for rows, part in parts:
+    for rows, part in invariants._analyze(spec, US, VS, degree, {}):
         for j, i in enumerate(rows.tolist()):
             assert _jets(part, j) == _jets(_alone(spec, US[i], VS[i], degree)), i
 
@@ -129,6 +129,24 @@ def test_point_results_do_not_depend_on_the_batch(case):
         assert records[i] == _records(spec, US[i : i + 1], VS[i : i + 1], degree)[0], i
         if i in keep:
             assert sub_records[2 * keep.index(i) + 1] == records[i], i
+
+
+def test_batch_memory_does_not_grow_with_its_length():
+    # each sub-batch's frames, forms and jets are dropped once its rows are
+    # in the columns, so ten times the points reach about the same peak
+    spec = parse_surface(BUILTIN_SURFACES["h2"])
+
+    def peak(n):
+        grid = np.linspace(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            analyze_point(spec, grid, -grid, degree=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(128)  # warm up the kernel tables
+    assert peak(1280) <= 1.5 * peak(128)
 
 
 @pytest.mark.parametrize("text, us, vs", [

@@ -445,6 +445,25 @@ def test_grid_span_must_be_finite(command, grid, capsys):
     assert "grid span hi - lo must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["analyze", "--surface", "h2", "--grid", "0:0:1", "--tol", "-1"], "tolerance must be finite"),
+    (["analyze", "--surface", "h2", "--grid", "0:0:1", "--tol", "nan"], "tolerance must be finite"),
+    (["search", "timelike", "--restarts", "1", "--tol", "nan"], "tolerance must be finite"),
+    (["verify", "--check", "brackets", "--tol", "nan"], "tolerance must be finite"),
+    (["verify", "--check", "brackets", "--tol", "inf"], "tolerance must be finite"),
+    (["search", "spacelike", "--restarts", "1", "--seed", "-1"], "seed must be an integer >= 0"),
+    (["verify", "--check", "metrics", "--seed", "-500"], "seed must be an integer >= 0"),
+    (["search", "spacelike", "--restarts", "-3"], "restarts must be an integer >= 1"),
+    (["search", "spacelike", "--restarts", "0"], "restarts must be an integer >= 1"),
+])
+def test_unusable_numeric_option_is_a_usage_error(argv, rule, capsys):
+    # each of these ran at the cost of its results, or crashed in numpy
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert rule in capsys.readouterr().err
+
+
 def test_example_spacelike_files(tmp_path):
     rc = _run(["example", "h2", "--grid", "-1:1:4", "--out", str(tmp_path)])
     assert rc == 0

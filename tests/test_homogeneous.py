@@ -447,7 +447,7 @@ def test_model_metric_against_pipeline():
         spec = builtin_surface(name)
         for (u, v) in pts:
             res = analyze_point(spec, u, v, degree=5)
-            got = tuple(x.const for x in res.metric.first)
+            got = tuple(res.metric.first_coeffs[:, 0])
             assert got == pytest.approx(model_metric(name, u, v), abs=1e-9)
 
 

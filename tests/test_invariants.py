@@ -38,7 +38,7 @@ from centroframe.invariants import (
     relation_residuals,
 )
 from centroframe.surfaces import builtin_surface, parse_surface
-from centroframe.taylor import TaylorScalar
+from centroframe.taylor import TaylorScalar, degree_of
 
 NULL_FIXTURE = "1 + u^2/2 + v^2/2; u; v; u^2/2; u*v"
 
@@ -131,7 +131,7 @@ def test_metric_closed_forms():
         ("s21", (0.4, 0.3), (-3 * np.cosh(0.3) ** 2, 0.0, 3.0)),
     ]:
         res = _analyze(name, u, v)
-        E, F, G = (x.const for x in res.metric.first)
+        E, F, G = res.metric.first_coeffs[:, 0]
         assert (E, F, G) == pytest.approx(want, abs=1e-9)
     assert _analyze("h2", 0.1, 0.2).metric.signature == "Riemannian"
     assert _analyze("s21", 0.1, 0.2).metric.signature == "Lorentzian"
@@ -141,7 +141,7 @@ def test_normal_gram_evaluates_normal_metric():
     # the ambient Gram reproduces the normal-bundle inner product on the
     # frame vectors themselves: <e3,e3> etc.
     res = _analyze("h2", 0.25, -0.15)
-    F0 = np.array([[x.const for x in row] for row in res.frame.matrix])
+    F0 = res.frame.const
     Gram = res.metric.normal_gram
     e3, e4 = F0[:, 3], F0[:, 4]
     assert e3 @ Gram @ e3 == pytest.approx(1.0, abs=1e-10)
@@ -152,7 +152,7 @@ def test_normal_gram_evaluates_normal_metric():
         assert F0[:, col] @ Gram @ F0[:, col] == pytest.approx(0.0, abs=1e-10)
 
     res = _analyze("s21", 0.25, -0.15)
-    F0 = np.array([[x.const for x in row] for row in res.frame.matrix])
+    F0 = res.frame.const
     Gram = res.metric.normal_gram
     e3, e4 = F0[:, 3], F0[:, 4]
     assert e3 @ Gram @ e3 == pytest.approx(0.0, abs=1e-10)
@@ -182,8 +182,8 @@ def test_relations_hold_on_perturbed_surfaces():
         rels = relation_residuals(res.invariants)
         for name, jet in rels.items():
             assert abs(jet[0]) < 1e-9, (text[:30], name)
-        for name, jet in res.invariants.vanishing.items():
-            assert abs(jet.const) < 1e-9, (text[:30], name)
+        for name, jet in res.invariants.vanishing_coeffs.items():
+            assert abs(jet[0]) < 1e-9, (text[:30], name)
 
 
 def test_curvature_routes_agree_on_perturbed_surfaces():
@@ -423,8 +423,8 @@ def test_connection_route_needs_degree():
 @pytest.mark.parametrize("name", ["h2", "s21"])
 def test_records_hold_arrays_and_views_are_built_when_read(name):
     """One jet representation: a point's records and the functions that
-    build them give coefficient arrays, and the TaylorScalar views carry
-    the same bytes."""
+    build them give coefficient arrays, and the TaylorScalar view of `h`
+    carries the same bytes."""
     res = _analyze(name, 0.3, -0.2)
     inv = extract_invariants(res.mc, res.surface_type, res.epsilon)
     arrays = [*inv.h_coeffs.values(), *inv.vanishing_coeffs.values(), inv.alpha_coeffs,
@@ -432,15 +432,11 @@ def test_records_hold_arrays_and_views_are_built_when_read(name):
               gauss_from_connection(inv), metric_at(res.frame, res.mc).first_coeffs]
     assert all(type(a) is np.ndarray for a in arrays)
 
-    views = [(res.invariants.h, res.invariants.h_coeffs),
-             (res.invariants.vanishing, res.invariants.vanishing_coeffs),
-             (dict(enumerate(res.invariants.alpha)), dict(enumerate(res.invariants.alpha_coeffs))),
-             (dict(enumerate(res.metric.first)), dict(enumerate(res.metric.first_coeffs)))]
-    for view, stored in views:
-        assert list(view) == list(stored)
-        for k, jet in view.items():
-            assert isinstance(jet, TaylorScalar)
-            assert jet.coeffs.tobytes() == stored[k].tobytes(), k
+    view, stored = res.invariants.h, res.invariants.h_coeffs
+    assert list(view) == list(stored)
+    for k, jet in view.items():
+        assert isinstance(jet, TaylorScalar)
+        assert jet.coeffs.tobytes() == stored[k].tobytes(), k
 
     assert fiber_invariant_scalars(res.invariants) == fiber_invariant_scalars(inv)
     batch = _analyze(name, np.array([0.3]), np.array([-0.2]))
@@ -490,12 +486,12 @@ def test_reported_jet_degrees_are_pinned(case):
         k: top - (k in lower) for k in res.invariants.h
     }
     assert len(res.invariants.h) == (22 if res.surface_type == "SpaceLike" else 20)
-    assert set(res.invariants.vanishing) == _VANISHING
-    assert {k: x.degree for k, x in res.invariants.vanishing.items()} == {
+    assert set(res.invariants.vanishing_coeffs) == _VANISHING
+    assert {k: degree_of(x.shape[-1]) for k, x in res.invariants.vanishing_coeffs.items()} == {
         k: top - (k in _LOWER_DEGREE_VANISHING) for k in _VANISHING
     }
-    assert [a.degree for a in res.invariants.alpha] == [top, top]
-    assert [x.degree for x in res.metric.first] == [top, top, top]
+    assert [degree_of(a.shape[-1]) for a in res.invariants.alpha_coeffs] == [top, top]
+    assert [degree_of(x.shape[-1]) for x in res.metric.first_coeffs] == [top, top, top]
 
 
 def test_analyze_point_bumps_degree_for_connection():
@@ -578,7 +574,7 @@ def _fill_invariants(rng, S, surface_type, epsilon):
     P = S + alpha[:, None, None] * LAYOUTS[surface_type].M0
     inv = extract_invariants(MCField(P[..., None], (0,) * 5), surface_type, epsilon)
     h = {k: x.const for k, x in inv.h.items()}
-    v = {k: x.const for k, x in inv.vanishing.items()}
+    v = {k: x[0] for k, x in inv.vanishing_coeffs.items()}
     return inv, h, v, np.max(np.abs(P)) ** 2
 
 

@@ -187,8 +187,6 @@ def test_file_loading(tmp_path):
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _PLAIN = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
           "exp": math.exp, "sqrt": math.sqrt, "neg": operator.neg}
-_JET = {"sin": taylor.sin, "cos": taylor.cos, "sinh": taylor.sinh, "cosh": taylor.cosh,
-        "exp": taylor.exp, "sqrt": taylor.sqrt, "neg": operator.neg}
 
 
 def _tree_walk(node, env):
@@ -204,8 +202,10 @@ def _tree_walk(node, env):
         return args[0] ** int(node.value)
     if node.kind == "binary":
         return _BINARY[node.name](*args)
-    table = _JET if isinstance(args[0], TaylorScalar) else _PLAIN
-    return table[node.name](args[0])
+    x = args[0]
+    if not isinstance(x, TaylorScalar):
+        return _PLAIN[node.name](x)
+    return -x if node.name == "neg" else TaylorScalar(taylor.apply(node.name, x.coeffs, x.degree))
 
 
 def _reference_jets(spec, u0, v0, degree):

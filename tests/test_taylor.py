@@ -15,6 +15,11 @@ from centroframe.errors import DomainError, ZeroConstantTerm
 from centroframe.taylor import TaylorScalar, coordinate_jets
 
 
+def _of(name, x):
+    """The elementary function `name` of a TaylorScalar, by the array kernel."""
+    return TaylorScalar(taylor.apply(name, x.coeffs, x.degree))
+
+
 def test_coordinate_jets_layout():
     u, v = coordinate_jets(0.25, -1.5, 3)
     assert u.degree == 3 and v.degree == 3
@@ -50,7 +55,7 @@ def test_reciprocal_geometric_series():
 
 def test_division_roundtrip():
     u, v = coordinate_jets(0.3, 0.4, 4)
-    x = 1.0 + u * v + taylor.cos(u)
+    x = 1.0 + u * v + _of("cos", u)
     assert np.allclose((x / x).coeffs, TaylorScalar.constant(1.0, 4).coeffs, atol=1e-14)
 
 
@@ -65,7 +70,7 @@ def test_sqrt_domain_error():
     with pytest.raises(DomainError):
         taylor.sqrt(u)
     with pytest.raises(DomainError):
-        taylor.rsqrt(TaylorScalar.constant(0.0, 3))
+        _of("rsqrt", TaylorScalar.constant(0.0, 3))
 
 
 def test_pow_matches_repeated_multiplication():
@@ -79,19 +84,19 @@ def test_pow_matches_repeated_multiplication():
 def test_derivative_of_monomial():
     u, v = coordinate_jets(0.0, 0.0, 3)
     m = u * u * v  # du^2 dv
-    mu = m.deriv_u()
+    mu = TaylorScalar(taylor.derivative(m.coeffs, m.degree, 0))
     assert mu.degree == 2
     assert mu.coefficient(1, 1) == 2.0
-    mv = m.deriv_v()
+    mv = TaylorScalar(taylor.derivative(m.coeffs, m.degree, 1))
     assert mv.coefficient(2, 0) == 1.0
 
 
 def test_derivatives_match_coefficient_loop():
     rng = np.random.default_rng(5)
-    for degree in range(8):
+    for degree in range(1, 8):
         x = TaylorScalar(rng.uniform(-1.0, 1.0, taylor.n_terms(degree)))
-        du, dv = x.deriv_u(), x.deriv_v()
-        assert du.degree == dv.degree == max(degree - 1, 0)
+        du, dv = (TaylorScalar(taylor.derivative(x.coeffs, degree, axis)) for axis in (0, 1))
+        assert du.degree == dv.degree == degree - 1
         for s in range(degree):
             for b in range(s + 1):
                 a = s - b
@@ -111,9 +116,9 @@ def _sample(u, v):
 def _sample_jet(u0, v0, degree):
     u, v = coordinate_jets(u0, v0, degree)
     return (
-        taylor.sin(u * v) * taylor.exp(0.3 * u)
-        + taylor.cosh(v) / taylor.sqrt(u + 2.0)
-        + taylor.cos(u) * taylor.sinh(0.5 * v)
+        _of("sin", u * v) * _of("exp", 0.3 * u)
+        + _of("cosh", v) / _of("sqrt", u + 2.0)
+        + _of("cos", u) * _of("sinh", 0.5 * v)
     )
 
 
@@ -155,15 +160,15 @@ def test_elementary_identities():
     u, v = coordinate_jets(0.3, 0.8, 5)
     x = u + 0.5 * v
     one = TaylorScalar.constant(1.0, 5).coeffs
-    assert np.allclose((taylor.sin(x) ** 2 + taylor.cos(x) ** 2).coeffs, one, atol=1e-13)
-    assert np.allclose((taylor.cosh(x) ** 2 - taylor.sinh(x) ** 2).coeffs, one, atol=1e-13)
+    assert np.allclose((_of("sin", x) ** 2 + _of("cos", x) ** 2).coeffs, one, atol=1e-13)
+    assert np.allclose((_of("cosh", x) ** 2 - _of("sinh", x) ** 2).coeffs, one, atol=1e-13)
     assert np.allclose(
-        (taylor.exp(x) * taylor.exp(-x)).coeffs, one, atol=1e-13
+        (_of("exp", x) * _of("exp", -x)).coeffs, one, atol=1e-13
     )
     y = 2.0 + u * v
     assert np.allclose((taylor.sqrt(y) * taylor.sqrt(y)).coeffs, y.coeffs, atol=1e-13)
     assert np.allclose(
-        (taylor.rsqrt(y) * taylor.sqrt(y) * y).coeffs, y.coeffs, atol=1e-13
+        (_of("rsqrt", y) * taylor.sqrt(y) * y).coeffs, y.coeffs, atol=1e-13
     )
 
 
