@@ -70,7 +70,7 @@ from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solv
     resize,
     solve,
 )
-from .taylor import apply, degree_of, derivative, n_terms, stack
+from .taylor import apply, degree_of, gradient, n_terms, stack
 
 __all__ = [
     "Frame5T",
@@ -147,7 +147,7 @@ class MCField:
     omega: np.ndarray
     degrees: tuple
 
-    @property
+    @cached_property
     def projection_degrees(self):
         return tuple(min(self.degrees[0], d) for d in self.degrees)
 
@@ -157,13 +157,20 @@ class MCField:
 
     def project(self, rows, cols):
         # cu du + cv dv = x1 omega^1_0 + x2 omega^2_0 means C^T (x1, x2) = (cu, cv)
-        rows, cols = list(rows), list(cols)
-        degree = max(self.projection_degrees[j] for j in cols)
+        pd = self.projection_degrees
+        degree = max(pd[j] for j in cols)
         n = n_terms(degree)
         batch = self.omega.shape[:-4]
         Ct = resize(self.omega[..., 1:3, 0, :], n)
-        rhs = resize(self.omega[..., rows, :, :][..., cols, :], n).reshape(*batch, 2, -1, n)
-        return jet_solve(Ct, rhs, degree).reshape(*batch, 2, len(rows), len(cols), n)
+        rhs = resize(self.omega[..., _axis_index(rows), :, :][..., _axis_index(cols), :], n)
+        X = jet_solve(Ct, rhs.reshape(*batch, 2, -1, n), degree)
+        return X.reshape(*batch, 2, len(rows), len(cols), n)
+
+
+def _axis_index(ix):
+    """Rows or columns to pick: a range of step 1 as a slice, which takes a
+    view, anything else as a list."""
+    return slice(ix.start, ix.stop) if isinstance(ix, range) and ix.step == 1 else list(ix)
 
 
 class SymMat2T(NamedTuple):
@@ -244,29 +251,38 @@ class GaugeTransform:
     B = property(lambda self: self.coeffs[3:5, 3:5, 0].tolist())
     r = property(lambda self: tuple(map(tuple, self.coeffs[0:3, 3:5, 0].tolist())))
 
+    @cached_property
+    def _pattern(self):
+        """What K's float entries (the same at every point) say, worked out
+        once per gauge: `kept[j]` when column j is the float unit vector
+        e_j, `used[t, j]` unless K[t][j] is the float 0, `bounds[j]` the
+        (t, degree of K[t][j]) of the rows that column j uses, and
+        `unipotent` when A and B are the float identity."""
+        is_float = np.isinf(self.degrees)
+        K0 = self.coeffs[(0,) * (self.coeffs.ndim - 3)][:, :, 0]
+        unit = is_float & (K0 == _EYE5)
+        kept, used = np.logical_and.reduce(unit), ~(is_float & (K0 == 0.0))
+        degrees = self.degrees.tolist()
+        bounds = [[(t, degrees[t][j]) for t, u in enumerate(col) if u]
+                  for j, col in enumerate(used.T.tolist())]
+        return kept, used, bounds, bool(np.logical_and.reduce(unit[_AB_BLOCKS]))
+
 
 _EYE5 = np.eye(5)
-
-
-def _float_part(gauge):
-    """Which entries of a gauge are floats, and its constant part at one
-    point (its float entries are the same at every point)."""
-    return np.isinf(gauge.degrees), gauge.coeffs[(0,) * (gauge.coeffs.ndim - 3)][:, :, 0]
+_AB_BLOCKS = np.zeros((5, 5), dtype=bool)  # where A and B sit in a gauge
+_AB_BLOCKS[1:3, 1:3] = _AB_BLOCKS[3:5, 3:5] = True
 
 
 def _gauge_rule(degrees, gauge):
-    """Column degrees of F K for a frame F with column `degrees`, and which
-    columns K keeps and which rows of K each column uses (see `apply_gauge`)."""
-    is_float, K0 = _float_part(gauge)
-    used = ~(is_float & (K0 == 0.0))
-    kept = (is_float & (K0 == _EYE5)).all(axis=0)
-    bound = np.where(used, np.minimum(np.array(degrees)[:, None], gauge.degrees), np.inf)
-    return tuple(int(d) for d in np.where(kept, degrees, bound.min(axis=0))), kept, used
+    """Column degrees of F K for a frame F with column `degrees` (see `apply_gauge`)."""
+    kept, _, bounds, _ = gauge._pattern
+    return tuple(d if keep else int(min([min(degrees[t], g) for t, g in rows] or [np.inf]))
+                 for d, keep, rows in zip(degrees, kept.tolist(), bounds))
 
 
 def _gauge_product(frame, gauge, degrees):
     """The coefficients of F K, at the column degrees of the gauge rule."""
-    _, kept, used = _gauge_rule(frame.degrees, gauge)
+    kept, used, _, _ = gauge._pattern
     n = n_terms(max(degrees))
     coeffs = resize(frame.coeffs, n).copy()
     cols = np.flatnonzero(~kept)
@@ -293,7 +309,7 @@ def apply_gauge(frame, gauge, surface_type=None):
     """
     return Frame5T(
         None,
-        _gauge_rule(frame.degrees, gauge)[0],
+        _gauge_rule(frame.degrees, gauge),
         surface_type=frame.surface_type if surface_type is None else surface_type,
         source=(frame, gauge),
     )
@@ -307,11 +323,17 @@ def apply_gauge(frame, gauge, surface_type=None):
 _FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal tests
 
 
+def _norm(x, axis):
+    """The 2-norm along `axis` (Frobenius for two axes), as np.linalg.norm
+    computes it, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def frame1(jet5):
     """Initial adapted frame from the 1-jet of the position vector.
 
-    `jet5` is the five surface jets of one point, or their (N, 5, n)
-    coefficients for a batch (`eval_surface`).  Columns are e0 = f,
+    `jet5` is the five surface jets of one point, or their (5, n)
+    coefficients, or (N, 5, n) for a batch (`eval_surface`).  Columns are e0 = f,
     e1 = f_u, e2 = f_v, and two constant columns: the last two columns of
     the complete QR factor of [e0 e1 e2] at the base point, an orthonormal
     basis of the complement of their span, scaled by |f(p)|.  So
@@ -334,11 +356,10 @@ def frame1(jet5):
         f = np.array([j.coeffs[: n_terms(degree + 1)] for j in jet5])
     coeffs = np.zeros(f.shape[:-2] + (5, 5, n_terms(degree)))
     coeffs[..., 0, :] = f[..., : n_terms(degree)]
-    coeffs[..., 1, :] = derivative(f, degree + 1, 0)
-    coeffs[..., 2, :] = derivative(f, degree + 1, 1)
+    coeffs[..., 1:3, :] = gradient(f, degree + 1)
 
     P = coeffs[..., :3, 0]
-    norms = np.linalg.norm(P, axis=-2)
+    norms = _norm(P, -2)
     scale = np.maximum(np.maximum(norms[..., 1], norms[..., 2]), 1e-300)
     P12 = np.ascontiguousarray(P[..., 1:])
     P12t = P12.swapaxes(-1, -2)
@@ -347,7 +368,7 @@ def frame1(jet5):
                 lambda i: NotImmersed("tangent vectors are dependent at the base point"))
     # rejection of e0 from span(e1, e2)
     coeff = np.linalg.solve(gram12, P12t @ P[..., 0, None])
-    resid = np.linalg.norm(P[..., 0, None] - P12 @ coeff, axis=(-2, -1))
+    resid = _norm(P[..., 0, None] - P12 @ coeff, (-2, -1))
     raise_where(resid <= _FRAME1_TOL * np.maximum(norms[..., 0], 1e-300),
                 lambda i: NotTransversal("position vector lies in the tangent plane"))
 
@@ -357,16 +378,21 @@ def frame1(jet5):
     return Frame5T(coeffs=coeffs, degrees=(degree,) * 5)
 
 
+_ADJUGATE = np.array([3, 1, 2, 0])  # (a, b, c, d) -> (d, b, c, a), then b and c negated
+
+
 def _inverses2(A, B, degree):
     """A^-1 and B^-1 of 2x2 jet matrices A, B (..., 2, 2, n), as adjugates
     over determinants that share one reciprocal: 1/det A = det B / (det A det B)."""
     M = stack([A, B], axis=-4)
-    a, b, c, d = M[..., 0, 0, :], M[..., 0, 1, :], M[..., 1, 0, :], M[..., 1, 1, :]
-    det = jet_mul(a, d, degree) - jet_mul(b, c, degree)
+    M = M.reshape(M.shape[:-3] + (4, M.shape[-1]))  # the (a, b, c, d) of A and of B
+    ad_bc = jet_mul(M[..., 0:2, :], M[..., 3:1:-1, :], degree)
+    det = ad_bc[..., 0, :] - ad_bc[..., 1, :]
     both = apply("reciprocal", jet_mul(det[..., 0, :], det[..., 1, :], degree), degree)
     inv_det = jet_mul(det[..., ::-1, :], both[..., None, :], degree)
-    adj = stack([stack([d, -b], axis=-2), stack([-c, a], axis=-2)], axis=-3)
-    inverses = jet_mul(adj, inv_det[..., None, None, :], degree)
+    adj = M.take(_ADJUGATE, axis=-2)  # (d, -b, -c, a)
+    np.negative(adj[..., 1:3, :], out=adj[..., 1:3, :])
+    inverses = jet_mul(adj, inv_det[..., None, :], degree).reshape(A.shape[:-3] + (2, 2, 2, -1))
     return inverses[..., 0, :, :, :], inverses[..., 1, :, :, :]
 
 
@@ -387,12 +413,12 @@ def _gauge_law(Og, gauge, degree):
     A and B are the float identity, as at level 3, nothing is inverted.
     """
     K = resize(gauge.coeffs, n_terms(degree + 1))
-    Z = stack([derivative(K, degree + 1, 0), derivative(K, degree + 1, 1)], axis=-4)
+    batch = K.shape[:-3]
+    Z = gradient(K.reshape(*batch, 25, -1), degree + 1).swapaxes(-3, -2)
+    Z = Z.reshape(*batch, 2, 5, 5, -1)  # (dK/du, dK/dv)
     K, O = resize(K, n_terms(degree)), resize(Og, n_terms(degree))
-    is_float, K0 = _float_part(gauge)
     # at level 3 A = B = I are floats: K = I + N with N^2 = 0, so K^-1 = I - N
-    unipotent = all(is_float[s, s].all() and (K0[s, s] == _EYE5[s, s]).all()
-                    for s in (slice(1, 3), slice(3, 5)))
+    unipotent = gauge._pattern[3]
     # Omega_G K by column blocks: K keeps e0, takes (e1, e2) to A and
     # (e3, e4) to its columns 3-4
     Z[..., 0, :] += O[..., 0, :]
@@ -401,11 +427,11 @@ def _gauge_law(Og, gauge, degree):
     Z[..., 3:5, :] += _times(O, K[..., None, :, 3:5, :], degree)
     W = Z[..., 3:5, :, :]
     if not unipotent:
-        Ai, Bi = _inverses2(K[..., None, 1:3, 1:3, :], K[..., None, 3:5, 3:5, :], degree)
-        W = jet_matmul(Bi, W, degree)
+        Ai, Bi = _inverses2(K[..., 1:3, 1:3, :], K[..., 3:5, 3:5, :], degree)
+        W = jet_matmul(Bi[..., None, :, :, :], W, degree)
     V = Z[..., 0:3, :, :] - jet_matmul(K[..., None, 0:3, 3:5, :], W, degree)
     if not unipotent:
-        V[..., 1:3, :, :] = jet_matmul(Ai, V[..., 1:3, :, :], degree)
+        V[..., 1:3, :, :] = jet_matmul(Ai[..., None, :, :, :], V[..., 1:3, :, :], degree)
     return np.concatenate([V, W], axis=-3)
 
 
@@ -423,21 +449,21 @@ def maurer_cartan(frame, gauged=None):
     way; a frame column of degree 0 has no known derivative and raises
     ValueError.
     """
-    d = np.array(frame.degrees)
-    if d.min() < 1:
+    low = min(frame.degrees)
+    if low < 1:
         raise ValueError("the Maurer-Cartan form needs frame columns of degree >= 1")
-    degrees = np.minimum(d.min(), d - 1)
-    w = int(degrees.max())
+    degrees = tuple(int(min(low, d - 1)) for d in frame.degrees)
+    w = max(degrees)
     n = n_terms(w)
     if gauged is None:
         M = resize(frame.coeffs, n_terms(w + 1))
         batch = M.shape[:-3]
-        dM = np.concatenate([derivative(M, w + 1, 0), derivative(M, w + 1, 1)], axis=-2)
+        dM = gradient(M, w + 1).swapaxes(-3, -2).reshape(*batch, 5, 10, -1)  # [dM/du | dM/dv]
         X = jet_solve(resize(M, n), dM, w)
         omega = X.reshape(*batch, 5, 2, 5, n).swapaxes(-4, -3)
     else:
         omega = _gauge_law(gauged[0].omega, gauged[1], w)
-    return MCField(omega=np.ascontiguousarray(omega), degrees=tuple(int(x) for x in degrees))
+    return MCField(omega=np.ascontiguousarray(omega), degrees=degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +491,7 @@ def fundamental_matrices(mc):
     d = mc.projection_degrees
     degree = min(d[1], d[2])
     # X[..., i, k, j] is the omega^(i+1)_0 coefficient of omega^(0, 3, 4)[k]_(j+1)
-    X = mc.project([0, 3, 4], [1, 2])[..., : n_terms(degree)]
+    X = mc.project([0, 3, 4], range(1, 3))[..., : n_terms(degree)]
     x1, x2 = X[..., 0, :, :, :], X[..., 1, :, :, :]
     H = stack([x1[..., 0, :], (x2[..., 0, :] + x1[..., 1, :]) * 0.5, x2[..., 1, :]], axis=-2)
     asym = np.abs(x2[..., 0, 0] - x1[..., 1, 0]).max(axis=-1)
@@ -482,6 +508,7 @@ def fundamental_matrices(mc):
 _Q_POLAR = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
 
 
+_TAGS = np.array(["SpaceLike", "TimeLike", "Null"])  # the tags by index, for `classify_plane`
 _NULL_TOL = 1e-8  # a Gram determinant within this share of the squared Gram norm is null
 _INDEPENDENCE_TOL = 1e-10  # |h3 x h4| within this share of |h3| |h4| is dependent
 _ROTATE_TOL = 1e-8  # a form whose diagonal is below this share of |b| is rotated first
@@ -503,7 +530,7 @@ def classify_plane(fund):
         product within _INDEPENDENCE_TOL times the product of their norms.
     """
     V = np.ascontiguousarray(fund.coeffs[..., 1:, :, 0])
-    norms = np.linalg.norm(V, axis=-1)
+    norms = _norm(V, -1)
     h3, h4 = V[..., 0, :], V[..., 1, :]
     cross = np.sqrt(sum(np.square(h3[..., i] * h4[..., j] - h3[..., j] * h4[..., i])
                         for i, j in ((1, 2), (2, 0), (0, 1))))
@@ -514,7 +541,7 @@ def classify_plane(fund):
     det = np.linalg.det(gram)
     norm2 = np.square(gram).reshape(gram.shape[:-2] + (4,)).sum(axis=-1)
     null = np.abs(det) <= _NULL_TOL * np.maximum(norm2, 1e-300)
-    tag = np.where(null, "Null", np.where(det > 0, "SpaceLike", "TimeLike"))
+    tag = _TAGS[np.where(null, 2, ~(det > 0))]  # a NaN det is time-like
     return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det))
 
 
@@ -538,6 +565,12 @@ def _q_polar(h1, h2, degree):
     return x + y + z
 
 
+# The terms of a cross product g3 x g4 for `_q_complement`: g3_i g4_j for
+# (i, j) = (1, 2), (2, 0), (0, 1), then g3_j g4_i.
+_CROSS_LEFT = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_RIGHT = np.array([2, 0, 1, 1, 2, 0])
+
+
 def _q_complement(h3, h4, degree):
     """A Q-orthogonal complement of span(h3, h4) inside Sym^2.
 
@@ -546,8 +579,17 @@ def _q_complement(h3, h4, degree):
     h3, h4 are linearly dependent.
     """
     g3, g4 = _Q_POLAR @ h3, _Q_POLAR @ h4
-    i, j = [1, 2, 0], [2, 0, 1]
-    return jet_mul(g3[..., i, :], g4[..., j, :], degree) - jet_mul(g3[..., j, :], g4[..., i, :], degree)
+    z = jet_mul(g3.take(_CROSS_LEFT, axis=-2), g4.take(_CROSS_RIGHT, axis=-2), degree)
+    return z[..., :3, :] - z[..., 3:, :]
+
+
+# The symmetric square of A = [[p, q], [r, s]] for `_congruence`: the factors
+# of the ten products pp, pr, rr, pq, ps, qr, rs, qq, qs, ss as indices into
+# (p, q, r, s); then 2 pr, 2 qs and ps + qr are appended as 10, 11 and 12,
+# and S, with rows (pp, 2 pr, rr), (pq, ps + qr, rs), (qq, 2 qs, ss), is read.
+_SQUARE_LEFT = np.array([0, 0, 2, 0, 0, 1, 2, 1, 1, 3])
+_SQUARE_RIGHT = np.array([0, 2, 2, 1, 3, 2, 3, 1, 3, 3])
+_SQUARE = np.array([0, 10, 2, 3, 12, 6, 7, 11, 9])
 
 
 def _congruence(H, A, degree):
@@ -556,13 +598,11 @@ def _congruence(H, A, degree):
     (a, b, c) -> A^T h A is linear with the symmetric square S of A as its
     matrix, so the k forms take one jet product by S^T.
     """
-    p, q, r, s = A[..., 0, 0, :], A[..., 0, 1, :], A[..., 1, 0, :], A[..., 1, 1, :]
-    x = stack([p, p, r, p, p, q, r, q, q, s], axis=-2)
-    y = stack([p, r, r, q, s, r, s, q, s, s], axis=-2)
-    z = jet_mul(x, y, degree)
-    pp, pr, rr, pq, ps, qr, rs, qq, qs, ss = (z[..., k, :] for k in range(10))
-    S = stack([stack(row, axis=-2) for row in
-                  ((pp, 2.0 * pr, rr), (pq, ps + qr, rs), (qq, 2.0 * qs, ss))], axis=-3)
+    pqrs = A.reshape(A.shape[:-3] + (4, A.shape[-1]))
+    z = jet_mul(pqrs.take(_SQUARE_LEFT, axis=-2), pqrs.take(_SQUARE_RIGHT, axis=-2), degree)
+    z = np.concatenate([z, z[..., 1:9:7, :] * 2.0, z[..., 4:5, :] + z[..., 5:6, :]], axis=-2)
+    S = z.take(_SQUARE, axis=-2).reshape(z.shape[:-2] + (3, 3, z.shape[-1]))
+    # S^T as a view: the jet product's BLAS call depends on the layout
     return jet_matmul(H, S.swapaxes(-3, -2), degree)
 
 
@@ -591,14 +631,11 @@ def _spd_inverse_sqrt(h, degree):
         % (a0[i], b0[i], b0[i], c0[i])))
     a, b, c = _entries(h)
     root_det = apply("sqrt", -_q_polar(h, h, degree), degree)
-    k = jet_mul(
-        apply("reciprocal", root_det, degree),
-        apply("rsqrt", a + c + 2.0 * root_det, degree),
-        degree,
-    )
-    adj = stack([stack([c + root_det, -b], axis=-2), stack([-b, a + root_det], axis=-2)],
-                   axis=-3)
-    return jet_mul(adj, k[..., None, None, :], degree)
+    r = apply(("reciprocal", "rsqrt"), stack([root_det, a + c + 2.0 * root_det], axis=-2), degree)
+    k = jet_mul(r[..., 0, :], r[..., 1, :], degree)
+    minus_b = -b
+    adj = stack([c + root_det, minus_b, minus_b, a + root_det], axis=-2)
+    return jet_mul(adj, k[..., None, :], degree).reshape(h.shape[:-2] + (2, 2, h.shape[-1]))
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -649,15 +686,13 @@ def _null_basis(h, degree):
                                                W[..., 0, :] + W[..., 1, :]], axis=-2) * _SQRT_HALF,
                  W)
 
-    canon = []
-    for w in (W[..., 0, :, :], W[..., 1, :, :]):
-        # the lead is the first component unless it is within _LEAD_TOL of 0
-        m0, m1 = np.abs(w[..., 0, 0]), np.abs(w[..., 1, 0])
-        lead = np.where(m0 > _LEAD_TOL * np.maximum(m1, 1.0), 0, 1)
-        w = jet_mul(w, apply("reciprocal", np.where((lead == 0)[..., None], w[..., 0, :],
-                                                    w[..., 1, :]), degree)[..., None, :], degree)
-        canon.append((lead, -w[..., 1, 0], w))
-    (lead0, key0, w0), (lead1, key1, w1) = canon
+    # each w_k's lead is its first component unless that is within _LEAD_TOL of 0
+    m0, m1 = np.abs(W[..., :, 0, 0]), np.abs(W[..., :, 1, 0])
+    lead = np.where(m0 > _LEAD_TOL * np.maximum(m1, 1.0), 0, 1)
+    leads = np.where((lead == 0)[..., None], W[..., 0, :], W[..., 1, :])
+    w = jet_mul(W, apply(("reciprocal", "reciprocal"), leads, degree)[..., None, :], degree)
+    lead0, lead1, key0, key1 = lead[..., 0], lead[..., 1], -w[..., 0, 1, 0], -w[..., 1, 1, 0]
+    w0, w1 = w[..., 0, :, :], w[..., 1, :, :]
     swap = ((lead1 < lead0) | ((lead1 == lead0) & (key1 < key0)))[..., None, None]
     A = stack([np.where(swap, w1, w0), np.where(swap, w0, w1)], axis=-2)
 
@@ -670,6 +705,11 @@ def _null_basis(h, degree):
     return jet_mul(A, stack([inv_root, inv_root * sign], axis=-2)[..., None, :, :], degree)
 
 
+_LEVEL2_CELLS = _AB_BLOCKS.copy()  # the jet entries of a level-2 gauge: A, B and r0
+_LEVEL2_CELLS[0, 3:5] = True
+_COLUMNS = np.array([0, 1, 0, 1, 0, 1])  # the column of each entry of a 2x2 block, then of a pair
+
+
 def _level2_gauge(A1, B, r0, s, degree):
     """Closed form of the level-2 gauge K(A1) K(B) K(r0) K(diag s, diag s^2).
 
@@ -678,15 +718,18 @@ def _level2_gauge(A1, B, r0, s, degree):
     B diag(s^2) and r0 diag(s^2).  A1 and B are (..., 2, 2, n) coefficient
     arrays, r0 and s are (..., 2, n), all of degree `degree`.
     """
-    K = np.zeros(s.shape[:-2] + (5, 5, n_terms(degree)))
+    batch, n = s.shape[:-2], s.shape[-1]
+    K = np.zeros(batch + (5, 5, n))
     K[..., 0, 0, 0] = 1.0
-    K[..., 1:3, 1:3, :] = jet_mul(A1, s[..., None, :, :], degree)
-    s2 = jet_mul(s, s, degree)
-    K[..., 3:5, 3:5, :] = jet_mul(B, s2[..., None, :, :], degree)
-    K[..., 0, 3:5, :] = jet_mul(r0, s2, degree)
-    degrees = np.full((5, 5), np.inf)
-    degrees[1:3, 1:3] = degrees[3:5, 3:5] = degrees[0, 3:5] = degree
-    return GaugeTransform(K, degrees)
+    # (A1 diag(s), s^2), then (B diag(s^2), r0 diag(s^2)), each as one
+    # product: the four entries of a 2x2 block and then the pair
+    x = jet_mul(np.concatenate([A1.reshape(batch + (4, n)), s], axis=-2), s.take(_COLUMNS, axis=-2), degree)
+    K[..., 1:3, 1:3, :] = x[..., :4, :].reshape(batch + (2, 2, n))
+    s2 = x[..., 4:, :]
+    x = jet_mul(np.concatenate([B.reshape(batch + (4, n)), r0], axis=-2), s2.take(_COLUMNS, axis=-2), degree)
+    K[..., 3:5, 3:5, :] = x[..., :4, :].reshape(batch + (2, 2, n))
+    K[..., 0, 3:5, :] = x[..., 4:, :]
+    return GaugeTransform(K, np.where(_LEVEL2_CELLS, float(degree), np.inf))
 
 
 _ADAPT2_TOL = 1e-10  # absolute floor of adapt2's det B and of the h0 part that fixes the scale
@@ -715,18 +758,18 @@ def adapt2_spacelike(frame, fund):
     n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
     n = np.where((n[..., 0, 0] + n[..., 2, 0] < 0)[..., None, None], -n, n)
     A1 = _spd_inverse_sqrt(n, d)
-    P = _congruence(fund.coeffs, A1, d)
-    p0, p3, p4 = (_entries(P[..., k, :, :]) for k in range(3))
+    a, b, c = _entries(_congruence(fund.coeffs, A1, d))  # of the forms (p0, p3, p4)
+    r0_B = stack([(a - c) * 0.5, b], axis=-2)
 
     # 2) move (p3, p4) to the reference basis (T1, T2) of the trace-free
     #    plane by the normal-space gauge B
-    B = stack([stack([(p[0] - p[2]) * 0.5, p[1]], axis=-2) for p in (p3, p4)], axis=-3)
+    B = r0_B[..., 1:, :, :]
     raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
         "normalized pair does not span the trace-free plane"))
 
     # 3) subtract the trace-free part of h0 via the translational gauge
-    r0 = stack([(p0[0] - p0[2]) * 0.5, p0[1]], axis=-2)
-    s = (p0[0] + p0[2]) * 0.5
+    r0 = r0_B[..., 0, :, :]
+    s = (a[..., 0, :] + c[..., 0, :]) * 0.5
     raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
                 lambda i: DegenerateTraceComponent("pure-trace part of h0 vanishes"))
     epsilon = np.where(s[..., 0] > 0, 1, -1)
@@ -757,17 +800,16 @@ def adapt2_timelike(frame, fund):
     lead = np.expand_dims(np.argmax(np.abs(n[..., 0]), axis=-1), -1)
     n = np.where((np.take_along_axis(n[..., 0], lead, -1) < 0)[..., None], -n, n)
     A1 = _null_basis(n, d)
-    P = _congruence(fund.coeffs, A1, d)
-    p0, p3, p4 = (_entries(P[..., k, :, :]) for k in range(3))
+    P = _congruence(fund.coeffs, A1, d)  # the forms (p0, p3, p4)
 
     # 2) map (p3, p4) (now diagonal) to (E11, E22)
-    B = stack([stack([p[0], p[2]], axis=-2) for p in (p3, p4)], axis=-3)
+    B = P[..., 1:, ::2, :]
     raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
         "normalized pair does not span the diagonal plane"))
 
     # 3) subtract the diagonal part of h0
-    r0 = stack([p0[0], p0[2]], axis=-2)
-    s = p0[1]
+    r0 = P[..., 0, ::2, :]
+    s = P[..., 0, 1, :]
     raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
                 lambda i: DegenerateOffdiagComponent("off-diagonal part of h0 vanishes"))
 
@@ -789,7 +831,8 @@ def _check_case(surface_type, epsilon):
     """Raise ValueError unless the case is known and a space-like epsilon is +1 or -1."""
     if surface_type not in ("SpaceLike", "TimeLike"):
         raise ValueError("surface_type must be SpaceLike or TimeLike")
-    if surface_type == "SpaceLike" and not np.all(np.abs(epsilon) == 1):
+    if surface_type == "SpaceLike" and not (
+            (np.abs(epsilon) == 1).all() if isinstance(epsilon, np.ndarray) else abs(epsilon) == 1):
         raise ValueError("space-like epsilon must be +1 or -1")
 
 
@@ -818,14 +861,14 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     """
     _check_case(surface_type, epsilon)
     # h[..., k, c] is the omega^(k+1)_0 coefficient of omega^0_(3+c)
-    h = mc.project([0], [3, 4])[..., 0, :, :]
+    h = mc.project(range(1), range(3, 5))[..., 0, :, :]
     if surface_type == "SpaceLike":
         r = h * -np.asarray(epsilon, dtype=float)[..., None, None, None]
     else:
         r = -h[..., ::-1, :, :]
     d = mc.projection_degrees[3:5]
     K = np.zeros(h.shape[:-3] + (5, 5, n_terms(max(d))))
-    K[..., range(5), range(5), 0] = 1.0
+    K[..., 0] = _EYE5
     K[..., 1:3, 3:5, :] = resize(r, K.shape[-1])
     degrees = np.full((5, 5), np.inf)
     degrees[1:3, 3:5] = d

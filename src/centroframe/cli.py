@@ -34,7 +34,9 @@ Output conventions
 * An ``analyze`` record is its CSV row, absent fields empty.  Its JSON object
   nests the present fields (``metric_E`` as ``metric.E``, ``h`` entries by
   name), written from one fixed template per record shape (ok space-like,
-  ok time-like, error) by the ``null`` rule and key order above.
+  ok time-like, error) by the ``null`` rule and key order above.  The
+  records of each batch of ``MAX_BATCH`` grid points are written as the
+  batch completes, so memory does not grow with the grid.
 * Grid syntax is ``lo:hi:count``, inclusive at both ends, with ``lo``,
   ``hi`` and ``hi - lo`` finite.  ``--grid`` takes one spec (used for both
   axes) or two (u then v).  Records are emitted in row-major order (u
@@ -47,6 +49,7 @@ Output conventions
 import argparse
 import csv
 import io
+import itertools
 import math
 import operator
 import os
@@ -123,8 +126,6 @@ def _json_value(value, pad=""):
     inner = pad + "  "
     if isinstance(value, dict):
         brackets, items = "{}", [_json_escape(str(k)) + ": " + _json_value(v, inner) for k, v in value.items()]
-    elif isinstance(value, _AnalyzeRows):
-        brackets, items = "[]", [_record_json(row) for row in value]
     elif isinstance(value, (list, tuple, np.ndarray)):
         brackets, items = "[]", [_json_value(v, inner) for v in value]
     else:
@@ -154,30 +155,38 @@ def _cell(x):
     return str(x)
 
 
-def dumps_csv(header, rows):
-    """CSV text with LF line endings and the fixed float format."""
+def _csv_rows(rows):
+    """CSV lines of `rows`, with LF line endings and the fixed float format."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_cell(x) for x in row])
+    csv.writer(buf, lineterminator="\n").writerows([_cell(x) for x in row] for row in rows)
     return buf.getvalue()
+
+
+def dumps_csv(header, rows):
+    """CSV text: the `header` line, then `rows`."""
+    return _csv_rows([header]) + _csv_rows(rows)
 
 
 def _emit(ns, stem, doc, header, rows):
     """Write `doc` (JSON) or `header` and `rows` (CSV) as `ns.format` asks.
 
-    With `ns.out` the text goes to `DIR/<stem>.<format>`; otherwise to
-    stdout.  `rows` is iterated only for CSV, so it may be a generator.
+    `rows` is iterated only for CSV, so it may be a generator.
     """
-    text = dumps_json(doc) if ns.format == "json" else dumps_csv(header, rows)
+    _write(ns, stem, [dumps_json(doc) if ns.format == "json" else dumps_csv(header, rows)])
+
+
+def _write(ns, stem, pieces):
+    """Write the text `pieces` in order, each as it comes: with `ns.out` to
+    `DIR/<stem>.<format>`, otherwise to stdout."""
     if not ns.out:
-        sys.stdout.write(text)
+        for text in pieces:
+            sys.stdout.write(text)
         return
     os.makedirs(ns.out, exist_ok=True)
     path = os.path.join(ns.out, "%s.%s" % (stem, ns.format))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+        for text in pieces:
+            f.write(text)
     print("wrote %s" % path)
 
 
@@ -345,11 +354,6 @@ _RECORD_JSON = {case: _record_template(case) for case in (None, *H_COLUMNS_OF)}
 _TYPE_AT = ANALYZE_COLUMNS.index("surface_type")
 
 
-class _AnalyzeRows(list):
-    """The rows of an `analyze` document's records, which `dumps_json`
-    writes through the record templates, at their place in the document."""
-
-
 def _record_json(row):
     """JSON text of one `analyze` row as an item of the document's records."""
     template, pick, written = _RECORD_JSON[row[_TYPE_AT]]
@@ -393,20 +397,38 @@ def _analyze_records(task):
     return rows
 
 
-def _run_grid(spec, us, vs, degree, tol, jobs):
-    """Rows of the points (us, vs).  In process the grid is one batch, whose
-    memory `analyze_point` bounds by its sub-batches; with `jobs` > 1 the
-    grid is split into contiguous tasks of at most MAX_BATCH points, the
-    same sub-batches, for worker processes, at most one per task."""
-    workers = min(jobs, math.ceil(len(us) / MAX_BATCH))
+def _run_grid(spec, grid, degree, tol, jobs):
+    """The rows of the grid's points, row-major (u outer, v inner), in lists
+    of at most MAX_BATCH points, each one `analyze_point` batch: in process,
+    or with `jobs` > 1 in worker processes, at most one per batch.  The
+    batches are made and analyzed as they are read, so memory does not grow
+    with the grid."""
+    us, vs = _grid_values(grid[0]), _grid_values(grid[1])
+    n, m = len(us) * len(vs), len(vs)
+    tasks = ((spec, [us[i // m] for i in range(k, min(k + MAX_BATCH, n))],
+              [vs[i % m] for i in range(k, min(k + MAX_BATCH, n))], degree, tol)
+             for k in range(0, n, MAX_BATCH))
+    workers = min(jobs, math.ceil(n / MAX_BATCH))
     if workers <= 1:
-        return _analyze_records((spec, us, vs, degree, tol))
-    tasks = [(spec, us[k : k + MAX_BATCH], vs[k : k + MAX_BATCH], degree, tol)
-             for k in range(0, len(us), MAX_BATCH)]
+        yield from map(_analyze_records, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for rows in pool.map(_analyze_records, tasks) for r in rows]
+        yield from pool.map(_analyze_records, tasks)
+
+
+def _json_records(head, batches, tail):
+    """An `analyze` JSON document in pieces: `head`, the records of each
+    batch of rows as it comes, and `tail`, where head and tail are the text
+    around the empty records list of the same document."""
+    yield head
+    opened = False
+    for rows in batches:
+        if rows:
+            yield (",\n    " if opened else "[\n    ") + ",\n    ".join(map(_record_json, rows))
+            opened = True
+    yield ("\n  ]" if opened else "[]") + tail
 
 
 def cmd_analyze(ns):
@@ -416,9 +438,10 @@ def cmd_analyze(ns):
     if ns.degree < 4:
         raise CentroframeError("analyze needs --degree >= 4")
     spec = resolve_surface(ns.surface)
-    points = [(u, v) for u in _grid_values(grid[0]) for v in _grid_values(grid[1])]
-    us, vs = [p[0] for p in points], [p[1] for p in points]
-    rows = _AnalyzeRows(_run_grid(spec, us, vs, ns.degree, ns.tol, ns.jobs))
+    batches = _run_grid(spec, grid, ns.degree, ns.tol, ns.jobs)
+    if ns.format == "csv":
+        _write(ns, "analyze", itertools.chain([dumps_csv(ANALYZE_COLUMNS, ())], map(_csv_rows, batches)))
+        return 0
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -426,9 +449,11 @@ def cmd_analyze(ns):
         "degree": effective_degree(ns.degree),
         "tolerance": ns.tol,
         "grid": {"u": list(grid[0]), "v": list(grid[1])},
-        "records": rows,
+        "records": [],  # written by _json_records, one batch at a time
     }
-    _emit(ns, "analyze", doc, ANALYZE_COLUMNS, rows)
+    text = dumps_json(doc)
+    cut = text.rindex("[]")
+    _write(ns, "analyze", _json_records(text[:cut], batches, text[cut + 2 :]))
     return 0
 
 

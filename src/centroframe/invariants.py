@@ -215,9 +215,37 @@ H_ALL = tuple(sorted(set().union(*H_NAMES.values())))
 H_COLUMNS_OF = {case: tuple((k, H_ALL.index(k)) for k in names) for case, names in H_NAMES.items()}
 
 
-def _alpha(M0, F, n=None):
-    """alpha's coefficients, sum of M0[i, j] F[..., :, i, j] / 2 over i, j in {1, 2}."""
-    return sum(M0[i, j] / 2.0 * F[..., :, i, j, :n] for i in (1, 2) for j in (1, 2) if M0[i, j])
+def _alpha(terms, F, n=None):
+    """alpha's coefficients, sum of M0[i, j] F[..., :, i, j] / 2 over i, j in
+    {1, 2}, from the terms (M0[i, j] / 2, i, j) where M0[i, j] is nonzero."""
+    return sum(c * F[..., :, i, j, :n] for c, i, j in terms)
+
+
+@lru_cache(maxsize=64)
+def _read_plan(surface_type, pd, od):
+    """What `extract_invariants` reads of a case at projection degrees `pd`
+    and column degrees `od`, worked out once: the cells (I, J) of M0 with
+    their values, the killed entries, the reads and the symmetric copies,
+    each with its number of coefficients, the terms of alpha (`_alpha`),
+    and the numbers of coefficients of alpha, of the coframe and of the
+    stored projection.
+
+    A cell of S has the degree of its column of P, lowered to alpha's where
+    M0 is nonzero; alpha reads columns 1 and 2 in both cases.
+    """
+    layout = LAYOUTS[surface_type]
+    M0 = layout.M0
+    I, J = np.nonzero(M0)
+    terms = tuple((M0[i, j] / 2.0, i, j) for i in (1, 2) for j in (1, 2) if M0[i, j])
+    degree = np.tile(pd, (5, 1))
+    degree[I, J] = np.minimum(degree[I, J], min(pd[1:3]))
+    sizes = n_terms(degree).tolist()
+    killed = tuple((key, k, i, j, n_terms(od[j])) for key, k, i, j in layout.killed)
+    reads = tuple((key, k, i, j, sizes[i][j]) for key, k, i, j in layout.reads)
+    sym = tuple((key, k, i, j, kc, ic, jc, min(sizes[i][j], sizes[ic][jc]))
+                for key, (k, i, j), (kc, ic, jc) in layout.sym)
+    lengths = n_terms(min(od[1:3])), n_terms(od[0]), n_terms(min(pd))
+    return (I, J, M0[I, J, None]), terms, killed, reads, sym, lengths
 
 
 def extract_invariants(mc, surface_type, epsilon=0):
@@ -232,32 +260,26 @@ def extract_invariants(mc, surface_type, epsilon=0):
     """
     _check_case(surface_type, epsilon)
     layout = LAYOUTS[surface_type]
-    M0, P, pd = layout.M0, mc.projection, mc.projection_degrees
+    P, omega = mc.projection, mc.omega
+    (I, J, m0), terms, killed, reads, sym, (n_alpha, n_coframe, n_projection) = _read_plan(
+        surface_type, tuple(mc.projection_degrees), tuple(mc.degrees))
     eps = np.asarray(epsilon, dtype=float)[..., None, None, None]
-    I, J = np.nonzero(M0)
     S = P.copy()
-    S[..., I, J, :] -= M0[I, J, None] * _alpha(M0, P)[..., None, :]
+    S[..., I, J, :] -= m0 * _alpha(terms, P)[..., None, :]
     S[..., 0] -= layout.pinned[0] + eps * layout.pinned[1]
-    # alpha reads columns 1 and 2 in both cases
-    degree = np.tile(pd, (5, 1))
-    degree[I, J] = np.minimum(degree[I, J], min(pd[1:3]))
-    sizes = n_terms(degree).tolist()
-    omega, od = mc.omega, mc.degrees
-    vanish = {key: omega[..., k, i, j, : n_terms(od[j])].copy()
-              for key, k, i, j in layout.killed}
-    vanish.update((key, S[..., k, i, j, : sizes[i][j]]) for key, k, i, j in layout.reads)
+    vanish = {key: omega[..., k, i, j, :n].copy() for key, k, i, j, n in killed}
+    vanish.update((key, S[..., k, i, j, :n]) for key, k, i, j, n in reads)
     h = {key: vanish.pop(key) for key in layout.names}
-    for key, (k, i, j), (kc, ic, jc) in layout.sym:
-        n = min(sizes[i][j], sizes[ic][jc])
+    for key, k, i, j, kc, ic, jc, n in sym:
         vanish[key] = S[..., k, i, j, :n] - S[..., kc, ic, jc, :n]
     return InvariantSet(
         surface_type=surface_type,
         epsilon=epsilon if np.ndim(epsilon) else int(epsilon),
         h_coeffs=h,
-        alpha_coeffs=_alpha(M0, omega, n_terms(min(od[1:3]))),
-        coframe=omega[..., 1:3, 0, : n_terms(od[0])].swapaxes(-3, -2),
+        alpha_coeffs=_alpha(terms, omega, n_alpha),
+        coframe=omega[..., 1:3, 0, :n_coframe].swapaxes(-3, -2),
         vanishing_coeffs=vanish,
-        projection=P[..., : n_terms(min(pd))],
+        projection=P[..., :n_projection],
     )
 
 
@@ -340,8 +362,9 @@ def gauss_from_connection(inv):
     C = inv.coframe
     w = min(degree - 1, degree_of(C.shape[-1]))
     n = n_terms(w)
-    area = (jet_mul(C[..., 0, 0, :n], C[..., 1, 1, :n], w)
-            - jet_mul(C[..., 0, 1, :n], C[..., 1, 0, :n], w))
+    C = C[..., :n].reshape(C.shape[:-3] + (4, n))
+    z = jet_mul(C[..., 0:2, :], C[..., 3:1:-1, :], w)  # C00 C11 and C01 C10 as one product
+    area = z[..., 0, :] - z[..., 1, :]
     d_alpha = derivative(a_dv, degree, 0)[..., :n] - derivative(a_du, degree, 1)[..., :n]
     return jet_mul(d_alpha, apply("reciprocal", area, w), w)
 
@@ -351,8 +374,8 @@ def gauss_from_connection(inv):
 # per case, the two factor lists of one stacked product, and how the six
 # products combine.
 _METRIC_FACTORS = {
-    "SpaceLike": ((0, 2, 0, 2, 1, 3), (0, 2, 1, 3, 1, 3), "Riemannian"),
-    "TimeLike": ((0, 0, 1, 1), (2, 3, 2, 3), "Lorentzian"),
+    "SpaceLike": (np.array([0, 2, 0, 2, 1, 3]), np.array([0, 2, 1, 3, 1, 3]), "Riemannian"),
+    "TimeLike": (np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3]), "Lorentzian"),
 }
 
 
@@ -371,7 +394,7 @@ def metric_at(frame, mc):
     C = mc.omega[..., 1:3, 0, : n_terms(d)]  # (du, dv) x (omega^1_0, omega^2_0)
     c = C.swapaxes(-3, -2).reshape(*C.shape[:-3], 4, -1)
     left, right, signature = _METRIC_FACTORS[frame.surface_type]
-    x = jet_mul(c[..., left, :], c[..., right, :], d)
+    x = jet_mul(c.take(left, axis=-2), c.take(right, axis=-2), d)
     if frame.surface_type == "SpaceLike":
         E, F, G = x[..., 0, :] + x[..., 1, :], x[..., 2, :] + x[..., 3, :], x[..., 4, :] + x[..., 5, :]
         S = np.eye(2)

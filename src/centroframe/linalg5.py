@@ -64,11 +64,13 @@ def _operator(A, degree):
     return resize(A, n + 1).reshape(*batch, -1).take(index, axis=-1)
 
 
-# (k, n, degree) -> for each total degree d = 1..degree, (lo, hi, index):
-# rows lo:hi of the coefficient-major solution hold its coefficients of
-# degree d, and `index` gathers, from one point's resize(M, n + 1) flattened,
-# the block of the operator that maps rows :lo to them.  In the operator,
-# row o k + i and column b k + t is coefficient shift[o, b] of M[i, t].
+# (k, n, degree) -> (index, steps): `index` gathers, from one point's
+# resize(M, n + 1) flattened, the blocks of the operator that the graded
+# steps use, one after another, and steps[d - 1] = (lo, hi, start, stop) says
+# that rows lo:hi of the coefficient-major solution hold its coefficients of
+# total degree d and that the block mapping rows :lo to them is
+# index[start:stop], row-major.  In the operator, row o k + i and column
+# b k + t is coefficient shift[o, b] of M[i, t].
 _GRADED_CACHE = {}
 
 
@@ -78,9 +80,13 @@ def _graded_blocks(k, n, degree):
         cell = (np.arange(k)[:, None] * k + np.arange(k)) * (n + 1)
         index = (cell[None, :, None, :] + _shift_index(degree)[:, None, :, None])
         index = index.reshape(n * k, n * k)
-        bounds = [(k * taylor.n_terms(d - 1), k * taylor.n_terms(d)) for d in range(1, degree + 1)]
-        blocks = tuple((lo, hi, np.ascontiguousarray(index[lo:hi, :lo])) for lo, hi in bounds)
-        _GRADED_CACHE[k, n, degree] = blocks
+        steps, parts, start = [], [np.zeros(0, dtype=np.intp)], 0
+        for d in range(1, degree + 1):
+            lo, hi = k * taylor.n_terms(d - 1), k * taylor.n_terms(d)
+            parts.append(index[lo:hi, :lo].ravel())
+            steps.append((lo, hi, start, start + parts[-1].size))
+            start += parts[-1].size
+        blocks = _GRADED_CACHE[k, n, degree] = (np.concatenate(parts), tuple(steps))
     return blocks
 
 
@@ -113,17 +119,21 @@ def _factor(A0, tol):
     k = len(A0)
     lu, perm = A0, list(range(k))
     for j in range(k):
-        p = max(range(j, k), key=lambda i: abs(lu[i][j]))  # the first largest
+        column = [abs(row[j]) for row in lu[j:]]
+        p = j + column.index(max(column))  # the first largest
         lu[j], lu[p], perm[j], perm[p] = lu[p], lu[j], perm[p], perm[j]
         top = lu[j]
-        if not abs(top[j]) > tol:  # a NaN pivot is unusable too
+        pivot = top[j]
+        if not abs(pivot) > tol:  # a NaN pivot is unusable too
             return lu, perm, j
+        right = top[j + 1 :]
         for row in lu[j + 1 :]:
-            f = row[j] = row[j] / top[j]
+            f = row[j] = row[j] / pivot
             if f:
-                row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], top[j + 1 :])]
+                row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], right)]
     for j, row in enumerate(lu):  # D^-1 U above the diagonal
-        row[j + 1 :] = [x / row[j] for x in row[j + 1 :]]
+        d = row[j]
+        row[j + 1 :] = [x / d for x in row[j + 1 :]]
     return lu, perm, None
 
 
@@ -149,36 +159,35 @@ def jet_solve(A, B, degree):
     *batch, k, _, n = A.shape
     m = B.shape[-2]
     A = A.reshape(-1, k, k, n)
+    N = len(A)
     if B.shape[:-3] != tuple(batch):  # B without the batch axis is shared
         B = np.broadcast_to(B, (*batch, k, m, n))
-    B = B.reshape(-1, k, m, n)
-    tol = _PIVOT_TOL * np.abs(A[..., 0]).max(axis=(1, 2))  # relative, per point
-    factors = [_factor(A0, t) for A0, t in zip(A[..., 0].tolist(), tol.tolist())]
-    failed = {}
-    for i, (_, _, column) in enumerate(factors):
-        if column is not None:
-            failed[i] = SingularMatrix("no usable pivot in column %d" % column)
+    A0 = A[..., 0]
+    tol = _PIVOT_TOL * np.abs(A0).max(axis=(1, 2))  # relative, per point
+    factors = [_factor(a, t) for a, t in zip(A0.tolist(), tol.tolist())]
+    failed = {i: SingularMatrix("no usable pivot in column %d" % f[2])
+              for i, f in enumerate(factors) if f[2] is not None}
     if failed:
-        raise_where(np.isin(np.arange(len(factors)), list(failed)).reshape(batch),
+        raise_where(np.isin(np.arange(N), list(failed)).reshape(batch),
                     lambda i: failed[0 if i == () else i])
-    lu = np.array([f[0] for f in factors]).reshape(-1, k, k)
-    perm = np.array([f[1] for f in factors])
-    diagonal = np.diagonal(lu, axis1=1, axis2=2)
-    points = np.arange(len(factors))
-    sol = np.concatenate([A.reshape(-1, k, k * n), B.reshape(-1, k, m * n)], axis=2)
-    sol = sol[points[:, None], perm]
+    lu = np.array([f[0] for f in factors])
+    pivoted = [i * k + p for i, f in enumerate(factors) for p in f[1]]
+    sol = np.concatenate([A.reshape(N * k, k * n), B.reshape(N * k, m * n)], axis=1)
+    sol = sol.take(pivoted, axis=0).reshape(N, k, -1)
     sol[:, :, : k * n : n] = 0.0  # the constant terms of N
     for i in range(1, k):  # forward with L, then back with D^-1 U
-        sol[:, i] -= (lu[:, i, None, :i] @ sol[:, :i])[:, 0]
-    sol /= diagonal[:, :, None]
+        sol[:, i : i + 1] -= lu[:, i : i + 1, :i] @ sol[:, :i]
+    sol /= lu.diagonal(0, 1, 2)[:, :, None]
     for i in range(k - 2, -1, -1):
-        sol[:, i] -= (lu[:, i, None, i + 1 :] @ sol[:, i + 1 :])[:, 0]
-    M = resize(sol[:, :, : k * n].reshape(-1, k, k, n), n + 1).reshape(len(points), -1)
-    X = np.ascontiguousarray(sol[:, :, k * n :].reshape(-1, k, m, n).transpose(0, 3, 1, 2))
-    X = X.reshape(-1, n * k, m)  # coefficient-major: row o k + i is coefficient o of row i
-    for lo, hi, block in _graded_blocks(k, n, degree):  # one total degree, from those below
-        X[:, lo:hi] -= M.take(block, axis=-1) @ X[:, :lo]
-    X = X.reshape(-1, n, k, m).transpose(0, 2, 3, 1)
+        sol[:, i : i + 1] -= lu[:, i : i + 1, i + 1 :] @ sol[:, i + 1 :]
+    M = resize(sol[:, :, : k * n].reshape(N, k, k, n), n + 1).reshape(N, -1)
+    X = np.ascontiguousarray(sol[:, :, k * n :].reshape(N, k, m, n).transpose(0, 3, 1, 2))
+    X = X.reshape(N, n * k, m)  # coefficient-major: row o k + i is coefficient o of row i
+    index, steps = _graded_blocks(k, n, degree)
+    M = M.take(index, axis=-1)  # the blocks of every graded step
+    for lo, hi, start, stop in steps:  # one total degree, from those below
+        X[:, lo:hi] -= M[:, start:stop].reshape(N, hi - lo, lo) @ X[:, :lo]
+    X = X.reshape(N, n, k, m).transpose(0, 2, 3, 1)
     return np.ascontiguousarray(X).reshape(*batch, k, m, n)
 
 

@@ -32,6 +32,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +67,13 @@ _FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ExprNode:
+class ExprNode(NamedTuple):
     """Node of a parsed expression; a parse makes equal subtrees one node.
 
     kind is one of "num", "var", "param", "call", "binary", "neg", "pow";
     ``name`` carries the identifier or operator symbol, ``value`` the numeric
-    literal or integer exponent, and ``children`` the operand nodes.
+    literal or integer exponent, and ``children`` the operand nodes.  A
+    named tuple, so that a parse builds its nodes at the cost of a tuple.
     """
 
     kind: str
@@ -103,10 +104,12 @@ class SurfaceSpec:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-# The tokens of a surface: a number, a name, or any other character that is
-# not blank (an operator symbol, or a bad character that the parse trips on).
+# The tokens of a surface: an operator symbol (tried first, as the most
+# frequent), a number, a name, or any other character that is not blank (a
+# bad character that the parse trips on).
 _TOKEN_RE = re.compile(
-    r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"[-+*/^();,]"
+    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
     r"|[A-Za-z_][A-Za-z_0-9]*"
     r"|[^ \t\r\n]"
 )
@@ -155,7 +158,8 @@ def _error(text, at, message, cls=SurfaceSyntaxError):
 # weakest.
 _STRENGTH = {"+": 2, "-": 2, "*": 3, "/": 3}
 _NEG = (4, "neg", None)
-_GROUP = (0, "(", None)
+
+_node = tuple.__new__  # _node(ExprNode, fields): a node without NamedTuple's argument handling
 
 
 def _parse(text, param_names):
@@ -163,10 +167,18 @@ def _parse(text, param_names):
 
     One precedence-climbing loop over the flat token list.  `pending` holds
     binary operators with their left operand, unary minus, and the open
-    groups and calls (with their arguments so far).  Nodes are hash-consed:
-    equal subtrees are one ExprNode, keyed on (kind, name, value, ids of the
-    children), with a number keyed on its bit pattern because 0.0 == -0.0
-    but 1/0.0 != 1/-0.0.  So the five components form a DAG.
+    groups (with the index of their "(") and calls (with their arguments so
+    far).  Nodes are hash-consed: equal subtrees are one ExprNode, keyed on
+    (kind, name, value, ids of the children), with a number keyed on its bit
+    pattern because 0.0 == -0.0 but 1/0.0 != 1/-0.0.  So the five
+    components form a DAG.
+
+    A parenthesised group parses to the same node wherever it stands, so a
+    group whose tokens repeat those of a group parsed before takes that
+    group's node, and the loop skips its tokens: in a text of A.f, 20 of
+    the 25 groups (f_j).  `groups` lists the parsed groups by the token
+    after their "(".  A group that fails to parse is never listed, so an
+    error is raised where the full parse raises it.
     """
     if text.isascii():
         tokens = _TOKEN_RE.findall(text) + [""]
@@ -174,19 +186,28 @@ def _parse(text, param_names):
         tokens = [tok[1] for tok in _scan(text)]
     nodes = {}
     leaves = {}  # token -> its number, coordinate or parameter node
+    groups = {}  # token after "(" -> [(tokens of a parsed group, its node)]
     pending = []
     comps = []
     i = 0
     while True:
-        # an operand: prefixes, then a number, a name or an open group
+        # an operand: prefixes, then a number, a name or a group
         tok = tokens[i]
         i += 1
         node = leaves.get(tok)
         if node is None or tokens[i] == "(":
-            if tok == "-" or tok == "(":
-                pending.append(_NEG if tok == "-" else _GROUP)
+            if tok == "-":
+                pending.append(_NEG)
                 continue
-            if tok.isidentifier():
+            if tok == "(":  # a group: the node of an equal one parsed before, if any
+                for seq, node in groups.get(tokens[i], ()):
+                    if tokens[i - 1 : i - 1 + len(seq)] == seq:
+                        i += len(seq) - 1
+                        break
+                else:
+                    pending.append((0, i - 1, None))
+                    continue
+            elif tok.isidentifier():
                 if tokens[i] == "(":
                     i += 1
                     pending.append((0, tok, []))
@@ -194,7 +215,7 @@ def _parse(text, param_names):
                 if tok != "u" and tok != "v" and tok not in param_names:
                     raise _error(text, 0, "unknown identifier %r" % tok, UnknownIdentifier)
                 node = ExprNode("var" if tok == "u" or tok == "v" else "param", tok)
-                key = (node.kind, tok, 0.0)
+                node = leaves[tok] = nodes.setdefault((node.kind, tok, 0.0), node)
             else:
                 try:
                     node = ExprNode("num", value=float(tok))
@@ -203,7 +224,7 @@ def _parse(text, param_names):
                     message = "expected a number, name or '(', found %r" % found
                     raise _error(text, i - 1, message) from None
                 key = ("num", "", struct.pack("<d", node.value))
-            node = leaves[tok] = nodes.setdefault(key, node)
+                node = leaves[tok] = nodes.setdefault(key, node)
         # after an operand: "^" integer, then operators and closers
         while True:
             tok = tokens[i]
@@ -215,19 +236,21 @@ def _parse(text, param_names):
                     raise _error(text, i - 1, "exponent must be an integer")
                 key = ("pow", "", sign * int(tok), id(node))
                 node = nodes.get(key) or nodes.setdefault(
-                    key, ExprNode("pow", "", key[2], (node,))
+                    key, _node(ExprNode, ("pow", "", key[2], (node,)))
                 )
                 tok = tokens[i]
             while pending and pending[-1] is _NEG:
                 pending.pop()
                 key = ("neg", "", 0.0, id(node))
-                node = nodes.get(key) or nodes.setdefault(key, ExprNode("neg", "", 0.0, (node,)))
+                node = nodes.get(key) or nodes.setdefault(
+                    key, _node(ExprNode, ("neg", "", 0.0, (node,)))
+                )
             strength = _STRENGTH.get(tok, 1)
             while pending and pending[-1][0] >= strength:
                 _, op, lhs = pending.pop()
                 key = ("binary", op, 0.0, id(lhs), id(node))
                 node = nodes.get(key) or nodes.setdefault(
-                    key, ExprNode("binary", op, 0.0, (lhs, node))
+                    key, _node(ExprNode, ("binary", op, 0.0, (lhs, node)))
                 )
             i += 1
             if strength > 1:
@@ -241,7 +264,8 @@ def _parse(text, param_names):
                 if tok != ")":
                     raise _error(text, i - 1, "expected ')', found %r" % (tok or "end of input"))
                 pending.pop()
-                if args is None:
+                if args is None:  # a group, which opened at token `name`
+                    groups.setdefault(tokens[name + 1], []).append((tokens[name:i], node))
                     continue
                 args.append(node)
                 if name not in _FUNCTIONS:
@@ -251,7 +275,7 @@ def _parse(text, param_names):
                     raise _error(text, 0, message, ArityError)
                 key = ("call", name, 0.0, id(node))
                 node = nodes.get(key) or nodes.setdefault(
-                    key, ExprNode("call", name, 0.0, (node,))
+                    key, _node(ExprNode, ("call", name, 0.0, (node,)))
                 )
                 continue
             comps.append(node)
@@ -356,6 +380,9 @@ def _jet_mul(vals, a, b, degree):
     return taylor.product(vals[a], vals[b], degree)
 
 
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
+
 def _compile(components, param_names):
     """Straight-line program of a surface DAG; each node is computed once.
 
@@ -379,34 +406,33 @@ def _compile(components, param_names):
             promoted[k] = emit(_constant_jet, k, None, True)
         return promoted.get(k, k)
 
-    def visit(node):
-        k = slots.get(id(node))
-        if k is None:
-            k = slots[id(node)] = visit_new(node)
-        return k
-
-    def visit_new(node):
-        if node.kind == "num":
-            return emit(_literal, node.value, None, False)
-        if node.kind in ("var", "param"):
-            return index[node.name]
-        args = [visit(c) for c in node.children]
+    def visit(node):  # the value index of a node not visited before
+        kind, name, value, children = node
+        if kind == "num":
+            return emit(_literal, value, None, False)
+        if kind == "var" or kind == "param":
+            return index[name]
+        args = []
+        for c in children:
+            k = slots.get(id(c))
+            if k is None:
+                k = slots[id(c)] = visit(c)
+            args.append(k)
         a = args[0]
-        if node.kind == "neg" or (node.kind == "call" and node.name == "neg"):
+        if kind == "neg" or (kind == "call" and name == "neg"):
             return emit(_neg, a, None, jet[a])
-        if node.kind == "pow":
-            return emit(_jet_pow if jet[a] else _pow, a, int(node.value), jet[a])
-        if node.kind == "call":
-            return emit(_jet_call if jet[a] else _call, a, node.name, jet[a])
-        if node.kind != "binary":
-            raise ValueError("bad node kind %r" % node.kind)
+        if kind == "pow":
+            return emit(_jet_pow if jet[a] else _pow, a, int(value), jet[a])
+        if kind == "call":
+            return emit(_jet_call if jet[a] else _call, a, name, jet[a])
+        if kind != "binary":
+            raise ValueError("bad node kind %r" % kind)
         b = args[1]
         if not (jet[a] or jet[b]):
-            op = {"+": _add, "-": _sub, "*": _mul, "/": _div}[node.name]
-            return emit(op, a, b, False)
-        if node.name in "+-":  # a number operand becomes a constant jet
-            return emit(_add if node.name == "+" else _sub, as_jet(a), as_jet(b), True)
-        if node.name == "/":
+            return emit(_BINARY[name], a, b, False)
+        if name in "+-":  # a number operand becomes a constant jet
+            return emit(_add if name == "+" else _sub, as_jet(a), as_jet(b), True)
+        if name == "/":
             if not jet[b]:
                 return emit(_div, a, b, True)
             b = emit(_jet_call, b, "reciprocal", True)  # jets divide as a * (1/b)
@@ -416,7 +442,10 @@ def _compile(components, param_names):
 
     program = []
     for node in components:
-        out = as_jet(visit(node))
+        k = slots.get(id(node))
+        if k is None:
+            k = slots[id(node)] = visit(node)
+        out = as_jet(k)
         program.append((tuple(code), out))
         code.clear()
     return tuple(program)
@@ -427,14 +456,14 @@ def eval_surface(spec, u0, v0, degree):
 
     Runs the spec's compiled program: each shared subexpression is computed
     once, on coefficient arrays, and component i is checked as soon as its
-    instructions have run.  `u0` and `v0` are floats, or 1-D arrays of N
-    base points run as one batch.
+    instructions have run.  `u0` and `v0` are floats, or arrays: 0-d for
+    one point, 1-D for N base points run as one batch.
 
     Returns
     -------
     list of TaylorScalar, or ndarray
-        The five coordinate jets, each of the requested degree; for a batch,
-        their coefficients as one (N, 5, n) array.
+        The five coordinate jets, each of the requested degree; for arrays,
+        their coefficients as one (5, n) array, or (N, 5, n) for a batch.
 
     Raises
     ------
@@ -465,10 +494,11 @@ def eval_surface(spec, u0, v0, degree):
                 except (ArithmeticError, DomainError) as exc:  # of a constant subexpression
                     raise_where(np.ones(U.shape, dtype=bool), lambda i: exc)
             x = vals[k] if vals[k].shape == u.shape else np.broadcast_to(vals[k], u.shape)
-            raise_where(~np.isfinite(x).all(axis=-1), lambda i: ArithmeticFailure(
-                "surface component x%d is not finite at (u, v) = (%g, %g)" % (c, U[i], V[i])))
+            if not math.isfinite(x.sum()):  # a finite sum has finite terms
+                raise_where(~np.isfinite(x).all(axis=-1), lambda i: ArithmeticFailure(
+                    "surface component x%d is not finite at (u, v) = (%g, %g)" % (c, U[i], V[i])))
             out.append(x)
-    if U.ndim:
+    if isinstance(u0, np.ndarray):
         return taylor.stack(out, axis=-2)
     return [TaylorScalar(x) for x in out]
 

@@ -28,6 +28,7 @@ __all__ = [
     "TaylorScalar",
     "coordinate_jets",
     "derivative",
+    "gradient",
     "product",
     "power",
     "apply",
@@ -96,7 +97,7 @@ def _mul_table(degree):
 
 # Cached derivative tables: (degree, axis) -> (src, factor) such that the
 # derivative along u (axis 0) or v (axis 1) of a degree-d jet is
-# coeffs[src] * factor, a jet of degree d - 1.
+# coeffs[src] * factor, a jet of degree d - 1; axis None stacks the two.
 _DERIV_CACHE = {}
 
 
@@ -104,17 +105,21 @@ def _deriv_table(degree, axis):
     key = (degree, axis)
     tab = _DERIV_CACHE.get(key)
     if tab is None:
-        src, factor = [], []
-        for s in range(degree):
-            for b in range(s + 1):
-                a = s - b
-                if axis == 0:
-                    src.append(index_of(a + 1, b))
-                    factor.append(a + 1.0)
-                else:
-                    src.append(index_of(a, b + 1))
-                    factor.append(b + 1.0)
-        tab = _DERIV_CACHE[key] = (np.asarray(src, dtype=np.intp), np.asarray(factor))
+        if axis is None:
+            tab = tuple(np.stack(t) for t in zip(_deriv_table(degree, 0), _deriv_table(degree, 1)))
+        else:
+            src, factor = [], []
+            for s in range(degree):
+                for b in range(s + 1):
+                    a = s - b
+                    if axis == 0:
+                        src.append(index_of(a + 1, b))
+                        factor.append(a + 1.0)
+                    else:
+                        src.append(index_of(a, b + 1))
+                        factor.append(b + 1.0)
+            tab = (np.asarray(src, dtype=np.intp), np.asarray(factor))
+        _DERIV_CACHE[key] = tab
     return tab
 
 
@@ -125,6 +130,14 @@ def derivative(coeffs, degree, axis):
     has shape (..., n_terms(degree - 1)).
     """
     src, factor = _deriv_table(degree, axis)
+    return coeffs.take(src, axis=-1) * factor
+
+
+def gradient(coeffs, degree):
+    """Both partial derivatives of coefficient arrays (..., n_terms(degree)),
+    as (..., 2, n_terms(degree - 1)) with the u derivative first, from one
+    gather: the values of `derivative` along axes 0 and 1."""
+    src, factor = _deriv_table(degree, None)
     return coeffs.take(src, axis=-1) * factor
 
 
@@ -303,11 +316,15 @@ def stack(arrays, axis):
 
 
 def resize(C, n):
-    """Coefficient array C (..., m) truncated or zero-padded to n coefficients."""
-    if C.shape[-1] >= n:
-        return C[..., :n]
+    """Coefficient array C (..., m) truncated or zero-padded to n coefficients.
+
+    C itself when m == n, and a view of it when m > n, so a caller that
+    writes into the result copies it first."""
+    m = C.shape[-1]
+    if m >= n:
+        return C if m == n else C[..., :n]
     out = np.zeros(C.shape[:-1] + (n,))
-    out[..., : C.shape[-1]] = C
+    out[..., :m] = C
     return out
 
 
@@ -412,8 +429,13 @@ _SERIES = {
 
 def apply(name, c, degree):
     """The elementary function `name` (a key of the table above: sin, cos,
-    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of a coefficient array
-    (n,), or (N, n) for a batch of N points.
+    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of coefficient arrays.
+
+    Input shapes: with one name, `c` is (n,) for one point or (N, n) for a
+    batch of N points.  With a tuple of S names, `c` is (S, n) for one point
+    or (N, S, n) for a batch, series s taking names[s]: independent series
+    of a stage run as one Horner pass, each slice through the same BLAS
+    kernel as alone, so each result is bit-identical to its own call.
 
     The series of each point is built from its constant term with `math`,
     so an overflow (cosh(800)) is that point's OverflowError.
@@ -424,25 +446,30 @@ def apply(name, c, degree):
         For sqrt and rsqrt when the constant term is at most ZERO_TOL.
     ZeroConstantTerm
         For reciprocal when |constant term| is at most ZERO_TOL.
+
+    One point raises its own error, that of its first failing series; in a
+    batch the failing points raise together as PointFailures.
     """
+    names = (name,) if isinstance(name, str) else name
     a0 = c[..., 0]
+    points = a0.shape if isinstance(name, str) else a0.shape[:-1]
+    rows = a0.reshape(-1, len(names)).tolist()  # one row of constant terms per point
     series, failed = [], {}
-    for k, x in enumerate(a0.ravel().tolist()):
-        if name in ("sqrt", "rsqrt") and x <= ZERO_TOL:
-            failed[k] = DomainError("%s of a jet with non-positive constant term %g" % (name, x))
-        elif name == "reciprocal" and abs(x) <= ZERO_TOL:
-            failed[k] = ZeroConstantTerm("division by a jet with constant term %g" % x)
-        else:
+    for k, row in enumerate(rows):
+        for f, x in zip(names, row):
             try:
-                series.append(_SERIES[name](x, degree))
-                continue
-            except ArithmeticError as exc:  # math's OverflowError
-                failed[k] = exc
-        series.append([0.0] * (degree + 1))
+                if f == "reciprocal" and abs(x) <= ZERO_TOL:
+                    raise ZeroConstantTerm("division by a jet with constant term %g" % x)
+                if x <= ZERO_TOL and (f == "sqrt" or f == "rsqrt"):
+                    raise DomainError("%s of a jet with non-positive constant term %g" % (f, x))
+                series.append(_SERIES[f](x, degree))
+            except (ZeroConstantTerm, DomainError, ArithmeticError) as exc:  # and math's OverflowError
+                failed.setdefault(k, exc)
+                series.append([0.0] * (degree + 1))
     if failed:
-        bad = np.zeros(a0.size, dtype=bool)
+        bad = np.zeros(len(rows), dtype=bool)
         bad[list(failed)] = True
-        raise_where(bad.reshape(a0.shape), lambda i: failed[0 if i == () else i])
+        raise_where(bad.reshape(points), lambda i: failed[0 if i == () else i])
     return _compose(np.array(series).reshape(a0.shape + (degree + 1,)), c, degree)
 
 

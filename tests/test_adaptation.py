@@ -29,6 +29,8 @@ from centroframe.errors import (
     IndependenceFailure,
     NotImmersed,
     NotTransversal,
+    PointFailures,
+    ZeroConstantTerm,
 )
 from centroframe.invariants import extract_invariants
 from centroframe.surfaces import builtin_surface, eval_surface, parse_surface
@@ -514,3 +516,35 @@ def test_adapt2_allocates_no_taylor_scalars(monkeypatch):
     assert calls == []
     TaylorScalar.constant(1.0, 1)  # the counter is live
     assert calls == [3]
+
+
+def _singular_level2_gauge(batch, degree):
+    """A level-2 gauge, K = diag(1, A, B) with jet blocks, whose A block has
+    determinant 0 at the points `batch` marks (a boolean array)."""
+    n = taylor.n_terms(degree)
+    K = np.zeros(batch.shape + (5, 5, n))
+    K[..., 0] = np.eye(5)
+    K[..., 1:3, 1:3, 0] = np.where(batch[..., None, None], [[1.0, 2.0], [0.5, 1.0]], [[1.0, 2.0], [0.0, 1.0]])
+    K[..., 1:3, 1:3, 1] = 0.25  # a jet, so the gauge law inverts A
+    degrees = np.full((5, 5), np.inf)
+    degrees[1:3, 1:3] = degrees[3:5, 3:5] = degree
+    return GaugeTransform(K, degrees)
+
+
+def test_gauge_law_raises_a_point_s_own_error():
+    # the closed-form K^-1 divides by det A det B, which is 0 here
+    jets = eval_surface(builtin_surface("h2"), np.asarray(0.3), np.asarray(-0.2), 5)
+    fr1 = frame1(jets)
+    mc1 = maurer_cartan(fr1)
+    gauge = _singular_level2_gauge(np.asarray(True), 5)
+    with pytest.raises(ZeroConstantTerm, match="division by a jet with constant term 0"):
+        maurer_cartan(apply_gauge(fr1, gauge), (mc1, gauge))
+    # in a batch, the point that fails raises the same error, as PointFailures
+    jets = eval_surface(builtin_surface("h2"), np.array([0.3, 0.1]), np.array([-0.2, 0.4]), 5)
+    fr1 = frame1(jets)
+    mc1 = maurer_cartan(fr1)
+    gauge = _singular_level2_gauge(np.array([False, True]), 5)
+    with pytest.raises(PointFailures) as exc:
+        maurer_cartan(apply_gauge(fr1, gauge), (mc1, gauge))
+    assert list(exc.value.errors) == [1]
+    assert isinstance(exc.value.errors[1], ZeroConstantTerm)

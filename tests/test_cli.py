@@ -412,6 +412,45 @@ def test_analyze_jobs_byte_identical(tmp_path):
     assert (out1 / "analyze.json").read_bytes() == (out2 / "analyze.json").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_memory_does_not_grow_with_the_grid(monkeypatch, tmp_path, fmt):
+    # records are written as their batch is analyzed, so 10,201 points peak
+    # about as high as 441.  Every batch reuses the real results of the
+    # first 64 points, cyclically, so the peak is what the CLI itself holds
+    # and the grid costs only its serialization; the memory of a batch is
+    # bounded by tests/test_batch.py.
+    import tracemalloc
+
+    first = []
+
+    def canned(spec, us, vs, degree):
+        if not first:
+            first.append(analyze_point(spec, us[:64], vs[:64], degree=degree))
+        res = first[0]
+        rows = np.arange(len(us)) % len(res.u)
+        cols = {f.name: getattr(res, f.name) for f in dataclasses.fields(res) if f.name != "errors"}
+        cols = {k: [x[i] for i in rows] if isinstance(x, list) else x[rows] for k, x in cols.items()}
+        errors = {i: res.errors[j] for i, j in enumerate(rows.tolist()) if j in res.errors}
+        return dataclasses.replace(res, errors=errors, **cols)
+
+    monkeypatch.setattr(cli, "analyze_point", canned)
+
+    def peak(grid):
+        argv = ["analyze", "--surface", NULL_FIXTURE, "--grid", grid, "--format", fmt,
+                "--out", str(tmp_path / grid)]
+        tracemalloc.start()
+        try:
+            assert _run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak("-1:1:21"), peak("-1:1:101")
+    text = (tmp_path / "-1:1:101" / ("analyze." + fmt)).read_text()
+    assert text.count('"ok": ' if fmt == "json" else "\n") == 101 * 101 + (fmt == "csv")
+    assert large <= 1.5 * small
+
+
 @pytest.mark.parametrize("points, most", [("-1:1:3", 0), ("-1:1:9", 2)])
 def test_analyze_jobs_start_at_most_one_worker_per_batch(monkeypatch, capsys, points, most):
     # 9 points are one batch, which runs inline; 81 points are two batches

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from centroframe import taylor
 from centroframe.errors import (
@@ -535,3 +537,89 @@ def test_parser_compiles_gl5_images_to_the_reference_program():
         ref = SurfaceSpec(components=_reference_parse(text, {}))
         assert spec.components == ref.components
         assert repr(spec.program) == repr(ref.program)
+
+
+# ---------------------------------------------------------------------------
+# Group reuse: a parse takes the node of a group it has parsed before
+# ---------------------------------------------------------------------------
+
+_LEAVES = st.sampled_from(["u", "v", "a", "1", "2.5", "3", ".5", "0.0", "1e-3"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        inner.map("-{}".format),
+        st.tuples(inner, st.sampled_from(["2", "-1", "0", "3"])).map(lambda t: "(%s)^%s" % t),
+        st.tuples(st.sampled_from(["sin", "cosh", "exp", "sqrt", "neg"]), inner).map(lambda t: "%s(%s)" % t),
+        inner.map("({})".format),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _compound, max_leaves=10)
+_COEFFS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _image_texts(draw):
+    """A.f as point_queries writes it: every (f_j) group appears five times."""
+    f = draw(st.lists(_EXPRS, min_size=5, max_size=5))
+    A = draw(st.lists(_COEFFS, min_size=25, max_size=25))
+    return "; ".join(" + ".join("%r*(%s)" % (A[5 * i + j], f[j]) for j in range(5)) for i in range(5))
+
+
+@st.composite
+def _substituted_texts(draw):
+    """A surface with parenthesised expressions put in for u and v."""
+    base = draw(st.sampled_from(sorted(BUILTIN_SURFACES.values()))
+                | st.lists(_EXPRS, min_size=5, max_size=5).map("; ".join))
+    p, q = draw(_EXPRS), draw(_EXPRS)
+    return re.sub(r"\b[uv]\b", lambda m: "(%s)" % (p if m.group() == "u" else q), base)
+
+
+def _sharing(components):
+    """The nodes of a DAG in depth-first order, each as the index of its
+    first visit, so two DAGs of equal components share alike iff equal."""
+    seen, order = {}, []
+
+    def walk(node):
+        k = seen.get(id(node))
+        if k is None:
+            k = seen[id(node)] = len(seen)
+            for child in node.children:
+                walk(child)
+        order.append(k)
+
+    for node in components:
+        walk(node)
+    return order
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_image_texts(), _substituted_texts()))
+def test_group_reuse_keeps_components_sharing_and_program(text):
+    params = {"a": 1.5}
+    want = _outcome(_reference_parse, text, params)
+    got = _outcome(_parse_components, text, params)
+    assert got == want
+    if want[0] == "ok":
+        assert _sharing(got[1]) == _sharing(want[1])
+        spec = parse_surface(text, params=params)
+        assert repr(spec.program) == repr(SurfaceSpec(components=want[1], params=params).program)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_EXPRS, st.data())
+def test_a_bad_repeated_group_fails_as_the_full_parse(expr, data):
+    # every group repeats; one piece of the text is inserted, replaced or
+    # deleted, in a first occurrence or a later one
+    pieces = re.split(r"(\W)", "; ".join("%d*(%s) + (%s)" % (k, expr, expr) for k in range(5)))
+    k = data.draw(st.integers(0, len(pieces) - 1))
+    action = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+    if action == "delete":
+        del pieces[k]
+    else:
+        pieces[k : k + (action == "replace")] = [data.draw(st.sampled_from(_FUZZ_PIECES))]
+    text = "".join(pieces)
+    params = {"a": 1.5}
+    assert _outcome(_parse_components, text, params) == _outcome(_reference_parse, text, params)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from centroframe import taylor
-from centroframe.errors import DomainError, ZeroConstantTerm
+from centroframe.errors import DomainError, PointFailures, ZeroConstantTerm
 from centroframe.taylor import TaylorScalar, coordinate_jets
 
 
@@ -176,3 +176,36 @@ def test_degree_zero_jets():
     c = TaylorScalar.constant(2.0, 0)
     assert (c * c).const == 4.0
     assert taylor.sqrt(c).const == pytest.approx(math.sqrt(2.0))
+
+
+def test_stacked_series_are_bit_identical_to_their_own_calls():
+    rng = np.random.default_rng(4)
+    degree, n = 7, taylor.n_terms(7)
+    names = ("reciprocal", "rsqrt", "cos", "sqrt")
+    c = rng.standard_normal((3, len(names), n))
+    c[..., 0] = rng.uniform(0.5, 2.0, (3, len(names)))
+    stacked = taylor.apply(names, c, degree)
+    for s, name in enumerate(names):
+        alone = taylor.apply(name, np.ascontiguousarray(c[:, s]), degree)
+        assert stacked[:, s].tobytes() == alone.tobytes()
+        for i in range(3):  # one point: (S, n) and (n,)
+            point = taylor.apply(names, np.ascontiguousarray(c[i]), degree)
+            assert point[s].tobytes() == taylor.apply(name, c[i, s].copy(), degree).tobytes()
+
+
+def test_a_point_raises_its_own_error_and_a_batch_each_point_s_first():
+    one = np.zeros((2, 6))
+    one[:, 0] = (1.0, -1.0)
+    with pytest.raises(DomainError, match="rsqrt"):  # the second series fails
+        taylor.apply(("reciprocal", "rsqrt"), one, 2)
+    with pytest.raises(ZeroConstantTerm):  # both fail: the first one's error
+        taylor.apply(("reciprocal", "rsqrt"), np.zeros((2, 6)), 2)
+    with pytest.raises(ZeroConstantTerm):
+        taylor.apply("reciprocal", np.zeros(6), 2)
+    batch = np.zeros((3, 2, 6))
+    batch[:, :, 0] = [[1.0, 1.0], [1.0, -1.0], [0.0, -1.0]]
+    with pytest.raises(PointFailures) as exc:
+        taylor.apply(("reciprocal", "rsqrt"), batch, 2)
+    assert sorted(exc.value.errors) == [1, 2]
+    assert isinstance(exc.value.errors[1], DomainError)
+    assert isinstance(exc.value.errors[2], ZeroConstantTerm)
