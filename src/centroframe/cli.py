@@ -21,7 +21,8 @@ Four subcommands, each accepting only the options it reads:
 Output conventions
 ------------------
 * Every document goes through one path: ``--format`` picks JSON or CSV and
-  ``--out DIR`` writes ``DIR/<name>.<format>`` and prints ``wrote PATH``.
+  ``--out DIR`` writes ``DIR/<name>.<format>``, whole or not at all, and
+  prints ``wrote PATH``.
   Without ``--out``, ``analyze`` prints its document to stdout, ``verify``
   and ``search`` print only their summary lines, and ``example`` writes to
   the working directory.
@@ -177,16 +178,25 @@ def _emit(ns, stem, doc, header, rows):
 
 def _write(ns, stem, pieces):
     """Write the text `pieces` in order, each as it comes: with `ns.out` to
-    `DIR/<stem>.<format>`, otherwise to stdout."""
+    `DIR/<stem>.<format>`, otherwise to stdout.
+
+    A document is written to a temporary file in DIR that replaces the
+    document once complete and is removed on a failure, so the document is
+    whole or as it was."""
     if not ns.out:
-        for text in pieces:
-            sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     os.makedirs(ns.out, exist_ok=True)
     path = os.path.join(ns.out, "%s.%s" % (stem, ns.format))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for text in pieces:
-            f.write(text)
+    tmp = os.path.join(ns.out, ".%s.%s.%d.tmp" % (stem, ns.format, os.getpid()))
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print("wrote %s" % path)
 
 
@@ -382,10 +392,6 @@ def _analyze_records(task):
     rows = []
     for i, (u, v) in enumerate(zip(us, vs)):
         exc = res.errors.get(i)
-        if isinstance(exc, (OverflowError, ZeroDivisionError, np.linalg.LinAlgError)):
-            exc = ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
-        if exc is not None and not isinstance(exc, CentroframeError):
-            raise exc
         if exc is None and any(bad[i]):
             exc = ArithmeticFailure("non-finite result: " + ", ".join(k for k, b in zip(_RESULT_NAMES, bad[i]) if b))
         if exc is not None:

@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that batch drivers can record the error name and keep going.  All classes
-derive from :class:`CentroframeError`.
+derive from :class:`CentroframeError`, and the pipeline raises no other
+error for a point: a failure of float arithmetic is typed where it arises
+(`point_error`), so cosh(800) is that point's ArithmeticFailure.
 
 The point pipeline runs on batches: arrays with a leading axis over points.
 A check that fails for some points of a batch raises :class:`PointFailures`
@@ -66,6 +68,21 @@ def raise_where(bad, error):
     raise PointFailures({int(i): error(int(i)) for i in np.flatnonzero(bad)})
 
 
+def point_error(exc, f, x):
+    """The error of a point for `exc`, raised by float arithmetic or by the
+    elementary function named `f` at the float `x`.
+
+    math's ValueError is a DomainError, any other ArithmeticError (an
+    overflow, a division by zero) an ArithmeticFailure that names it, and a
+    CentroframeError is the point's error as it is.
+    """
+    if isinstance(exc, CentroframeError):
+        return exc
+    if isinstance(exc, ValueError):
+        return DomainError("%s of %g is outside its real domain" % (f, x))
+    return ArithmeticFailure("%s: %s" % (type(exc).__name__, exc))
+
+
 # ---------------------------------------------------------------------------
 # Taylor arithmetic
 # ---------------------------------------------------------------------------
@@ -82,8 +99,9 @@ class DomainError(CentroframeError):
 
 class ArithmeticFailure(CentroframeError):
     """Floating-point arithmetic failed at a point: an overflow (e.g. cosh of
-    a large argument), a division by an exact zero, or a numpy linear-algebra
-    error.  Raised at the per-point boundary of a sweep."""
+    a large argument) or a division by an exact zero, its message
+    "OverflowError: ..." or "ZeroDivisionError: ..."; or a surface or result
+    that is not finite."""
 
 
 # ---------------------------------------------------------------------------

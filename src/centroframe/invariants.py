@@ -58,7 +58,7 @@ from .adaptation import (
 from .errors import NullTypeUnsupported, PointFailures, raise_where
 from .linalg5 import jet_matmul, jet_mul, solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
 from .surfaces import eval_surface
-from .taylor import TaylorScalar, apply, degree_of, derivative, n_terms, stack
+from .taylor import TaylorScalar, apply, degree_of, gradient, n_terms, stack
 
 __all__ = [
     "InvariantSet",
@@ -352,8 +352,7 @@ def gauss_from_connection(inv):
     which requires the surface jets to start at degree >= 4 (each frame
     level consumes one order; alpha sits three levels down).
     """
-    a_du, a_dv = inv.alpha_coeffs[..., 0, :], inv.alpha_coeffs[..., 1, :]
-    degree = degree_of(a_du.shape[-1])
+    degree = degree_of(inv.alpha_coeffs.shape[-1])
     if degree < 1:
         raise ValueError(
             "connection-route curvature needs jets of degree >= 1 at the "
@@ -365,7 +364,8 @@ def gauss_from_connection(inv):
     C = C[..., :n].reshape(C.shape[:-3] + (4, n))
     z = jet_mul(C[..., 0:2, :], C[..., 3:1:-1, :], w)  # C00 C11 and C01 C10 as one product
     area = z[..., 0, :] - z[..., 1, :]
-    d_alpha = derivative(a_dv, degree, 0)[..., :n] - derivative(a_du, degree, 1)[..., :n]
+    d = gradient(inv.alpha_coeffs, degree)  # d[..., j, axis]: of alpha_du (j = 0) and alpha_dv
+    d_alpha = d[..., 1, 0, :n] - d[..., 0, 1, :n]
     return jet_mul(d_alpha, apply("reciprocal", area, w), w)
 
 

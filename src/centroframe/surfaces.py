@@ -11,8 +11,8 @@ minus above ``* /`` above ``+ -``; binary operators associate left)::
     base    := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
 Identifiers are the coordinates ``u`` and ``v``, the unary functions
-``sin cos sinh cosh exp sqrt neg``, or named numeric parameters supplied at
-parse time.
+``sin cos sinh cosh exp sqrt`` (``taylor.FUNCTIONS``) and ``neg``, or named
+numeric parameters supplied at parse time.
 
 Parsing is one regular-expression pass that splits the text into a flat
 list of token strings, then one precedence-climbing loop over that list.
@@ -27,7 +27,6 @@ differentiable to the chosen degree.
 """
 
 import math
-import operator
 import os
 import re
 import struct
@@ -38,8 +37,8 @@ import numpy as np
 
 from . import taylor
 from .errors import (
-    ArithmeticFailure, ArityError, DomainError, SurfaceSyntaxError, UnknownIdentifier,
-    UnknownModel, raise_where,
+    ArithmeticFailure, ArityError, SurfaceSyntaxError, UnknownIdentifier, UnknownModel,
+    point_error, raise_where,
 )
 from .taylor import TaylorScalar
 
@@ -53,19 +52,6 @@ __all__ = [
     "resolve_surface",
     "BUILTIN_SURFACES",
 ]
-
-# Plain-float implementation of each unary function; on jets the same name
-# goes to taylor.apply, except neg, which is negation.
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "neg": operator.neg,
-}
-
 
 class ExprNode(NamedTuple):
     """Node of a parsed expression; a parse makes equal subtrees one node.
@@ -106,17 +92,17 @@ class SurfaceSpec:
 
 # The tokens of a surface: an operator symbol (tried first, as the most
 # frequent), a number, a name, or any other character that is not blank (a
-# bad character that the parse trips on).
+# bad character that the parse trips on).  \d admits every Unicode decimal
+# digit, which float() reads.
 _TOKEN_RE = re.compile(
     r"[-+*/^();,]"
-    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
     r"|[A-Za-z_][A-Za-z_0-9]*"
     r"|[^ \t\r\n]"
 )
 
 # The positional scan: the same tokens with their kind, line and column, and
-# an error at the first bad character.  \d admits every Unicode decimal digit,
-# which float() reads, so a non-ASCII text is tokenized by this scan.
+# an error at the first bad character.
 _SCAN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -180,10 +166,7 @@ def _parse(text, param_names):
     after their "(".  A group that fails to parse is never listed, so an
     error is raised where the full parse raises it.
     """
-    if text.isascii():
-        tokens = _TOKEN_RE.findall(text) + [""]
-    else:
-        tokens = [tok[1] for tok in _scan(text)]
+    tokens = _TOKEN_RE.findall(text) + [""]
     nodes = {}
     leaves = {}  # token -> its number, coordinate or parameter node
     groups = {}  # token after "(" -> [(tokens of a parsed group, its node)]
@@ -207,7 +190,7 @@ def _parse(text, param_names):
                 else:
                     pending.append((0, i - 1, None))
                     continue
-            elif tok.isidentifier():
+            elif tok.isidentifier() and tok.isascii():  # a non-ASCII letter is a bad character
                 if tokens[i] == "(":
                     i += 1
                     pending.append((0, tok, []))
@@ -268,7 +251,7 @@ def _parse(text, param_names):
                     groups.setdefault(tokens[name + 1], []).append((tokens[name:i], node))
                     continue
                 args.append(node)
-                if name not in _FUNCTIONS:
+                if name not in taylor.FUNCTIONS and name != "neg":
                     raise _error(text, 0, "unknown function %r" % name, UnknownIdentifier)
                 if len(args) != 1:
                     message = "%s takes 1 argument, got %d" % (name, len(args))
@@ -350,10 +333,7 @@ def _jet_pow(vals, a, b, degree):
 
 
 def _call(vals, a, b, degree):
-    try:
-        return _FUNCTIONS[b](vals[a])
-    except ValueError:  # math's domain error, e.g. sqrt(-1) or sin(inf)
-        raise DomainError("%s of %g is outside its real domain" % (b, vals[a])) from None
+    return taylor.FUNCTIONS[b][0](vals[a])
 
 
 def _jet_call(vals, a, b, degree):
@@ -469,7 +449,9 @@ def eval_surface(spec, u0, v0, degree):
     ------
     ArithmeticFailure
         If a component jet is not finite (an overflow or a division by zero
-        in floating point, which numpy is not left to warn about).
+        in floating point, which numpy is not left to warn about), or if
+        math fails at a jet's constant term or at a constant subexpression
+        (cosh(800), 1/(2 - 2)), typed by `errors.point_error`.
     DomainError
         If a function is taken outside its real domain, of a jet or of a
         constant subexpression (sqrt(0 - 1), sin(1e308*10)).
@@ -491,8 +473,9 @@ def eval_surface(spec, u0, v0, degree):
             for op, a, b in code:
                 try:
                     vals.append(op(vals, a, b, degree))
-                except (ArithmeticError, DomainError) as exc:  # of a constant subexpression
-                    raise_where(np.ones(U.shape, dtype=bool), lambda i: exc)
+                except (ArithmeticError, ValueError) as exc:  # of a constant subexpression
+                    error = point_error(exc, b, vals[a])  # a ValueError is math's, in _call
+                    raise_where(np.ones(U.shape, dtype=bool), lambda i: error)
             x = vals[k] if vals[k].shape == u.shape else np.broadcast_to(vals[k], u.shape)
             if not math.isfinite(x.sum()):  # a finite sum has finite terms
                 raise_where(~np.isfinite(x).all(axis=-1), lambda i: ArithmeticFailure(

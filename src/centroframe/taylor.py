@@ -22,16 +22,16 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, ZeroConstantTerm, raise_where
+from .errors import CentroframeError, DomainError, ZeroConstantTerm, point_error, raise_where
 
 __all__ = [
     "TaylorScalar",
     "coordinate_jets",
-    "derivative",
     "gradient",
     "product",
     "power",
     "apply",
+    "FUNCTIONS",
     "sqrt",
     "reciprocal",
     "ZERO_TOL",
@@ -95,49 +95,27 @@ def _mul_table(degree):
     return tab
 
 
-# Cached derivative tables: (degree, axis) -> (src, factor) such that the
-# derivative along u (axis 0) or v (axis 1) of a degree-d jet is
-# coeffs[src] * factor, a jet of degree d - 1; axis None stacks the two.
+# Cached derivative tables: degree -> (src, factor), each (2, n_terms(degree
+# - 1)), such that coeffs[..., src] * factor stacks the derivatives along u
+# and v of a degree-d jet, two jets of degree d - 1.
 _DERIV_CACHE = {}
 
 
-def _deriv_table(degree, axis):
-    key = (degree, axis)
-    tab = _DERIV_CACHE.get(key)
+def _deriv_table(degree):
+    tab = _DERIV_CACHE.get(degree)
     if tab is None:
-        if axis is None:
-            tab = tuple(np.stack(t) for t in zip(_deriv_table(degree, 0), _deriv_table(degree, 1)))
-        else:
-            src, factor = [], []
-            for s in range(degree):
-                for b in range(s + 1):
-                    a = s - b
-                    if axis == 0:
-                        src.append(index_of(a + 1, b))
-                        factor.append(a + 1.0)
-                    else:
-                        src.append(index_of(a, b + 1))
-                        factor.append(b + 1.0)
-            tab = (np.asarray(src, dtype=np.intp), np.asarray(factor))
-        _DERIV_CACHE[key] = tab
+        terms = [(s - b, b) for s in range(degree) for b in range(s + 1)]
+        src = [[index_of(a + 1, b) for a, b in terms], [index_of(a, b + 1) for a, b in terms]]
+        factor = [[a + 1.0 for a, b in terms], [b + 1.0 for a, b in terms]]
+        tab = _DERIV_CACHE[degree] = (np.array(src, dtype=np.intp), np.array(factor))
     return tab
-
-
-def derivative(coeffs, degree, axis):
-    """Partial derivative along u (axis 0) or v (axis 1) of coefficient arrays.
-
-    `coeffs` has shape (..., n_terms(degree)) with degree >= 1; the result
-    has shape (..., n_terms(degree - 1)).
-    """
-    src, factor = _deriv_table(degree, axis)
-    return coeffs.take(src, axis=-1) * factor
 
 
 def gradient(coeffs, degree):
     """Both partial derivatives of coefficient arrays (..., n_terms(degree)),
-    as (..., 2, n_terms(degree - 1)) with the u derivative first, from one
-    gather: the values of `derivative` along axes 0 and 1."""
-    src, factor = _deriv_table(degree, None)
+    degree >= 1, as (..., 2, n_terms(degree - 1)) with the u derivative
+    first, from one gather."""
+    src, factor = _deriv_table(degree)
     return coeffs.take(src, axis=-1) * factor
 
 
@@ -414,22 +392,27 @@ def _exp_series(a0, degree):
     return [e / math.factorial(k) for k in range(degree + 1)]
 
 
-# name -> series builder (constant term, degree) -> Taylor coefficients
-_SERIES = {
-    "sin": lambda a0, d: _cyclic_series(a0, d, math.sin, math.cos, (-1.0, -1.0)),
-    "cos": lambda a0, d: _cyclic_series(a0, d, math.cos, lambda t: -math.sin(t), (-1.0, -1.0)),
-    "sinh": lambda a0, d: _cyclic_series(a0, d, math.sinh, math.cosh, (1.0, 1.0)),
-    "cosh": lambda a0, d: _cyclic_series(a0, d, math.cosh, math.sinh, (1.0, 1.0)),
-    "exp": _exp_series,
-    "sqrt": lambda a0, d: _power_series(a0, 0.5, d),
+# The elementary functions a surface may call: name -> (the function of a
+# float, its series builder (constant term, degree) -> Taylor coefficients)
+FUNCTIONS = {
+    "sin": (math.sin, lambda a0, d: _cyclic_series(a0, d, math.sin, math.cos, (-1.0, -1.0))),
+    "cos": (math.cos, lambda a0, d: _cyclic_series(a0, d, math.cos, lambda t: -math.sin(t), (-1.0, -1.0))),
+    "sinh": (math.sinh, lambda a0, d: _cyclic_series(a0, d, math.sinh, math.cosh, (1.0, 1.0))),
+    "cosh": (math.cosh, lambda a0, d: _cyclic_series(a0, d, math.cosh, math.sinh, (1.0, 1.0))),
+    "exp": (math.exp, _exp_series),
+    "sqrt": (math.sqrt, lambda a0, d: _power_series(a0, 0.5, d)),
+}
+
+# name -> series builder, of those and of the two that only the pipeline takes
+_SERIES = {name: series for name, (_, series) in FUNCTIONS.items()} | {
     "rsqrt": lambda a0, d: _power_series(a0, -0.5, d),
     "reciprocal": lambda a0, d: _power_series(a0, -1.0, d),
 }
 
 
 def apply(name, c, degree):
-    """The elementary function `name` (a key of the table above: sin, cos,
-    sinh, cosh, exp, sqrt, rsqrt or reciprocal) of coefficient arrays.
+    """The elementary function `name` (a key of `_SERIES`: sin, cos, sinh,
+    cosh, exp, sqrt, rsqrt or reciprocal) of coefficient arrays.
 
     Input shapes: with one name, `c` is (n,) for one point or (N, n) for a
     batch of N points.  With a tuple of S names, `c` is (S, n) for one point
@@ -438,14 +421,19 @@ def apply(name, c, degree):
     kernel as alone, so each result is bit-identical to its own call.
 
     The series of each point is built from its constant term with `math`,
-    so an overflow (cosh(800)) is that point's OverflowError.
+    and a failure there is typed by `errors.point_error`: sin(inf) is that
+    point's DomainError, and cosh(800) its ArithmeticFailure
+    ("OverflowError: math range error").
 
     Raises
     ------
     DomainError
-        For sqrt and rsqrt when the constant term is at most ZERO_TOL.
+        For sqrt and rsqrt when the constant term is at most ZERO_TOL, and
+        where math finds the constant term outside the function's domain.
     ZeroConstantTerm
         For reciprocal when |constant term| is at most ZERO_TOL.
+    ArithmeticFailure
+        Where math overflows.
 
     One point raises its own error, that of its first failing series; in a
     batch the failing points raise together as PointFailures.
@@ -463,8 +451,8 @@ def apply(name, c, degree):
                 if x <= ZERO_TOL and (f == "sqrt" or f == "rsqrt"):
                     raise DomainError("%s of a jet with non-positive constant term %g" % (f, x))
                 series.append(_SERIES[f](x, degree))
-            except (ZeroConstantTerm, DomainError, ArithmeticError) as exc:  # and math's OverflowError
-                failed.setdefault(k, exc)
+            except (CentroframeError, ArithmeticError, ValueError) as exc:
+                failed.setdefault(k, point_error(exc, f, x))
                 series.append([0.0] * (degree + 1))
     if failed:
         bad = np.zeros(len(rows), dtype=bool)

@@ -111,8 +111,8 @@ def _structure_residual_max(mc):
     worst = 0.0
     for i in range(5):
         for j in range(5):
-            d_entry = TaylorScalar(taylor.derivative(dv[i, j].coeffs, dv[i, j].degree, 0)
-                                   - taylor.derivative(du[i, j].coeffs, du[i, j].degree, 1))
+            d_entry = TaylorScalar(taylor.gradient(dv[i, j].coeffs, dv[i, j].degree)[0]
+                                   - taylor.gradient(du[i, j].coeffs, du[i, j].degree)[1])
             wedge = None
             for k in range(5):
                 term = du[i, k] * dv[k, j] - dv[i, k] * du[k, j]
@@ -408,7 +408,7 @@ def test_maurer_cartan_satisfies_frame_equation():
         F = _entries(fr.coeffs, fr.degrees)
         for omega, axis in zip(_entries(mc.omega, mc.degrees), (0, 1)):
             FO = F @ omega
-            dF = [[taylor.derivative(x.coeffs, x.degree, axis) for x in row] for row in F]
+            dF = [[taylor.gradient(x.coeffs, x.degree)[axis] for x in row] for row in F]
             _assert_jets_close(FO, _at_degrees(dF, FO))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from centroframe import cli, invariants
+from centroframe.errors import ArithmeticFailure, CentroframeError, DomainError
 from centroframe.invariants import H_ALL, H_COLUMNS_OF, analyze_point
 from centroframe.surfaces import BUILTIN_SURFACES, parse_surface
 
@@ -169,3 +170,22 @@ def test_errors_in_a_batch_are_the_errors_alone(text, us, vs):
         assert isinstance(alone, Exception) == (i in batch.errors), i
         if i in batch.errors:
             assert _row(batch, i) == _columns(alone), i
+
+
+@pytest.mark.parametrize("text, cls, message", [
+    ("sin(1e308*10*u) + 2; u; v; u*v; v^2", DomainError, "sin of inf is outside its real domain"),
+    ("cos(1e308*10*u) + 2; u; v; u*v; v^2", DomainError, "cos of inf is outside its real domain"),
+    ("cosh(800*u) + 2; u; v; u*v; v^2", ArithmeticFailure, "OverflowError: math range error"),
+    ("u; v; cosh(800) + u; u*v; v^2", ArithmeticFailure, "OverflowError: math range error"),
+    ("u; v; 1/(2-2) + u; u*v; v^2", ArithmeticFailure, "ZeroDivisionError: float division by zero"),
+])
+def test_math_failures_are_typed_where_they_arise(text, cls, message):
+    # a failure of math at a jet's constant term (u = 1) or at a constant
+    # is the point's typed error, alone and in a batch
+    spec = parse_surface(text)
+    with pytest.raises(CentroframeError) as alone:
+        analyze_point(spec, 1.0, 0.5, degree=5)
+    batch = analyze_point(spec, np.array([1.0, 0.001]), np.array([0.5, 0.5]), degree=5)
+    for exc in (alone.value, batch.errors[0]):
+        assert type(exc) is cls
+        assert str(exc) == message

@@ -232,6 +232,47 @@ def test_analyze_constant_domain_error_recorded_inline(tmp_path, bad, message):
         assert rec["message"] == message
 
 
+def test_analyze_jet_outside_domain_recorded_inline(tmp_path):
+    # sin of a jet whose constant term is infinite fails its point, not the
+    # sweep
+    out = tmp_path / "o"
+    surface = "sin(1e308*10*u) + 2; u; v; u*v; v^2"
+    rc = _run(["analyze", "--surface", surface, "--grid", "0.5:0.5:1", "--out", str(out)])
+    assert rc == 0
+    [rec] = json.loads((out / "analyze.json").read_text())["records"]
+    assert (rec["ok"], rec["error"]) == (False, "DomainError")
+    assert rec["message"] == "sin of inf is outside its real domain"
+
+
+def test_example_overflow_is_an_error_line(tmp_path, capsys):
+    rc = _run(["example", "h2", "--grid", "800:900:2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: OverflowError: math range error"]
+
+
+def test_out_document_is_whole_or_as_it_was(monkeypatch, tmp_path):
+    # the second of two batches fails: the document from before stays, and
+    # no temporary file is left
+    path = tmp_path / "analyze.json"
+    path.write_text("earlier document\n")
+    before = path.read_bytes()
+    analyze_records, calls = cli._analyze_records, []
+
+    def records(task):
+        calls.append(task)
+        if len(calls) == 2:
+            raise RuntimeError("second batch")
+        return analyze_records(task)
+
+    monkeypatch.setattr(cli, "_analyze_records", records)
+    with pytest.raises(RuntimeError, match="second batch"):
+        _run(["analyze", "--surface", "h2", "--grid", "-1:1:9", "--out", str(tmp_path)])
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["analyze.json"]
+
+
 def _fields(row):
     """An `analyze` row as a dict keyed by its columns."""
     return dict(zip(cli.ANALYZE_COLUMNS, row))

@@ -293,7 +293,7 @@ def test_errors_are_raised_in_component_order():
         eval_surface(parse_surface("u; 1/(u - u); u/0; u; v"), 0.4, -0.3, 3)
     # constant subexpressions are not folded: a bad one fails when evaluated
     spec = parse_surface("u; v; 1/(2 - 2) + u; u; v")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ArithmeticFailure, match="ZeroDivisionError"):
         eval_surface(spec, 0.4, -0.3, 3)
 
 
@@ -475,8 +475,8 @@ _FUZZ_PIECES = (
     "u", "v", "a", "x", "_b1", "e", "e5", "sin", "cosh", "sqrt", "neg", "foo",
     "0", "1", "2", "3", "10", "2.5", "0.0", "-0.0", "1e3", "1E-2", "2.", ".5", ".5e", "1e",
     "1e+", ".", "..", "1.2.3", "+", "-", "*", "/", "^", "^-", "(", ")", ",", ";", ";",
-    " ", "  ", "\t", "\r", "\n", "\f", "\v", "$", "#", "é", "π", "٣", "١.٥",
-    "２", "x^2.0", "x^-3", "u^-3", "u^2", "u^0", "^2", "^(2)", "sin(u, v)", "(u)", "foo(u)", "u(v)",
+    " ", "  ", "\t", "\r", "\n", "\f", "\v", "$", "#", "é", "π", "٣", "١", "١.٥",
+    "２", "\u3000", "（", "x^2.0", "x^-3", "u^-3", "u^2", "u^0", "^2", "^(2)", "sin(u, v)", "(u)", "foo(u)", "u(v)",
 )
 
 
@@ -529,6 +529,20 @@ def test_parser_matches_recursive_descent_on_fuzz():
     # the battery reaches every error of the grammar, and valid surfaces
     assert outcomes["ok"] >= 2000
     assert outcomes.keys() >= {"unexpected", "expected", "exponent", "surface", "unknown", "sin"}
+
+
+@pytest.mark.parametrize("text, params, ok", [
+    ("u + ١.٥; v; u; v; u*v", {}, True),
+    ("é; u; v; u; v", {"é": 1.0}, False),
+    ("u; v;\u3000u; v; u*v", {}, False),
+    ("（u); v; u; v; u*v", {}, False),
+])
+def test_non_ascii_text_parses_as_the_reference(text, params, ok):
+    # a Unicode digit is a digit; a non-ASCII letter, even one named as a
+    # parameter, a non-ASCII blank and a non-ASCII bracket are bad characters
+    want = _outcome(_reference_parse, text, params)
+    assert _outcome(_parse_components, text, params) == want
+    assert want[0] == "ok" if ok else want[0] is SurfaceSyntaxError
 
 
 def test_parser_compiles_gl5_images_to_the_reference_program():

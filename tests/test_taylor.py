@@ -84,10 +84,9 @@ def test_pow_matches_repeated_multiplication():
 def test_derivative_of_monomial():
     u, v = coordinate_jets(0.0, 0.0, 3)
     m = u * u * v  # du^2 dv
-    mu = TaylorScalar(taylor.derivative(m.coeffs, m.degree, 0))
+    mu, mv = (TaylorScalar(d) for d in taylor.gradient(m.coeffs, m.degree))
     assert mu.degree == 2
     assert mu.coefficient(1, 1) == 2.0
-    mv = TaylorScalar(taylor.derivative(m.coeffs, m.degree, 1))
     assert mv.coefficient(2, 0) == 1.0
 
 
@@ -95,7 +94,7 @@ def test_derivatives_match_coefficient_loop():
     rng = np.random.default_rng(5)
     for degree in range(1, 8):
         x = TaylorScalar(rng.uniform(-1.0, 1.0, taylor.n_terms(degree)))
-        du, dv = (TaylorScalar(taylor.derivative(x.coeffs, degree, axis)) for axis in (0, 1))
+        du, dv = (TaylorScalar(d) for d in taylor.gradient(x.coeffs, degree))
         assert du.degree == dv.degree == degree - 1
         for s in range(degree):
             for b in range(s + 1):
