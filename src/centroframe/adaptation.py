@@ -361,13 +361,15 @@ def frame1(jet5):
     P = coeffs[..., :3, 0]
     norms = _norm(P, -2)
     scale = np.maximum(np.maximum(norms[..., 1], norms[..., 2]), 1e-300)
-    P12 = np.ascontiguousarray(P[..., 1:])
+    # the tangent columns over their larger norm: the Gram is of order one
+    # and its determinant test holds at any scale of f without overflow
+    P12 = P[..., 1:] / scale[..., None, None]
     P12t = P12.swapaxes(-1, -2)
-    gram12 = P12t @ P12
-    raise_where(np.linalg.det(gram12) <= (_FRAME1_TOL * scale * scale) ** 2,
+    gram = P12t @ P12
+    raise_where(np.linalg.det(gram) <= _FRAME1_TOL ** 2,
                 lambda i: NotImmersed("tangent vectors are dependent at the base point"))
     # rejection of e0 from span(e1, e2)
-    coeff = np.linalg.solve(gram12, P12t @ P[..., 0, None])
+    coeff = np.linalg.solve(gram, P12t @ P[..., 0, None])
     resid = _norm(P[..., 0, None] - P12 @ coeff, (-2, -1))
     raise_where(resid <= _FRAME1_TOL * np.maximum(norms[..., 0], 1e-300),
                 lambda i: NotTransversal("position vector lies in the tangent plane"))

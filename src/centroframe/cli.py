@@ -62,6 +62,7 @@ import numpy as np
 from .errors import ArithmeticFailure, CentroframeError
 from .homogeneous import (
     MODEL_NAMES,
+    SEARCH_CASES,
     builtin_model,
     bracket_check,
     invariant_names,
@@ -85,8 +86,6 @@ ANALYZE_COLUMNS = (
 ) + H_ALL
 
 VERIFY_COLUMNS = ("name", "passed", "residual", "tolerance", "detail")
-
-_SEARCH_CASES = ("spacelike", "spacelike+", "spacelike-", "timelike")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def build_parser():
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("search", help="search for constant-invariant solutions")
-    sp.add_argument("case", metavar="CASE", help="one of: %s" % ", ".join(_SEARCH_CASES))
+    sp.add_argument("case", metavar="CASE", help="one of: %s" % ", ".join(SEARCH_CASES))
     sp.add_argument("--restarts", type=_restarts, default=200, help="number of random starts (default 200)")
     sp.add_argument("--seed", type=_seed, default=0, help="random seed for the starts (default 0)")
     sp.add_argument("--tol", type=_tolerance, default=1e-10, help="max residual of a converged start (default 1e-10)")
@@ -701,7 +700,7 @@ def cmd_search(ns):
         "clusters": records,
     }
     if ns.out:
-        names = invariant_names("TimeLike" if ns.case == "timelike" else "SpaceLike")
+        names = invariant_names(SEARCH_CASES[ns.case][0][0])
         rows = (
             [r[k] for k in _SEARCH_COLUMNS] + [r["values"][n] for n in names]
             for r in records

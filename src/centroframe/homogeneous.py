@@ -24,11 +24,13 @@ parametrizations, quadric equations, and closed-form induced metrics.
 
 The matrices are affine in the fourteen constants x (M0 does not depend on
 them) and K is quadratic, so each of the 75 entries of the three identities
-is an exact quadratic r(x) = c + L.x + x.Q.x.  The coefficients (c, L, Q)
-are built once per case from the affine parts of `model_omega`; the
-quadratic form of K is read off the same [M1, M2].  The independent equations
-are chosen exactly from the coefficient rows: all-zero rows are dropped,
-and so is any row that equals or negates an earlier kept row.  The search
+is an exact quadratic r(x) = c + L.x + x.Q.x.  The identities are written
+once, in `_identities`; the coefficients (c, L, Q) are read off it once per
+case by polarization at exact probes of the affine parts of `model_omega`.
+The independent equations are chosen exactly from the coefficient rows:
+all-zero rows are dropped, and so is any row that equals or negates an
+earlier kept row.  One evaluator, `_residual_stack`, serves both
+`structure_residual` and the search.  The search
 runs all starts of one case together through `least_squares`, a batched
 Levenberg-Marquardt in plain numpy: one GEMM with Q gives the residuals and
 the exact Jacobians L + 2 Q x of the whole stack, and one batched solve
@@ -45,7 +47,6 @@ import numpy as np
 from .errors import CaseMismatch, DegenerateCoframe, UnknownModel
 from .invariants import LAYOUTS, structure_terms
 from .linalg5 import expm5
-from .surfaces import builtin_surface
 
 __all__ = [
     "MODEL_NAMES",
@@ -59,7 +60,6 @@ __all__ = [
     "gauss_constant",
     "bracket_check",
     "structure_residual",
-    "structure_jacobian",
     "residual_dimension",
     "SearchCluster",
     "least_squares",
@@ -205,6 +205,19 @@ def _comm(A, B):
     return A @ B - B @ A
 
 
+def _identities(M, surface_type, epsilon):
+    """The three reduced structure identities at stacked matrices M (..., 3, 5, 5).
+
+    Returns (..., 3, 5, 5): the two `_IDENTITIES` of the case, then
+    [M1, M2] + K*M0 with K from `invariants.structure_terms`.
+    """
+    E = [_comm(M[..., a, :, :], M[..., b, :, :]) + s * M[..., c, :, :]
+         for _, a, b, c, s in _IDENTITIES[surface_type]]
+    K, _ = structure_terms(M[..., 1:, :, :, None], surface_type, epsilon)
+    E.append(_comm(M[..., 1, :, :], M[..., 2, :, :]) + K[..., None] * M[..., 0, :, :])
+    return np.stack(E, axis=-3)
+
+
 def _affine_parts(surface_type, epsilon):
     """Affine parts of `model_omega`: M_i(x) = A_i + sum_k x_k B_ik.
 
@@ -227,42 +240,26 @@ def _affine_parts(surface_type, epsilon):
 def _residual_tensors(surface_type, epsilon):
     """Exact coefficients (c, L, Q) of the 75 raw structure residuals.
 
-    Entry i is r_i(x) = c[i] + L[i] . x + x . Q[i] . x with Q[i] symmetric.
-    The tensors are built in homogeneous coordinates y = (1, x): a product
-    of affine matrices M_a M_b has the form sum_pq y_p y_q N_ap N_bq, a
-    linear term M_a is sum_q y_0 y_q N_aq, and K*M0 is the quadratic form
-    of K, read off the same [M1, M2], times the constant M0.
+    Entry i is r_i(x) = c[i] + L[i] . x + x . Q[i] . x with Q[i] symmetric:
+    the matrices are affine in x and M0 is constant (N[0, 1:] = 0), so K
+    and every identity are quadratic.  The coefficients are read off one
+    `_identities` call by polarization, c = r(0), L_k and Q_kk from
+    r(+-e_k), and 2 Q_kl = r(e_k + e_l) - r(e_k) - r(e_l) + c.  At these
+    probes the matrices of `_affine_parts` have dyadic entries, so every
+    value and every difference is a short sum of dyadic products, and exact.
     """
     N = _affine_parts(surface_type, epsilon)
-
-    def comm(a, b):
-        return np.einsum("pij,qjk->pqik", N[a], N[b]) - np.einsum(
-            "pij,qjk->pqik", N[b], N[a]
-        )
-
-    def linear(a):
-        T = np.zeros((15, 15, 5, 5))
-        T[0] = N[a]  # y_0 y_q N_aq, split over [0, q] and [q, 0] below
-        return T
-
-    E1, E2 = (comm(a, b) + s * linear(c) for _, a, b, c, s in _IDENTITIES[surface_type])
-    # M0 is constant in both cases (N[0, 1:] = 0), so K*M0 stays quadratic:
-    # K = -1/2 sum over i, j in {1, 2} of M0[i, j] [M1, M2][i, j].
-    C = comm(1, 2)
-    G = -0.5 * np.einsum("ij,pqij->pq", N[0, 0, 1:3, 1:3], C[..., 1:3, 1:3])
-    E3 = C + G[..., None, None] * N[0, 0]
-    T = np.concatenate(
-        [E.transpose(2, 3, 0, 1).reshape(25, 15, 15) for E in (E1, E2, E3)]
-    )
-    T = (T + T.transpose(0, 2, 1)) / 2.0
-    return T[:, 0, 0], 2.0 * T[:, 0, 1:], T[:, 1:, 1:]
-
-
-def _raw_residual(vector):
-    """All 75 entries of the three reduced structure identities."""
-    c, L, Q = _residual_tensors(vector.surface_type, vector.epsilon)
-    x = vector.as_array()
-    return c + (L + Q @ x) @ x
+    n = N.shape[1] - 1
+    p, q = np.triu_indices(n, 1)
+    unit = np.eye(n)
+    X = np.concatenate([np.zeros((1, n)), unit, -unit, unit[p] + unit[q]])
+    M = N[:, 0] + np.einsum("pk,ikab->piab", X, N[:, 1:])
+    r = _identities(M, surface_type, epsilon).reshape(len(X), -1)
+    c, plus, minus, mixed = r[0], r[1 : n + 1], r[n + 1 : 2 * n + 1], r[2 * n + 1 :]
+    Q = np.empty((len(c), n, n))
+    Q[:, range(n), range(n)] = ((plus + minus) / 2.0 - c).T
+    Q[:, p, q] = Q[:, q, p] = ((mixed - plus[p] - plus[q] + c) / 2.0).T
+    return c, ((plus - minus) / 2.0).T, Q
 
 
 @lru_cache(maxsize=8)
@@ -302,17 +299,12 @@ def structure_residual(vector):
     Zero exactly on constant-invariant solutions.  Duplicate and
     identically-zero entries of the three matrix identities are removed,
     so the result has one component per independent polynomial equation.
-    Each component is the quadratic c + L.x + x.Q.x in the constants.
+    Each component is the quadratic c + L.x + x.Q.x in the constants,
+    evaluated as a one-row `_residual_stack`.
     """
-    c, L, Q = _support_tensors(vector.surface_type, vector.epsilon)
-    x = vector.as_array()
-    return c + (L + Q @ x) @ x
-
-
-def structure_jacobian(vector):
-    """Exact Jacobian of `structure_residual`, L + 2 Q x, of shape (m, 14)."""
-    _, L, Q = _support_tensors(vector.surface_type, vector.epsilon)
-    return L + 2.0 * (Q @ vector.as_array())
+    R, _ = _residual_stack(*_support_tensors(vector.surface_type, vector.epsilon),
+                           vector.as_array()[None])
+    return R[0]
 
 
 def residual_dimension(surface_type, epsilon=0):
@@ -363,10 +355,9 @@ def bracket_check(model):
     The labels name the identity being tested; every value is zero (to
     roundoff) when the model solves the reduced structure equations.
     """
-    M = model_omega(model.constants)
-    rel = {label: _comm(M[a], M[b]) + s * M[c] for label, a, b, c, s in _IDENTITIES[model.surface_type]}
-    rel["[M1,M2]+K*M0"] = _comm(M[1], M[2]) + model.gauss * M[0]
-    return {label: float(np.max(np.abs(E))) for label, E in rel.items()}
+    E = _identities(np.array(model_omega(model.constants)), model.surface_type, model.epsilon)
+    labels = [label for label, *_ in _IDENTITIES[model.surface_type]] + ["[M1,M2]+K*M0"]
+    return {label: float(np.max(np.abs(e))) for label, e in zip(labels, E)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +377,13 @@ class SearchCluster:
     gauss: float
 
 
-def _search_plan(case):
-    if case == "spacelike":
-        return (("SpaceLike", 1), ("SpaceLike", -1))
-    if case == "spacelike+":
-        return (("SpaceLike", 1),)
-    if case == "spacelike-":
-        return (("SpaceLike", -1),)
-    if case == "timelike":
-        return (("TimeLike", 0),)
-    raise CaseMismatch(
-        "case must be one of: spacelike, spacelike+, spacelike-, timelike"
-    )
-
+# The search cases: the (type, epsilon) groups that their starts alternate over.
+SEARCH_CASES = {
+    "spacelike": (("SpaceLike", 1), ("SpaceLike", -1)),
+    "spacelike+": (("SpaceLike", 1),),
+    "spacelike-": (("SpaceLike", -1),),
+    "timelike": (("TimeLike", 0),),
+}
 
 # Half-width of the uniform start box of the constant-solution search.
 SEARCH_BOX = 3.0
@@ -503,7 +488,8 @@ def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10)
     Parameters
     ----------
     case : str
-        "spacelike" (both signs), "spacelike+", "spacelike-", "timelike".
+        A key of `SEARCH_CASES`: "spacelike" (both signs), "spacelike+",
+        "spacelike-", "timelike".
     restarts : int
         Number of random starts.
     seed : int
@@ -516,7 +502,9 @@ def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10)
     list of SearchCluster
         Sorted by case, then hit count (descending), then values.
     """
-    plan = _search_plan(case)
+    if case not in SEARCH_CASES:
+        raise CaseMismatch("case must be one of: %s" % ", ".join(SEARCH_CASES))
+    plan = SEARCH_CASES[case]
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=(max(restarts, 0), 14))
     runs = [

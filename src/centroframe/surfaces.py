@@ -101,41 +101,24 @@ _TOKEN_RE = re.compile(
     r"|[^ \t\r\n]"
 )
 
-# The positional scan: the same tokens with their kind, line and column, and
-# an error at the first bad character.
-_SCAN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^();,])"
-    r"|(?P<newline>\n)"
-    r"|[ \t\r]+"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
-
-
-def _scan(text):
-    tokens = []
-    line, line_start = 1, 0
-    for m in _SCAN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise SurfaceSyntaxError(
-                "unexpected character %r" % m.group(), line, m.start() - line_start + 1
-            )
-        elif kind is not None:
-            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
-    return tokens
+# A bad character: a one-character token that is not a symbol, an ASCII
+# letter, "_" or a digit.
+_BAD_CHAR_RE = re.compile(r"[^-+*/^();,A-Za-z_\d]")
 
 
 def _error(text, at, message, cls=SurfaceSyntaxError):
     """The error to raise at token `at`: a bad character anywhere in the text
     is reported first, and a syntax error carries the token's position."""
-    _, _, line, column = _scan(text)[at]
-    return cls(message, line, column) if cls is SurfaceSyntaxError else cls(message)
+    matches = list(_TOKEN_RE.finditer(text))
+    for i, m in enumerate(matches):
+        if _BAD_CHAR_RE.fullmatch(m.group()):
+            at, message, cls = i, "unexpected character %r" % m.group(), SurfaceSyntaxError
+            break
+    if cls is not SurfaceSyntaxError:
+        return cls(message)
+    offset = matches[at].start() if at < len(matches) else len(text)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # Binding strength of the token after an operand: + - and * / are binary

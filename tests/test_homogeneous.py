@@ -19,9 +19,9 @@ from centroframe.homogeneous import (
     TIMELIKE_NAMES,
     ConstantInvariantVector,
     _comm,
-    _raw_residual,
     _residual_stack,
     _residual_support,
+    _residual_tensors,
     _support_tensors,
     bracket_check,
     builtin_model,
@@ -34,7 +34,6 @@ from centroframe.homogeneous import (
     quadric_residual,
     residual_dimension,
     search_constant_solutions,
-    structure_jacobian,
     structure_residual,
 )
 from centroframe.invariants import H_NAMES, InvariantSet, analyze_point, relation_residuals
@@ -201,6 +200,13 @@ def _matrix_route_residual(vector):
     return np.concatenate([E1.ravel(), E2.ravel(), E3.ravel()])
 
 
+def _raw_residual(vector):
+    # all 75 entries of the identities, from the coefficients (c, L, Q)
+    c, L, Q = _residual_tensors(vector.surface_type, vector.epsilon)
+    x = vector.as_array()
+    return c + (L + Q @ x) @ x
+
+
 def test_raw_residual_matches_matrix_route():
     rng = np.random.default_rng(31)
     for st, eps in CASES:
@@ -210,6 +216,16 @@ def test_raw_residual_matches_matrix_route():
             got = _raw_residual(vec)
             assert got.shape == (75,)
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("st, eps", CASES)
+def test_coefficients_are_exact_at_dyadic_points(st, eps):
+    """At dyadic x the quadratic and the matrix route are both exact, so
+    they agree to the bit: (c, L, Q) are the identities' own coefficients."""
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        vec = ConstantInvariantVector(st, eps, tuple(rng.integers(-24, 25, 14) / 8))
+        assert np.all(_raw_residual(vec) == _matrix_route_residual(vec))
 
 
 def test_structure_jacobian_matches_central_differences():
@@ -222,7 +238,7 @@ def test_structure_jacobian_matches_central_differences():
 
         for _ in range(5):
             x = rng.uniform(-2, 2, 14)
-            J = structure_jacobian(ConstantInvariantVector(st, eps, tuple(x)))
+            _, (J,) = _residual_stack(*_support_tensors(st, eps), x[None])
             assert J.shape == (residual_dimension(st, eps), 14)
             fd = np.empty_like(J)
             for k, step in enumerate(h * np.eye(14)):
@@ -340,7 +356,7 @@ def test_batched_stack_matches_structure_residual_and_jacobian(st, eps):
     R, J = _residual_stack(c, L, Q, X)
     for x, r, jac in zip(X, R, J):
         vec = ConstantInvariantVector(st, eps, tuple(x))
-        want_r, want_j = structure_residual(vec), structure_jacobian(vec)
+        want_r, want_j = structure_residual(vec), L + 2.0 * (Q @ x)
         assert np.max(np.abs(r - want_r)) <= 1e-13 * np.max(np.abs(want_r))
         assert np.max(np.abs(jac - want_j)) <= 1e-13 * np.max(np.abs(want_j))
 
@@ -353,8 +369,10 @@ def test_batched_lm_matches_scipy_route(st, eps):
     def fun(x):
         return structure_residual(ConstantInvariantVector(st, eps, tuple(x)))
 
+    _, L, Q = _support_tensors(st, eps)
+
     def jac(x):
-        return structure_jacobian(ConstantInvariantVector(st, eps, tuple(x)))
+        return L + 2.0 * (Q @ x)
 
     model = builtin_model(MODEL_OF_CASE[st, eps]).constants.as_array()
     X0 = np.random.default_rng(52).uniform(-SEARCH_BOX, SEARCH_BOX, (200, 14))

@@ -22,7 +22,7 @@ from centroframe.adaptation import (
     fundamental_matrices,
     maurer_cartan,
 )
-from centroframe.errors import NullTypeUnsupported
+from centroframe.errors import NotImmersed, NullTypeUnsupported
 from centroframe.homogeneous import ConstantInvariantVector, model_omega
 from centroframe.invariants import (
     H_NAMES,
@@ -401,7 +401,7 @@ def test_curvature_routes_agree_near_the_null_cone():
 
 
 @pytest.mark.parametrize("name", ["h2", "s21"])
-@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e6, 1e8])
+@pytest.mark.parametrize("c", [1e-150, 1e-100, 1e-8, 1e-4, 1e6, 1e8, 1e100, 1e150])
 def test_pure_scalings_keep_the_curvature(name, c):
     components = [c_.strip() for c_ in builtin_surface(name).source.split(";")]
     spec = parse_surface("; ".join("%r*(%s)" % (c, comp) for comp in components))
@@ -409,6 +409,15 @@ def test_pure_scalings_keep_the_curvature(name, c):
     assert res.surface_type == _MODELS[name][0]
     for K in (res.gauss_invariants, res.gauss_connection):
         assert abs(K + 1 / 3) <= 1e-9 / 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_immersion_test_does_not_overflow():
+    # tangent norms about 1e89 apart: dependent to working precision, and
+    # the Gram of the scaled tangents keeps the threshold finite
+    spec = parse_surface("cosh(800*u) + 2; u; v; u*v; v^2")
+    with pytest.raises(NotImmersed):
+        analyze_point(spec, 0.25, 0.5, degree=5)
 
 
 def test_connection_route_needs_degree():
