@@ -325,8 +325,14 @@ _FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal test
 
 def _norm(x, axis):
     """The 2-norm along `axis` (Frobenius for two axes), as np.linalg.norm
-    computes it, without its argument handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
+    computes it, without its argument handling, but scaled as LAPACK's dnrm2
+    is: the entries are divided by the power of two of their largest |entry|
+    before squaring, so no square overflows, and the root is scaled back.  A
+    power of two is exact, so wherever no square under- or overflowed the
+    result is the unscaled one to the bit."""
+    _, e = np.frexp(np.maximum.reduce(np.abs(x), axis=axis, keepdims=True))
+    y = np.ldexp(x, -e)
+    return np.squeeze(np.ldexp(np.sqrt(np.add.reduce(y * y, axis=axis, keepdims=True)), e), axis)
 
 
 def frame1(jet5):

@@ -59,8 +59,10 @@ import sys
 
 import numpy as np
 
-from .errors import ArithmeticFailure, CentroframeError
+from .errors import CentroframeError
 from .homogeneous import (
+    CLUSTER_TOL,
+    CONVERGED_TOL,
     MODEL_NAMES,
     SEARCH_CASES,
     builtin_model,
@@ -310,7 +312,7 @@ def build_parser():
     sp.add_argument("case", metavar="CASE", help="one of: %s" % ", ".join(SEARCH_CASES))
     sp.add_argument("--restarts", type=_restarts, default=200, help="number of random starts (default 200)")
     sp.add_argument("--seed", type=_seed, default=0, help="random seed for the starts (default 0)")
-    sp.add_argument("--tol", type=_tolerance, default=1e-10, help="max residual of a converged start (default 1e-10)")
+    sp.add_argument("--tol", type=_tolerance, default=CONVERGED_TOL, help="max residual of a converged start (default %g)" % CONVERGED_TOL)
     _add_output(sp, "json", "write the report to this directory (default: none)")
     sp.set_defaults(run=cmd_search)
 
@@ -372,27 +374,17 @@ def _record_json(row):
     return template % tuple(fields)
 
 
-# The results that must be finite for an ok record, in the order of the
-# batch columns that `_analyze_records` stacks, named as its message names them
-_RESULT_NAMES = ("gauss_invariants", "gauss_connection", "E", "F", "G", "alpha_du", "alpha_dv") + H_ALL
-_RESULTS_OF = {case: np.array([k not in H_ALL or k in dict(cols) for k in _RESULT_NAMES])
-               for case, cols in H_COLUMNS_OF.items()} | {None: np.zeros(len(_RESULT_NAMES), bool)}
-
-
 def _analyze_records(task):
     """A contiguous run of grid points -> their rows, built from one
     `analyze_point` batch; errors recorded, not raised."""
     spec, us, vs, degree, tol = task
     res = analyze_point(spec, np.array(us), np.array(vs), degree=degree)
     values = np.column_stack([res.gauss_invariants, res.gauss_connection, res.metric, res.alpha, res.h])
-    results = np.array([_RESULTS_OF[t] for t in res.surface_type])
-    bad, cells = (~np.isfinite(values) & results).tolist(), np.where(results, values, None).tolist()
+    cells = np.where(np.isnan(values), None, values).tolist()  # in an ok row, the other type's h
     eps, R = res.epsilon.tolist(), res.residual_max.tolist()
     rows = []
     for i, (u, v) in enumerate(zip(us, vs)):
         exc = res.errors.get(i)
-        if exc is None and any(bad[i]):
-            exc = ArithmeticFailure("non-finite result: " + ", ".join(k for k, b in zip(_RESULT_NAMES, bad[i]) if b))
         if exc is not None:
             rows.append((u, v, False, type(exc).__name__, str(exc)) + (None,) * (len(ANALYZE_COLUMNS) - 5))
             continue
@@ -651,7 +643,7 @@ def cmd_search(ns):
             dist = float(np.max(np.abs(model.constants.as_array() - c.values)))
             if dist < best_dist:
                 best_name, best_dist = name, dist
-        matched = best_name if best_dist < 1e-6 else None
+        matched = best_name if best_dist < CLUSTER_TOL else None
         names = invariant_names(c.surface_type)
         records.append(
             {

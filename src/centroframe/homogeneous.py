@@ -387,7 +387,10 @@ SEARCH_CASES = {
 
 # Half-width of the uniform start box of the constant-solution search.
 SEARCH_BOX = 3.0
-# Max-norm distance below which two converged solutions share a cluster.
+# Max-norm residual below which a start counts as converged.
+CONVERGED_TOL = 1e-10
+# Max-norm distance below which two converged solutions share a cluster,
+# and a cluster matches a built-in model.
 CLUSTER_TOL = 1e-6
 # Levenberg-Marquardt: iteration cap, initial damping, the damping range
 # (below it the shift is lost to roundoff on the unit diagonal, past it a
@@ -473,7 +476,7 @@ def least_squares(c, L, Q, X0):
     return X, rmax
 
 
-def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=1e-10):
+def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=CONVERGED_TOL):
     """Find all constant-invariant solutions from random starts.
 
     Draws `restarts` uniform random starts in [-SEARCH_BOX, SEARCH_BOX]^14;

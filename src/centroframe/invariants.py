@@ -55,7 +55,7 @@ from .adaptation import (
     fundamental_matrices,
     maurer_cartan,
 )
-from .errors import NullTypeUnsupported, PointFailures, raise_where
+from .errors import ArithmeticFailure, NullTypeUnsupported, PointFailures, raise_where
 from .linalg5 import jet_matmul, jet_mul, solve  # noqa: F401  (bench/workloads.py traces invariants.solve)
 from .surfaces import eval_surface
 from .taylor import TaylorScalar, apply, degree_of, gradient, n_terms, stack
@@ -470,7 +470,8 @@ class AnalysisBatch:
     `surface_type` and `signature` (None where failed), `epsilon`, the two
     curvatures, `metric` (N, 3) (E, F, G), `alpha` (N, 2) (du, dv),
     `residual_max`, and `h` (N, len(H_ALL)), one column per invariant name
-    of `H_ALL` (NaN where the name is not of the point's type).  Each
+    of `H_ALL` (NaN where the name is not of the point's type).  In a row
+    that did not fail, every other result but `residual_max` is finite.  Each
     sub-batch is written into the columns as it completes, and its frames,
     Maurer-Cartan fields and jets are dropped: for those of one point, call
     `analyze_point` on that point, which gives the same values.
@@ -562,6 +563,9 @@ def analyze_point(spec, u0, v0, degree=4):
     NullTypeUnsupported
         If the point classifies as Null (for a batch, that point's entry in
         `AnalysisBatch.errors`).
+    ArithmeticFailure
+        If a result of the point is not finite (see `_tail`), so no ok row
+        of an AnalysisBatch holds one; `residual_max` may be NaN.
     """
     U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if U.ndim == 0:
@@ -600,9 +604,21 @@ def _front(spec, U, V, degree):
     return fr1, mc1, fund1, stype
 
 
+# The results that must be finite at a point, but for the invariants of its
+# type, in the order a non-finite one is named
+_RESULT_NAMES = ("gauss_invariants", "gauss_connection", "E", "F", "G", "alpha_du", "alpha_dv")
+
+
 def _tail(tag, U, V, fr1, mc1, fund1, gram):
     """Levels 2 and 3 and the invariants of one point, or of a batch of
-    points of one type."""
+    points of one type.
+
+    Raises
+    ------
+    ArithmeticFailure
+        If a curvature, a metric entry, alpha or an invariant of the type is
+        not finite; the message names each one.  `residual_max` may be NaN.
+    """
     if tag == "SpaceLike":
         fr2, gauge2, epsilon = adapt2_spacelike(fr1, fund1)
     else:
@@ -612,15 +628,20 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram):
     fr3, gauge3 = adapt3(fr2, mc2, tag, epsilon)
     mc3 = maurer_cartan(fr3, (mc2, gauge3))
     inv = extract_invariants(mc3, tag, epsilon)
-    k_inv = _scalar(gauss_from_invariants(inv)[..., 0])
-    k_conn = _scalar(gauss_from_connection(inv)[..., 0])
+    k_inv = gauss_from_invariants(inv)[..., 0]
+    k_conn = gauss_from_connection(inv)[..., 0]
     metric = metric_at(fr3, mc3)
+    # one row per result, in the order of _RESULT_NAMES and the type's names
+    bad = ~np.isfinite(np.array([k_inv, k_conn, *metric.first_coeffs[..., 0].T, *inv.alpha_coeffs[..., 0].T,
+                                 *[inv.h_coeffs[k][..., 0] for k in H_NAMES[tag]]]))
+    raise_where(bad.any(axis=0), lambda i: ArithmeticFailure("non-finite result: " + ", ".join(
+        k for k, b in zip(_RESULT_NAMES + H_NAMES[tag], bad.T[i]) if b)))
     residuals = [x[..., 0] for x in inv.vanishing_coeffs.values()]
     residuals += [x[..., 0] for x in relation_residuals(inv).values()]
     return AnalysisResult(
         u=_scalar(U), v=_scalar(V), surface_type=tag, epsilon=epsilon, invariants=inv,
-        gauss_invariants=k_inv, gauss_connection=k_conn, metric=metric, frame=fr3, mc=mc3,
-        gram=gram, residual_max=_scalar(np.max(np.abs(residuals), axis=0)),  # NaN propagates
+        gauss_invariants=_scalar(k_inv), gauss_connection=_scalar(k_conn), metric=metric,
+        frame=fr3, mc=mc3, gram=gram, residual_max=_scalar(np.max(np.abs(residuals), axis=0)),  # NaN propagates
     )
 
 

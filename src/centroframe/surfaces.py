@@ -16,10 +16,10 @@ numeric parameters supplied at parse time.
 
 Parsing is one regular-expression pass that splits the text into a flat
 list of token strings, then one precedence-climbing loop over that list.
-Line and column are worked out only when there is an error to report.  A
-surface is compiled once: the parser hash-conses equal subtrees into one
-node, so the five components form a DAG, and each :class:`SurfaceSpec`
-turns that DAG into a straight-line program of shared subexpressions.
+Line and column are worked out only when there is an error to report.  The
+loop is a one-pass compiler: it emits each operation's instruction as it
+reduces it, numbering the values so that an equal subexpression is computed
+once, and a :class:`SurfaceSpec` holds the resulting straight-line program.
 :func:`eval_surface` runs the program on the coefficient arrays of Taylor
 jets (:mod:`centroframe.taylor`), computing each subexpression once for a
 whole batch of base points, so every surface is automatically
@@ -31,7 +31,6 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .errors import (
 from .taylor import TaylorScalar
 
 __all__ = [
-    "ExprNode",
     "SurfaceSpec",
     "parse_surface",
     "eval_surface",
@@ -53,245 +51,33 @@ __all__ = [
     "BUILTIN_SURFACES",
 ]
 
-class ExprNode(NamedTuple):
-    """Node of a parsed expression; a parse makes equal subtrees one node.
-
-    kind is one of "num", "var", "param", "call", "binary", "neg", "pow";
-    ``name`` carries the identifier or operator symbol, ``value`` the numeric
-    literal or integer exponent, and ``children`` the operand nodes.  A
-    named tuple, so that a parse builds its nodes at the cost of a tuple.
-    """
-
-    kind: str
-    name: str = ""
-    value: float = 0.0
-    children: tuple = ()
-
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """Five parsed coordinate expressions plus parameter bindings.
+    """A parsed surface: its straight-line program plus parameter bindings.
 
-    ``program`` is the straight-line form of the components that
-    :func:`eval_surface` runs, compiled once here.
+    ``program`` is what :func:`eval_surface` runs: one (instructions,
+    output slot) pair per coordinate expression.  The repr shows the source
+    in its place.
     """
 
-    components: tuple
+    program: tuple = field(repr=False)
     name: str = ""
     params: dict = field(default_factory=dict)
     source: str = ""
-    program: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "program", _compile(self.components, list(self.params)))
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and parser
-# ---------------------------------------------------------------------------
-
-# The tokens of a surface: an operator symbol (tried first, as the most
-# frequent), a number, a name, or any other character that is not blank (a
-# bad character that the parse trips on).  \d admits every Unicode decimal
-# digit, which float() reads.
-_TOKEN_RE = re.compile(
-    r"[-+*/^();,]"
-    r"|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-    r"|[A-Za-z_][A-Za-z_0-9]*"
-    r"|[^ \t\r\n]"
-)
-
-# A bad character: a one-character token that is not a symbol, an ASCII
-# letter, "_" or a digit.
-_BAD_CHAR_RE = re.compile(r"[^-+*/^();,A-Za-z_\d]")
-
-
-def _error(text, at, message, cls=SurfaceSyntaxError):
-    """The error to raise at token `at`: a bad character anywhere in the text
-    is reported first, and a syntax error carries the token's position."""
-    matches = list(_TOKEN_RE.finditer(text))
-    for i, m in enumerate(matches):
-        if _BAD_CHAR_RE.fullmatch(m.group()):
-            at, message, cls = i, "unexpected character %r" % m.group(), SurfaceSyntaxError
-            break
-    if cls is not SurfaceSyntaxError:
-        return cls(message)
-    offset = matches[at].start() if at < len(matches) else len(text)
-    line_start = text.rfind("\n", 0, offset) + 1
-    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
-
-
-# Binding strength of the token after an operand: + - and * / are binary
-# operators, and anything else closes the expression, so it is weaker than
-# both.  Unary minus binds tighter still, and open groups and calls are
-# weakest.
-_STRENGTH = {"+": 2, "-": 2, "*": 3, "/": 3}
-_NEG = (4, "neg", None)
-
-_node = tuple.__new__  # _node(ExprNode, fields): a node without NamedTuple's argument handling
-
-
-def _parse(text, param_names):
-    """The five component nodes of a surface text.
-
-    One precedence-climbing loop over the flat token list.  `pending` holds
-    binary operators with their left operand, unary minus, and the open
-    groups (with the index of their "(") and calls (with their arguments so
-    far).  Nodes are hash-consed: equal subtrees are one ExprNode, keyed on
-    (kind, name, value, ids of the children), with a number keyed on its bit
-    pattern because 0.0 == -0.0 but 1/0.0 != 1/-0.0.  So the five
-    components form a DAG.
-
-    A parenthesised group parses to the same node wherever it stands, so a
-    group whose tokens repeat those of a group parsed before takes that
-    group's node, and the loop skips its tokens: in a text of A.f, 20 of
-    the 25 groups (f_j).  `groups` lists the parsed groups by the token
-    after their "(".  A group that fails to parse is never listed, so an
-    error is raised where the full parse raises it.
-    """
-    tokens = _TOKEN_RE.findall(text) + [""]
-    nodes = {}
-    leaves = {}  # token -> its number, coordinate or parameter node
-    groups = {}  # token after "(" -> [(tokens of a parsed group, its node)]
-    pending = []
-    comps = []
-    i = 0
-    while True:
-        # an operand: prefixes, then a number, a name or a group
-        tok = tokens[i]
-        i += 1
-        node = leaves.get(tok)
-        if node is None or tokens[i] == "(":
-            if tok == "-":
-                pending.append(_NEG)
-                continue
-            if tok == "(":  # a group: the node of an equal one parsed before, if any
-                for seq, node in groups.get(tokens[i], ()):
-                    if tokens[i - 1 : i - 1 + len(seq)] == seq:
-                        i += len(seq) - 1
-                        break
-                else:
-                    pending.append((0, i - 1, None))
-                    continue
-            elif tok.isidentifier() and tok.isascii():  # a non-ASCII letter is a bad character
-                if tokens[i] == "(":
-                    i += 1
-                    pending.append((0, tok, []))
-                    continue
-                if tok != "u" and tok != "v" and tok not in param_names:
-                    raise _error(text, 0, "unknown identifier %r" % tok, UnknownIdentifier)
-                node = ExprNode("var" if tok == "u" or tok == "v" else "param", tok)
-                node = leaves[tok] = nodes.setdefault((node.kind, tok, 0.0), node)
-            else:
-                try:
-                    node = ExprNode("num", value=float(tok))
-                except ValueError:
-                    found = tok or "end of input"
-                    message = "expected a number, name or '(', found %r" % found
-                    raise _error(text, i - 1, message) from None
-                key = ("num", "", struct.pack("<d", node.value))
-                node = leaves[tok] = nodes.setdefault(key, node)
-        # after an operand: "^" integer, then operators and closers
-        while True:
-            tok = tokens[i]
-            if tok == "^":
-                sign = -1 if tokens[i + 1] == "-" else 1
-                i += 3 if sign < 0 else 2  # past "^", the sign and the digits
-                tok = tokens[i - 1]
-                if not tok.isdecimal():
-                    raise _error(text, i - 1, "exponent must be an integer")
-                key = ("pow", "", sign * int(tok), id(node))
-                node = nodes.get(key) or nodes.setdefault(
-                    key, _node(ExprNode, ("pow", "", key[2], (node,)))
-                )
-                tok = tokens[i]
-            while pending and pending[-1] is _NEG:
-                pending.pop()
-                key = ("neg", "", 0.0, id(node))
-                node = nodes.get(key) or nodes.setdefault(
-                    key, _node(ExprNode, ("neg", "", 0.0, (node,)))
-                )
-            strength = _STRENGTH.get(tok, 1)
-            while pending and pending[-1][0] >= strength:
-                _, op, lhs = pending.pop()
-                key = ("binary", op, 0.0, id(lhs), id(node))
-                node = nodes.get(key) or nodes.setdefault(
-                    key, _node(ExprNode, ("binary", op, 0.0, (lhs, node)))
-                )
-            i += 1
-            if strength > 1:
-                pending.append((strength, tok, node))
-                break
-            if pending:  # an open group or call
-                _, name, args = pending[-1]
-                if tok == "," and args is not None:
-                    args.append(node)
-                    break
-                if tok != ")":
-                    raise _error(text, i - 1, "expected ')', found %r" % (tok or "end of input"))
-                pending.pop()
-                if args is None:  # a group, which opened at token `name`
-                    groups.setdefault(tokens[name + 1], []).append((tokens[name:i], node))
-                    continue
-                args.append(node)
-                if name not in taylor.FUNCTIONS and name != "neg":
-                    raise _error(text, 0, "unknown function %r" % name, UnknownIdentifier)
-                if len(args) != 1:
-                    message = "%s takes 1 argument, got %d" % (name, len(args))
-                    raise _error(text, 0, message, ArityError)
-                key = ("call", name, 0.0, id(node))
-                node = nodes.get(key) or nodes.setdefault(
-                    key, _node(ExprNode, ("call", name, 0.0, (node,)))
-                )
-                continue
-            comps.append(node)
-            if tok == ";":
-                break
-            if tok:
-                raise _error(text, i - 1, "unexpected %r after expression" % tok)
-            if len(comps) != 5:
-                message = "surface needs exactly 5 components, found %d" % len(comps)
-                raise _error(text, i - 1, message)
-            return tuple(comps)
-
-
-def parse_surface(text, name="", params=None):
-    """Parse five semicolon-separated coordinate expressions.
-
-    Parameters
-    ----------
-    text : str
-        Surface source, e.g. ``"cosh(u); u*v; 1+v; u^2; exp(v)"``.
-    name : str, optional
-        Label stored on the resulting spec.
-    params : dict, optional
-        Named numeric parameters the expressions may reference.
-
-    Returns
-    -------
-    SurfaceSpec
-
-    Raises
-    ------
-    SurfaceSyntaxError
-        On malformed input, with 1-based line/column of the offending token.
-    UnknownIdentifier, ArityError
-        On references to undefined names or wrong argument counts.
-    """
-    params = dict(params or {})
-    comps = _parse(text, frozenset(params))
-    return SurfaceSpec(components=comps, name=name, params=params, source=text)
-
-
-# ---------------------------------------------------------------------------
-# Compilation to a straight-line program, and evaluation
+# The instructions of a program
 #
-# A program is one (instructions, output slot) pair per component.  The
-# instructions of component i are the nodes it reaches first, in depth-first
-# post-order; each is (op, a, b) and appends op(values, a, b, degree) to the
-# value list, which starts as [u, v, *params].  A value is a Python float
-# where the subexpression has no u, v or parameter, and a coefficient vector
-# otherwise, so each op does what the jet or float operator would.
+# The instructions of component i are the operations it computes first, in
+# the order the parse reduces them; each is (op, a, b) and appends
+# op(values, a, b, degree) to the value list, which starts as
+# [u, v, *params].  A value is a Python float where the subexpression has no
+# u, v or parameter, and a coefficient vector otherwise, so each op does
+# what the jet or float operator would.  Constant subexpressions are not
+# folded: they run at evaluation time, so a bad one fails there as it would
+# in a tree walk.
 # ---------------------------------------------------------------------------
 
 
@@ -346,18 +132,86 @@ def _jet_mul(vals, a, b, degree):
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
-def _compile(components, param_names):
-    """Straight-line program of a surface DAG; each node is computed once.
+# ---------------------------------------------------------------------------
+# Tokenizer and parser
+# ---------------------------------------------------------------------------
 
-    Constant subexpressions are not folded: they run at evaluation time, so
-    a bad one fails there as it would in a tree walk.
+# The tokens of a surface: an operator symbol (tried first, as the most
+# frequent), a number, a name, or any other character that is not blank (a
+# bad character that the parse trips on).  \d admits every Unicode decimal
+# digit, which float() reads.
+_TOKEN_RE = re.compile(
+    r"[-+*/^();,]"
+    r"|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[^ \t\r\n]"
+)
+
+# A bad character: a one-character token that is not a symbol, an ASCII
+# letter, "_" or a digit.
+_BAD_CHAR_RE = re.compile(r"[^-+*/^();,A-Za-z_\d]")
+
+
+def _error(text, at, message, cls=SurfaceSyntaxError):
+    """The error to raise at token `at`: a bad character anywhere in the text
+    is reported first, and a syntax error carries the token's position."""
+    matches = list(_TOKEN_RE.finditer(text))
+    for i, m in enumerate(matches):
+        if _BAD_CHAR_RE.fullmatch(m.group()):
+            at, message, cls = i, "unexpected character %r" % m.group(), SurfaceSyntaxError
+            break
+    if cls is not SurfaceSyntaxError:
+        return cls(message)
+    offset = matches[at].start() if at < len(matches) else len(text)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+# Binding strength of the token after an operand: + - and * / are binary
+# operators, and anything else closes the expression, so it is weaker than
+# both.  Unary minus binds tighter still, and open groups and calls are
+# weakest.
+_STRENGTH = {"+": 2, "-": 2, "*": 3, "/": 3}
+_NEG = (4, "neg", None)
+
+
+def _parse(text, param_names):
+    """The program of a surface text: one (instructions, output slot) pair
+    per component.
+
+    One precedence-climbing loop over the flat token list, which emits the
+    instructions of each operation as it reduces it.  An operand is the
+    index of its value.  `pending` holds binary operators with their left
+    operand, unary minus, and the open groups (with the index of their "(")
+    and calls (with their arguments so far).  Values are numbered: an
+    operation is keyed on its operator and its operands' indices, and a
+    number on its bit pattern, because 0.0 == -0.0 but 1/0.0 != 1/-0.0.  A
+    key seen before takes its value and emits nothing, so an equal
+    subexpression is computed once, in the component where it first
+    appears.  `neg(x)` and `-x` are two keys.
+
+    A value is typed as a number or a jet when it is emitted.  An operation
+    on a jet is a jet operation: a number operand of + or - is promoted to
+    its constant jet first (once per number), and so is a component that is
+    a number; a division by a jet multiplies by its reciprocal.
+
+    A parenthesised group parses to the same value wherever it stands, so a
+    group whose tokens repeat those of a group parsed before takes that
+    group's value, and the loop skips its tokens: in a text of A.f, 20 of
+    the 25 groups (f_j).  `groups` lists the parsed groups by the token
+    after their "(".  A group that fails to parse is never listed, so an
+    error is raised where the full parse raises it.
     """
-    inputs = ["u", "v", *param_names]
-    index = {name: k for k, name in enumerate(inputs)}  # a later name wins
-    jet = [True] * len(inputs)  # per value: coefficient vector or number
-    slots = {}  # id(node) -> value index
+    tokens = _TOKEN_RE.findall(text) + [""]
+    index = {name: k for k, name in enumerate(["u", "v", *param_names])}  # a later name wins
+    jet = [True] * (2 + len(param_names))  # per value: coefficient vector or number
+    values = {}  # key of a number or an operation -> its value index
     promoted = {}  # index of a number -> index of its constant jet
-    code = []
+    leaves = {}  # token -> the value of its number, coordinate or parameter
+    groups = {}  # token after "(" -> [(tokens of a parsed group, its value)]
+    pending = []
+    code = []  # the instructions of the current component
+    program = []
 
     def emit(op, a, b, is_jet):
         code.append((op, a, b))
@@ -369,28 +223,7 @@ def _compile(components, param_names):
             promoted[k] = emit(_constant_jet, k, None, True)
         return promoted.get(k, k)
 
-    def visit(node):  # the value index of a node not visited before
-        kind, name, value, children = node
-        if kind == "num":
-            return emit(_literal, value, None, False)
-        if kind == "var" or kind == "param":
-            return index[name]
-        args = []
-        for c in children:
-            k = slots.get(id(c))
-            if k is None:
-                k = slots[id(c)] = visit(c)
-            args.append(k)
-        a = args[0]
-        if kind == "neg" or (kind == "call" and name == "neg"):
-            return emit(_neg, a, None, jet[a])
-        if kind == "pow":
-            return emit(_jet_pow if jet[a] else _pow, a, int(value), jet[a])
-        if kind == "call":
-            return emit(_jet_call if jet[a] else _call, a, name, jet[a])
-        if kind != "binary":
-            raise ValueError("bad node kind %r" % kind)
-        b = args[1]
+    def binary(name, a, b):
         if not (jet[a] or jet[b]):
             return emit(_BINARY[name], a, b, False)
         if name in "+-":  # a number operand becomes a constant jet
@@ -403,15 +236,141 @@ def _compile(components, param_names):
             return emit(_jet_mul, a, b, True)
         return emit(_mul, a, b, True) if jet[a] else emit(_mul, b, a, True)
 
-    program = []
-    for node in components:
-        k = slots.get(id(node))
-        if k is None:
-            k = slots[id(node)] = visit(node)
-        out = as_jet(k)
-        program.append((tuple(code), out))
-        code.clear()
-    return tuple(program)
+    i = 0
+    while True:
+        # an operand: prefixes, then a number, a name or a group
+        tok = tokens[i]
+        i += 1
+        k = leaves.get(tok)
+        if k is None or tokens[i] == "(":
+            if tok == "-":
+                pending.append(_NEG)
+                continue
+            if tok == "(":  # a group: the value of an equal one parsed before, if any
+                for seq, k in groups.get(tokens[i], ()):
+                    if tokens[i - 1 : i - 1 + len(seq)] == seq:
+                        i += len(seq) - 1
+                        break
+                else:
+                    pending.append((0, i - 1, None))
+                    continue
+            elif tok.isidentifier() and tok.isascii():  # a non-ASCII letter is a bad character
+                if tokens[i] == "(":
+                    i += 1
+                    pending.append((0, tok, []))
+                    continue
+                if tok not in index:
+                    raise _error(text, 0, "unknown identifier %r" % tok, UnknownIdentifier)
+                k = leaves[tok] = index[tok]
+            else:
+                try:
+                    x = float(tok)
+                except ValueError:
+                    found = tok or "end of input"
+                    message = "expected a number, name or '(', found %r" % found
+                    raise _error(text, i - 1, message) from None
+                key = struct.pack("<d", x)
+                k = values.get(key)
+                if k is None:
+                    k = values[key] = emit(_literal, x, None, False)
+                leaves[tok] = k
+        # after an operand: "^" integer, then operators and closers
+        while True:
+            tok = tokens[i]
+            if tok == "^":
+                sign = -1 if tokens[i + 1] == "-" else 1
+                i += 3 if sign < 0 else 2  # past "^", the sign and the digits
+                tok = tokens[i - 1]
+                if not tok.isdecimal():
+                    raise _error(text, i - 1, "exponent must be an integer")
+                a, n = k, sign * int(tok)
+                k = values.get(("pow", n, a))
+                if k is None:
+                    k = values["pow", n, a] = emit(_jet_pow if jet[a] else _pow, a, n, jet[a])
+                tok = tokens[i]
+            while pending and pending[-1] is _NEG:
+                pending.pop()
+                a = k
+                k = values.get(("neg", a))
+                if k is None:
+                    k = values["neg", a] = emit(_neg, a, None, jet[a])
+            strength = _STRENGTH.get(tok, 1)
+            while pending and pending[-1][0] >= strength:
+                _, op, a = pending.pop()
+                b = k
+                k = values.get((op, a, b))
+                if k is None:
+                    k = values[op, a, b] = binary(op, a, b)
+            i += 1
+            if strength > 1:
+                pending.append((strength, tok, k))
+                break
+            if pending:  # an open group or call
+                _, name, args = pending[-1]
+                if tok == "," and args is not None:
+                    args.append(k)
+                    break
+                if tok != ")":
+                    raise _error(text, i - 1, "expected ')', found %r" % (tok or "end of input"))
+                pending.pop()
+                if args is None:  # a group, which opened at token `name`
+                    groups.setdefault(tokens[name + 1], []).append((tokens[name:i], k))
+                    continue
+                args.append(k)
+                if name not in taylor.FUNCTIONS and name != "neg":
+                    raise _error(text, 0, "unknown function %r" % name, UnknownIdentifier)
+                if len(args) != 1:
+                    message = "%s takes 1 argument, got %d" % (name, len(args))
+                    raise _error(text, 0, message, ArityError)
+                a = k
+                k = values.get(("call", name, a))
+                if k is None:
+                    op, b = (_neg, None) if name == "neg" else (_jet_call if jet[a] else _call, name)
+                    k = values["call", name, a] = emit(op, a, b, jet[a])
+                continue
+            out = as_jet(k)
+            program.append((tuple(code), out))
+            code.clear()
+            if tok == ";":
+                break
+            if tok:
+                raise _error(text, i - 1, "unexpected %r after expression" % tok)
+            if len(program) != 5:
+                message = "surface needs exactly 5 components, found %d" % len(program)
+                raise _error(text, i - 1, message)
+            return tuple(program)
+
+
+def parse_surface(text, name="", params=None):
+    """Parse five semicolon-separated coordinate expressions.
+
+    Parameters
+    ----------
+    text : str
+        Surface source, e.g. ``"cosh(u); u*v; 1+v; u^2; exp(v)"``.
+    name : str, optional
+        Label stored on the resulting spec.
+    params : dict, optional
+        Named numeric parameters the expressions may reference.
+
+    Returns
+    -------
+    SurfaceSpec
+
+    Raises
+    ------
+    SurfaceSyntaxError
+        On malformed input, with 1-based line/column of the offending token.
+    UnknownIdentifier, ArityError
+        On references to undefined names or wrong argument counts.
+    """
+    params = dict(params or {})
+    return SurfaceSpec(program=_parse(text, list(params)), name=name, params=params, source=text)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
 
 
 def eval_surface(spec, u0, v0, degree):

@@ -280,11 +280,8 @@ def _fields(row):
 
 def test_analyze_non_finite_result_is_not_ok(monkeypatch):
     # a record is "ok" only with finite curvatures, metric and invariants
-    def nan_curvature(*args, **kwargs):
-        res = analyze_point(*args, **kwargs)
-        return dataclasses.replace(res, gauss_connection=np.full_like(res.gauss_connection, math.nan))
-
-    monkeypatch.setattr(cli, "analyze_point", nan_curvature)
+    gauss = invariants.gauss_from_connection
+    monkeypatch.setattr(invariants, "gauss_from_connection", lambda inv: gauss(inv) * math.nan)
     (row,) = cli._analyze_records((builtin_surface("h2"), [0.1], [0.2], 5, 1e-7))
     rec = _fields(row)
     assert rec["ok"] is False
@@ -328,13 +325,15 @@ def test_nan_in_one_point_flips_only_its_record(monkeypatch):
 
 def test_nan_connection_form_is_not_ok(monkeypatch, tmp_path):
     # alpha is reported but is neither a curvature nor a metric entry
-    def nan_alpha_du(*args, **kwargs):
-        res = analyze_point(*args, **kwargs)
-        alpha = res.alpha.copy()
-        alpha[:, 0] = math.nan
-        return dataclasses.replace(res, alpha=alpha)
+    extract = invariants.extract_invariants
 
-    monkeypatch.setattr(cli, "analyze_point", nan_alpha_du)
+    def nan_alpha_du(*args):
+        inv = extract(*args)
+        inv.alpha_coeffs = inv.alpha_coeffs.copy()
+        inv.alpha_coeffs[..., 0, 0] = math.nan
+        return inv
+
+    monkeypatch.setattr(invariants, "extract_invariants", nan_alpha_du)
     out = tmp_path / "a"
     assert _run(["analyze", "--surface", "h2", "--grid", "0:0:1", "--out", str(out)]) == 0
     (rec,) = json.loads((out / "analyze.json").read_text())["records"]

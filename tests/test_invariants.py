@@ -7,6 +7,7 @@ tangent-preserving gauges.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from centroframe.adaptation import (
     fundamental_matrices,
     maurer_cartan,
 )
-from centroframe.errors import NotImmersed, NullTypeUnsupported
+from centroframe.errors import (
+    Degenerate, NotImmersed, NotPositiveDefinite, NullTypeUnsupported, SingularMatrix,
+)
 from centroframe.homogeneous import ConstantInvariantVector, model_omega
 from centroframe.invariants import (
     H_NAMES,
@@ -418,6 +421,33 @@ def test_immersion_test_does_not_overflow():
     spec = parse_surface("cosh(800*u) + 2; u; v; u*v; v^2")
     with pytest.raises(NotImmersed):
         analyze_point(spec, 0.25, 0.5, degree=5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transversality_test_does_not_overflow():
+    # |f| about 1e200: the norms are scaled before squaring, so the point is
+    # not read as NotTransversal.  It stops at SingularMatrix instead, since
+    # the jet_solve pivot floor is relative to the largest entry (ROADMAP
+    # item 3)
+    spec = parse_surface("1e200 + v; u; v; u*v; v^2")
+    with pytest.raises(SingularMatrix):
+        analyze_point(spec, 0.4, -0.3, degree=5)
+
+
+_ITEM_3 = pytest.mark.xfail(strict=True, raises=(NotPositiveDefinite, Degenerate),
+                            reason="absolute thresholds (ROADMAP item 3)")
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1, 0.01, pytest.param(1e-3, marks=_ITEM_3),
+                                 pytest.param(1e-4, marks=_ITEM_3)])
+def test_parameter_scaling_keeps_the_curvature(lam):
+    # h2 with u -> lam*u, at the image (0.4/lam, -0.3) of h2's point
+    text = re.sub(r"\bu\b", "(%r*u)" % lam, builtin_surface("h2").source)
+    res = analyze_point(parse_surface(text), 0.4 / lam, -0.3, degree=5)
+    ref = _analyze("h2", 0.4, -0.3)
+    for got, want in ((res.gauss_invariants, ref.gauss_invariants),
+                      (res.gauss_connection, ref.gauss_connection)):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_connection_route_needs_degree():

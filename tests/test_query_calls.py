@@ -25,7 +25,7 @@ A = np.array([
     [-0.5, 0.0, 0.25, 1.25, 0.375],
     [0.125, 0.5, 0.0, -0.375, 0.75],
 ])
-PARSE_CALLS = 264
+PARSE_CALLS = 234
 ANALYZE_CALLS = 670
 
 

@@ -228,3 +228,26 @@ def test_error_text_is_escaped_as_the_reference(monkeypatch, capsys):
     text = _check_bytes(capsys, "sphere", ["-0.5:0.5:2"])
     assert '"message": "say \\"hi\\" \\\\ back\\nslash\\u0001 café\\t\\r"' in text
     assert '"error": "Odd\\"Name\\\\é"' in text
+
+
+def test_a_non_finite_result_is_the_point_s_error(monkeypatch, capsys):
+    # K by the connection route is NaN at the second of two points, picked
+    # by its alpha_du: the scalar call raises, the batch records the error,
+    # and the CLI writes that point's error record
+    spec, us, vs = resolve_surface("h2"), np.array([0.1, 0.1]), np.array([0.0, 0.5])
+    alpha_du = invariants.analyze_point(spec, us, vs).alpha[1, 0]
+    gauss = invariants.gauss_from_connection
+
+    def nan_at_point(inv):
+        return np.where(inv.alpha_coeffs[..., 0, :1] == alpha_du, math.nan, gauss(inv))
+
+    monkeypatch.setattr(invariants, "gauss_from_connection", nan_at_point)
+    message = "non-finite result: gauss_connection"
+    assert invariants.analyze_point(spec, 0.1, 0.0).surface_type == "SpaceLike"
+    with pytest.raises(ArithmeticFailure, match="^%s$" % message):
+        invariants.analyze_point(spec, 0.1, 0.5)
+    batch = invariants.analyze_point(spec, us, vs)
+    assert [(i, type(e), str(e)) for i, e in batch.errors.items()] == [(1, ArithmeticFailure, message)]
+    assert batch.surface_type == ["SpaceLike", None]
+    text = _check_bytes(capsys, "h2", ["0.1:0.1:1", "0:0.5:2"])
+    assert text.count('"ok": true') == 1 and text.count('"message": "%s"' % message) == 1

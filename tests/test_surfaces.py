@@ -6,13 +6,14 @@ import random
 import re
 import struct
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centroframe import taylor
+from centroframe import surfaces, taylor
 from centroframe.errors import (
     ArithmeticFailure,
     ArityError,
@@ -25,8 +26,6 @@ from centroframe.errors import (
 )
 from centroframe.surfaces import (
     BUILTIN_SURFACES,
-    ExprNode,
-    SurfaceSpec,
     builtin_surface,
     eval_surface,
     load_surface_file,
@@ -173,7 +172,7 @@ def test_file_loading(tmp_path):
     jets = eval_surface(spec, 1.0, 2.0, 2)
     assert jets[0].const == 3.0
     via_resolve = resolve_surface(str(path))
-    assert via_resolve.components == spec.components
+    assert repr(via_resolve.program) == repr(spec.program)
     inline = resolve_surface("u; v; 1; u; v")
     assert inline.name == "inline"
     with pytest.raises(SurfaceSyntaxError):
@@ -216,7 +215,7 @@ def _reference_jets(spec, u0, v0, degree):
     for name, value in spec.params.items():
         env[name] = TaylorScalar.constant(float(value), degree)
     out = []
-    for node in spec.components:
+    for node in _reference_parse(spec.source, spec.params):
         x = _tree_walk(node, env)
         out.append(x if isinstance(x, TaylorScalar) else TaylorScalar.constant(float(x), degree))
     return out
@@ -266,21 +265,55 @@ def test_program_matches_tree_walk_bitwise(text, params, u0, v0):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()  # signs of zeros too
 
 
+def _definitions(program, n_inputs):
+    """Value slot -> its (op, a, b) instruction, over every component."""
+    code = [instr for component, _ in program for instr in component]
+    return dict(enumerate(code, start=n_inputs))
+
+
+def _symbolic(program, inputs):
+    """The value of every slot of a program as an expression tree of op
+    names, literals and input names."""
+    vals = list(inputs)
+    for op, a, b in (instr for code, _ in program for instr in code):
+        if op is surfaces._literal:
+            vals.append(a)
+        elif op in surfaces._BINARY.values() or op is surfaces._jet_mul:
+            vals.append((op.__name__, vals[a], vals[b]))
+        else:
+            vals.append((op.__name__, vals[a], b))
+    return vals
+
+
+_COEFFICIENT = (surfaces._literal, surfaces._neg)  # the ops of a number c or -c
+
+
 def test_gl5_image_shares_source_components():
     text = next(_gl5_images(1, bump=False))[0]
-    spec = parse_surface(text)
+    program = parse_surface(text).program
+    defs = _definitions(program, 2)
     rows = []
-    for node in spec.components:
+    for _, k in program:  # row i: A[i, 0]*(f_0) + ... + A[i, 4]*(f_4)
         summands = []
-        while node.kind == "binary" and node.name == "+":
-            summands.append(node.children[1])
-            node = node.children[0]
-        rows.append([node] + summands[::-1])
-    sources = builtin_surface(MODELS[0]).components
-    for j in range(5):
-        shared = rows[0][j].children[1]
-        assert shared == sources[j]
-        assert all(row[j].kind == "binary" and row[j].children[1] is shared for row in rows)
+        while defs[k][0] is surfaces._add:
+            _, k, last = defs[k]
+            summands.append(last)
+        products = [defs[m] for m in [k] + summands[::-1]]
+        assert all(op is surfaces._mul and defs[b][0] in _COEFFICIENT for op, _, b in products)
+        rows.append([a for _, a, _ in products])  # the slots of (f_0) ... (f_4)
+    assert all(row == rows[0] for row in rows)
+    # the groups are computed in row 0; each later row is its coefficients,
+    # 5 products and 4 sums
+    first_of_row1 = 2 + len(program[0][0])
+    assert all(k < first_of_row1 for k in rows[0])
+    for code, _ in program[1:]:
+        ops = Counter(op for op, _, _ in code)
+        assert (ops.pop(surfaces._mul), ops.pop(surfaces._add)) == (5, 4)
+        assert ops.keys() <= set(_COEFFICIENT)
+    source = builtin_surface(MODELS[0]).program
+    want = _symbolic(source, ["u", "v"])
+    got = _symbolic(program, ["u", "v"])
+    assert [got[k] for k in rows[0]] == [want[k] for _, k in source]
 
 
 def test_errors_are_raised_in_component_order():
@@ -306,7 +339,8 @@ def test_constant_outside_domain_is_domain_error(bad):
 
 
 # ---------------------------------------------------------------------------
-# The parser against the recursive-descent parser it replaced
+# The parser against a reference: a recursive-descent parse to a DAG, and a
+# compile of that DAG to a program
 # ---------------------------------------------------------------------------
 
 _REF_TOKEN_RE = re.compile(
@@ -337,8 +371,20 @@ def _tokenize(text):
     return tokens
 
 
+class _Node(NamedTuple):
+    """Node of a reference parse: kind is one of "num", "var", "param",
+    "call", "binary", "neg", "pow"; `name` carries the identifier or operator
+    symbol, `value` the numeric literal or integer exponent."""
+
+    kind: str
+    name: str = ""
+    value: float = 0.0
+    children: tuple = ()
+
+
 class _Parser:
-    """Reference: recursive descent over positional tokens, hash-consed."""
+    """Reference: recursive descent over positional tokens, hash-consed, so
+    equal subtrees are one node and the five components form a DAG."""
 
     def __init__(self, text, param_names):
         self.tokens = _tokenize(text)
@@ -351,7 +397,7 @@ class _Parser:
         key += tuple(id(c) for c in children)
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = ExprNode(kind, name, value, children)
+            node = self.nodes[key] = _Node(kind, name, value, children)
         return node
 
     def peek(self):
@@ -453,8 +499,72 @@ class _Parser:
         )
 
 
+def _compile(components, param_names):
+    """Reference compiler: the straight-line program of a DAG, each node
+    computed once, in depth-first post-order."""
+    inputs = ["u", "v", *param_names]
+    index = {name: k for k, name in enumerate(inputs)}  # a later name wins
+    jet = [True] * len(inputs)  # per value: coefficient vector or number
+    slots = {}  # id(node) -> value index
+    promoted = {}  # index of a number -> index of its constant jet
+    code = []
+
+    def emit(op, a, b, is_jet):
+        code.append((op, a, b))
+        jet.append(is_jet)
+        return len(jet) - 1
+
+    def as_jet(k):
+        if not jet[k] and k not in promoted:
+            promoted[k] = emit(surfaces._constant_jet, k, None, True)
+        return promoted.get(k, k)
+
+    def visit(node):  # the value index of a node not visited before
+        kind, name, value, children = node
+        if kind == "num":
+            return emit(surfaces._literal, value, None, False)
+        if kind == "var" or kind == "param":
+            return index[name]
+        args = []
+        for c in children:
+            k = slots.get(id(c))
+            if k is None:
+                k = slots[id(c)] = visit(c)
+            args.append(k)
+        a = args[0]
+        if kind == "neg" or (kind == "call" and name == "neg"):
+            return emit(surfaces._neg, a, None, jet[a])
+        if kind == "pow":
+            return emit(surfaces._jet_pow if jet[a] else surfaces._pow, a, int(value), jet[a])
+        if kind == "call":
+            return emit(surfaces._jet_call if jet[a] else surfaces._call, a, name, jet[a])
+        assert kind == "binary", kind
+        b = args[1]
+        if not (jet[a] or jet[b]):
+            return emit(surfaces._BINARY[name], a, b, False)
+        if name in "+-":  # a number operand becomes a constant jet
+            return emit(surfaces._BINARY[name], as_jet(a), as_jet(b), True)
+        if name == "/":
+            if not jet[b]:
+                return emit(surfaces._div, a, b, True)
+            b = emit(surfaces._jet_call, b, "reciprocal", True)  # jets divide as a * (1/b)
+        if jet[a] and jet[b]:
+            return emit(surfaces._jet_mul, a, b, True)
+        return emit(surfaces._mul, a, b, True) if jet[a] else emit(surfaces._mul, b, a, True)
+
+    program = []
+    for node in components:
+        k = slots.get(id(node))
+        if k is None:
+            k = slots[id(node)] = visit(node)
+        out = as_jet(k)
+        program.append((tuple(code), out))
+        code.clear()
+    return tuple(program)
+
+
 def _outcome(parse, text, params):
-    """Components, or the error's type, message, line and column."""
+    """The parse's result, or the error's type, message, line and column."""
     try:
         return "ok", parse(text, params)
     except CentroframeError as exc:
@@ -465,8 +575,13 @@ def _reference_parse(text, params):
     return _Parser(text, frozenset(params)).parse_surface()
 
 
-def _parse_components(text, params):
-    return parse_surface(text, params=params).components
+def _reference_program(text, params):
+    """repr of the reference compile of the reference parse."""
+    return repr(_compile(_reference_parse(text, params), list(params)))
+
+
+def _parse_program(text, params):
+    return repr(parse_surface(text, params=params).program)
 
 
 # Pieces of fuzz strings: well-formed fragments and the inputs where a flat
@@ -522,8 +637,8 @@ def _fuzz_strings(count, seed=19):
 def test_parser_matches_recursive_descent_on_fuzz():
     outcomes = Counter()
     for text, params in _fuzz_strings(20000):
-        want = _outcome(_reference_parse, text, params)
-        got = _outcome(_parse_components, text, params)
+        want = _outcome(_reference_program, text, params)
+        got = _outcome(_parse_program, text, params)
         assert got == want, (text, params)
         outcomes["ok" if want[0] == "ok" else want[1].split(" ")[0]] += 1
     # the battery reaches every error of the grammar, and valid surfaces
@@ -540,17 +655,14 @@ def test_parser_matches_recursive_descent_on_fuzz():
 def test_non_ascii_text_parses_as_the_reference(text, params, ok):
     # a Unicode digit is a digit; a non-ASCII letter, even one named as a
     # parameter, a non-ASCII blank and a non-ASCII bracket are bad characters
-    want = _outcome(_reference_parse, text, params)
-    assert _outcome(_parse_components, text, params) == want
+    want = _outcome(_reference_program, text, params)
+    assert _outcome(_parse_program, text, params) == want
     assert want[0] == "ok" if ok else want[0] is SurfaceSyntaxError
 
 
 def test_parser_compiles_gl5_images_to_the_reference_program():
     for text, _, _ in _gl5_images(200, seed=19):
-        spec = parse_surface(text)
-        ref = SurfaceSpec(components=_reference_parse(text, {}))
-        assert spec.components == ref.components
-        assert repr(spec.program) == repr(ref.program)
+        assert _parse_program(text, {}) == _reference_program(text, {})
 
 
 # ---------------------------------------------------------------------------
@@ -591,35 +703,13 @@ def _substituted_texts(draw):
     return re.sub(r"\b[uv]\b", lambda m: "(%s)" % (p if m.group() == "u" else q), base)
 
 
-def _sharing(components):
-    """The nodes of a DAG in depth-first order, each as the index of its
-    first visit, so two DAGs of equal components share alike iff equal."""
-    seen, order = {}, []
-
-    def walk(node):
-        k = seen.get(id(node))
-        if k is None:
-            k = seen[id(node)] = len(seen)
-            for child in node.children:
-                walk(child)
-        order.append(k)
-
-    for node in components:
-        walk(node)
-    return order
-
-
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(_image_texts(), _substituted_texts()))
 def test_group_reuse_keeps_components_sharing_and_program(text):
+    # a program names the value slots each instruction reads, so equal
+    # programs share their values alike
     params = {"a": 1.5}
-    want = _outcome(_reference_parse, text, params)
-    got = _outcome(_parse_components, text, params)
-    assert got == want
-    if want[0] == "ok":
-        assert _sharing(got[1]) == _sharing(want[1])
-        spec = parse_surface(text, params=params)
-        assert repr(spec.program) == repr(SurfaceSpec(components=want[1], params=params).program)
+    assert _outcome(_parse_program, text, params) == _outcome(_reference_program, text, params)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -636,4 +726,4 @@ def test_a_bad_repeated_group_fails_as_the_full_parse(expr, data):
         pieces[k : k + (action == "replace")] = [data.draw(st.sampled_from(_FUZZ_PIECES))]
     text = "".join(pieces)
     params = {"a": 1.5}
-    assert _outcome(_parse_components, text, params) == _outcome(_reference_parse, text, params)
+    assert _outcome(_parse_program, text, params) == _outcome(_reference_program, text, params)
