@@ -10,10 +10,7 @@ exactly: two space-like points (one per sign of epsilon) and one
 time-like point — the three homogeneous models, nothing else.
 """
 
-import numpy as np
-
 from centroframe import (
-    builtin_model,
     invariant_names,
     residual_dimension,
     search_constant_solutions,
@@ -41,15 +38,9 @@ for case in ("spacelike", "timelike"):
         ]
         print("    nonzero values:",
               ", ".join("%s=%+.6f" % nv for nv in nonzero))
-        # Identify the cluster with a built-in model by comparing vectors.
-        for name in ("h2", "sphere", "s21"):
-            model = builtin_model(name)
-            if (model.surface_type, model.epsilon) != (c.surface_type, c.epsilon):
-                continue
-            dist = float(np.max(np.abs(model.constants.as_array() - c.values)))
-            if dist < 1e-6:
-                print("    -> this is the built-in model %r (distance %.1e)"
-                      % (name, dist))
+        if c.match:
+            print("    -> this is the built-in model %r (distance %.1e)"
+                  % (c.match, c.match_distance))
 
 print("\nNo other clusters appear for any seed: the constant-invariant")
 print("solution variety consists of exactly these three points.")

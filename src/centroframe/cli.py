@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import CentroframeError
 from .homogeneous import (
-    CLUSTER_TOL,
     CONVERGED_TOL,
     MODEL_NAMES,
     SEARCH_CASES,
@@ -628,22 +627,8 @@ def cmd_search(ns):
     clusters = search_constant_solutions(
         ns.case, restarts=ns.restarts, seed=ns.seed, tol=ns.tol
     )
-    reference = {
-        name: builtin_model(name) for name in MODEL_NAMES
-    }
     records = []
     for c in clusters:
-        best_name, best_dist = None, math.inf
-        for name, model in reference.items():
-            if (
-                model.surface_type != c.surface_type
-                or model.epsilon != c.epsilon
-            ):
-                continue
-            dist = float(np.max(np.abs(model.constants.as_array() - c.values)))
-            if dist < best_dist:
-                best_name, best_dist = name, dist
-        matched = best_name if best_dist < CLUSTER_TOL else None
         names = invariant_names(c.surface_type)
         records.append(
             {
@@ -652,8 +637,8 @@ def cmd_search(ns):
                 "hits": c.hits,
                 "residual": c.residual,
                 "gauss": c.gauss,
-                "matches_model": matched,
-                "match_distance": None if best_name is None else best_dist,
+                "matches_model": c.match,
+                "match_distance": c.match_distance,
                 "values": dict(zip(names, (float(x) for x in c.values))),
             }
         )

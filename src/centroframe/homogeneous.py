@@ -40,7 +40,7 @@ gives every damped Gauss-Newton step.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class ConstantInvariantVector:
     def names(self):
         return invariant_names(self.surface_type)
 
-    def value(self, name):
-        return self.values[self.names.index(name)]
-
     def as_dict(self):
         return dict(zip(self.names, self.values))
 
@@ -138,7 +135,7 @@ def _fill(surface_type, epsilon, values):
     return np.array([d[x] for x in LAYOUTS[surface_type].fill.flat]).reshape(2, 5, 5)
 
 
-@lru_cache(maxsize=8)
+@cache
 def _level1(surface_type, epsilon):
     """Level-1 names and the linear map that the six relations force.
 
@@ -236,7 +233,7 @@ def _affine_parts(surface_type, epsilon):
     return N
 
 
-@lru_cache(maxsize=8)
+@cache
 def _residual_tensors(surface_type, epsilon):
     """Exact coefficients (c, L, Q) of the 75 raw structure residuals.
 
@@ -262,7 +259,7 @@ def _residual_tensors(surface_type, epsilon):
     return c, ((plus - minus) / 2.0).T, Q
 
 
-@lru_cache(maxsize=8)
+@cache
 def _residual_support(surface_type, epsilon):
     """Indices of one representative per independent residual entry.
 
@@ -270,23 +267,20 @@ def _residual_support(surface_type, epsilon):
     copies of each other as polynomials in the fourteen constants.  The
     rule is exact on the coefficient rows (c, L, Q): drop all-zero rows,
     and drop a row that equals or negates an earlier kept row, so the
-    first of each family in index order is kept.
+    first of each family in index order is kept.  A family is one row of
+    `np.unique` once each row is multiplied by the sign of its first
+    nonzero entry (+ 0.0 folds -0.0), and its first index is its first row.
     """
     c, L, Q = _residual_tensors(surface_type, epsilon)
     rows = np.concatenate([c[:, None], L, Q.reshape(len(c), -1)], axis=1)
-    keep = []
-    for j, row in enumerate(rows):
-        if not row.any():
-            continue
-        if any(
-            np.array_equal(row, rows[k]) or np.array_equal(row, -rows[k]) for k in keep
-        ):
-            continue
-        keep.append(j)
-    return tuple(keep)
+    nonzero = np.flatnonzero(rows.any(axis=1))
+    rows = rows[nonzero]
+    first = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    _, kept = np.unique(rows * np.sign(first)[:, None] + 0.0, axis=0, return_index=True)
+    return tuple(nonzero[np.sort(kept)].tolist())
 
 
-@lru_cache(maxsize=8)
+@cache
 def _support_tensors(surface_type, epsilon):
     """The (c, L, Q) rows of the independent residual entries."""
     rows = list(_residual_support(surface_type, epsilon))
@@ -332,6 +326,7 @@ _MODEL_TABLE = {
 MODEL_NAMES = tuple(sorted(_MODEL_TABLE))
 
 
+@cache
 def builtin_model(name):
     """Constant-invariant data of a built-in surface ("h2", "sphere", "s21")."""
     if name not in _MODEL_TABLE:
@@ -367,7 +362,12 @@ def bracket_check(model):
 
 @dataclass
 class SearchCluster:
-    """One distinct solution found by the random-start search."""
+    """One distinct solution found by the random-start search.
+
+    `match_distance` is the max-norm distance to the nearest built-in model
+    of the same (type, epsilon), None if no built-in has that case, and
+    `match` names that model when the distance is below `CLUSTER_TOL`.
+    """
 
     surface_type: str
     epsilon: int
@@ -375,6 +375,8 @@ class SearchCluster:
     residual: float
     hits: int
     gauss: float
+    match: str | None = None
+    match_distance: float | None = None
 
 
 # The search cases: the (type, epsilon) groups that their starts alternate over.
@@ -486,7 +488,8 @@ def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=CONVER
     residual system.  Converged solutions are then clustered greedily in
     start order, closer than `CLUSTER_TOL` in max norm; each cluster keeps
     the vector with the smallest residual, and reports its residual and K
-    recomputed there by `structure_residual` and `gauss_constant`.
+    recomputed there by `structure_residual` and `gauss_constant`, and the
+    built-in model it matches (`SearchCluster.match`).
 
     Parameters
     ----------
@@ -540,6 +543,14 @@ def search_constant_solutions(case="spacelike", restarts=200, seed=0, tol=CONVER
         civ = ConstantInvariantVector(c.surface_type, c.epsilon, tuple(c.values))
         c.residual = float(np.max(np.abs(structure_residual(civ))))
         c.gauss = gauss_constant(civ)
+        best = math.inf
+        for name in MODEL_NAMES:  # the first nearest, as a strict < keeps it
+            model = builtin_model(name)
+            if (model.surface_type, model.epsilon) == (c.surface_type, c.epsilon):
+                dist = float(np.max(np.abs(model.constants.as_array() - c.values)))
+                if dist < best:
+                    best = c.match_distance = dist
+                    c.match = name if dist < CLUSTER_TOL else None
     clusters.sort(
         key=lambda c: (
             c.surface_type,

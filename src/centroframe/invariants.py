@@ -36,7 +36,7 @@ d(alpha) = K omega^1 ^ omega^2 gives K = -1/2 sum M0[i, j] C_ij, i, j in {1, 2}.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -221,7 +221,7 @@ def _alpha(terms, F, n=None):
     return sum(c * F[..., :, i, j, :n] for c, i, j in terms)
 
 
-@lru_cache(maxsize=64)
+@cache
 def _read_plan(surface_type, pd, od):
     """What `extract_invariants` reads of a case at projection degrees `pd`
     and column degrees `od`, worked out once: the cells (I, J) of M0 with
@@ -293,7 +293,7 @@ RELATION_CELLS = {
 }
 
 
-@lru_cache(maxsize=2)
+@cache
 def _readouts(surface_type):
     """(3, 7, 25) maps from the flattened commutator C to K and the six
     cells, for epsilon = -1, 0 and 1."""

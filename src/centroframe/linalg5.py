@@ -7,8 +7,9 @@ a batch: every function runs on each point of it with the same kernels, so
 a point's result does not depend on the batch around it.
 
 * `jet_matmul` is a truncated jet-matrix product: one dense matmul per
-  point with the left factor gathered, through the `_mul_table` coefficient
-  pairs, into the matrix of left multiplication on stacked coefficients;
+  point with the left factor gathered, through the `taylor._shift_index`
+  table of the jet product, into the matrix of left multiplication on
+  stacked coefficients;
 * `jet_mul` is the elementwise product of two arrays of jets
   (`taylor.product`);
 * `jet_solve` factors the constant part A0 once per point (LU with partial
@@ -25,6 +26,8 @@ Python floats out.
 
 ``expm5`` adapts `scipy.linalg.expm`, imported on first call, to a matrix and a time t.
 """
+
+import functools
 
 import numpy as np
 
@@ -43,9 +46,14 @@ __all__ = [
 
 _PIVOT_TOL = 1e-12
 
-# (r, k, n, degree) -> (r n, k n) index of `_operator` into one point's
-# resize(A, n + 1), flattened; the batch size is not part of the key.
-_OPERATOR_CACHE = {}
+
+@functools.cache
+def _operator_index(r, k, n, degree):
+    """(r n, k n) index of `_operator` into one point's resize(A, n + 1),
+    flattened, for A of shape (r, k, n); the batch size is not part of the
+    key.  Entry [i n + o, t n + b] is coefficient shift[o, b] of A[i, t]."""
+    cell = (np.arange(r)[:, None, None, None] * k + np.arange(k)[:, None]) * (n + 1)
+    return (cell + _shift_index(degree)[:, None, :]).reshape(r * n, k * n)
 
 
 def _operator(A, degree):
@@ -53,41 +61,35 @@ def _operator(A, degree):
 
     Returns T of shape (..., r n, k n) with _flat(A B) = T @ _flat(B), so a
     truncated jet-matrix product is one dense matmul per point.  T is one
-    contiguous gather: T[i n + o, t n + b] is coefficient shift[o, b] of A[i, t].
+    contiguous gather through `_operator_index`.
     """
     *batch, r, k, n = A.shape
-    index = _OPERATOR_CACHE.get((r, k, n, degree))
-    if index is None:
-        cell = (np.arange(r)[:, None, None, None] * k + np.arange(k)[:, None]) * (n + 1)
-        index = (cell + _shift_index(degree)[:, None, :]).reshape(r * n, k * n)
-        _OPERATOR_CACHE[r, k, n, degree] = index
+    index = _operator_index(r, k, n, degree)
     return resize(A, n + 1).reshape(*batch, -1).take(index, axis=-1)
 
 
-# (k, n, degree) -> (index, steps): `index` gathers, from one point's
-# resize(M, n + 1) flattened, the blocks of the operator that the graded
-# steps use, one after another, and steps[d - 1] = (lo, hi, start, stop) says
-# that rows lo:hi of the coefficient-major solution hold its coefficients of
-# total degree d and that the block mapping rows :lo to them is
-# index[start:stop], row-major.  In the operator, row o k + i and column
-# b k + t is coefficient shift[o, b] of M[i, t].
-_GRADED_CACHE = {}
-
-
+@functools.cache
 def _graded_blocks(k, n, degree):
-    blocks = _GRADED_CACHE.get((k, n, degree))
-    if blocks is None:
-        cell = (np.arange(k)[:, None] * k + np.arange(k)) * (n + 1)
-        index = (cell[None, :, None, :] + _shift_index(degree)[:, None, :, None])
-        index = index.reshape(n * k, n * k)
-        steps, parts, start = [], [np.zeros(0, dtype=np.intp)], 0
-        for d in range(1, degree + 1):
-            lo, hi = k * taylor.n_terms(d - 1), k * taylor.n_terms(d)
-            parts.append(index[lo:hi, :lo].ravel())
-            steps.append((lo, hi, start, start + parts[-1].size))
-            start += parts[-1].size
-        blocks = _GRADED_CACHE[k, n, degree] = (np.concatenate(parts), tuple(steps))
-    return blocks
+    """(index, steps) of the graded steps of `jet_solve` for (k, k, n) matrices.
+
+    The operator of M in coefficient-major order (row o k + i and column
+    b k + t is coefficient shift[o, b] of M[i, t]) is `_operator_index`
+    with both axes transposed.  `index` gathers, from one point's
+    resize(M, n + 1) flattened, the blocks of that operator that the graded
+    steps use, one after another, and steps[d - 1] = (lo, hi, start, stop)
+    says that rows lo:hi of the coefficient-major solution hold its
+    coefficients of total degree d and that the block mapping rows :lo to
+    them is index[start:stop], row-major.
+    """
+    index = _operator_index(k, k, n, degree).reshape(k, n, k, n).transpose(1, 0, 3, 2)
+    index = index.reshape(n * k, n * k)
+    steps, parts, start = [], [np.zeros(0, dtype=np.intp)], 0
+    for d in range(1, degree + 1):
+        lo, hi = k * taylor.n_terms(d - 1), k * taylor.n_terms(d)
+        parts.append(index[lo:hi, :lo].ravel())
+        steps.append((lo, hi, start, start + parts[-1].size))
+        start += parts[-1].size
+    return np.concatenate(parts), tuple(steps)
 
 
 def _flat(B):

@@ -17,6 +17,7 @@ degree; this is deliberate, because each differentiation drops the degree by
 one and downstream code freely mixes the results.
 """
 
+import functools
 import math
 import numbers
 
@@ -51,15 +52,10 @@ def n_terms(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
-_DEGREE_OF = {}
-
-
+@functools.cache
 def degree_of(n):
     """Total degree of a bivariate jet with `n` coefficients (inverse of `n_terms`)."""
-    d = _DEGREE_OF.get(n)
-    if d is None:
-        d = _DEGREE_OF[n] = int(round((math.sqrt(8 * n + 1) - 3) / 2))
-    return d
+    return int(round((math.sqrt(8 * n + 1) - 3) / 2))
 
 
 def index_of(a, b):
@@ -67,48 +63,15 @@ def index_of(a, b):
     return _tri(a + b) + b
 
 
-# Cached multiplication tables: degree -> (ia, ib, iout) index triples, one
-# per term a[ia] b[ib] of a truncated product and the coefficient iout it
-# adds to (`_shift_index` turns them into a product's operator).
-_MUL_CACHE = {}
-
-
-def _mul_table(degree):
-    tab = _MUL_CACHE.get(degree)
-    if tab is None:
-        ia, ib, iout = [], [], []
-        for s1 in range(degree + 1):
-            for b1 in range(s1 + 1):
-                a1 = s1 - b1
-                for s2 in range(degree - s1 + 1):
-                    for b2 in range(s2 + 1):
-                        a2 = s2 - b2
-                        ia.append(index_of(a1, b1))
-                        ib.append(index_of(a2, b2))
-                        iout.append(index_of(a1 + a2, b1 + b2))
-        tab = (
-            np.asarray(ia, dtype=np.intp),
-            np.asarray(ib, dtype=np.intp),
-            np.asarray(iout, dtype=np.intp),
-        )
-        _MUL_CACHE[degree] = tab
-    return tab
-
-
-# Cached derivative tables: degree -> (src, factor), each (2, n_terms(degree
-# - 1)), such that coeffs[..., src] * factor stacks the derivatives along u
-# and v of a degree-d jet, two jets of degree d - 1.
-_DERIV_CACHE = {}
-
-
+@functools.cache
 def _deriv_table(degree):
-    tab = _DERIV_CACHE.get(degree)
-    if tab is None:
-        terms = [(s - b, b) for s in range(degree) for b in range(s + 1)]
-        src = [[index_of(a + 1, b) for a, b in terms], [index_of(a, b + 1) for a, b in terms]]
-        factor = [[a + 1.0 for a, b in terms], [b + 1.0 for a, b in terms]]
-        tab = _DERIV_CACHE[degree] = (np.array(src, dtype=np.intp), np.array(factor))
-    return tab
+    """(src, factor), each (2, n_terms(degree - 1)), such that
+    coeffs[..., src] * factor stacks the derivatives along u and v of a
+    degree-d jet, two jets of degree d - 1."""
+    terms = [(s - b, b) for s in range(degree) for b in range(s + 1)]
+    src = [[index_of(a + 1, b) for a, b in terms], [index_of(a, b + 1) for a, b in terms]]
+    factor = [[a + 1.0 for a, b in terms], [b + 1.0 for a, b in terms]]
+    return np.array(src, dtype=np.intp), np.array(factor)
 
 
 def gradient(coeffs, degree):
@@ -234,17 +197,6 @@ class TaylorScalar:
             return NotImplemented
         return TaylorScalar(power(self.coeffs, int(n), self.degree))
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, du, dv):
-        """Evaluate the truncated polynomial at offsets (du, dv)."""
-        total = 0.0
-        for s in range(self.degree + 1):
-            for b in range(s + 1):
-                a = s - b
-                total += self.coeffs[index_of(a, b)] * du**a * dv**b
-        return total
-
     def __repr__(self):
         return "TaylorScalar(degree=%d, const=%.6g)" % (self.degree, self.const)
 
@@ -306,20 +258,18 @@ def resize(C, n):
     return out
 
 
-# degree -> (n, n) table `shift` with shift[o, b] = a for the multi-indices
-# a + b = o of `_mul_table`, and n (a zero slot) where no such a exists, so
-# the coefficients of a jet product a b are resize(a, n + 1)[shift] @ b.
-_SHIFT_CACHE = {}
-
-
+@functools.cache
 def _shift_index(degree):
-    shift = _SHIFT_CACHE.get(degree)
-    if shift is None:
-        ia, ib, iout = _mul_table(degree)
-        n = n_terms(degree)
-        shift = np.full((n, n), n, dtype=np.intp)
-        shift[iout, ib] = ia
-        _SHIFT_CACHE[degree] = shift
+    """(n, n) table `shift` with shift[o, b] = a for the multi-indices with
+    a + b = o, and n (a zero slot) where no such a exists, so the
+    coefficients of a jet product a b are resize(a, n + 1)[shift] @ b."""
+    n = n_terms(degree)
+    shift = np.full((n, n), n, dtype=np.intp)
+    terms = [(s - b, b) for s in range(degree + 1) for b in range(s + 1)]
+    for a1, b1 in terms:
+        for a2, b2 in terms:
+            if a1 + b1 + a2 + b2 <= degree:
+                shift[index_of(a1 + a2, b1 + b2), index_of(a2, b2)] = index_of(a1, b1)
     return shift
 
 

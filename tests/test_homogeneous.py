@@ -43,9 +43,9 @@ from centroframe.surfaces import builtin_surface, eval_surface
 def test_builtin_model_constants():
     h2 = builtin_model("h2")
     assert h2.surface_type == "SpaceLike" and h2.epsilon == 1
-    assert h2.constants.value("h131") == pytest.approx(1 / 3)
-    assert h2.constants.value("h142") == pytest.approx(1 / 3)
-    assert h2.constants.value("h232") == pytest.approx(-1 / 3)
+    assert h2.constants.as_dict()["h131"] == pytest.approx(1 / 3)
+    assert h2.constants.as_dict()["h142"] == pytest.approx(1 / 3)
+    assert h2.constants.as_dict()["h232"] == pytest.approx(-1 / 3)
     assert h2.gauss == pytest.approx(-1 / 3)
 
     sphere = builtin_model("sphere")
@@ -55,8 +55,8 @@ def test_builtin_model_constants():
 
     s21 = builtin_model("s21")
     assert s21.surface_type == "TimeLike" and s21.epsilon == 0
-    assert s21.constants.value("h132") == pytest.approx(2 / 3)
-    assert s21.constants.value("h241") == pytest.approx(2 / 3)
+    assert s21.constants.as_dict()["h132"] == pytest.approx(2 / 3)
+    assert s21.constants.as_dict()["h241"] == pytest.approx(2 / 3)
     assert s21.gauss == pytest.approx(-1 / 3)
 
     with pytest.raises(UnknownModel):
@@ -76,7 +76,7 @@ def test_constant_vector_validation():
     civ = ConstantInvariantVector.from_mapping(
         "TimeLike", {"h132": 0.5, "h111": 9.0}, 0
     )
-    assert civ.value("h132") == 0.5
+    assert civ.as_dict()["h132"] == 0.5
     assert civ.as_dict()["h241"] == 0.0
     assert civ.names == TIMELIKE_NAMES
     assert len(SPACELIKE_NAMES) == len(TIMELIKE_NAMES) == 14
@@ -325,6 +325,23 @@ def test_search_finds_single_timelike_solution():
     assert np.allclose(
         clusters[0].values, builtin_model("s21").constants.as_array(), atol=1e-8
     )
+
+
+@pytest.mark.parametrize(
+    "case, kwargs, expected",
+    [
+        ("spacelike", {"restarts": 50, "seed": 1}, {1: "h2", -1: "sphere"}),
+        ("timelike", {"restarts": 5}, {0: "s21"}),
+    ],
+)
+def test_search_clusters_name_the_model_they_match(case, kwargs, expected):
+    clusters = search_constant_solutions(case, **kwargs)
+    assert {c.epsilon: c.match for c in clusters} == expected
+    for c in clusters:
+        model = builtin_model(c.match)
+        assert (model.surface_type, model.epsilon) == (c.surface_type, c.epsilon)
+        assert c.match_distance == float(np.max(np.abs(model.constants.as_array() - c.values)))
+        assert c.match_distance < CLUSTER_TOL
 
 
 def test_search_single_sign_cases_and_errors():

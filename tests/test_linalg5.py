@@ -29,6 +29,7 @@ from centroframe.errors import NotIndefinite, NotPositiveDefinite, SingularMatri
 from centroframe.linalg5 import (
     _PIVOT_TOL,
     _flat,
+    _graded_blocks,
     _operator,
     _unflat,
     expm5,
@@ -157,6 +158,32 @@ def _lapack_jet_solve(A, B, degree):
     for _ in range(degree):
         X = Y - T @ X
     return _unflat(X, k)
+
+
+def _graded_blocks_direct(k, n, degree):
+    """The graded blocks built from cells and the product's shift table
+    directly: row o k + i and column b k + t of the coefficient-major
+    operator is coefficient shift[o, b] of M[i, t]."""
+    cell = (np.arange(k)[:, None] * k + np.arange(k)) * (n + 1)
+    index = (cell[None, :, None, :] + taylor._shift_index(degree)[:, None, :, None])
+    index = index.reshape(n * k, n * k)
+    steps, parts, start = [], [np.zeros(0, dtype=np.intp)], 0
+    for d in range(1, degree + 1):
+        lo, hi = k * taylor.n_terms(d - 1), k * taylor.n_terms(d)
+        parts.append(index[lo:hi, :lo].ravel())
+        steps.append((lo, hi, start, start + parts[-1].size))
+        start += parts[-1].size
+    return np.concatenate(parts), tuple(steps)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("degree", range(9))
+def test_graded_blocks_match_the_direct_construction(k, degree):
+    n = taylor.n_terms(degree)
+    index, steps = _graded_blocks(k, n, degree)
+    expected, expected_steps = _graded_blocks_direct(k, n, degree)
+    assert index.dtype == expected.dtype and np.array_equal(index, expected)
+    assert steps == expected_steps
 
 
 def _singular_cases(rng):
