@@ -69,15 +69,12 @@ print("plane type: %s  (Q-restriction det %.3e, trace %.3e)"
       % (kind.tag, kind.det, kind.gram.trace()))
 
 # --- Level 2: normalizing the second-order data --------------------------
-# The space-like and time-like branches bring (h3, h4) to different normal
-# forms; both also normalize h0 and record the remaining sign epsilon.
-if kind.tag == "SpaceLike":
-    fr2, gauge2, eps = adapt2_spacelike(fr1, fund)
-    print("\nafter level 2 (space-like): epsilon = %+d" % eps)
-else:
-    fr2, gauge2 = adapt2_timelike(fr1, fund)
-    eps = 0
-    print("\nafter level 2 (time-like)")
+# The space-like and time-like reductions bring (h3, h4) to different normal
+# forms; both also normalize h0 and return the remaining sign epsilon (0 in
+# the time-like case).
+adapt2 = adapt2_spacelike if kind.tag == "SpaceLike" else adapt2_timelike
+fr2, gauge2, eps = adapt2(fr1, fund)
+print("\nafter level 2 (%s): epsilon = %+d" % (kind.tag, eps))
 fund2 = fundamental_matrices(maurer_cartan(fr2))
 for label, h in (("h0", fund2.h0), ("h3", fund2.h3), ("h4", fund2.h4)):
     a, b, c = h.const()

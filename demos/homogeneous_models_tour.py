@@ -22,7 +22,6 @@ from centroframe import (
     exp_product_point,
     model_generators,
     model_metric,
-    model_omega,
     quadric_residual,
     structure_residual,
 )

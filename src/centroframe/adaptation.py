@@ -52,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ArithmeticFailure,
     Degenerate,
     DegenerateOffdiagComponent,
     DegenerateTraceComponent,
@@ -321,6 +322,9 @@ def apply_gauge(frame, gauge, surface_type=None):
 
 
 _FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal tests
+# largest |surface jet coefficient| that frame1 takes: 2^24 below the float
+# range leaves room for two derivative orders and the five-entry norms
+_JET_MAX = 2.0**1000
 
 
 def _norm(x, axis):
@@ -353,6 +357,9 @@ def frame1(jet5):
         If f_u, f_v are dependent at the base point.
     NotTransversal
         If the position vector lies in the tangent plane at the base point.
+    ArithmeticFailure
+        If a surface jet coefficient exceeds _JET_MAX in size, where the
+        derivatives and norms of the frame would overflow.
     """
     if isinstance(jet5, np.ndarray):
         degree = degree_of(jet5.shape[-1]) - 1
@@ -360,6 +367,8 @@ def frame1(jet5):
     else:
         degree = min(j.degree for j in jet5) - 1
         f = np.array([j.coeffs[: n_terms(degree + 1)] for j in jet5])
+    raise_where(np.abs(f).max(axis=(-2, -1)) > _JET_MAX, lambda i: ArithmeticFailure(
+        "surface jets are too large to differentiate at the base point"))
     coeffs = np.zeros(f.shape[:-2] + (5, 5, n_terms(degree)))
     coeffs[..., 0, :] = f[..., : n_terms(degree)]
     coeffs[..., 1:3, :] = gradient(f, degree + 1)
@@ -614,9 +623,21 @@ def _congruence(H, A, degree):
     return jet_matmul(H, S.swapaxes(-3, -2), degree)
 
 
-def _max_square(a0, b0, c0):
-    """max(1, a0^2, b0^2, c0^2) per point: the scale of a constant form."""
-    return np.maximum(np.maximum(np.maximum(a0 * a0, b0 * b0), c0 * c0), 1.0)
+def _constant_part(h, sign):
+    """The constant terms (a0, b0, c0) of forms h, which must be positive
+    definite (`sign` 1: a0 > 0) or indefinite (`sign` -1), with
+    sign (a0 c0 - b0^2) above _PIVOT_TOL max(1, a0^2, b0^2, c0^2)."""
+    a0, b0, c0 = (x[..., 0] for x in _entries(h))
+    bad = sign * (a0 * c0 - b0 * b0) <= _PIVOT_TOL * np.maximum(
+        np.maximum(np.maximum(a0 * a0, b0 * b0), c0 * c0), 1.0)
+    if sign > 0:
+        bad |= a0 <= 0
+        error, kind = NotPositiveDefinite, "positive definite"
+    else:
+        error, kind = NotIndefinite, "indefinite"
+    raise_where(bad, lambda i: error(
+        "constant part [[%g, %g], [%g, %g]] is not %s" % (a0[i], b0[i], b0[i], c0[i], kind)))
+    return a0, b0, c0
 
 
 def _spd_inverse_sqrt(h, degree):
@@ -632,11 +653,7 @@ def _spd_inverse_sqrt(h, degree):
     NotPositiveDefinite
         If the constant part of h is not positive definite.
     """
-    a0, b0, c0 = (x[..., 0] for x in _entries(h))
-    bad = (a0 <= 0) | (a0 * c0 - b0 * b0 <= _PIVOT_TOL * _max_square(a0, b0, c0))
-    raise_where(bad, lambda i: NotPositiveDefinite(
-        "constant part [[%g, %g], [%g, %g]] is not positive definite"
-        % (a0[i], b0[i], b0[i], c0[i])))
+    _constant_part(h, 1.0)
     a, b, c = _entries(h)
     root_det = apply("sqrt", -_q_polar(h, h, degree), degree)
     r = apply(("reciprocal", "rsqrt"), stack([root_det, a + c + 2.0 * root_det], axis=-2), degree)
@@ -668,10 +685,7 @@ def _null_basis(h, degree):
     NotIndefinite
         If the constant part of h is not indefinite.
     """
-    a0, b0, c0 = (x[..., 0] for x in _entries(h))
-    raise_where(b0 * b0 - a0 * c0 <= _PIVOT_TOL * _max_square(a0, b0, c0),
-                lambda i: NotIndefinite("constant part [[%g, %g], [%g, %g]] is not indefinite"
-                                        % (a0[i], b0[i], b0[i], c0[i])))
+    a0, b0, c0 = _constant_part(h, -1.0)
 
     # where both diagonal coefficients are below _ROTATE_TOL |b|, rotate the
     # coordinates by 45 degrees so that a diagonal coefficient is large
@@ -743,91 +757,72 @@ def _level2_gauge(A1, B, r0, s, degree):
 _ADAPT2_TOL = 1e-10  # absolute floor of adapt2's det B and of the h0 part that fixes the scale
 
 
-def _det2_const(B):
-    """Determinant of the constant parts of 2x2 jet matrices (..., 2, 2, n)."""
-    return B[..., 0, 0, 0] * B[..., 1, 1, 0] - B[..., 0, 1, 0] * B[..., 1, 0, 0]
+def _adapt2(frame, fund, surface_type):
+    """Level 2 of either case, as (frame2, gauge, epsilon).
+
+    A1 takes the Q-complement n of span(h3, h4) to I (by its inverse square
+    root) or to offdiag(1) (by a null basis), so that of the forms
+    (p0, p3, p4) = A1^T (h0, h3, h4) A1, (p3, p4) lie in the trace-free or
+    in the diagonal plane.  B, their coordinates there ((a - c)/2 and b, or
+    a and c), maps them to the plane's reference basis; r0, those of p0,
+    subtracts p0's part in the plane; and the rest, s I or s offdiag(1), is
+    scaled to epsilon I or offdiag(1) by lam = |s|^-1/2 on e1 and lam or
+    sign(s) lam on e2.
+
+    Raises
+    ------
+    IndependenceFailure
+        If the normalized pair does not span the plane (det B vanishes).
+    DegenerateTraceComponent, DegenerateOffdiagComponent
+        If s vanishes (the scaling gauge is then undetermined).
+    """
+    spacelike = surface_type == "SpaceLike"
+    d = fund.degree
+    n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
+    if spacelike:  # n's sign: a positive trace
+        negative = n[..., 0, 0] + n[..., 2, 0] < 0
+        to_normal, plane, error, part = _spd_inverse_sqrt, "trace-free", DegenerateTraceComponent, "pure-trace"
+    else:  # a positive entry of largest |entry|
+        lead = np.expand_dims(np.argmax(np.abs(n[..., 0]), axis=-1), -1)
+        negative = np.take_along_axis(n[..., 0], lead, -1)[..., 0] < 0
+        to_normal, plane, error, part = _null_basis, "diagonal", DegenerateOffdiagComponent, "off-diagonal"
+    A1 = to_normal(np.where(negative[..., None, None], -n, n), d)
+    P = _congruence(fund.coeffs, A1, d)  # the forms (p0, p3, p4)
+    if spacelike:
+        a, b, c = _entries(P)
+        coords, s = stack([(a - c) * 0.5, b], axis=-2), (a[..., 0, :] + c[..., 0, :]) * 0.5
+    else:
+        coords, s = P[..., ::2, :], P[..., 0, 1, :]
+    r0, B = coords[..., 0, :, :], coords[..., 1:, :, :]
+    det_B = B[..., 0, 0, 0] * B[..., 1, 1, 0] - B[..., 0, 1, 0] * B[..., 1, 0, 0]
+    raise_where(np.abs(det_B) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
+        "normalized pair does not span the %s plane" % plane))
+    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL, lambda i: error("%s part of h0 vanishes" % part))
+    positive = s[..., 0] > 0
+    sign = np.where(positive, 1.0, -1.0)[..., None]
+    lam = apply("rsqrt", s * sign, d)
+    gauge = _level2_gauge(A1, B, r0, stack([lam, lam if spacelike else lam * sign], axis=-2), d)
+    epsilon = np.where(positive, 1, -1) if spacelike else np.zeros(positive.shape, dtype=int)
+    return apply_gauge(frame, gauge, surface_type=surface_type), gauge, _scalar(epsilon)
 
 
 def adapt2_spacelike(frame, fund):
     """Reduce a 1-adapted frame over a space-like point to level 2.
 
     Returns (frame2, gauge, epsilon) where the new frame satisfies
-    h3 = diag(1, -1), h4 = offdiag(1), h0 = epsilon * I.
-
-    Raises
-    ------
-    DegenerateTraceComponent
-        If the pure-trace part of h0 vanishes after the plane is normalized
-        (the scaling gauge is then undetermined).
+    h3 = diag(1, -1), h4 = offdiag(1), h0 = epsilon * I; see `_adapt2`.
     """
-    d = fund.degree
-    # 1) rotate/scale tangent directions so the Q-complement becomes the
-    #    identity matrix; the (h3, h4)-plane is then trace-free
-    n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
-    n = np.where((n[..., 0, 0] + n[..., 2, 0] < 0)[..., None, None], -n, n)
-    A1 = _spd_inverse_sqrt(n, d)
-    a, b, c = _entries(_congruence(fund.coeffs, A1, d))  # of the forms (p0, p3, p4)
-    r0_B = stack([(a - c) * 0.5, b], axis=-2)
-
-    # 2) move (p3, p4) to the reference basis (T1, T2) of the trace-free
-    #    plane by the normal-space gauge B
-    B = r0_B[..., 1:, :, :]
-    raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
-        "normalized pair does not span the trace-free plane"))
-
-    # 3) subtract the trace-free part of h0 via the translational gauge
-    r0 = r0_B[..., 0, :, :]
-    s = (a[..., 0, :] + c[..., 0, :]) * 0.5
-    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
-                lambda i: DegenerateTraceComponent("pure-trace part of h0 vanishes"))
-    epsilon = np.where(s[..., 0] > 0, 1, -1)
-
-    # 4) scale by lam = |s|^-1/2 to make h0 = epsilon * I
-    lam = apply("rsqrt", s * epsilon[..., None], d)
-    gauge = _level2_gauge(A1, B, r0, stack([lam, lam], axis=-2), d)
-    epsilon = _scalar(epsilon)
-    frame2 = apply_gauge(frame, gauge, surface_type="SpaceLike")
-    return frame2, gauge, epsilon
+    return _adapt2(frame, fund, "SpaceLike")
 
 
 def adapt2_timelike(frame, fund):
     """Reduce a 1-adapted frame over a time-like point to level 2.
 
-    Returns (frame2, gauge) where the new frame satisfies h3 = E11,
-    h4 = E22, h0 = offdiag(1).
-
-    Raises
-    ------
-    DegenerateOffdiagComponent
-        If the off-diagonal part of h0 vanishes after the plane is
-        normalized (the scaling gauge is then undetermined).
+    Returns (frame2, gauge, 0) where the new frame satisfies h3 = E11,
+    h4 = E22, h0 = offdiag(1); see `_adapt2`.  The 0 is epsilon, which the
+    time-like case does not have (per point for a batch).
     """
-    d = fund.degree
-    # 1) null directions of the Q-complement diagonalize the plane
-    n = _q_complement(fund.coeffs[..., 1, :, :], fund.coeffs[..., 2, :, :], d)
-    lead = np.expand_dims(np.argmax(np.abs(n[..., 0]), axis=-1), -1)
-    n = np.where((np.take_along_axis(n[..., 0], lead, -1) < 0)[..., None], -n, n)
-    A1 = _null_basis(n, d)
-    P = _congruence(fund.coeffs, A1, d)  # the forms (p0, p3, p4)
-
-    # 2) map (p3, p4) (now diagonal) to (E11, E22)
-    B = P[..., 1:, ::2, :]
-    raise_where(np.abs(_det2_const(B)) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
-        "normalized pair does not span the diagonal plane"))
-
-    # 3) subtract the diagonal part of h0
-    r0 = P[..., 0, ::2, :]
-    s = P[..., 0, 1, :]
-    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL,
-                lambda i: DegenerateOffdiagComponent("off-diagonal part of h0 vanishes"))
-
-    # 4) scale by diag(a11, a22) to make h0 = offdiag(1); a11 > 0,
-    #    sign(a22) = sign(s)
-    sign = np.where(s[..., 0] > 0, 1.0, -1.0)[..., None]
-    a11 = apply("rsqrt", s * sign, d)
-    gauge = _level2_gauge(A1, B, r0, stack([a11, a11 * sign], axis=-2), d)
-    frame2 = apply_gauge(frame, gauge, surface_type="TimeLike")
-    return frame2, gauge
+    return _adapt2(frame, fund, "TimeLike")
 
 
 # ---------------------------------------------------------------------------

@@ -371,11 +371,14 @@ def gauss_from_connection(inv):
 
 # (E, F, G) of the induced metric as sums of products of coframe entries
 # (c00, c01, c10, c11) = (omega^1_0 du, omega^1_0 dv, omega^2_0 du, omega^2_0 dv):
-# per case, the two factor lists of one stacked product, and how the six
-# products combine.
+# per case, the two factor lists of one stacked product, the two lists of
+# the products that sum to (E, F, G) (a time-like 2 x is x + x), the normal
+# metric S and the signature.
 _METRIC_FACTORS = {
-    "SpaceLike": (np.array([0, 2, 0, 2, 1, 3]), np.array([0, 2, 1, 3, 1, 3]), "Riemannian"),
-    "TimeLike": (np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3]), "Lorentzian"),
+    "SpaceLike": (np.array([0, 2, 0, 2, 1, 3]), np.array([0, 2, 1, 3, 1, 3]),
+                  (np.array([0, 2, 4]), np.array([1, 3, 5])), np.eye(2), "Riemannian"),
+    "TimeLike": (np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3]),
+                 (np.array([0, 1, 3]), np.array([0, 2, 3])), np.array([[0.0, 1.0], [1.0, 0.0]]), "Lorentzian"),
 }
 
 
@@ -393,16 +396,10 @@ def metric_at(frame, mc):
     d = mc.degrees[0]
     C = mc.omega[..., 1:3, 0, : n_terms(d)]  # (du, dv) x (omega^1_0, omega^2_0)
     c = C.swapaxes(-3, -2).reshape(*C.shape[:-3], 4, -1)
-    left, right, signature = _METRIC_FACTORS[frame.surface_type]
+    left, right, (first, second), S, signature = _METRIC_FACTORS[frame.surface_type]
     x = jet_mul(c.take(left, axis=-2), c.take(right, axis=-2), d)
-    if frame.surface_type == "SpaceLike":
-        E, F, G = x[..., 0, :] + x[..., 1, :], x[..., 2, :] + x[..., 3, :], x[..., 4, :] + x[..., 5, :]
-        S = np.eye(2)
-    else:
-        E, F, G = x[..., 0, :] * 2.0, x[..., 1, :] + x[..., 2, :], x[..., 3, :] * 2.0
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
     N = np.ascontiguousarray(np.linalg.inv(frame.const)[..., 3:5, :])
-    return MetricData(first_coeffs=stack([E, F, G], axis=-2),
+    return MetricData(first_coeffs=x.take(first, axis=-2) + x.take(second, axis=-2),
                       normal_gram=N.swapaxes(-1, -2) @ S @ N, signature=signature)
 
 
@@ -619,11 +616,7 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram):
         If a curvature, a metric entry, alpha or an invariant of the type is
         not finite; the message names each one.  `residual_max` may be NaN.
     """
-    if tag == "SpaceLike":
-        fr2, gauge2, epsilon = adapt2_spacelike(fr1, fund1)
-    else:
-        fr2, gauge2 = adapt2_timelike(fr1, fund1)
-        epsilon = _scalar(np.zeros(U.shape, dtype=int))
+    fr2, gauge2, epsilon = (adapt2_spacelike if tag == "SpaceLike" else adapt2_timelike)(fr1, fund1)
     mc2 = maurer_cartan(fr2, (mc1, gauge2))
     fr3, gauge3 = adapt3(fr2, mc2, tag, epsilon)
     mc3 = maurer_cartan(fr3, (mc2, gauge3))

@@ -162,8 +162,6 @@ def jet_solve(A, B, degree):
     m = B.shape[-2]
     A = A.reshape(-1, k, k, n)
     N = len(A)
-    if B.shape[:-3] != tuple(batch):  # B without the batch axis is shared
-        B = np.broadcast_to(B, (*batch, k, m, n))
     A0 = A[..., 0]
     tol = _PIVOT_TOL * np.abs(A0).max(axis=(1, 2))  # relative, per point
     factors = [_factor(a, t) for a, t in zip(A0.tolist(), tol.tolist())]

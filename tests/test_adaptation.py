@@ -192,8 +192,8 @@ def test_adapt2_spacelike_sphere_epsilon():
 
 def test_adapt2_timelike_normal_forms():
     fr = frame1(_jets("s21", -0.2, 0.25, 5))
-    fr2, gauge = adapt2_timelike(fr, _normal_forms(fr))
-    assert fr2.surface_type == "TimeLike"
+    fr2, gauge, eps = adapt2_timelike(fr, _normal_forms(fr))
+    assert eps == 0 and fr2.surface_type == "TimeLike"
     fund2 = _normal_forms(fr2)
     for got, want in (
         (fund2.h3, (1.0, 0.0, 0.0)),
@@ -219,8 +219,8 @@ def test_adapt2_is_stable_on_adapted_frames():
     assert _gauge_distance_from_identity(gauge2) < 1e-10
 
     fr = frame1(_jets("s21", 0.15, 0.3, 5))
-    fr2, _ = adapt2_timelike(fr, _normal_forms(fr))
-    _, gauge2 = adapt2_timelike(fr2, _normal_forms(fr2))
+    fr2, _, _ = adapt2_timelike(fr, _normal_forms(fr))
+    _, gauge2, _ = adapt2_timelike(fr2, _normal_forms(fr2))
     assert _gauge_distance_from_identity(gauge2) < 1e-10
 
 
@@ -228,11 +228,7 @@ def test_adapt3_kills_normal_translation_terms():
     for name, case in (("h2", "SpaceLike"), ("s21", "TimeLike")):
         fr = frame1(_jets(name, 0.3, -0.1, 5))
         fund = _normal_forms(fr)
-        if case == "SpaceLike":
-            fr2, _, eps = adapt2_spacelike(fr, fund)
-        else:
-            fr2, _ = adapt2_timelike(fr, fund)
-            eps = 0
+        fr2, _, eps = (adapt2_spacelike if case == "SpaceLike" else adapt2_timelike)(fr, fund)
         mc2 = maurer_cartan(fr2)
         fr3, gauge3 = adapt3(fr2, mc2, case, eps)
         assert fr3.surface_type == case
@@ -264,7 +260,7 @@ def test_spacelike_adapt3_needs_the_sign_of_h0():
 
     # the time-like case does not read epsilon, and keeps its default
     fr = frame1(_jets("s21", 0.3, -0.1, 5))
-    fr2, _ = adapt2_timelike(fr, _normal_forms(fr))
+    fr2, _, _ = adapt2_timelike(fr, _normal_forms(fr))
     fr3, _ = adapt3(fr2, maurer_cartan(fr2), "TimeLike")
     assert extract_invariants(maurer_cartan(fr3), "TimeLike").epsilon == 0
 
@@ -325,11 +321,8 @@ def test_readaptation_after_random_gauge():
             gauged = apply_gauge(fr, gauge)
             fund = _normal_forms(gauged)
             assert classify_plane(fund).tag == case
-            if case == "SpaceLike":
-                fr2, _, eps = adapt2_spacelike(gauged, fund)
-                assert eps == 1
-            else:
-                fr2, _ = adapt2_timelike(gauged, fund)
+            fr2, _, eps = (adapt2_spacelike if case == "SpaceLike" else adapt2_timelike)(gauged, fund)
+            assert eps == (1 if case == "SpaceLike" else 0)
             fund2 = _normal_forms(fr2)
             want3 = (1.0, 0.0, -1.0) if case == "SpaceLike" else (1.0, 0.0, 0.0)
             want4 = (0.0, 1.0, 0.0) if case == "SpaceLike" else (0.0, 0.0, 1.0)
@@ -423,9 +416,9 @@ def test_gauge_law_matches_solve():
             fr = frame1(_jets(name, u, v, degree))
             mc = maurer_cartan(fr)
             g = _random_g1_gauge(rng, degree - 1, jet_valued=True)
-            fr2, g2, *eps = adapt2(fr, _normal_forms(fr))
+            fr2, g2, eps = adapt2(fr, _normal_forms(fr))
             mc2 = maurer_cartan(fr2)
-            fr3, g3 = adapt3(fr2, mc2, tag, *eps)
+            fr3, g3 = adapt3(fr2, mc2, tag, eps)
             for frame, base, gauge in ((apply_gauge(fr, g), mc, g), (fr2, mc, g2), (fr3, mc2, g3)):
                 want = maurer_cartan(frame)
                 got = maurer_cartan(frame, (base, gauge))
@@ -474,10 +467,7 @@ def test_level2_gauge_matches_composed_block_gauges(monkeypatch):
     monkeypatch.setattr(adaptation, "_level2_gauge", recording)
     for name, fr in _random_frames(13):
         fund = _normal_forms(fr)
-        if name == "h2":
-            fr2, gauge, _ = adapt2_spacelike(fr, fund)
-        else:
-            fr2, gauge = adapt2_timelike(fr, fund)
+        fr2, gauge, _ = (adapt2_spacelike if name == "h2" else adapt2_timelike)(fr, fund)
         A1, B, r0, s = blocks[-1]
         A1, B = ([[TaylorScalar(x) for x in row] for row in M] for M in (A1, B))
         r0, (s1, s2) = ([TaylorScalar(x) for x in v] for v in (r0, s))

@@ -230,11 +230,7 @@ def _invariants_via_gauge(name, u, v, gauge):
     from centroframe.adaptation import classify_plane
 
     stype = classify_plane(fund)
-    if stype.tag == "SpaceLike":
-        fr2, _, eps = adapt2_spacelike(fr1, fund)
-    else:
-        fr2, _ = adapt2_timelike(fr1, fund)
-        eps = 0
+    fr2, _, eps = (adapt2_spacelike if stype.tag == "SpaceLike" else adapt2_timelike)(fr1, fund)
     fr3, _ = adapt3(fr2, maurer_cartan(fr2), stype.tag, eps)
     inv = extract_invariants(maurer_cartan(fr3), stype.tag, eps)
     return stype.tag, fiber_invariant_scalars(inv)

@@ -26,7 +26,7 @@ A = np.array([
     [0.125, 0.5, 0.0, -0.375, 0.75],
 ])
 PARSE_CALLS = 234
-ANALYZE_CALLS = 621
+ANALYZE_CALLS = 620
 
 
 def _image_text():

@@ -1,10 +1,14 @@
 """Tests for the surface expression language and built-in models."""
 
+import contextlib
+import csv
+import io
 import math
 import operator
 import random
 import re
 import struct
+import warnings
 from collections import Counter
 from typing import NamedTuple
 
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from centroframe import surfaces, taylor
+from centroframe import cli, errors, surfaces, taylor
 from centroframe.errors import (
     ArithmeticFailure,
     ArityError,
@@ -669,7 +673,9 @@ def test_parser_compiles_gl5_images_to_the_reference_program():
 # Group reuse: a parse takes the node of a group it has parsed before
 # ---------------------------------------------------------------------------
 
-_LEAVES = st.sampled_from(["u", "v", "a", "1", "2.5", "3", ".5", "0.0", "1e-3"])
+# the literals near the ends of the float range reach the frame's overflow guard
+_LEAVES = st.sampled_from(["u", "v", "a", "1", "2.5", "3", ".5", "0.0", "1e-3",
+                           "0", "1e308", "1e-308", "1e200", "1e-200"])
 
 
 def _compound(inner):
@@ -677,7 +683,7 @@ def _compound(inner):
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
         inner.map("-{}".format),
         st.tuples(inner, st.sampled_from(["2", "-1", "0", "3"])).map(lambda t: "(%s)^%s" % t),
-        st.tuples(st.sampled_from(["sin", "cosh", "exp", "sqrt", "neg"]), inner).map(lambda t: "%s(%s)" % t),
+        st.tuples(st.sampled_from(sorted(taylor.FUNCTIONS) + ["neg"]), inner).map(lambda t: "%s(%s)" % t),
         inner.map("({})".format),
     )
 
@@ -727,3 +733,61 @@ def test_a_bad_repeated_group_fails_as_the_full_parse(expr, data):
     text = "".join(pieces)
     params = {"a": 1.5}
     assert _outcome(_parse_program, text, params) == _outcome(_reference_program, text, params)
+
+
+# ---------------------------------------------------------------------------
+# Any text of the grammar through `analyze`: a sweep writes a record per point
+# ---------------------------------------------------------------------------
+
+_TEXT_COLUMNS = {"ok", "error", "message", "surface_type", "signature", "residual_ok"}
+
+
+def _sweep(text):
+    """Exit code and CSV rows of `analyze` of `text` on a 3x3 grid, with
+    numpy's floating-point warnings raised as errors."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["analyze", "--surface", text, "--grid", "-1:1:3", "-1:1:3", "--format", "csv"])
+    return rc, list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+def _sweep_records(text):
+    """The 9 records of a sweep of `text`, which must exit 0 with each
+    record ok and finite or naming an `errors` class."""
+    rc, rows = _sweep(text)
+    assert rc == 0 and len(rows) == 9
+    for row in rows:
+        if row["ok"] == "true":
+            values = [x for k, x in row.items() if k not in _TEXT_COLUMNS and x != ""]
+            assert all(math.isfinite(float(x)) for x in values), row
+        else:
+            assert row["ok"] == "false"
+            assert issubclass(getattr(errors, row["error"]), CentroframeError), row
+    return rows
+
+
+@pytest.mark.parametrize("text", [
+    "1e-200; ((v)^-1 / 1e-308); (-(exp(1e-200)))^2; 1e308; v",
+    "(-((1e308 + 0)) / ((1e308)^-2 + (v + v))); (-(7) / cosh((1 * 1e-200))); 1e-308; sinh(v); 1e-308",
+    "-(1); exp((u / v)); 7; (((7)^-1)^2 / exp((1)^3)); ((exp(0.5) - sqrt(u)) + 1e308)",
+    "3; u; ((1 - -(1e308)) / cos(sinh(u))); v; ((sin(1e308) - (0.5 + 1e-308)) + 0)",
+])
+def test_jets_near_the_float_range_are_records(text):
+    # their derivatives and norms would overflow in frame1, which refuses
+    # them as the points' ArithmeticFailure
+    rows = _sweep_records(text)
+    assert "surface jets are too large to differentiate at the base point" in {r["message"] for r in rows}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(_EXPRS, min_size=5, max_size=5).map("; ".join))
+def test_analyze_writes_a_record_per_point_for_any_grammar_text(text):
+    # a text that does not parse is one error line (exit 2); any other
+    # text is a sweep of records, each ok and finite or a typed error
+    try:
+        parse_surface(text)
+    except CentroframeError:
+        assert _sweep(text) == (2, [])
+        return
+    _sweep_records(text)
