@@ -321,10 +321,15 @@ def apply_gauge(frame, gauge, surface_type=None):
 # ---------------------------------------------------------------------------
 
 
-_FRAME1_TOL = 1e-10  # relative floor of the NotImmersed and NotTransversal tests
+# Each check compares a ratio that row and column scalings of its data do not
+# change with one of four tolerances, and has no absolute floor: this one, where
+# a ratio reads as dependent, _PIVOT_TOL (linalg5), _NULL_TOL and _ROTATE_TOL
+_DEPENDENT_TOL = 1e-10
 # largest |surface jet coefficient| that frame1 takes: 2^24 below the float
 # range leaves room for two derivative orders and the five-entry norms
 _JET_MAX = 2.0**1000
+# largest ratio of |f|, |f_u|, |f_v| that frame1 takes, so level 2's products stay finite
+_SPREAD_MAX = 2.0**64
 
 
 def _norm(x, axis):
@@ -359,7 +364,8 @@ def frame1(jet5):
         If the position vector lies in the tangent plane at the base point.
     ArithmeticFailure
         If a surface jet coefficient exceeds _JET_MAX in size, where the
-        derivatives and norms of the frame would overflow.
+        derivatives and norms of the frame would overflow, or if |f|, |f_u|
+        and |f_v| differ by more than _SPREAD_MAX.
     """
     if isinstance(jet5, np.ndarray):
         degree = degree_of(jet5.shape[-1]) - 1
@@ -381,13 +387,16 @@ def frame1(jet5):
     P12 = P[..., 1:] / scale[..., None, None]
     P12t = P12.swapaxes(-1, -2)
     gram = P12t @ P12
-    raise_where(np.linalg.det(gram) <= _FRAME1_TOL ** 2,
+    # det over its Hadamard bound g11 g22 is the squared sine of their angle
+    raise_where(np.linalg.det(gram) <= _DEPENDENT_TOL ** 2 * gram[..., 0, 0] * gram[..., 1, 1],
                 lambda i: NotImmersed("tangent vectors are dependent at the base point"))
     # rejection of e0 from span(e1, e2)
     coeff = np.linalg.solve(gram, P12t @ P[..., 0, None])
     resid = _norm(P[..., 0, None] - P12 @ coeff, (-2, -1))
-    raise_where(resid <= _FRAME1_TOL * np.maximum(norms[..., 0], 1e-300),
+    raise_where(resid <= _DEPENDENT_TOL * norms[..., 0],
                 lambda i: NotTransversal("position vector lies in the tangent plane"))
+    raise_where(norms.max(axis=-1) > _SPREAD_MAX * norms.min(axis=-1), lambda i: ArithmeticFailure(
+        "position and tangent vectors differ in size beyond the float range of the frame"))
 
     # complete with an orthonormal basis of the complement, scaled by |f(p)|
     Q, _ = np.linalg.qr(np.ascontiguousarray(P), mode="complete")
@@ -488,9 +497,6 @@ def maurer_cartan(frame, gauged=None):
 # ---------------------------------------------------------------------------
 
 
-_DEGENERATE_TOL = 1e-10  # floor of det(h0, h3, h4) over max(1, largest entry)^3
-
-
 def fundamental_matrices(mc):
     """Cartan-lemma matrices h0, h3, h4 of a 1-adapted frame.
 
@@ -512,10 +518,11 @@ def fundamental_matrices(mc):
     x1, x2 = X[..., 0, :, :, :], X[..., 1, :, :, :]
     H = stack([x1[..., 0, :], (x2[..., 0, :] + x1[..., 1, :]) * 0.5, x2[..., 1, :]], axis=-2)
     asym = np.abs(x2[..., 0, 0] - x1[..., 1, 0]).max(axis=-1)
-    triples = np.ascontiguousarray(H[..., 0])
-    det = np.linalg.det(triples)
-    scale = np.maximum(1.0, np.abs(triples).max(axis=(-2, -1)))
-    raise_where(np.abs(det) <= _DEGENERATE_TOL * scale**3,
+    # over a power of two, so no product overflows, against Hadamard's bound both ways
+    _, e = np.frexp(np.abs(H[..., 0]).max(axis=(-2, -1)))
+    T = np.ldexp(H[..., 0], -e[..., None, None])
+    bound = np.minimum(np.hypot.reduce(T, axis=-1).prod(axis=-1), np.hypot.reduce(T, axis=-2).prod(axis=-1))
+    raise_where(np.abs(np.linalg.det(T)) <= _DEPENDENT_TOL * bound,
                 lambda i: Degenerate("second-order data span less than three dimensions"))
     return FundamentalData(coeffs=H, degree=degree, asymmetry=_scalar(asym))
 
@@ -526,10 +533,8 @@ _Q_POLAR = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
 
 
 _TAGS = np.array(["SpaceLike", "TimeLike", "Null"])  # the tags by index, for `classify_plane`
-_NULL_TOL = 1e-8  # a Gram determinant within this share of the squared Gram norm is null
-_INDEPENDENCE_TOL = 1e-10  # |h3 x h4| within this share of |h3| |h4| is dependent
+_NULL_TOL = 1e-8  # a Gram determinant within this share of its larger term is null
 _ROTATE_TOL = 1e-8  # a form whose diagonal is below this share of |b| is rotated first
-_LEAD_TOL = 1e-10  # a first component below this share of max(1, |second|) is not a lead
 
 
 def classify_plane(fund):
@@ -538,26 +543,28 @@ def classify_plane(fund):
     The Gram matrix V G V^T of the restriction of Q (V the constant triples
     of h3 and h4, G the polarization matrix of Q) decides: positive
     determinant means space-like, negative means time-like, and a
-    determinant within _NULL_TOL times the squared Gram norm is null.
+    determinant within _NULL_TOL max(|g11 g22|, g12^2) sin^2 is null, sin
+    the sine of the angle of h3 and h4, so that a basis close to dependent
+    (an anisotropic GL(5) image) does not read as null.
 
     Raises
     ------
     IndependenceFailure
         If h3 and h4 are linearly dependent at the base point: their cross
-        product within _INDEPENDENCE_TOL times the product of their norms.
+        product within _DEPENDENT_TOL times the product of their norms.
     """
     V = np.ascontiguousarray(fund.coeffs[..., 1:, :, 0])
     norms = _norm(V, -1)
     h3, h4 = V[..., 0, :], V[..., 1, :]
     cross = np.sqrt(sum(np.square(h3[..., i] * h4[..., j] - h3[..., j] * h4[..., i])
                         for i, j in ((1, 2), (2, 0), (0, 1))))
-    scale = np.maximum(norms[..., 0] * norms[..., 1], 1e-300)
-    raise_where(cross <= _INDEPENDENCE_TOL * scale,
+    raise_where(cross <= _DEPENDENT_TOL * norms[..., 0] * norms[..., 1],
                 lambda i: IndependenceFailure("h3 and h4 are linearly dependent"))
     gram = V @ _Q_POLAR @ V.swapaxes(-1, -2)
     det = np.linalg.det(gram)
-    norm2 = np.square(gram).reshape(gram.shape[:-2] + (4,)).sum(axis=-1)
-    null = np.abs(det) <= _NULL_TOL * np.maximum(norm2, 1e-300)
+    sin2 = np.square(cross / (norms[..., 0] * norms[..., 1]))
+    null = np.abs(det) <= _NULL_TOL * sin2 * np.maximum(np.abs(gram[..., 0, 0] * gram[..., 1, 1]),
+                                                        np.square(gram[..., 0, 1]))
     tag = _TAGS[np.where(null, 2, ~(det > 0))]  # a NaN det is time-like
     return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det))
 
@@ -626,10 +633,10 @@ def _congruence(H, A, degree):
 def _constant_part(h, sign):
     """The constant terms (a0, b0, c0) of forms h, which must be positive
     definite (`sign` 1: a0 > 0) or indefinite (`sign` -1), with
-    sign (a0 c0 - b0^2) above _PIVOT_TOL max(1, a0^2, b0^2, c0^2)."""
+    sign (a0 c0 - b0^2) above _PIVOT_TOL max(|a0 c0|, b0^2), the larger of
+    its terms, which no diagonal change of basis changes."""
     a0, b0, c0 = (x[..., 0] for x in _entries(h))
-    bad = sign * (a0 * c0 - b0 * b0) <= _PIVOT_TOL * np.maximum(
-        np.maximum(np.maximum(a0 * a0, b0 * b0), c0 * c0), 1.0)
+    bad = sign * (a0 * c0 - b0 * b0) <= _PIVOT_TOL * np.maximum(np.abs(a0 * c0), b0 * b0)
     if sign > 0:
         bad |= a0 <= 0
         error, kind = NotPositiveDefinite, "positive definite"
@@ -708,9 +715,9 @@ def _null_basis(h, degree):
                                                W[..., 0, :] + W[..., 1, :]], axis=-2) * _SQRT_HALF,
                  W)
 
-    # each w_k's lead is its first component unless that is within _LEAD_TOL of 0
+    # each w_k's lead is its first component unless that is within _DEPENDENT_TOL of its second
     m0, m1 = np.abs(W[..., :, 0, 0]), np.abs(W[..., :, 1, 0])
-    lead = np.where(m0 > _LEAD_TOL * np.maximum(m1, 1.0), 0, 1)
+    lead = np.where(m0 > _DEPENDENT_TOL * m1, 0, 1)
     leads = np.where((lead == 0)[..., None], W[..., 0, :], W[..., 1, :])
     w = jet_mul(W, apply(("reciprocal", "reciprocal"), leads, degree)[..., None, :], degree)
     lead0, lead1, key0, key1 = lead[..., 0], lead[..., 1], -w[..., 0, 1, 0], -w[..., 1, 1, 0]
@@ -718,10 +725,11 @@ def _null_basis(h, degree):
     swap = ((lead1 < lead0) | ((lead1 == lead0) & (key1 < key0)))[..., None, None]
     A = stack([np.where(swap, w1, w0), np.where(swap, w0, w1)], axis=-2)
 
+    A0 = A[..., 0]  # the pairing is +-sqrt(-det h) det A: it fails only where w1 || w2
+    raise_where(np.abs(np.linalg.det(A0)) <= _DEPENDENT_TOL * np.hypot.reduce(A0, axis=-2).prod(axis=-1),
+                lambda i: NotIndefinite("null directions are numerically degenerate"))
     pairing = _congruence(h[..., None, :, :], A, degree)[..., 0, 1, :]
     p0 = pairing[..., 0]
-    raise_where(np.abs(p0) <= _PIVOT_TOL,
-                lambda i: NotIndefinite("null directions are numerically degenerate"))
     sign = np.where(p0 > 0, 1.0, -1.0)[..., None]
     inv_root = apply("rsqrt", pairing * sign, degree)
     return jet_mul(A, stack([inv_root, inv_root * sign], axis=-2)[..., None, :, :], degree)
@@ -754,9 +762,6 @@ def _level2_gauge(A1, B, r0, s, degree):
     return GaugeTransform(K, np.where(_LEVEL2_CELLS, float(degree), np.inf))
 
 
-_ADAPT2_TOL = 1e-10  # absolute floor of adapt2's det B and of the h0 part that fixes the scale
-
-
 def _adapt2(frame, fund, surface_type):
     """Level 2 of either case, as (frame2, gauge, epsilon).
 
@@ -772,9 +777,9 @@ def _adapt2(frame, fund, surface_type):
     Raises
     ------
     IndependenceFailure
-        If the normalized pair does not span the plane (det B vanishes).
+        If |det B| is within _DEPENDENT_TOL of its Hadamard bound.
     DegenerateTraceComponent, DegenerateOffdiagComponent
-        If s vanishes (the scaling gauge is then undetermined).
+        If |s| is within _DEPENDENT_TOL of |p0| (the scale is undetermined).
     """
     spacelike = surface_type == "SpaceLike"
     d = fund.degree
@@ -795,9 +800,10 @@ def _adapt2(frame, fund, surface_type):
         coords, s = P[..., ::2, :], P[..., 0, 1, :]
     r0, B = coords[..., 0, :, :], coords[..., 1:, :, :]
     det_B = B[..., 0, 0, 0] * B[..., 1, 1, 0] - B[..., 0, 1, 0] * B[..., 1, 0, 0]
-    raise_where(np.abs(det_B) <= _ADAPT2_TOL, lambda i: IndependenceFailure(
-        "normalized pair does not span the %s plane" % plane))
-    raise_where(np.abs(s[..., 0]) <= _ADAPT2_TOL, lambda i: error("%s part of h0 vanishes" % part))
+    raise_where(np.abs(det_B) <= _DEPENDENT_TOL * np.hypot.reduce(B[..., 0], axis=-1).prod(axis=-1),
+                lambda i: IndependenceFailure("normalized pair does not span the %s plane" % plane))
+    raise_where(np.abs(s[..., 0]) <= _DEPENDENT_TOL * np.hypot.reduce(P[..., 0, :, 0], axis=-1),
+                lambda i: error("%s part of h0 vanishes" % part))
     positive = s[..., 0] > 0
     sign = np.where(positive, 1.0, -1.0)[..., None]
     lam = apply("rsqrt", s * sign, d)

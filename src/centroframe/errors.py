@@ -89,7 +89,7 @@ def point_error(exc, f, x):
 
 
 class ZeroConstantTerm(CentroframeError):
-    """Division by a jet whose constant term is (numerically) zero."""
+    """Division by a jet whose constant term is zero."""
 
 
 class DomainError(CentroframeError):
@@ -140,7 +140,8 @@ class UnknownModel(CentroframeError):
 
 
 class SingularMatrix(CentroframeError):
-    """Linear solve hit a pivot whose constant term is numerically zero."""
+    """Linear solve hit a pivot whose constant term is at most _PIVOT_TOL
+    times the largest |constant term| of its column."""
 
 
 class NotPositiveDefinite(CentroframeError):

@@ -409,7 +409,7 @@ def fiber_invariant_scalars(inv):
     These are the quantities that may be compared across points (or across
     re-runs with different gauges): the Gauss curvature plus, per case, the
     combinations of level-2/3 coefficients that the stabilizer leaves
-    fixed.  Values are floats (constant terms).
+    fixed.  Values are constant terms, per point for a batch.
     """
     h = {k: v[..., 0] for k, v in inv.h_coeffs.items()}
     K = gauss_from_invariants(inv)[..., 0]
@@ -417,7 +417,7 @@ def fiber_invariant_scalars(inv):
         shape = (h["h331"] + h["h342"]) ** 2 + (h["h332"] - h["h341"]) ** 2
         return {
             "K": K,
-            "epsilon": float(inv.epsilon),
+            "epsilon": np.asarray(inv.epsilon, dtype=float),
             "normal_shape": shape,
         }
     return {

@@ -115,8 +115,8 @@ def _factor(A0, tol):
     permutation, and the first column without a usable pivot or None).
 
     Pivots on the first row of largest |entry| in each column, as LAPACK's
-    `idamax`; a pivot is usable when it is above `tol`, which is NaN or inf
-    when A0 has such an entry, so that fails column 0.
+    `idamax`; the pivot of column j is usable when it is above `tol[j]`.
+    `tol[0]` is NaN when A0 has a NaN or inf entry, so that fails column 0.
     """
     k = len(A0)
     lu, perm = A0, list(range(k))
@@ -126,7 +126,7 @@ def _factor(A0, tol):
         lu[j], lu[p], perm[j], perm[p] = lu[p], lu[j], perm[p], perm[j]
         top = lu[j]
         pivot = top[j]
-        if not abs(pivot) > tol:  # a NaN pivot is unusable too
+        if not abs(pivot) > tol[j]:  # a NaN pivot is unusable too
             return lu, perm, j
         right = top[j + 1 :]
         for row in lu[j + 1 :]:
@@ -155,15 +155,17 @@ def jet_solve(A, B, degree):
     ------
     SingularMatrix
         If a pivot of a point's constant part is NaN or at most _PIVOT_TOL
-        times its largest constant entry (so an all-zero, NaN or inf A0
-        fails).  With a batch axis, as PointFailures.
+        times the largest |entry| of its column of A0, so column scalings do
+        not change the decision; a NaN or inf in A0 fails column 0.  With a
+        batch axis, as PointFailures.
     """
     *batch, k, _, n = A.shape
     m = B.shape[-2]
     A = A.reshape(-1, k, k, n)
     N = len(A)
     A0 = A[..., 0]
-    tol = _PIVOT_TOL * np.abs(A0).max(axis=(1, 2))  # relative, per point
+    tol = _PIVOT_TOL * np.abs(A0).max(axis=1)  # relative, per point and column
+    tol[~np.isfinite(A0).all(axis=(1, 2)), 0] = np.nan
     factors = [_factor(a, t) for a, t in zip(A0.tolist(), tol.tolist())]
     failed = {i: SingularMatrix("no usable pivot in column %d" % f[2])
               for i, f in enumerate(factors) if f[2] is not None}

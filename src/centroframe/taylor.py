@@ -35,16 +35,7 @@ __all__ = [
     "FUNCTIONS",
     "sqrt",
     "reciprocal",
-    "ZERO_TOL",
 ]
-
-# Constant terms smaller than this (in absolute value) are treated as zero
-# when used as divisors or as sqrt arguments.
-ZERO_TOL = 1e-12
-
-
-def _tri(n):
-    return n * (n + 1) // 2
 
 
 def n_terms(degree):
@@ -60,7 +51,7 @@ def degree_of(n):
 
 def index_of(a, b):
     """Flat index of the du^a dv^b coefficient in graded-lex order."""
-    return _tri(a + b) + b
+    return (a + b) * (a + b + 1) // 2 + b
 
 
 @functools.cache
@@ -290,7 +281,7 @@ def power(a, n, degree):
     Raises
     ------
     ZeroConstantTerm
-        For n < 0 when the constant term of a**-n is (near) zero.
+        For n < 0 when the constant term of a**-n is zero.
     """
     if n < 0:
         return apply("reciprocal", power(a, -n, degree), degree)
@@ -378,10 +369,10 @@ def apply(name, c, degree):
     Raises
     ------
     DomainError
-        For sqrt and rsqrt when the constant term is at most ZERO_TOL, and
-        where math finds the constant term outside the function's domain.
+        For sqrt and rsqrt when the constant term is at most 0, and where
+        math finds the constant term outside the function's domain.
     ZeroConstantTerm
-        For reciprocal when |constant term| is at most ZERO_TOL.
+        For reciprocal when the constant term is 0.
     ArithmeticFailure
         Where math overflows.
 
@@ -396,9 +387,9 @@ def apply(name, c, degree):
     for k, row in enumerate(rows):
         for f, x in zip(names, row):
             try:
-                if f == "reciprocal" and abs(x) <= ZERO_TOL:
+                if f == "reciprocal" and x == 0:
                     raise ZeroConstantTerm("division by a jet with constant term %g" % x)
-                if x <= ZERO_TOL and (f == "sqrt" or f == "rsqrt"):
+                if x <= 0 and (f == "sqrt" or f == "rsqrt"):
                     raise DomainError("%s of a jet with non-positive constant term %g" % (f, x))
                 series.append(_SERIES[f](x, degree))
             except (CentroframeError, ArithmeticError, ValueError) as exc:
@@ -427,6 +418,6 @@ def reciprocal(x):
     Raises
     ------
     ZeroConstantTerm
-        If the constant term is smaller than ZERO_TOL in absolute value.
+        If the constant term is 0.
     """
     return TaylorScalar(apply("reciprocal", x.coeffs, x.degree))

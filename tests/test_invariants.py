@@ -23,9 +23,7 @@ from centroframe.adaptation import (
     fundamental_matrices,
     maurer_cartan,
 )
-from centroframe.errors import (
-    Degenerate, NotImmersed, NotPositiveDefinite, NullTypeUnsupported, SingularMatrix,
-)
+from centroframe.errors import ArithmeticFailure, NotTransversal, NullTypeUnsupported
 from centroframe.homogeneous import ConstantInvariantVector, model_omega
 from centroframe.invariants import (
     H_NAMES,
@@ -229,11 +227,19 @@ def _invariants_via_gauge(name, u, v, gauge):
     fund = fundamental_matrices(maurer_cartan(fr1))
     from centroframe.adaptation import classify_plane
 
-    stype = classify_plane(fund)
-    fr2, _, eps = (adapt2_spacelike if stype.tag == "SpaceLike" else adapt2_timelike)(fr1, fund)
-    fr3, _ = adapt3(fr2, maurer_cartan(fr2), stype.tag, eps)
-    inv = extract_invariants(maurer_cartan(fr3), stype.tag, eps)
-    return stype.tag, fiber_invariant_scalars(inv)
+    tag, = set(np.atleast_1d(classify_plane(fund).tag).tolist())  # one type, also for a batch
+    fr2, _, eps = (adapt2_spacelike if tag == "SpaceLike" else adapt2_timelike)(fr1, fund)
+    fr3, _ = adapt3(fr2, maurer_cartan(fr2), tag, eps)
+    inv = extract_invariants(maurer_cartan(fr3), tag, eps)
+    return tag, fiber_invariant_scalars(inv)
+
+
+@pytest.mark.parametrize("name", ["h2", "s21"])
+def test_fiber_scalars_of_a_batch_are_each_point_s_own(name):
+    us, vs = np.array([0.2, -0.3, 0.1]), np.array([0.35, 0.15, -0.4])
+    tag, batch = _invariants_via_gauge(name, us, vs, None)
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        assert _invariants_via_gauge(name, u, v, None) == (tag, {key: x[k] for key, x in batch.items()})
 
 
 def test_fiber_scalars_are_gauge_invariant():
@@ -412,30 +418,25 @@ def test_pure_scalings_keep_the_curvature(name, c):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_immersion_test_does_not_overflow():
-    # tangent norms about 1e89 apart: dependent to working precision, and
-    # the Gram of the scaled tangents keeps the threshold finite
+    # tangent norms about 1e89 apart: the scaled tangents keep the Gram
+    # finite, and its determinant over g11 g22 finds them independent.  f
+    # is parallel to f_u to 1e-86, so the point is not transversal
     spec = parse_surface("cosh(800*u) + 2; u; v; u*v; v^2")
-    with pytest.raises(NotImmersed):
+    with pytest.raises(NotTransversal):
         analyze_point(spec, 0.25, 0.5, degree=5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transversality_test_does_not_overflow():
     # |f| about 1e200: the norms are scaled before squaring, so the point is
-    # not read as NotTransversal.  It stops at SingularMatrix instead, since
-    # the jet_solve pivot floor is relative to the largest entry (ROADMAP
-    # item 3)
+    # not read as NotTransversal.  |f| is 1e200 times |f_u|, beyond the
+    # spread of frame column sizes that frame1 takes
     spec = parse_surface("1e200 + v; u; v; u*v; v^2")
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ArithmeticFailure, match="differ in size"):
         analyze_point(spec, 0.4, -0.3, degree=5)
 
 
-_ITEM_3 = pytest.mark.xfail(strict=True, raises=(NotPositiveDefinite, Degenerate),
-                            reason="absolute thresholds (ROADMAP item 3)")
-
-
-@pytest.mark.parametrize("lam", [1.0, 0.1, 0.01, pytest.param(1e-3, marks=_ITEM_3),
-                                 pytest.param(1e-4, marks=_ITEM_3)])
+@pytest.mark.parametrize("lam", [1.0, 0.1, 0.01, 1e-3, 1e-4])
 def test_parameter_scaling_keeps_the_curvature(lam):
     # h2 with u -> lam*u, at the image (0.4/lam, -0.3) of h2's point
     text = re.sub(r"\bu\b", "(%r*u)" % lam, builtin_surface("h2").source)
@@ -444,6 +445,45 @@ def test_parameter_scaling_keeps_the_curvature(lam):
     for got, want in ((res.gauss_invariants, ref.gauss_invariants),
                       (res.gauss_connection, ref.gauss_connection)):
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+@pytest.mark.parametrize("var", ["u", "v"])
+@pytest.mark.parametrize("lam", [1e-3, 1e-6, 1e-10, 1e3, 1e6])
+def test_parameter_scalings_keep_type_and_curvature(name, var, lam):
+    # the model with var -> lam*var, at the image of (0.4, -0.3): every
+    # decision is a ratio that the scaling of f_u or f_v does not change
+    text = re.sub(r"\b%s\b" % var, "(%r*%s)" % (lam, var), builtin_surface(name).source)
+    u, v = (0.4 / lam, -0.3) if var == "u" else (0.4, -0.3 / lam)
+    res = analyze_point(parse_surface(text), u, v, degree=5)
+    tag, eps, K = _MODELS[name]
+    assert (res.surface_type, res.epsilon) == (tag, eps)
+    for got in (res.gauss_invariants, res.gauss_connection):
+        assert abs(got - K) <= 1e-12 * abs(K)
+
+
+@pytest.mark.parametrize("spread", [1e2, 1e4, 1e5, 1e6])
+def test_anisotropic_images_keep_type_and_curvature(spread):
+    # A = c U diag(sigma) V^T with c in [1e-6, 1e6] and sigma in [1, spread],
+    # log-uniform, 100 images of each model; never narrow these ranges.  K
+    # is right to 1e-12 times the spread, the condition number of A
+    rng = np.random.default_rng(7)
+
+    def orthogonal():
+        q, r = np.linalg.qr(rng.standard_normal((5, 5)))
+        return q * np.sign(np.diag(r))
+
+    for name in sorted(_MODELS):
+        components = [c.strip() for c in builtin_surface(name).source.split(";")]
+        tag, eps, K = _MODELS[name]
+        for _ in range(100):
+            c = np.exp(rng.uniform(np.log(1e-6), np.log(1e6)))
+            sigma = np.exp(rng.uniform(0.0, np.log(spread), 5))
+            A = c * orthogonal() @ np.diag(sigma) @ orthogonal().T
+            res = analyze_point(parse_surface(_gl5_image_text(components, A)), 0.4, -0.3, degree=5)
+            assert (res.surface_type, res.epsilon) == (tag, eps), (name, c, sigma)
+            for got in (res.gauss_invariants, res.gauss_connection):
+                assert abs(got - K) <= 1e-12 * spread * abs(K), (name, c, sigma)
 
 
 def test_connection_route_needs_degree():

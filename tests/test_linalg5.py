@@ -139,10 +139,13 @@ def test_singular_constant_part_raises():
 
 
 def _lapack_failing_column(A0):
-    """First column whose dgetrf pivot fails jet_solve's rule, or None."""
+    """First column whose dgetrf pivot fails jet_solve's rule, or None: a
+    pivot at most _PIVOT_TOL times the largest |entry| of its column fails,
+    and a NaN or inf anywhere in A0 fails column 0."""
+    if not np.isfinite(A0).all():
+        return 0
     lu, _, _ = dgetrf(A0)
-    tol = _PIVOT_TOL * np.abs(A0).max()
-    small = np.flatnonzero(~(np.abs(np.diag(lu)) > tol))
+    small = np.flatnonzero(~(np.abs(np.diag(lu)) > _PIVOT_TOL * np.abs(A0).max(axis=0)))
     return int(small[0]) if small.size else None
 
 
@@ -233,6 +236,53 @@ def test_singular_column_matches_lapack():
         with pytest.raises(SingularMatrix, match="^no usable pivot in column %d$" % want):
             jet_solve(A, B, 0)
         raised += 1
+    assert raised >= 40
+
+
+def _solve_outcome(A, B, degree):
+    """jet_solve's solution, or the message of its SingularMatrix."""
+    try:
+        return jet_solve(A, B, degree)
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+def _column_scales(rng, k):
+    """Powers of two from 2^-500 to 2^500, both ends among them."""
+    d = np.ldexp(1.0, rng.integers(-500, 501, k))
+    d[rng.permutation(k)[:2]] = 2.0**-500, 2.0**500
+    return d
+
+
+def test_column_scalings_scale_the_solution_to_the_bit():
+    # a pivot is judged against its own column: with the columns of A scaled
+    # by D, the solution is D^-1 X to the bit
+    rng = np.random.default_rng(28)
+    for trial in range(60):
+        k, degree = (2, 3, 5)[trial % 3], trial % 6
+        n = taylor.n_terms(degree)
+        A = rng.standard_normal((k, k, n))
+        A[:, :, 0] += 2.0 * np.sqrt(k) * np.eye(k)
+        B = rng.standard_normal((k, 2, n))
+        d = _column_scales(rng, k)
+        X = jet_solve(A, B, degree)
+        assert jet_solve(A * d[:, None], B, degree).tobytes() == (X / d[:, None, None]).tobytes()
+
+
+def test_column_scalings_fail_the_same_column():
+    # and a singular A0 fails the same column.  A near-singular A0 that
+    # passes may overflow in D^-1 U at these scales; it must still pass
+    rng = np.random.default_rng(29)
+    raised = 0
+    for A0 in _singular_cases(rng):
+        k = A0.shape[0]
+        A, B, d = A0[:, :, None], rng.standard_normal((k, 2, 1)), _column_scales(rng, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, got = _solve_outcome(A, B, 0), _solve_outcome(A * d[:, None], B, 0)
+        assert isinstance(got, str) == isinstance(want, str)
+        if isinstance(want, str):
+            assert got == want
+            raised += 1
     assert raised >= 40
 
 

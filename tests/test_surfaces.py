@@ -709,7 +709,8 @@ def _substituted_texts(draw):
     return re.sub(r"\b[uv]\b", lambda m: "(%s)" % (p if m.group() == "u" else q), base)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(_image_texts(), _substituted_texts()))
 def test_group_reuse_keeps_components_sharing_and_program(text):
     # a program names the value slots each instruction reads, so equal
@@ -718,7 +719,8 @@ def test_group_reuse_keeps_components_sharing_and_program(text):
     assert _outcome(_parse_program, text, params) == _outcome(_reference_program, text, params)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(_EXPRS, st.data())
 def test_a_bad_repeated_group_fails_as_the_full_parse(expr, data):
     # every group repeats; one piece of the text is inserted, replaced or
