@@ -34,14 +34,14 @@ before any arithmetic that depends on what failed.
 A frame has one degree per column (the rules are in `apply_gauge`,
 `maurer_cartan` and `MCField`); the position column e0 keeps one order
 more than the others from level 2 on, since no gauge changes it.  Levels
-2 and 3 are gauges: `maurer_cartan` takes the level-2 and level-3 forms
-from the gauge law with K^-1 in closed form, so after level 1 no frame is
-multiplied out and no 5x5 system is solved.  The frames that `adapt2_*`
-and `adapt3` return carry their degrees, by the gauge rule, and build
-their coefficients only when they are read.  The level-2 data are arrays
-too: `FundamentalData` holds (h0, h3, h4) as one (..., 3, 3, n) array of
-their (a, b, c) entries, and the reduction works on symmetric forms as
-(..., 3, n) arrays and on 2x2 jet matrices as (..., 2, 2, n) arrays.
+2 and 3 are gauges K, and the frames G K that `adapt2_*` and `adapt3`
+return state K once, as their `source` (G, K): `maurer_cartan(frame,
+base)` takes their forms from the form `base` of G by the gauge law, with
+K^-1 in closed form, so after level 1 no frame is multiplied out and no
+5x5 system is solved.  The level-2 data are arrays too: `FundamentalData`
+holds (h0, h3, h4) as one (..., 3, 3, n) array of their (a, b, c)
+entries, and the reduction works on symmetric forms as (..., 3, n)
+arrays and on 2x2 jet matrices as (..., 2, 2, n) arrays.
 """
 
 import math
@@ -100,8 +100,8 @@ class Frame5T:
 
     `coeffs` is the (..., 5, 5, n) coefficient array of the frame matrix
     and `degrees[j]` the degree of column j; coefficients above a column's
-    degree carry no meaning.  A frame made by `apply_gauge` keeps the
-    (frame, gauge) pair it comes from as `source` and multiplies it out
+    degree carry no meaning.  A frame G K made by `apply_gauge` keeps
+    `source` = (G, K), where `maurer_cartan` reads K, and multiplies it out
     when `coeffs` is first read; `const`, the (..., 5, 5) constant part,
     is a float product.  `surface_type` is the case of a frame from
     `adapt2_*` ("SpaceLike" or "TimeLike"), which the level-3 frame keeps,
@@ -117,7 +117,8 @@ class Frame5T:
     @property
     def coeffs(self):
         if self._coeffs is None:
-            self._coeffs = _gauge_product(*self.source, self.degrees)
+            (frame, gauge), w = self.source, max(self.degrees)
+            self._coeffs = jet_matmul(resize(frame.coeffs, n_terms(w)), resize(gauge.coeffs, n_terms(w)), w)
         return self._coeffs
 
     @property
@@ -235,6 +236,8 @@ class GaugeTransform:
     and `A`, `B` and r = ((r03, r04), (r13, r14), (r23, r24)) read them back
     as Python floats.  They read only the constant part, so they describe
     float gauges, the only kind their readers (the acceptance tests) build.
+    The frame F K that `apply_gauge` makes keeps K in its `source`, the
+    one place where the gauge of a frame is stated.
     """
 
     coeffs: np.ndarray
@@ -255,18 +258,11 @@ class GaugeTransform:
     @cached_property
     def _pattern(self):
         """What K's float entries (the same at every point) say, worked out
-        once per gauge: `kept[j]` when column j is the float unit vector
-        e_j, `used[t, j]` unless K[t][j] is the float 0, `bounds[j]` the
-        (t, degree of K[t][j]) of the rows that column j uses, and
+        once per gauge: `used[t, j]` unless K[t][j] is the float 0, and
         `unipotent` when A and B are the float identity."""
         is_float = np.isinf(self.degrees)
         K0 = self.coeffs[(0,) * (self.coeffs.ndim - 3)][:, :, 0]
-        unit = is_float & (K0 == _EYE5)
-        kept, used = np.logical_and.reduce(unit), ~(is_float & (K0 == 0.0))
-        degrees = self.degrees.tolist()
-        bounds = [[(t, degrees[t][j]) for t, u in enumerate(col) if u]
-                  for j, col in enumerate(used.T.tolist())]
-        return kept, used, bounds, bool(np.logical_and.reduce(unit[_AB_BLOCKS]))
+        return ~(is_float & (K0 == 0.0)), bool((is_float & (K0 == _EYE5))[_AB_BLOCKS].all())
 
 
 _EYE5 = np.eye(5)
@@ -274,46 +270,20 @@ _AB_BLOCKS = np.zeros((5, 5), dtype=bool)  # where A and B sit in a gauge
 _AB_BLOCKS[1:3, 1:3] = _AB_BLOCKS[3:5, 3:5] = True
 
 
-def _gauge_rule(degrees, gauge):
-    """Column degrees of F K for a frame F with column `degrees` (see `apply_gauge`)."""
-    kept, _, bounds, _ = gauge._pattern
-    return tuple(d if keep else int(min([min(degrees[t], g) for t, g in rows] or [np.inf]))
-                 for d, keep, rows in zip(degrees, kept.tolist(), bounds))
+def apply_gauge(frame, gauge):
+    """New frame F K, with the frame's `surface_type`.
 
-
-def _gauge_product(frame, gauge, degrees):
-    """The coefficients of F K, at the column degrees of the gauge rule."""
-    kept, used, _, _ = gauge._pattern
-    n = n_terms(max(degrees))
-    coeffs = resize(frame.coeffs, n).copy()
-    cols = np.flatnonzero(~kept)
-    if cols.size:
-        rows = np.flatnonzero(used[:, cols].any(axis=1))
-        w = max(degrees[j] for j in cols)
-        m = n_terms(w)
-        K = gauge.coeffs[..., rows[:, None], cols, :]
-        product = jet_matmul(resize(frame.coeffs[..., rows, :], m), resize(K, m), w)
-        coeffs[..., cols, :] = resize(product, n)
-    return coeffs
-
-
-def apply_gauge(frame, gauge, surface_type=None):
-    """New frame F K, tagged `surface_type` (by default the frame's).
-
-    A column of K that is the float unit vector e_j keeps column j of F.
-    The other columns come from one product of F and K over the rows t that
-    they use (K[t][j] not the float 0), so a block gauge
-    [[1, 0, r0], [0, A, r], [0, 0, B]] keeps e0 and maps (e1, e2) to F12 A
-    and (e3, e4) to F0 r0 + F12 r + F34 B.  Column j then has degree
-    min over those rows of min(deg F[:, t], deg K[t][j]).  The product is
-    taken when the new frame's `coeffs` are first read.
+    Column j of F K has degree min over the rows t that it uses (K[t][j]
+    not the float 0) of min(deg F[:, t], deg K[t][j]).  A float unit column
+    e_j so keeps deg F[:, j], and a block gauge [[1, 0, r0], [0, A, r],
+    [0, 0, B]] keeps e0's degree.  The new frame keeps (F, K) as its
+    `source`, and the product, one jet product at its largest column
+    degree, is taken when its `coeffs` are first read.
     """
-    return Frame5T(
-        None,
-        _gauge_rule(frame.degrees, gauge),
-        surface_type=frame.surface_type if surface_type is None else surface_type,
-        source=(frame, gauge),
-    )
+    used, _ = gauge._pattern
+    bounds = np.where(used, np.minimum(np.array(frame.degrees)[:, None], gauge.degrees), np.inf)
+    degrees = tuple(int(d) for d in bounds.min(axis=0).tolist())
+    return Frame5T(None, degrees, surface_type=frame.surface_type, source=(frame, gauge))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +414,7 @@ def _gauge_law(Og, gauge, degree):
     Z = Z.reshape(*batch, 2, 5, 5, -1)  # (dK/du, dK/dv)
     K, O = resize(K, n_terms(degree)), resize(Og, n_terms(degree))
     # at level 3 A = B = I are floats: K = I + N with N^2 = 0, so K^-1 = I - N
-    unipotent = gauge._pattern[3]
+    _, unipotent = gauge._pattern
     # Omega_G K by column blocks: K keeps e0, takes (e1, e2) to A and
     # (e3, e4) to its columns 3-4
     Z[..., 0, :] += O[..., 0, :]
@@ -461,34 +431,37 @@ def _gauge_law(Og, gauge, degree):
     return np.concatenate([V, W], axis=-3)
 
 
-def maurer_cartan(frame, gauged=None):
+def maurer_cartan(frame, base=None):
     """Maurer-Cartan coefficients Omega = F^-1 dF of a jet frame field.
 
-    One solve of F against [dF/du | dF/dv] on coefficient arrays.  When
-    `frame` is G K for a frame G and a tangent-preserving gauge K,
-    `gauged` = (mc of G, K) gives Omega by the gauge law
-    K^-1 (Omega_G K + dK) instead, in closed form (`_gauge_law`), and only
-    the frame's degrees are read.  Near a null point the adapted frames are
-    badly conditioned and solving against them loses up to eight digits,
-    while the gauges are block triangular and inverting them does not.
-    Column j of Omega has degree min(min deg F, deg F[:, j] - 1) either
-    way; a frame column of degree 0 has no known derivative and raises
+    One solve of F against [dF/du | dF/dv] on coefficient arrays.  For a
+    frame G K made by `apply_gauge` (its `source` is (G, K)), `base`, the
+    MCField of G, gives Omega by the gauge law K^-1 (Omega_G K + dK)
+    instead, in closed form (`_gauge_law`), with K read from the frame, and
+    only the frame's degrees are read.  Near a null point the adapted
+    frames are badly conditioned and solving against them loses up to
+    eight digits, while the gauges are block triangular and inverting them
+    does not.  Column j of Omega has degree min(min deg F, deg F[:, j] - 1)
+    either way; a frame column of degree 0 has no known derivative, and a
+    `base` for a frame without a `source` has no gauge: both raise
     ValueError.
     """
     low = min(frame.degrees)
     if low < 1:
         raise ValueError("the Maurer-Cartan form needs frame columns of degree >= 1")
+    if base is not None and frame.source is None:
+        raise ValueError("a base form needs a frame made by apply_gauge")
     degrees = tuple(int(min(low, d - 1)) for d in frame.degrees)
     w = max(degrees)
     n = n_terms(w)
-    if gauged is None:
+    if base is None:
         M = resize(frame.coeffs, n_terms(w + 1))
         batch = M.shape[:-3]
         dM = gradient(M, w + 1).swapaxes(-3, -2).reshape(*batch, 5, 10, -1)  # [dM/du | dM/dv]
         X = jet_solve(resize(M, n), dM, w)
         omega = X.reshape(*batch, 5, 2, 5, n).swapaxes(-4, -3)
     else:
-        omega = _gauge_law(gauged[0].omega, gauged[1], w)
+        omega = _gauge_law(base.omega, frame.source[1], w)
     return MCField(omega=np.ascontiguousarray(omega), degrees=degrees)
 
 
@@ -545,7 +518,11 @@ def classify_plane(fund):
     determinant means space-like, negative means time-like, and a
     determinant within _NULL_TOL max(|g11 g22|, g12^2) sin^2 is null, sin
     the sine of the angle of h3 and h4, so that a basis close to dependent
-    (an anisotropic GL(5) image) does not read as null.
+    (an anisotropic GL(5) image) does not read as null.  Each test is a
+    ratio that scalings of h3 and h4 do not change, so it runs on the
+    triples over the powers of two of their largest |entries|, where
+    nothing over- or underflows; `gram` and `det` are scaled back, exactly
+    wherever they are in the float range.
 
     Raises
     ------
@@ -553,7 +530,8 @@ def classify_plane(fund):
         If h3 and h4 are linearly dependent at the base point: their cross
         product within _DEPENDENT_TOL times the product of their norms.
     """
-    V = np.ascontiguousarray(fund.coeffs[..., 1:, :, 0])
+    _, e = np.frexp(np.abs(fund.coeffs[..., 1:, :, 0]).max(axis=-1))
+    V = np.ldexp(fund.coeffs[..., 1:, :, 0], -e[..., None])
     norms = _norm(V, -1)
     h3, h4 = V[..., 0, :], V[..., 1, :]
     cross = np.sqrt(sum(np.square(h3[..., i] * h4[..., j] - h3[..., j] * h4[..., i])
@@ -566,6 +544,9 @@ def classify_plane(fund):
     null = np.abs(det) <= _NULL_TOL * sin2 * np.maximum(np.abs(gram[..., 0, 0] * gram[..., 1, 1]),
                                                         np.square(gram[..., 0, 1]))
     tag = _TAGS[np.where(null, 2, ~(det > 0))]  # a NaN det is time-like
+    with np.errstate(over="ignore"):  # a det beyond the float range reads as inf
+        gram = np.ldexp(gram, e[..., :, None] + e[..., None, :])
+        det = np.ldexp(det, 2 * (e[..., 0] + e[..., 1]))
     return SurfaceType(tag=_scalar(tag), gram=gram, det=_scalar(det))
 
 
@@ -809,7 +790,9 @@ def _adapt2(frame, fund, surface_type):
     lam = apply("rsqrt", s * sign, d)
     gauge = _level2_gauge(A1, B, r0, stack([lam, lam if spacelike else lam * sign], axis=-2), d)
     epsilon = np.where(positive, 1, -1) if spacelike else np.zeros(positive.shape, dtype=int)
-    return apply_gauge(frame, gauge, surface_type=surface_type), gauge, _scalar(epsilon)
+    frame2 = apply_gauge(frame, gauge)
+    frame2.surface_type = surface_type
+    return frame2, gauge, _scalar(epsilon)
 
 
 def adapt2_spacelike(frame, fund):

@@ -8,7 +8,8 @@ error for a point: a failure of float arithmetic is typed where it arises
 
 The point pipeline runs on batches: arrays with a leading axis over points.
 A check that fails for some points of a batch raises :class:`PointFailures`
-with the error each of those points raises alone (`raise_where`); the batch
+with the error each of those points raises alone (`raise_where` for a check
+on arrays, `raise_each` for errors collected point by point); the batch
 driver drops them and runs the rest again.
 """
 
@@ -66,6 +67,18 @@ def raise_where(bad, error):
     if np.ndim(bad) == 0:
         raise error(())
     raise PointFailures({int(i): error(int(i)) for i in np.flatnonzero(bad)})
+
+
+def raise_each(failed, shape):
+    """Raise `failed`, the errors collected point by point (flat index ->
+    error) for points of `shape`: without a batch axis (`shape` ()) the
+    point's own error, with one all of them as PointFailures; nothing when
+    `failed` is empty."""
+    if not failed:
+        return
+    if not shape:
+        raise failed[0]
+    raise PointFailures(failed)
 
 
 def point_error(exc, f, x):

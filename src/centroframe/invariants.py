@@ -616,10 +616,10 @@ def _tail(tag, U, V, fr1, mc1, fund1, gram):
         If a curvature, a metric entry, alpha or an invariant of the type is
         not finite; the message names each one.  `residual_max` may be NaN.
     """
-    fr2, gauge2, epsilon = (adapt2_spacelike if tag == "SpaceLike" else adapt2_timelike)(fr1, fund1)
-    mc2 = maurer_cartan(fr2, (mc1, gauge2))
-    fr3, gauge3 = adapt3(fr2, mc2, tag, epsilon)
-    mc3 = maurer_cartan(fr3, (mc2, gauge3))
+    fr2, _, epsilon = (adapt2_spacelike if tag == "SpaceLike" else adapt2_timelike)(fr1, fund1)
+    mc2 = maurer_cartan(fr2, mc1)
+    fr3, _ = adapt3(fr2, mc2, tag, epsilon)
+    mc3 = maurer_cartan(fr3, mc2)
     inv = extract_invariants(mc3, tag, epsilon)
     k_inv = gauss_from_invariants(inv)[..., 0]
     k_conn = gauss_from_connection(inv)[..., 0]

@@ -32,7 +32,7 @@ import functools
 import numpy as np
 
 from . import taylor
-from .errors import SingularMatrix, raise_where
+from .errors import SingularMatrix, raise_each
 from .taylor import _shift_index, resize  # noqa: F401  (resize is part of this module's API)
 from .taylor import product as jet_mul
 
@@ -169,9 +169,7 @@ def jet_solve(A, B, degree):
     factors = [_factor(a, t) for a, t in zip(A0.tolist(), tol.tolist())]
     failed = {i: SingularMatrix("no usable pivot in column %d" % f[2])
               for i, f in enumerate(factors) if f[2] is not None}
-    if failed:
-        raise_where(np.isin(np.arange(N), list(failed)).reshape(batch),
-                    lambda i: failed[0 if i == () else i])
+    raise_each(failed, batch)
     lu = np.array([f[0] for f in factors])
     pivoted = [i * k + p for i, f in enumerate(factors) for p in f[1]]
     sol = np.concatenate([A.reshape(N * k, k * n), B.reshape(N * k, m * n)], axis=1)

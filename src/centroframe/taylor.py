@@ -23,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .errors import CentroframeError, DomainError, ZeroConstantTerm, point_error, raise_where
+from .errors import CentroframeError, DomainError, ZeroConstantTerm, point_error, raise_each
 
 __all__ = [
     "TaylorScalar",
@@ -395,10 +395,7 @@ def apply(name, c, degree):
             except (CentroframeError, ArithmeticError, ValueError) as exc:
                 failed.setdefault(k, point_error(exc, f, x))
                 series.append([0.0] * (degree + 1))
-    if failed:
-        bad = np.zeros(len(rows), dtype=bool)
-        bad[list(failed)] = True
-        raise_where(bad.reshape(points), lambda i: failed[0 if i == () else i])
+    raise_each(failed, points)
     return _compose(np.array(series).reshape(a0.shape + (degree + 1,)), c, degree)
 
 

@@ -155,6 +155,29 @@ def test_classify_independence_failure():
         classify_plane(fund)
 
 
+# rows h0, h3, h4 of (a, b, c) triples: the normal forms of each type, with
+# the determinant of their Gram matrix
+_NORMAL_FORMS = {
+    "SpaceLike": ([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], 1.0),
+    "TimeLike": ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], -0.25),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0**-400, 1e-120, 1e120, 2.0**400])
+@pytest.mark.parametrize("tag", sorted(_NORMAL_FORMS))
+def test_classify_plane_over_the_float_range(tag, scale):
+    # every decision is a ratio that scalings of h3 and h4 do not change, and
+    # the Gram matrix and its determinant are those of the scaled forms (the
+    # determinant, of order scale^4, is out of the float range here)
+    H, det = _NORMAL_FORMS[tag]
+    unit = classify_plane(FundamentalData(coeffs=np.array(H)[:, :, None], degree=0, asymmetry=0.0))
+    got = classify_plane(FundamentalData(coeffs=scale * np.array(H)[:, :, None], degree=0, asymmetry=0.0))
+    assert unit.tag == got.tag == tag
+    assert np.allclose(got.gram, scale**2 * unit.gram, rtol=1e-15, atol=0.0)
+    assert np.isclose(got.det, det * scale**2 * scale**2, rtol=1e-15, atol=0.0)
+
+
 def test_classification_of_builtin_models():
     expected = {"h2": "SpaceLike", "sphere": "SpaceLike", "s21": "TimeLike"}
     for name, tag in expected.items():
@@ -416,18 +439,56 @@ def test_gauge_law_matches_solve():
             fr = frame1(_jets(name, u, v, degree))
             mc = maurer_cartan(fr)
             g = _random_g1_gauge(rng, degree - 1, jet_valued=True)
-            fr2, g2, eps = adapt2(fr, _normal_forms(fr))
+            fr2, _, eps = adapt2(fr, _normal_forms(fr))
             mc2 = maurer_cartan(fr2)
-            fr3, g3 = adapt3(fr2, mc2, tag, eps)
-            for frame, base, gauge in ((apply_gauge(fr, g), mc, g), (fr2, mc, g2), (fr3, mc2, g3)):
+            fr3, _ = adapt3(fr2, mc2, tag, eps)
+            for frame, base in ((apply_gauge(fr, g), mc), (fr2, mc), (fr3, mc2)):
                 want = maurer_cartan(frame)
-                got = maurer_cartan(frame, (base, gauge))
+                got = maurer_cartan(frame, base)
                 assert got.degrees == want.degrees
                 for part in (0, 1):  # du, then dv
                     _assert_jets_close(
                         _entries(got.omega[part], got.degrees),
                         _entries(want.omega[part], want.degrees),
                     )
+
+
+def test_gauge_degrees_skip_the_float_zeros():
+    # column j of F K has degree min over the rows t it uses (K[t][j] not
+    # the float 0) of min(deg F[:, t], deg K[t][j]); F is a level-2 frame,
+    # whose e0 is one order above its other columns
+    fr = frame1(_jets("h2", 0.3, -0.2, 5))
+    fr2 = adapt2_spacelike(fr, _normal_forms(fr))[0]
+    assert fr2.degrees == (4, 3, 3, 3, 3)
+    rng = np.random.default_rng(3)
+    # K[t][j] by (t, j): a float unit e1, the jet e0 of degree 6, a diagonal
+    # jet of degree 2, the float unit e3, and a jet of degree 1 in row 0 over
+    # the float 1 in row 4; every other entry is the float 0
+    cells = {(1, 0): 1.0, (0, 1): 6, (2, 2): 2, (3, 3): 1.0, (0, 4): 1, (4, 4): 1.0}
+    coeffs = np.zeros((5, 5, taylor.n_terms(6)))
+    degrees = np.full((5, 5), np.inf)
+    for (t, j), x in cells.items():
+        if isinstance(x, float):
+            coeffs[t, j, 0] = x
+        else:
+            coeffs[t, j, : taylor.n_terms(x)] = rng.uniform(0.5, 1, taylor.n_terms(x))
+            degrees[t, j] = x
+            cells[t, j] = TaylorScalar(coeffs[t, j, : taylor.n_terms(x)])
+    gauged = apply_gauge(fr2, GaugeTransform(coeffs, degrees))
+    assert gauged.degrees == (3, 4, 2, 3, 1)
+    # the coefficients up to those degrees: sums over the rows each column uses
+    F = _entries(fr2.coeffs, fr2.degrees)
+    want = [[sum(F[i, t] * k for (t, j), k in cells.items() if j == col) for col in range(5)]
+            for i in range(5)]
+    _assert_jets_close(_at_degrees(gauged.coeffs, want), want)
+
+
+def test_maurer_cartan_base_needs_a_gauged_frame():
+    # the gauge law reads K from the frame's source, which a level-1 frame has not
+    fr = frame1(_jets("h2", 0.3, -0.2, 5))
+    mc = maurer_cartan(fr)
+    with pytest.raises(ValueError, match="apply_gauge"):
+        maurer_cartan(fr, mc)
 
 
 def test_coframe_projection_matches_per_entry_solve():
@@ -528,13 +589,13 @@ def test_gauge_law_raises_a_point_s_own_error():
     mc1 = maurer_cartan(fr1)
     gauge = _singular_level2_gauge(np.asarray(True), 5)
     with pytest.raises(ZeroConstantTerm, match="division by a jet with constant term 0"):
-        maurer_cartan(apply_gauge(fr1, gauge), (mc1, gauge))
+        maurer_cartan(apply_gauge(fr1, gauge), mc1)
     # in a batch, the point that fails raises the same error, as PointFailures
     jets = eval_surface(builtin_surface("h2"), np.array([0.3, 0.1]), np.array([-0.2, 0.4]), 5)
     fr1 = frame1(jets)
     mc1 = maurer_cartan(fr1)
     gauge = _singular_level2_gauge(np.array([False, True]), 5)
     with pytest.raises(PointFailures) as exc:
-        maurer_cartan(apply_gauge(fr1, gauge), (mc1, gauge))
+        maurer_cartan(apply_gauge(fr1, gauge), mc1)
     assert list(exc.value.errors) == [1]
     assert isinstance(exc.value.errors[1], ZeroConstantTerm)
