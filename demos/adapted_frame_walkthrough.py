@@ -77,7 +77,7 @@ fr2, gauge2, eps = adapt2(fr1, fund)
 print("\nafter level 2 (%s): epsilon = %+d" % (kind.tag, eps))
 fund2 = fundamental_matrices(maurer_cartan(fr2))
 for label, h in (("h0", fund2.h0), ("h3", fund2.h3), ("h4", fund2.h4)):
-    a, b, c = h.const()
+    a, b, c = (round(x, 6) + 0.0 for x in h.const())  # + 0.0: a roundoff zero prints unsigned
     print("  %s -> [[% .6f, % .6f], [% .6f, % .6f]]" % (label, a, b, b, c))
 
 # --- Level 3: killing the translational freedom ---------------------------

@@ -68,10 +68,9 @@ from .linalg5 import (  # noqa: F401  (bench/workloads.py traces adaptation.solv
     jet_matmul,
     jet_mul,
     jet_solve,
-    resize,
     solve,
 )
-from .taylor import apply, degree_of, gradient, n_terms, stack
+from .taylor import apply, constant, degree_of, gradient, n_terms, resize, stack
 
 __all__ = [
     "Frame5T",
@@ -351,10 +350,10 @@ def frame1(jet5):
 
     P = coeffs[..., :3, 0]
     norms = _norm(P, -2)
-    scale = np.maximum(np.maximum(norms[..., 1], norms[..., 2]), 1e-300)
-    # the tangent columns over their larger norm: the Gram is of order one
-    # and its determinant test holds at any scale of f without overflow
-    P12 = P[..., 1:] / scale[..., None, None]
+    _, e = np.frexp(np.maximum(norms[..., 1], norms[..., 2]))
+    # the tangent columns over the power of two of their larger norm: the
+    # Gram is of order one, its determinant test free of overflow at any scale
+    P12 = np.ldexp(P[..., 1:], -e[..., None, None])
     P12t = P12.swapaxes(-1, -2)
     gram = P12t @ P12
     # det over its Hadamard bound g11 g22 is the squared sine of their angle
@@ -689,8 +688,7 @@ def _null_basis(h, degree):
     roots = stack([disc_root - b, -(disc_root + b)], axis=-2)
     s = jet_mul(roots, apply("reciprocal", np.where(free[..., 0], c, a), degree)[..., None, :],
                 degree)
-    one = np.zeros(s.shape)
-    one[..., 0] = 1.0
+    one = constant(1.0, degree)
     W = stack([np.where(free, one, s), np.where(free, s, one)], axis=-2)  # W[..., k] = w_k
     W = np.where(rotated[..., None], stack([W[..., 0, :] - W[..., 1, :],
                                                W[..., 0, :] + W[..., 1, :]], axis=-2) * _SQRT_HALF,
@@ -859,8 +857,7 @@ def adapt3(frame, mc, surface_type, epsilon=0):
     else:
         r = -h[..., ::-1, :, :]
     d = mc.projection_degrees[3:5]
-    K = np.zeros(h.shape[:-3] + (5, 5, n_terms(max(d))))
-    K[..., 0] = _EYE5
+    K = constant(np.broadcast_to(_EYE5, h.shape[:-3] + (5, 5)), max(d))
     K[..., 1:3, 3:5, :] = resize(r, K.shape[-1])
     degrees = np.full((5, 5), np.inf)
     degrees[1:3, 3:5] = d

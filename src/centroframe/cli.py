@@ -468,9 +468,8 @@ def cmd_example(ns):
     spec = resolve_surface(ns.model)
     mesh = []
     for u in _grid_values(grid[0]):
-        for v in _grid_values(grid[1]):
-            pt = [j.const for j in eval_surface(spec, u, v, 1)]
-            mesh.append([u, v] + pt)
+        for v in _grid_values(grid[1]):  # one point at a time: the first failing point raises
+            mesh.append([u, v] + eval_surface(spec, np.array(u), np.array(v), 1)[:, 0].tolist())
     projections = (
         _PROJECTIONS_TIMELIKE
         if model.surface_type == "TimeLike"
@@ -537,10 +536,8 @@ def _check_quadrics(seed):
     rng = np.random.default_rng(seed + 101)
     on, off = [], []
     for name in MODEL_NAMES:
-        spec = resolve_surface(name)
-        for _ in range(50):
-            u, v = rng.uniform(-2.0, 2.0, 2)
-            pt = np.array([j.const for j in eval_surface(spec, u, v, 1)])
+        us, vs = np.array([rng.uniform(-2.0, 2.0, 2) for _ in range(50)]).T
+        for pt in eval_surface(resolve_surface(name), us, vs, 1)[..., 0]:
             on.append(np.max(np.abs(quadric_residual(name, pt))))
             off.append(np.max(np.abs(quadric_residual(name, 1.05 * pt))))
     off_min = float(np.min(off))

@@ -12,10 +12,11 @@ a point's result does not depend on the batch around it.
   stacked coefficients;
 * `jet_mul` is the elementwise product of two arrays of jets
   (`taylor.product`);
-* `jet_solve` factors the constant part A0 once per point (LU with partial
-  pivoting) and then solves order by order: the part of X of total degree
-  d follows from the parts of lower degree by one forward substitution,
-  which is exact, so `degree` graded steps give X.
+* `jet_solve` scales the columns of A by powers of two, factors the
+  constant part A0 once per point (LU with partial pivoting) and then
+  solves order by order: the part of X of total degree d follows from the
+  parts of lower degree by one forward substitution, which is exact, so
+  `degree` graded steps give X.
   Pivoting and singularity decisions look only at constant terms, which is
   the right notion over the jet ring: an element is invertible there iff
   its constant term is nonzero.
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import taylor
 from .errors import SingularMatrix, raise_each
-from .taylor import _shift_index, resize  # noqa: F401  (resize is part of this module's API)
+from .taylor import _shift_index, resize
 from .taylor import product as jet_mul
 
 __all__ = [
@@ -142,6 +143,9 @@ def _factor(A0, tol):
 def jet_solve(A, B, degree):
     """Solve A X = B for coefficient arrays A (..., k, k, n) and B (..., k, m, n).
 
+    Each column of A is divided first by the power of two of its largest
+    |constant term|, and X's rows are scaled back: exact, so X keeps its
+    bits (barring over- or underflow) and D^-1 U stays in the float range.
     The constant part A0 of each point is factored once in Python floats
     (`_factor`), P A0 = L D U with unit triangular L and U, pivoting on the
     first row of largest |entry| (as LAPACK's `dgetrf`); the substitutions
@@ -163,8 +167,10 @@ def jet_solve(A, B, degree):
     m = B.shape[-2]
     A = A.reshape(-1, k, k, n)
     N = len(A)
+    top, e = np.frexp(np.abs(A[..., 0]).max(axis=1))  # a column's largest |A0| is top 2^e
+    A = np.ldexp(A, -e[:, None, :, None])
     A0 = A[..., 0]
-    tol = _PIVOT_TOL * np.abs(A0).max(axis=1)  # relative, per point and column
+    tol = _PIVOT_TOL * top  # relative, per point and column
     tol[~np.isfinite(A0).all(axis=(1, 2)), 0] = np.nan
     factors = [_factor(a, t) for a, t in zip(A0.tolist(), tol.tolist())]
     failed = {i: SingularMatrix("no usable pivot in column %d" % f[2])
@@ -187,7 +193,7 @@ def jet_solve(A, B, degree):
     M = M.take(index, axis=-1)  # the blocks of every graded step
     for lo, hi, start, stop in steps:  # one total degree, from those below
         X[:, lo:hi] -= M[:, start:stop].reshape(N, hi - lo, lo) @ X[:, :lo]
-    X = X.reshape(N, n, k, m).transpose(0, 2, 3, 1)
+    X = np.ldexp(X.reshape(N, n, k, m), -e[:, None, :, None]).transpose(0, 2, 3, 1)  # rows scaled back
     return np.ascontiguousarray(X).reshape(*batch, k, m, n)
 
 

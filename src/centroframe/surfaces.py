@@ -39,7 +39,6 @@ from .errors import (
     ArithmeticFailure, ArityError, SurfaceSyntaxError, UnknownIdentifier, UnknownModel,
     point_error, raise_where,
 )
-from .taylor import TaylorScalar
 
 __all__ = [
     "SurfaceSpec",
@@ -86,7 +85,7 @@ def _literal(vals, a, b, degree):
 
 
 def _constant_jet(vals, a, b, degree):
-    return TaylorScalar.constant(float(vals[a]), degree).coeffs
+    return taylor.constant(vals[a], degree)
 
 
 def _neg(vals, a, b, degree):
@@ -401,14 +400,9 @@ def eval_surface(spec, u0, v0, degree):
     With a batch, a point's error comes as PointFailures; a constant
     subexpression that fails fails every point.
     """
-    if degree < 1:
-        raise ValueError("coordinate jets need degree >= 1")
     U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-    u, v = np.zeros((2,) + U.shape + (taylor.n_terms(degree),))
-    u[..., 0], u[..., taylor.index_of(1, 0)] = U, 1.0
-    v[..., 0], v[..., taylor.index_of(0, 1)] = V, 1.0
-    vals = [u, v]
-    vals += [TaylorScalar.constant(float(x), degree).coeffs for x in spec.params.values()]
+    u, v = taylor.coordinates(U, V, degree)
+    vals = [u, v] + [taylor.constant(x, degree) for x in spec.params.values()]
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c, (code, k) in enumerate(spec.program):
@@ -425,7 +419,7 @@ def eval_surface(spec, u0, v0, degree):
             out.append(x)
     if isinstance(u0, np.ndarray):
         return taylor.stack(out, axis=-2)
-    return [TaylorScalar(x) for x in out]
+    return [taylor.TaylorScalar(x) for x in out]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Truncated bivariate Taylor-series arithmetic.
 
-A :class:`TaylorScalar` stores the coefficients of a polynomial in the local
-offsets (du, dv) about a base point, truncated at a fixed total degree.  All
+A jet is the coefficient vector of a polynomial in the local offsets
+(du, dv) about a base point, truncated at a fixed total degree.  All
 arithmetic propagates coefficients exactly (up to floating point), so the
 degree-k coefficients of any computed quantity are its true partial
 derivatives divided by factorials.  This is the numerical backbone of the
@@ -11,6 +11,10 @@ are read off instead of being approximated by finite differences.
 Coefficients are kept in a dense float64 vector in graded-lexicographic
 order: the term du^a dv^b lives at index (a+b)(a+b+1)/2 + b, so a jet of
 degree d has (d+1)(d+2)/2 entries.
+
+Jets are built and combined only by the coefficient-array kernels below
+(`constant` and `coordinates` build them); a :class:`TaylorScalar` wraps
+one jet for the caller of the API, and the package's own paths build none.
 
 Binary operations on jets of different degrees truncate to the smaller
 degree; this is deliberate, because each differentiation drops the degree by
@@ -28,6 +32,8 @@ from .errors import CentroframeError, DomainError, ZeroConstantTerm, point_error
 __all__ = [
     "TaylorScalar",
     "coordinate_jets",
+    "constant",
+    "coordinates",
     "gradient",
     "product",
     "power",
@@ -104,9 +110,7 @@ class TaylorScalar:
 
     @classmethod
     def constant(cls, value, degree):
-        c = np.zeros(n_terms(degree))
-        c[0] = value
-        return cls(c)
+        return cls(constant(value, degree))
 
     @property
     def const(self):
@@ -130,44 +134,35 @@ class TaylorScalar:
     def _coerce(self, other):
         """Return (a, b) coefficient arrays at a common degree, or None."""
         if isinstance(other, TaylorScalar):
-            d = min(self.degree, other.degree)
-            return self.truncate(d).coeffs, other.truncate(d).coeffs
+            n = n_terms(min(self.degree, other.degree))
+            return resize(self.coeffs, n), resize(other.coeffs, n)
         if isinstance(other, numbers.Real):
-            c = np.zeros_like(self.coeffs)
-            c[0] = float(other)
-            return self.coeffs, c
+            return self.coeffs, constant(float(other), self.degree)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, f):
+        """The jet f(a, b) of the coerced pair, or NotImplemented."""
         ab = self._coerce(other)
-        if ab is None:
-            return NotImplemented
-        return TaylorScalar(ab[0] + ab[1])
+        return NotImplemented if ab is None else TaylorScalar(f(*ab))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        ab = self._coerce(other)
-        if ab is None:
-            return NotImplemented
-        return TaylorScalar(ab[0] - ab[1])
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        ab = self._coerce(other)
-        if ab is None:
-            return NotImplemented
-        return TaylorScalar(ab[1] - ab[0])
+        return self._combine(other, lambda a, b: b - a)
 
     def __neg__(self):
         return TaylorScalar(-self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Real):
+        if isinstance(other, numbers.Real):  # a scaling: a constant jet's product can flip a zero's sign
             return TaylorScalar(self.coeffs * float(other))
-        if not isinstance(other, TaylorScalar):
-            return NotImplemented
-        d = min(self.degree, other.degree)
-        return TaylorScalar(product(self.truncate(d).coeffs, other.truncate(d).coeffs, d))
+        return self._combine(other, lambda a, b: product(a, b, degree_of(a.size)))
 
     __rmul__ = __mul__
 
@@ -208,14 +203,7 @@ def coordinate_jets(u0, v0, degree):
         Jets with constant terms u0, v0 and unit linear coefficients on du
         and dv respectively.
     """
-    if degree < 1:
-        raise ValueError("coordinate jets need degree >= 1")
-    cu = np.zeros(n_terms(degree))
-    cv = np.zeros(n_terms(degree))
-    cu[0], cv[0] = u0, v0
-    cu[index_of(1, 0)] = 1.0
-    cv[index_of(0, 1)] = 1.0
-    return TaylorScalar(cu), TaylorScalar(cv)
+    return tuple(TaylorScalar(c) for c in coordinates(u0, v0, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +212,8 @@ def coordinate_jets(u0, v0, degree):
 # Each takes and returns coefficient arrays of one degree, the coefficients
 # on the last axis; leading axes (a batch of points, entries of a matrix)
 # broadcast.  The pipeline and compiled surfaces call the kernels directly;
-# TaylorScalar's operators and `sqrt` and `reciprocal` below are thin
-# wrappers for one jet.  None of them writes to its inputs.
+# TaylorScalar, `coordinate_jets`, `sqrt` and `reciprocal` are thin wrappers
+# for one jet.  None of them writes to its inputs.
 # ---------------------------------------------------------------------------
 
 
@@ -234,6 +222,27 @@ def stack(arrays, axis):
     concatenation (np.stack's own checks cost more than the copy here)."""
     index = (Ellipsis, None) + (slice(None),) * (-axis - 1)
     return np.concatenate([x[index] for x in arrays], axis=axis)
+
+
+def constant(value, degree):
+    """Coefficient arrays (..., n_terms(degree)) of the constant jets
+    `value`, a float or an array of them."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (n_terms(degree),))
+    c[..., 0] = value
+    return c
+
+
+def coordinates(u0, v0, degree):
+    """Coefficient arrays of the coordinate jets u and v about (u0, v0),
+    floats or arrays, broadcast together: constant terms u0 and v0, and unit
+    coefficients on du and dv respectively."""
+    if degree < 1:
+        raise ValueError("coordinate jets need degree >= 1")
+    u, v = constant(np.broadcast_arrays(u0, v0), degree)
+    u[..., index_of(1, 0)] = 1.0
+    v[..., index_of(0, 1)] = 1.0
+    return u, v
 
 
 def resize(C, n):
@@ -286,9 +295,7 @@ def power(a, n, degree):
     if n < 0:
         return apply("reciprocal", power(a, -n, degree), degree)
     if n == 0:
-        out = np.zeros(a.shape)
-        out[..., 0] = 1.0
-        return out
+        return constant(np.ones(a.shape[:-1]), degree)
     out, base = None, a
     while n:
         if n & 1:
@@ -328,11 +335,6 @@ def _power_series(a0, alpha, degree):
     return series
 
 
-def _exp_series(a0, degree):
-    e = math.exp(a0)
-    return [e / math.factorial(k) for k in range(degree + 1)]
-
-
 # The elementary functions a surface may call: name -> (the function of a
 # float, its series builder (constant term, degree) -> Taylor coefficients)
 FUNCTIONS = {
@@ -340,7 +342,7 @@ FUNCTIONS = {
     "cos": (math.cos, lambda a0, d: _cyclic_series(a0, d, math.cos, lambda t: -math.sin(t), (-1.0, -1.0))),
     "sinh": (math.sinh, lambda a0, d: _cyclic_series(a0, d, math.sinh, math.cosh, (1.0, 1.0))),
     "cosh": (math.cosh, lambda a0, d: _cyclic_series(a0, d, math.cosh, math.sinh, (1.0, 1.0))),
-    "exp": (math.exp, _exp_series),
+    "exp": (math.exp, lambda a0, d: _cyclic_series(a0, d, math.exp, math.exp, (1.0, 1.0))),
     "sqrt": (math.sqrt, lambda a0, d: _power_series(a0, 0.5, d)),
 }
 

@@ -725,3 +725,42 @@ def test_float_format_17_digits(tmp_path):
     # 17 significant digits round-trips doubles exactly
     assert ("%.17g" % k) in text
     assert math.isfinite(k)
+
+
+@pytest.fixture
+def jets_built(monkeypatch):
+    """The number of TaylorScalars built since the fixture was set up."""
+    count = [0]
+    init = centroframe.TaylorScalar.__init__
+
+    def counting_init(jet, coeffs):
+        count[0] += 1
+        init(jet, coeffs)
+
+    monkeypatch.setattr(centroframe.TaylorScalar, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "h2", "--grid", "-1:1:5"],
+    ["analyze", "--surface", "s21", "--grid", "-1:1:3", "--format", "csv"],
+    ["analyze", "--surface", NULL_FIXTURE, "--grid", "-1:1:3"],
+    ["example", "s21", "--grid", "0:1:3"],
+    ["example", "h2", "--format", "json"],
+    ["verify"],
+    ["search", "spacelike", "--restarts", "5", "--seed", "1"],
+])
+def test_the_cli_builds_no_taylor_scalar(argv, jets_built, tmp_path):
+    # jets are coefficient arrays on every path of the package; a
+    # TaylorScalar is built only for a caller of the API
+    assert _run(argv + ["--out", str(tmp_path)]) == 0
+    assert jets_built[0] == 0
+
+
+def test_analyze_point_builds_no_taylor_scalar(jets_built):
+    spec = builtin_surface("s21")
+    analyze_point(spec, 0.3, -0.2, degree=7)
+    analyze_point(spec, np.array([0.3, 0.1]), np.array([-0.2, 0.4]), degree=5)
+    assert jets_built[0] == 0
+    centroframe.coordinate_jets(0.3, -0.2, 2)  # the API edge: the counter counts
+    assert jets_built[0] == 2

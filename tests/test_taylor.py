@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from centroframe import taylor
-from centroframe.errors import DomainError, PointFailures, ZeroConstantTerm
+from centroframe.errors import ArithmeticFailure, DomainError, PointFailures, ZeroConstantTerm
+from centroframe.surfaces import builtin_surface, eval_surface
 from centroframe.taylor import TaylorScalar, coordinate_jets
 
 
@@ -26,6 +27,47 @@ def test_coordinate_jets_layout():
     assert u.const == 0.25 and v.const == -1.5
     assert u.coefficient(1, 0) == 1.0 and u.coefficient(0, 1) == 0.0
     assert v.coefficient(0, 1) == 1.0 and v.coefficient(1, 0) == 0.0
+
+
+def test_constant_and_coordinates_match_hand_built_arrays():
+    # graded-lex order at degree 2: 1, du, dv, du^2, du dv, dv^2
+    assert taylor.constant(2.5, 2).tobytes() == np.array([2.5, 0, 0, 0, 0, 0.0]).tobytes()
+    values = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -0.0]])
+    want = np.zeros((2, 3, 6))
+    want[..., 0] = values
+    assert taylor.constant(values, 2).tobytes() == want.tobytes()
+    u, v = taylor.coordinates(0.25, -1.5, 2)
+    assert u.tobytes() == np.array([0.25, 1, 0, 0, 0, 0.0]).tobytes()
+    assert v.tobytes() == np.array([-1.5, 0, 1, 0, 0, 0.0]).tobytes()
+    u, v = taylor.coordinates(np.array([0.25, 2.0]), np.array([-1.5, 0.0]), 2)
+    assert u.tobytes() == np.array([[0.25, 1, 0, 0, 0, 0], [2.0, 1, 0, 0, 0, 0]]).tobytes()
+    assert v.tobytes() == np.array([[-1.5, 0, 1, 0, 0, 0], [0.0, 0, 1, 0, 0, 0]]).tobytes()
+    _, v = taylor.coordinates(np.array([0.25, 2.0]), -1.5, 2)  # broadcast together
+    assert v.tobytes() == np.array([[-1.5, 0, 1, 0, 0, 0], [-1.5, 0, 1, 0, 0, 0]]).tobytes()
+
+
+def test_coordinate_jets_need_degree_one():
+    for build in (lambda: coordinate_jets(0.3, 0.4, 0),
+                  lambda: eval_surface(builtin_surface("h2"), 0.3, 0.4, 0)):
+        with pytest.raises(ValueError, match=r"^coordinate jets need degree >= 1$"):
+            build()
+
+
+def _exp_series(a0, degree):
+    """exp's series builder before exp took the cyclic series (exp, exp)."""
+    e = math.exp(a0)
+    return [e / math.factorial(k) for k in range(degree + 1)]
+
+
+def test_exp_is_its_own_series_to_the_bit():
+    rng = np.random.default_rng(38)
+    degree, n = 6, taylor.n_terms(6)
+    c = 0.1 * rng.standard_normal((281, n))
+    c[:, 0] = np.linspace(-700.0, 700.0, 281)
+    want = taylor._compose(np.array([_exp_series(x, degree) for x in c[:, 0]]), c, degree)
+    assert taylor.apply("exp", c, degree).tobytes() == want.tobytes()
+    with pytest.raises(ArithmeticFailure, match=r"^OverflowError: math range error$"):
+        taylor.apply("exp", taylor.constant(800.0, degree), degree)
 
 
 def test_product_matches_hand_expansion():
