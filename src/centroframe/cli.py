@@ -515,7 +515,7 @@ def _model_points(seed):
     one batch per model; raises the error of the first point that failed."""
     rng = np.random.default_rng(seed)
     for name in MODEL_NAMES:
-        us, vs = np.array([rng.uniform(-1.0, 1.0, 2) for _ in range(8)]).T
+        us, vs = rng.uniform(-1.0, 1.0, (8, 2)).T
         res = analyze_point(resolve_surface(name), us, vs, degree=5)
         if res.errors:
             raise res.errors[min(res.errors)]
@@ -536,7 +536,7 @@ def _check_quadrics(seed):
     rng = np.random.default_rng(seed + 101)
     on, off = [], []
     for name in MODEL_NAMES:
-        us, vs = np.array([rng.uniform(-2.0, 2.0, 2) for _ in range(50)]).T
+        us, vs = rng.uniform(-2.0, 2.0, (50, 2)).T
         for pt in eval_surface(resolve_surface(name), us, vs, 1)[..., 0]:
             on.append(np.max(np.abs(quadric_residual(name, pt))))
             off.append(np.max(np.abs(quadric_residual(name, 1.05 * pt))))

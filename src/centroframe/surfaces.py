@@ -85,7 +85,8 @@ def _literal(vals, a, b, degree):
 
 
 def _constant_jet(vals, a, b, degree):
-    return taylor.constant(vals[a], degree)
+    # a TaylorScalar: bench/tracing.py counts jets by it (ROADMAP item 12)
+    return taylor.TaylorScalar(taylor.constant(vals[a], degree)).coeffs
 
 
 def _neg(vals, a, b, degree):
@@ -400,8 +401,7 @@ def eval_surface(spec, u0, v0, degree):
     With a batch, a point's error comes as PointFailures; a constant
     subexpression that fails fails every point.
     """
-    U, V = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-    u, v = taylor.coordinates(U, V, degree)
+    u, v = taylor.coordinates(u0, v0, degree)
     vals = [u, v] + [taylor.constant(x, degree) for x in spec.params.values()]
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -411,11 +411,11 @@ def eval_surface(spec, u0, v0, degree):
                     vals.append(op(vals, a, b, degree))
                 except (ArithmeticError, ValueError) as exc:  # of a constant subexpression
                     error = point_error(exc, b, vals[a])  # a ValueError is math's, in _call
-                    raise_where(np.ones(U.shape, dtype=bool), lambda i: error)
+                    raise_where(np.ones(u.shape[:-1], dtype=bool), lambda i: error)
             x = vals[k] if vals[k].shape == u.shape else np.broadcast_to(vals[k], u.shape)
             if not math.isfinite(x.sum()):  # a finite sum has finite terms
                 raise_where(~np.isfinite(x).all(axis=-1), lambda i: ArithmeticFailure(
-                    "surface component x%d is not finite at (u, v) = (%g, %g)" % (c, U[i], V[i])))
+                    "surface component x%d is not finite at (u, v) = (%g, %g)" % (c, u[i][0], v[i][0])))
             out.append(x)
     if isinstance(u0, np.ndarray):
         return taylor.stack(out, axis=-2)

@@ -14,7 +14,8 @@ degree d has (d+1)(d+2)/2 entries.
 
 Jets are built and combined only by the coefficient-array kernels below
 (`constant` and `coordinates` build them); a :class:`TaylorScalar` wraps
-one jet for the caller of the API, and the package's own paths build none.
+one jet for the caller of the API.  The package's own paths build none but
+the constant jets of a surface's numbers (`surfaces._constant_jet`).
 
 Binary operations on jets of different degrees truncate to the smaller
 degree; this is deliberate, because each differentiation drops the degree by
@@ -235,11 +236,12 @@ def constant(value, degree):
 
 def coordinates(u0, v0, degree):
     """Coefficient arrays of the coordinate jets u and v about (u0, v0),
-    floats or arrays, broadcast together: constant terms u0 and v0, and unit
-    coefficients on du and dv respectively."""
+    floats or arrays, v0 broadcast to the shape of u0: constant terms u0
+    and v0, and unit coefficients on du and dv respectively."""
     if degree < 1:
         raise ValueError("coordinate jets need degree >= 1")
-    u, v = constant(np.broadcast_arrays(u0, v0), degree)
+    U = np.asarray(u0, dtype=float)
+    u, v = constant([U, np.broadcast_to(v0, U.shape)], degree)
     u[..., index_of(1, 0)] = 1.0
     v[..., index_of(0, 1)] = 1.0
     return u, v

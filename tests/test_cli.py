@@ -729,13 +729,14 @@ def test_float_format_17_digits(tmp_path):
 
 @pytest.fixture
 def jets_built(monkeypatch):
-    """The number of TaylorScalars built since the fixture was set up."""
-    count = [0]
+    """[TaylorScalars built, constant jets among them] since set-up."""
+    count = [0, 0]
     init = centroframe.TaylorScalar.__init__
 
     def counting_init(jet, coeffs):
-        count[0] += 1
         init(jet, coeffs)
+        count[0] += 1
+        count[1] += not jet.coeffs[1:].any()
 
     monkeypatch.setattr(centroframe.TaylorScalar, "__init__", counting_init)
     return count
@@ -750,17 +751,17 @@ def jets_built(monkeypatch):
     ["verify"],
     ["search", "spacelike", "--restarts", "5", "--seed", "1"],
 ])
-def test_the_cli_builds_no_taylor_scalar(argv, jets_built, tmp_path):
-    # jets are coefficient arrays on every path of the package; a
-    # TaylorScalar is built only for a caller of the API
+def test_the_cli_builds_only_constant_taylor_scalars(argv, jets_built, tmp_path):
+    # jets are coefficient arrays on every path of the package; the one
+    # TaylorScalar built there is the constant jet of a surface's number
     assert _run(argv + ["--out", str(tmp_path)]) == 0
-    assert jets_built[0] == 0
+    assert jets_built[0] == jets_built[1]
 
 
-def test_analyze_point_builds_no_taylor_scalar(jets_built):
+def test_analyze_point_builds_only_constant_taylor_scalars(jets_built):
     spec = builtin_surface("s21")
     analyze_point(spec, 0.3, -0.2, degree=7)
     analyze_point(spec, np.array([0.3, 0.1]), np.array([-0.2, 0.4]), degree=5)
-    assert jets_built[0] == 0
+    assert jets_built[0] == jets_built[1] > 0
     centroframe.coordinate_jets(0.3, -0.2, 2)  # the API edge: the counter counts
-    assert jets_built[0] == 2
+    assert jets_built[0] == jets_built[1] + 2

@@ -12,7 +12,7 @@ import pytest
 
 from centroframe import taylor
 from centroframe.errors import ArithmeticFailure, DomainError, PointFailures, ZeroConstantTerm
-from centroframe.surfaces import builtin_surface, eval_surface
+from centroframe.surfaces import builtin_surface, eval_surface, resolve_surface
 from centroframe.taylor import TaylorScalar, coordinate_jets
 
 
@@ -42,8 +42,25 @@ def test_constant_and_coordinates_match_hand_built_arrays():
     u, v = taylor.coordinates(np.array([0.25, 2.0]), np.array([-1.5, 0.0]), 2)
     assert u.tobytes() == np.array([[0.25, 1, 0, 0, 0, 0], [2.0, 1, 0, 0, 0, 0]]).tobytes()
     assert v.tobytes() == np.array([[-1.5, 0, 1, 0, 0, 0], [0.0, 0, 1, 0, 0, 0]]).tobytes()
-    _, v = taylor.coordinates(np.array([0.25, 2.0]), -1.5, 2)  # broadcast together
+    _, v = taylor.coordinates(np.array([0.25, 2.0]), -1.5, 2)  # v0 takes u0's shape
     assert v.tobytes() == np.array([[-1.5, 0, 1, 0, 0, 0], [-1.5, 0, 1, 0, 0, 0]]).tobytes()
+
+
+def test_coordinates_broadcast_v0_to_u0_only():
+    # the shape of u0 is the shape of the result; a v0 with more points is
+    # an error, not a batch around a float u0
+    spec = builtin_surface("h2")
+    want = eval_surface(spec, np.array([0.1, 0.2]), np.array([0.3, 0.3]), 5)
+    assert eval_surface(spec, np.array([0.1, 0.2]), 0.3, 5).tobytes() == want.tobytes()
+    for build in (lambda: taylor.coordinates(0.3, np.array([0.1, 0.2]), 5),
+                  lambda: coordinate_jets(0.3, np.array([0.1, 0.2]), 5),
+                  lambda: eval_surface(spec, 0.3, np.array([0.1, 0.2]), 5)):
+        with pytest.raises(ValueError):
+            build()
+    # a failing point's message reads the broadcast v0
+    with pytest.raises(PointFailures) as failed:
+        eval_surface(resolve_surface("1e308*u*u; u; v; u*v; v^2"), np.array([10.0, 1.0]), 0.3, 3)
+    assert str(failed.value.errors[0]).endswith("not finite at (u, v) = (10, 0.3)")
 
 
 def test_coordinate_jets_need_degree_one():
